@@ -38,14 +38,6 @@ class ObjectiveSpec:
             raise ConfigError(f"objective scaling must be > 0, got {self.s}")
 
 
-@dataclass
-class SensitivityBundle:
-    """Design-space gradients: objective per channel plus one row per constraint."""
-
-    df_drho: np.ndarray  # (3, nelem)
-    dg_drho: np.ndarray  # (n_con, 3, nelem)
-
-
 def objective_value(metrics, spec: ObjectiveSpec, s: float | None = None) -> float:
     """Evaluate the scalar objective from solved performance metrics."""
     s = spec.s if s is None else s

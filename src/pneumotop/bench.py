@@ -43,18 +43,23 @@ class ComparisonCase:
 
 
 def load_suite(path) -> tuple[list[ComparisonCase], list[float] | None]:
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict) or "cases" not in raw:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and decoding errors
+        raise ConfigError(f"{path}: cannot read suite file ({exc})") from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("cases"), list):
         raise ConfigError(f"{path}: suite file needs a 'cases' list")
-    cases = [
-        ComparisonCase(
+    cases = []
+    for i, c in enumerate(raw["cases"]):
+        if not (isinstance(c, dict) and isinstance(c.get("label"), str)
+                and isinstance(c.get("problem"), str)):
+            raise ConfigError(f"{path}: case {i} needs a 'label' and a 'problem'")
+        cases.append(ComparisonCase(
             label=c["label"],
             problem=c["problem"],
             design=c.get("design"),
             closure=c.get("closure", "none"),
-        )
-        for c in raw["cases"]
-    ]
+        ))
     labels = [c.label for c in cases]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"{path}: duplicate case labels")
@@ -65,13 +70,7 @@ def _run_case(case: ComparisonCase, sweep, out_dir) -> dict:
     out = Path(out_dir) / case.label
     design_path = case.design
     if design_path is None:
-        spec = load_problem(case.problem)
-        spec = spec.with_overrides(
-            closure=type(spec.closure)(
-                mode=case.closure,
-                skin_thickness_elems=spec.closure.skin_thickness_elems,
-            )
-        )
+        spec = load_problem(case.problem, closure=case.closure)
         summary = runner.optimize_problem(spec, out)
         design_path = summary["design_sealed"] or summary["design"]
     rows = runner.evaluate_design(design_path, case.problem, sweep=sweep)

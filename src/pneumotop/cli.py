@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--max-iters", type=int, default=None)
     p_opt.add_argument("--out-dir", default="out")
     p_opt.add_argument("--closure", choices=CLOSURE_MODES, default=None)
-    p_opt.add_argument("--threads", type=int, default=1)
 
     p_eval = sub.add_parser("evaluate", help="sweep output springs on a fixed design")
     p_eval.add_argument("design")
@@ -69,28 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_optimize(args) -> int:
-    spec = load_problem(args.problem)
-    if args.closure is not None:
-        spec = spec.with_overrides(
-            closure=type(spec.closure)(
-                mode=args.closure,
-                skin_thickness_elems=spec.closure.skin_thickness_elems,
-            )
-        )
-        if args.closure == "energy_penalty":
-            spec = spec.with_overrides(
-                objective=type(spec.objective)(
-                    variant="energy_penalty", n=spec.objective.n, s=spec.objective.s
-                )
-            )
-    if args.max_iters is not None:
-        spec = spec.with_overrides(
-            optimizer=type(spec.optimizer)(
-                max_iters=args.max_iters,
-                move_limit=spec.optimizer.move_limit,
-                change_tol=spec.optimizer.change_tol,
-            )
-        )
+    spec = load_problem(args.problem, closure=args.closure, max_iters=args.max_iters)
     summary = runner.optimize_problem(spec, args.out_dir)
     status = "converged" if summary["converged"] else "hit iteration limit"
     print(

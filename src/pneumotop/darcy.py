@@ -79,10 +79,6 @@ class FlowAssembler:
         return FlowSystem(a, k, dk, d, dd, params)
 
 
-def assemble_flow(grid: Grid, rho_bar1: np.ndarray, params: FlowParams) -> FlowSystem:
-    return FlowAssembler(grid).assemble(rho_bar1, params)
-
-
 def solve_pressure(
     system: FlowSystem,
     inlet_nodes: np.ndarray,
@@ -129,13 +125,6 @@ def coupling_matrix(grid: Grid) -> sparse.csr_matrix:
     return sparse.coo_matrix(
         (vals, (rows, cols)), shape=(grid.n_disp_dofs, grid.nnodes)
     ).tocsr()
-
-
-def pressure_to_force(grid: Grid, p: np.ndarray, t: sparse.csr_matrix | None = None):
-    """Consistent nodal forces from a nodal pressure field."""
-    if t is None:
-        t = coupling_matrix(grid)
-    return -(t @ np.asarray(p, dtype=float))
 
 
 def energy_loss(system: FlowSystem, pf: PressureField) -> float:

@@ -67,10 +67,6 @@ class ElasticAssembler:
         ).tocsr()
 
 
-def assemble_stiffness(grid: Grid, e_field: np.ndarray, nu: float) -> sparse.csr_matrix:
-    return ElasticAssembler(grid, nu).assemble(e_field)
-
-
 def output_spring_matrix(
     grid: Grid, sel: RegionSelection, k_out: float | None = None
 ) -> sparse.csr_matrix:
@@ -94,12 +90,6 @@ def output_spring_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n_disp_dofs,) * 2,
     ).tocsr()
-
-
-def add_output_springs(k: sparse.csr_matrix, grid: Grid, sel: RegionSelection):
-    if sel.region.k_out == 0:
-        return k.copy()
-    return (k + output_spring_matrix(grid, sel)).tocsr()
 
 
 def solve_displacement(
@@ -135,13 +125,14 @@ def output_projector(grid: Grid, sel: RegionSelection) -> np.ndarray:
 def metrics(
     u: np.ndarray,
     k_struct: sparse.csr_matrix,
-    grid: Grid,
-    output_sel: RegionSelection,
+    l_out: np.ndarray,
+    k_out: float,
     E_t: float = 0.0,
 ) -> PerformanceMetrics:
-    """Output displacement, structural strain energy, and spring work."""
+    """Output displacement ``l_out . u``, structural strain energy, and the
+    work of an output spring of stiffness ``k_out``."""
     u = np.asarray(u, dtype=float)
-    u_out = float(output_projector(grid, output_sel) @ u)
+    u_out = float(l_out @ u)
     se = 0.5 * float(u @ (k_struct @ u))
-    w = 0.5 * output_sel.region.k_out * u_out**2
+    w = 0.5 * k_out * u_out**2
     return PerformanceMetrics(u_out=u_out, SE=se, W=w, E_t=E_t)

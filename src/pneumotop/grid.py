@@ -91,7 +91,6 @@ class Grid:
         self.nnod_axis = tuple(n + 1 for n in spec.nel)
         self.nelem = int(np.prod(self.nel_axis))
         self.nnodes = int(np.prod(self.nnod_axis))
-        self.n_pressure_dofs = self.nnodes
         self.n_disp_dofs = self.dim * self.nnodes
         self.element_volume = spec.h**spec.dim
 
@@ -143,15 +142,8 @@ class Grid:
             eid = eid * self.nel_axis[ax] + ijk[ax]
         return int(eid)
 
-    def pressure_dof(self, node: int) -> int:
-        return node
-
     def disp_dof(self, node: int, comp: int) -> int:
         return self.dim * node + comp
-
-    def domain_box(self) -> np.ndarray:
-        hi = np.array(self.nel_axis) * self.h
-        return np.stack([np.zeros(self.dim), hi])
 
 
 def build_grid(spec: GridSpec) -> Grid:
@@ -208,10 +200,6 @@ class RegionSelection:
     nodes: np.ndarray
     faces: tuple  # of (element, axis, side)
     normal_axis: int | None = None
-
-    @property
-    def face_elements(self) -> np.ndarray:
-        return np.unique(np.array([f[0] for f in self.faces], dtype=np.int64))
 
 
 def select_region(grid: Grid, region: BoundaryRegion) -> RegionSelection:

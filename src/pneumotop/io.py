@@ -22,6 +22,9 @@ DESIGN_FORMAT_VERSION = 1
 HISTORY_COLUMNS = (
     "iter", "f", "g1", "g2", "g3", "change", "grayness", "u_out", "SE", "E_t",
 )
+METRICS_COLUMNS = ("k_out", "u_out", "SE", "W", "E_t")
+# Largest excursion of a stored density outside [0, 1] taken for rounding.
+DENSITY_TOL = 1e-9
 
 
 def atomic_write_text(path: Path, text: str):
@@ -65,15 +68,28 @@ def load_design(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"design file not found: {path}")
-    doc = json.loads(path.read_text())
-    if doc.get("format") != "pneumotop-design":
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and decoding errors
+        raise ConfigError(f"{path}: cannot read design file ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "pneumotop-design":
         raise ConfigError(f"{path}: not a design file")
     if doc.get("version") != DESIGN_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported design version {doc.get('version')}")
-    spec = GridSpec(dim=doc["dim"], nel=tuple(doc["nel"]), h=doc["h_m"])
-    data = np.asarray(doc["data"], dtype=float)
+    try:
+        spec = GridSpec(dim=doc["dim"], nel=tuple(doc["nel"]), h=doc["h_m"])
+        data = np.asarray(doc["data"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed design header or data ({exc!r})") from exc
     if data.shape != (3, int(np.prod(spec.nel))):
         raise ConfigError(f"{path}: data shape {data.shape} does not match header")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: densities must be finite")
+    if data.min() < -DENSITY_TOL or data.max() > 1.0 + DENSITY_TOL:
+        raise ConfigError(
+            f"{path}: densities must lie in [0, 1], found "
+            f"[{data.min():.6g}, {data.max():.6g}]"
+        )
     return spec, data
 
 
@@ -114,31 +130,20 @@ class HistoryWriter:
             os.unlink(self._tmp)
 
 
-def write_history_csv(path, records):
-    w = HistoryWriter(path)
-    try:
-        for rec in records:
-            w(rec)
-    except BaseException:
-        w.abort()
-        raise
-    w.close()
-
-
 def write_summary(path, summary: dict):
     atomic_write_text(Path(path), json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def write_metrics_csv(path, rows, columns=("k_out", "u_out", "SE", "W", "E_t")):
+def write_metrics_csv(path, rows):
     """Evaluation sweep table, one row per spring stiffness."""
-    lines = [",".join(columns)]
+    lines = [",".join(METRICS_COLUMNS)]
     for row in rows:
-        lines.append(",".join(repr(float(row[c])) for c in columns))
+        lines.append(",".join(repr(float(row[c])) for c in METRICS_COLUMNS))
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def export_vtk(path, grid: Grid, cell_data: dict | None = None,
-               point_data: dict | None = None, title: str = "pneumotop fields"):
+               point_data: dict | None = None):
     """Legacy-ASCII structured-points file viewable in ParaView and friends.
 
     Cell arrays must have ``nelem`` values; point arrays ``nnodes`` scalars
@@ -147,7 +152,7 @@ def export_vtk(path, grid: Grid, cell_data: dict | None = None,
     dims = list(grid.nnod_axis) + [1] * (3 - grid.dim)
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "pneumotop fields",
         "ASCII",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}",

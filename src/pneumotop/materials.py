@@ -161,17 +161,6 @@ def drainage_coefficient(rho1, params: FlowParams):
     return params.D_s * h, params.D_s * dh
 
 
-def drainage_term(rho1, p, params: FlowParams):
-    """Pointwise drainage sink -D_s H(rho1) (p - p_atm).
-
-    Returns (Q, dQ/drho1, dQ/dp).
-    """
-    d, dd = drainage_coefficient(rho1, params)
-    gauge = np.asarray(p, dtype=float) - params.p_atm
-    q = -d * gauge
-    return q, -dd * gauge, -d * np.ones_like(gauge)
-
-
 def drainage_for_wall(K_s: float, wall_thickness: float, residual_ratio: float) -> float:
     """Drainage coefficient making pressure decay to ``residual_ratio`` across a wall.
 

@@ -21,6 +21,14 @@ import numpy as np
 
 from .errors import SolveError
 
+# Every variable lives in the box [0, 1], so the box width is 1 throughout.
+ASYINIT = 0.5      # initial asymptote distance
+ASYINCR = 1.2      # asymptote widening under steady progress
+ASYDECR = 0.7      # asymptote narrowing under oscillation
+ALBEFA = 0.1       # fraction of the asymptote distance the step bounds keep
+RAA0 = 1e-5        # floor of the approximations' curvature term
+C_PENALTY = 1e4    # cost of the elastic constraint variables
+
 
 @dataclass
 class _Subproblem:
@@ -34,20 +42,14 @@ class _Subproblem:
     df0dx: np.ndarray
     g: np.ndarray
     dgdx: np.ndarray
-    xmin: np.ndarray
-    xmax: np.ndarray
     low: np.ndarray
     upp: np.ndarray
     move: float
     scale: float
     raa0: float
 
-    @property
-    def xmami(self):
-        return np.maximum(self.xmax - self.xmin, 1e-5)
-
     def objective_terms(self):
-        return _convex_terms(self.df0dx, self.raa0 / self.xmami, self)
+        return _convex_terms(self.df0dx, self.raa0, self)
 
     def objective_change(self, xt):
         """The approximation of f(xt) - f(x), in the caller's units."""
@@ -77,27 +79,10 @@ class MMA:
         Move limit as a fraction of the box width per update.
     """
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        move: float = 0.2,
-        asyinit: float = 0.5,
-        asyincr: float = 1.2,
-        asydecr: float = 0.7,
-        albefa: float = 0.1,
-        raa0: float = 1e-5,
-        c_penalty: float = 1e4,
-    ):
+    def __init__(self, n: int, m: int, move: float = 0.2):
         self.n = n
         self.m = m
         self.move = move
-        self.asyinit = asyinit
-        self.asyincr = asyincr
-        self.asydecr = asydecr
-        self.albefa = albefa
-        self.raa0 = raa0
-        self.c_penalty = c_penalty
         self.iteration = 0
         self.low = None
         self.upp = None
@@ -111,11 +96,9 @@ class MMA:
         df0dx: np.ndarray,
         g: np.ndarray,
         dgdx: np.ndarray,
-        xmin=0.0,
-        xmax=1.0,
         move: float | None = None,
     ) -> np.ndarray:
-        """One MMA step; returns the new design within move limits and bounds.
+        """One MMA step; returns the new design within move limits and [0, 1].
 
         If the subproblem fails at the full move limit it is solved again,
         with the same asymptotes, at half of it.
@@ -126,8 +109,6 @@ class MMA:
         dgdx = np.atleast_2d(np.asarray(dgdx, dtype=float))
         if not (np.all(np.isfinite(df0dx)) and np.all(np.isfinite(dgdx))):
             raise SolveError("MMA received non-finite gradients")
-        xmin = np.broadcast_to(np.asarray(xmin, dtype=float), x.shape)
-        xmax = np.broadcast_to(np.asarray(xmax, dtype=float), x.shape)
         move = self.move if move is None else min(move, self.move)
 
         if not np.any(df0dx) and not np.any(dgdx):
@@ -140,11 +121,11 @@ class MMA:
         scale = max(np.abs(df0dx).max(), 1.0)
 
         self.iteration += 1
-        self.low, self.upp = self._asymptotes(x, xmin, xmax)
+        self.low, self.upp = self._asymptotes(x)
         sub = _Subproblem(
-            x=x.copy(), df0dx=df0dx / scale, g=g, dgdx=dgdx, xmin=xmin,
-            xmax=xmax, low=self.low, upp=self.upp, move=move, scale=scale,
-            raa0=max(0.1 * self._sub.raa0, self.raa0) if self._sub else self.raa0,
+            x=x.copy(), df0dx=df0dx / scale, g=g, dgdx=dgdx, low=self.low,
+            upp=self.upp, move=move, scale=scale,
+            raa0=max(0.1 * self._sub.raa0, RAA0) if self._sub else RAA0,
         )
         xnew = self._solve(sub)
         self._sub = sub
@@ -164,7 +145,7 @@ class MMA:
         far. The subproblem is then solved again from x with the same
         asymptotes, gradients and move limit, which shortens the step.
         Returns the new trial point. The next ``update`` starts from a tenth
-        of the raised ``raa0``, never below the constructor's value.
+        of the raised ``raa0``, never below ``RAA0``.
         """
         sub = self._sub
         if sub is None:
@@ -173,7 +154,7 @@ class MMA:
         # The approximation is linear in raa0, with this slope at x_trial.
         slope = float(np.sum(
             (sub.upp - sub.low) * (x_trial - sub.x) ** 2
-            / ((sub.upp - x_trial) * (x_trial - sub.low) * sub.xmami)
+            / ((sub.upp - x_trial) * (x_trial - sub.low))
         ))
         if slope <= 0.0:
             raise SolveError("MMA conservative re-solve needs a step to shorten")
@@ -182,18 +163,17 @@ class MMA:
             sub.raa0 = 1.1 * (sub.raa0 + delta)
         return self._solve(sub)
 
-    def _asymptotes(self, x, xmin, xmax):
-        xmami = np.maximum(xmax - xmin, 1e-5)
+    def _asymptotes(self, x):
         if self.iteration <= 2 or self.xold2 is None:
-            return x - self.asyinit * xmami, x + self.asyinit * xmami
+            return x - ASYINIT, x + ASYINIT
         zzz = (x - self.xold1) * (self.xold1 - self.xold2)
         factor = np.ones_like(x)
-        factor[zzz > 0] = self.asyincr
-        factor[zzz < 0] = self.asydecr
+        factor[zzz > 0] = ASYINCR
+        factor[zzz < 0] = ASYDECR
         low = x - factor * (self.xold1 - self.low)
         upp = x + factor * (self.upp - self.xold1)
-        low = np.clip(low, x - 10.0 * xmami, x - 0.01 * xmami)
-        upp = np.clip(upp, x + 0.01 * xmami, x + 10.0 * xmami)
+        low = np.clip(low, x - 10.0, x - 0.01)
+        upp = np.clip(upp, x + 0.01, x + 10.0)
         return low, upp
 
     def _solve(self, sub: _Subproblem) -> np.ndarray:
@@ -207,20 +187,16 @@ class MMA:
         return xnew
 
     def _solve_at(self, sub: _Subproblem, move):
-        x, low, upp, xmami = sub.x, sub.low, sub.upp, sub.xmami
-        alfa = np.maximum.reduce(
-            [low + self.albefa * (x - low), x - move * xmami, sub.xmin]
-        )
-        beta = np.minimum.reduce(
-            [upp - self.albefa * (upp - x), x + move * xmami, sub.xmax]
-        )
+        x, low, upp = sub.x, sub.low, sub.upp
+        alfa = np.maximum(np.maximum(low + ALBEFA * (x - low), x - move), 0.0)
+        beta = np.minimum(np.minimum(upp - ALBEFA * (upp - x), x + move), 1.0)
         p0, q0 = sub.objective_terms()
-        pp, qq = _convex_terms(sub.dgdx, self.raa0 / xmami, sub)
+        pp, qq = _convex_terms(sub.dgdx, RAA0, sub)
         b = pp @ (1.0 / (upp - x)) + qq @ (1.0 / (x - low)) - sub.g
-        return _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b, self.c_penalty)
+        return _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b)
 
 
-def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b, c_penalty, epsimin=1e-9):
+def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b, epsimin=1e-9):
     """Primal-dual interior-point solve of the separable MMA subproblem.
 
     Returns the optimal x, or None if the Newton iteration stalls.
@@ -229,7 +205,7 @@ def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b, c_penalty, epsimin=1e-9):
     m = b.size
     a0 = 1.0
     a = np.zeros(m)
-    c = np.full(m, c_penalty)
+    c = np.full(m, C_PENALTY)
     d = np.ones(m)
 
     x = 0.5 * (alfa + beta)

@@ -52,6 +52,16 @@ class Model:
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
+        fractions = spec.volume_fractions
+        if any(v <= 0 for v in fractions):
+            raise ConfigError(f"volume fractions must be > 0, got {fractions}")
+        if not sum(fractions) <= 1.0 + 1e-12:
+            raise ConfigError(
+                f"volume fractions must sum to at most 1, got {sum(fractions)}"
+            )
+        # Upper volume fraction per constrained channel; the topology
+        # channel holds every material, so it is bounded by their sum.
+        self.volume_bounds = (sum(fractions),) + tuple(fractions[1:])
         self.grid: Grid = build_grid(spec.grid)
         self.mats = spec.materials
         self.flow_params = spec.flow
@@ -174,16 +184,14 @@ class Model:
 
     # ---- forward physics ---------------------------------------------------------
 
-    def forward(self, rho_bar: np.ndarray, k_out: float | None = None,
-                check_pressure_bounds: bool = True) -> State:
+    def forward(self, rho_bar: np.ndarray, k_out: float | None = None) -> State:
         """Darcy solve, force transfer, elastic solve, and metrics."""
         rho_bar = np.asarray(rho_bar, dtype=float)
         k_out = self.k_out_default if k_out is None else float(k_out)
 
         flow_sys = self.flow.assemble(rho_bar[0], self.flow_params)
         pressure = darcy.solve_pressure(flow_sys, self.inlet_nodes, self.drain_nodes)
-        if check_pressure_bounds:
-            self._check_pressure_bounds(pressure.p)
+        self._check_pressure_bounds(pressure.p)
         force = -(self.t_matrix @ pressure.p)
         e_t = darcy.energy_loss(flow_sys, pressure)
 
@@ -191,10 +199,7 @@ class Model:
         k_struct = self.elastic.assemble(e_field)
         k_total = k_struct + k_out * self.spring_unit if k_out > 0 else k_struct
         disp = elasticity.solve_displacement(k_total.tocsr(), force, self.fixed_u_dofs)
-        m = elasticity.metrics(disp.u, k_struct, self.grid, self.output_sel, E_t=e_t)
-        m = PerformanceMetrics(
-            u_out=m.u_out, SE=m.SE, W=0.5 * k_out * m.u_out**2, E_t=e_t
-        )
+        m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t)
         return State(
             rho_bar=rho_bar,
             e_field=e_field,

@@ -14,16 +14,15 @@ the inner loop of GCMMA (Svanberg 2002). Rejected steps leave no record.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import adjoint, filtering
-from .errors import ConfigError, SolveError
+from .errors import SolveError
 from .filtering import ProjectionParams
 from .mma import MMA
 from .model import Model, State
-from .problem import OptSettings
 
 log = logging.getLogger(__name__)
 
@@ -34,29 +33,6 @@ FEASIBILITY_TOL = 1e-6
 FEASIBILITY_SHIFT = 1e-5
 # Trial steps an iteration may reject before it keeps its design instead.
 MAX_TRIALS = 10
-
-
-@dataclass(frozen=True)
-class VolumeConstraints:
-    """Per-channel volume-fraction limits; channel 1 is bounded by their sum."""
-
-    fractions: tuple
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.fractions):
-            raise ConfigError(f"volume fractions must be > 0, got {self.fractions}")
-        if not sum(self.fractions) <= 1.0 + 1e-12:
-            raise ConfigError(
-                f"volume fractions must sum to at most 1, got {sum(self.fractions)}"
-            )
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.fractions)
-
-    def bound(self, ch: int) -> float:
-        """Upper bound for channel ch (0-based): sum of fractions for ch 0."""
-        return sum(self.fractions) if ch == 0 else self.fractions[ch]
 
 
 @dataclass
@@ -73,23 +49,9 @@ class IterationRecord:
 
 
 @dataclass
-class OptHistory:
-    records: list = field(default_factory=list)
-
-    def append(self, rec: IterationRecord):
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-@dataclass
 class RunResult:
     design: np.ndarray  # raw design variables, (3, nelem)
-    history: OptHistory
+    history: list  # of IterationRecord
     converged: bool
     iterations: int
     s: float
@@ -105,13 +67,12 @@ def initialize(model: Model) -> np.ndarray:
     fractions. Values are pre-images under the initial projection, making
     every constraint exactly active at iteration one.
     """
-    cons = VolumeConstraints(model.spec.volume_fractions)
     params = ProjectionParams(
         beta=model.spec.filter.beta_p_initial, eta=model.proj_eta
     )
     design = np.zeros((3, model.grid.nelem))
     for ch in range(model.mats.n_channels):
-        design[ch, :] = filtering.invert_projection(cons.bound(ch), params)
+        design[ch, :] = filtering.invert_projection(model.volume_bounds[ch], params)
     if model.passive_elems.size:
         design[:, model.passive_elems] = model.passive_pattern[:, model.passive_elems]
     return design
@@ -119,21 +80,19 @@ def initialize(model: Model) -> np.ndarray:
 
 def constraint_values(rho_bar: np.ndarray, model: Model) -> np.ndarray:
     """Normalized volume constraints g_k <= 0, one per active channel."""
-    cons = VolumeConstraints(model.spec.volume_fractions)
     total = model.volumes.sum()
-    g = np.empty(cons.n_constraints)
-    for ch in range(cons.n_constraints):
-        g[ch] = (model.volumes @ rho_bar[ch]) / (cons.bound(ch) * total) - 1.0
+    g = np.empty(len(model.volume_bounds))
+    for ch, bound in enumerate(model.volume_bounds):
+        g[ch] = (model.volumes @ rho_bar[ch]) / (bound * total) - 1.0
     return g
 
 
 def constraint_gradients_physical(model: Model) -> np.ndarray:
     """d g_k / d rho_bar, shape (n_con, 3, nelem); constant in the physical field."""
-    cons = VolumeConstraints(model.spec.volume_fractions)
     total = model.volumes.sum()
-    dg = np.zeros((cons.n_constraints, 3, model.grid.nelem))
-    for ch in range(cons.n_constraints):
-        dg[ch, ch, :] = model.volumes / (cons.bound(ch) * total)
+    dg = np.zeros((len(model.volume_bounds), 3, model.grid.nelem))
+    for ch, bound in enumerate(model.volume_bounds):
+        dg[ch, ch, :] = model.volumes / (bound * total)
     return dg
 
 
@@ -158,7 +117,7 @@ class _DesignPacker:
         return grad[: self.n_ch, self.free].ravel()
 
 
-def run(model: Model, settings: OptSettings | None = None, sink=None) -> RunResult:
+def run(model: Model, sink=None) -> RunResult:
     """Drive the optimization to convergence or the iteration limit.
 
     ``sink``, when given, receives each IterationRecord as it is produced.
@@ -177,17 +136,17 @@ def run(model: Model, settings: OptSettings | None = None, sink=None) -> RunResu
     doubling of beta, as is every ``beta_p_double_every``-th iteration,
     until ``beta_p_max``.
     """
-    settings = settings or model.spec.optimizer
+    settings = model.spec.optimizer
     fspec = model.spec.filter
     packer = _DesignPacker(model)
-    cons = VolumeConstraints(model.spec.volume_fractions)
-    mma = MMA(packer.size, cons.n_constraints, move=settings.move_limit)
     dg_bar = constraint_gradients_physical(model)
+    n_con = dg_bar.shape[0]
+    mma = MMA(packer.size, n_con, move=settings.move_limit)
 
     design = initialize(model)
     beta = fspec.beta_p_initial
     s = model.spec.objective.s
-    history = OptHistory()
+    history = []
     converged = False
     prev_change = np.inf
     it = 0
@@ -237,12 +196,12 @@ def run(model: Model, settings: OptSettings | None = None, sink=None) -> RunResu
         dg_chained = np.stack(
             [
                 filtering.chain_sensitivities(dg_bar[k], dproj, model.kernel)
-                for k in range(cons.n_constraints)
+                for k in range(n_con)
             ]
         )
         x = packer.pack(design)
         df_x = packer.pack_gradient(df_drho)
-        dg_x = np.stack([packer.pack_gradient(dg_chained[k]) for k in range(cons.n_constraints)])
+        dg_x = np.stack([packer.pack_gradient(dg_chained[k]) for k in range(n_con)])
 
         # Shrink steps as the projection sharpens: full moves across the
         # steep transition band alias into 2-cycles that never settle.
@@ -264,7 +223,7 @@ def run(model: Model, settings: OptSettings | None = None, sink=None) -> RunResu
         log.info(
             "iter %d: f=%.5g g=%s change=%.4f gray=%.3f beta=%g",
             it, f, np.array2string(g, precision=3), change,
-            history.records[-1].grayness, beta,
+            history[-1].grayness, beta,
         )
 
         design = packer.unpack(x_new, design)

@@ -221,11 +221,6 @@ class ProblemSpec:
     closure: ClosureSpec = field(default_factory=ClosureSpec)
     passive: tuple = ()
 
-    def with_overrides(self, **kwargs) -> "ProblemSpec":
-        from dataclasses import replace
-
-        return replace(self, **kwargs)
-
 
 def _default_r_min_elems(dim: int) -> float:
     return 1.5 if dim == 2 else 2.5
@@ -245,8 +240,15 @@ def available_fixtures() -> list[str]:
     return sorted(p.name[:-5] for p in ref.iterdir() if p.name.endswith(".json"))
 
 
-def load_problem(path_or_name: str | Path) -> ProblemSpec:
-    """Load, schema-validate, and resolve a problem file or fixture name."""
+def load_problem(
+    path_or_name: str | Path, *, closure: str | None = None, max_iters: int | None = None
+) -> ProblemSpec:
+    """Load, schema-validate, and resolve a problem file or fixture name.
+
+    ``closure`` and ``max_iters``, when given, replace the file's closure
+    mode and iteration limit before validation, so the schema checks them
+    and a closure of ``energy_penalty`` selects that objective variant.
+    """
     path = Path(path_or_name)
     if not path.exists() and not path.suffix:
         path = fixture_path(str(path_or_name))
@@ -254,10 +256,16 @@ def load_problem(path_or_name: str | Path) -> ProblemSpec:
         raise ConfigError(f"problem file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    spec = parse_problem(raw, default_name=path.stem)
-    return spec
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and decoding errors
+        raise ConfigError(f"{path}: cannot read problem file ({exc})") from exc
+    for section, key, value in (("closure", "mode", closure),
+                                ("optimizer", "max_iters", max_iters)):
+        # a section that is not an object is left for the schema to reject
+        if value is not None and isinstance(raw, dict) and isinstance(
+            raw.setdefault(section, {}), dict
+        ):
+            raw[section][key] = value
+    return parse_problem(raw, default_name=path.stem)
 
 
 def parse_problem(raw: dict, default_name: str = "problem") -> ProblemSpec:

@@ -5,12 +5,13 @@ same converged artifacts instead of re-optimizing per test.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pneumotop import fixtures as fixture_lib
 from pneumotop import io, problem, runner
-from pneumotop.adjoint import ObjectiveSpec
 from pneumotop.model import Model
 
 
@@ -57,10 +58,7 @@ def out_root(tmp_path_factory):
 @pytest.fixture(scope="session")
 def finger2d_run(out_root):
     """Converged baseline finger2d with heuristic-closure artifacts."""
-    spec = problem.load_problem("finger2d")
-    spec = spec.with_overrides(
-        closure=type(spec.closure)(mode="heuristic", skin_thickness_elems=1)
-    )
+    spec = problem.load_problem("finger2d", closure="heuristic")
     out = out_root / "finger2d_baseline"
     summary = runner.optimize_problem(spec, out)
     return {"spec": spec, "out": out, "summary": summary}
@@ -68,22 +66,15 @@ def finger2d_run(out_root):
 
 @pytest.fixture(scope="session")
 def finger2d_skin_run(out_root):
-    spec = problem.load_problem("finger2d")
-    spec = spec.with_overrides(
-        closure=type(spec.closure)(mode="skin", skin_thickness_elems=1)
-    )
+    spec = problem.load_problem("finger2d", closure="skin")
     out = out_root / "finger2d_skin"
     summary = runner.optimize_problem(spec, out)
     return {"spec": spec, "out": out, "summary": summary}
 
 
 def _penalty_spec(vf1: float):
-    spec = problem.load_problem("finger2d")
-    return spec.with_overrides(
-        volume_fractions=(vf1, 0.2, 0.2),
-        objective=ObjectiveSpec(variant="energy_penalty", n=8.0, s=None),
-        closure=type(spec.closure)(mode="energy_penalty", skin_thickness_elems=1),
-    )
+    spec = problem.load_problem("finger2d", closure="energy_penalty")
+    return replace(spec, volume_fractions=(vf1, 0.2, 0.2))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pneumotop import bench, io
+from pneumotop import bench, cli, io, problem
 from pneumotop.errors import ConfigError
 
 
@@ -50,3 +50,40 @@ def test_suite_on_fixed_designs(tmp_path, pneunet_design_path):
 def test_unknown_closure_rejected():
     with pytest.raises(ConfigError, match="closure"):
         bench.ComparisonCase(label="x", problem="finger2d", closure="weld")
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps({"cases": {"label": "a", "problem": "pneunet2d"}}),
+    json.dumps({"cases": [{"problem": "pneunet2d"}]}),
+    json.dumps({"cases": [{"label": "a"}]}),
+    json.dumps({"cases": ["a"]}),
+])
+def test_malformed_suite_exits_3(tmp_path, content):
+    suite = tmp_path / "suite.json"
+    suite.write_text(content)
+    with pytest.raises(ConfigError):
+        bench.load_suite(suite)
+    assert cli.main(["bench", str(suite), "--out-dir", str(tmp_path / "out")]) == 3
+
+
+def test_energy_penalty_case_optimizes_energy_penalty_objective(tmp_path, monkeypatch):
+    captured = []
+
+    def optimize_problem(spec, out_dir):
+        captured.append(spec)
+        return {"design": "design.json", "design_sealed": None}
+
+    def evaluate_design(design_path, problem_path, sweep=None):
+        return [{"k_out": k, "u_out": 1.0 / k, "SE": 1.0, "W": 0.5 / k, "E_t": 1.0}
+                for k in sweep]
+
+    monkeypatch.setattr(bench.runner, "optimize_problem", optimize_problem)
+    monkeypatch.setattr(bench.runner, "evaluate_design", evaluate_design)
+    case = bench.ComparisonCase(label="penalty", problem="finger2d", closure="energy_penalty")
+    summary = bench.run_suite([case], tmp_path / "suite", sweep=[1.0, 10.0])
+    assert summary["failed"] == {}
+    (spec,) = captured
+    assert spec.closure.mode == "energy_penalty"
+    assert spec.objective.variant == "energy_penalty"
+    assert spec == problem.load_problem("finger2d", closure="energy_penalty")

@@ -4,10 +4,8 @@ import pytest
 
 from pneumotop.darcy import (
     FlowAssembler,
-    assemble_flow,
     coupling_matrix,
     energy_loss,
-    pressure_to_force,
     solve_pressure,
 )
 from pneumotop.errors import ConfigError
@@ -36,7 +34,7 @@ def _column_bcs(grid):
 def test_single_element_conduction_is_bilinear_laplacian():
     g = build_grid(GridSpec(2, (1, 1), 1.0))
     fp = FlowParams(P_in=1.0, K_v=1.0, K_s=1e-7, D_s=0.0)
-    sys = assemble_flow(g, np.zeros(1), fp)
+    sys = FlowAssembler(g).assemble(np.zeros(1), fp)
     exact = (1.0 / 6.0) * np.array(
         [[4, -1, -2, -1], [-1, 4, -1, -2], [-2, -1, 4, -1], [-1, -2, -1, 4]]
     )
@@ -50,14 +48,14 @@ def test_single_element_conduction_is_bilinear_laplacian():
 def test_all_solid_with_drainage_is_positive_definite():
     g = build_grid(GridSpec(2, (3, 3), 1.0))
     fp = FlowParams(P_in=1.0, D_s=0.5)
-    sys = assemble_flow(g, np.ones(g.nelem), fp)
+    sys = FlowAssembler(g).assemble(np.ones(g.nelem), fp)
     eig = np.linalg.eigvalsh(sys.A.toarray())
     assert eig.min() > 0.0
 
 
 def test_no_coupling_without_shared_nodes():
     g = build_grid(GridSpec(2, (5, 1), 1.0))
-    sys = assemble_flow(g, np.zeros(g.nelem), FLOW)
+    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), FLOW)
     a = sys.A.toarray()
     n_left = g.node_index((0, 0))
     n_right = g.node_index((5, 1))
@@ -68,7 +66,7 @@ def test_one_d_linear_pressure_profile():
     g = _column_grid(10)
     left, right = _column_bcs(g)
     fp = FlowParams(P_in=5e4, D_s=0.0)
-    sys = assemble_flow(g, np.zeros(g.nelem), fp)
+    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), fp)
     pf = solve_pressure(sys, left, right)
     x = g.coords[:, 0]
     exact = 5e4 * (1.0 - x / 10.0)
@@ -81,7 +79,7 @@ def test_one_d_rhs_relative_residual_contract():
     g = _column_grid(10)
     left, right = _column_bcs(g)
     fp = FlowParams(P_in=5e4, D_s=0.0)
-    sys = assemble_flow(g, np.zeros(g.nelem), fp)
+    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), fp)
     pf = solve_pressure(sys, left, right)
     a = sys.A.tocsc()
     b = -a[pf.free_dofs][:, pf.fixed_dofs] @ pf.p[pf.fixed_dofs]
@@ -102,7 +100,7 @@ def test_all_dirichlet_at_inlet_gives_uniform_field():
         )
     ]
     fp = FlowParams(P_in=7e3, D_s=0.0)
-    sys = assemble_flow(g, np.zeros(g.nelem), fp)
+    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), fp)
     pf = solve_pressure(sys, edge, np.array([], dtype=np.int64))
     assert np.allclose(pf.p, 7e3, rtol=1e-12)
 
@@ -113,7 +111,7 @@ def test_solid_element_takes_nearly_all_pressure_drop():
     rho = np.zeros(g.nelem)
     rho[5] = 1.0
     fp = FlowParams(P_in=5e4, D_s=0.0)
-    sys = assemble_flow(g, rho, fp)
+    sys = FlowAssembler(g).assemble(rho, fp)
     pf = solve_pressure(sys, left, right)
     drop_total = 5e4
     p_before = pf.p[g.node_index((5, 0))]
@@ -123,7 +121,7 @@ def test_solid_element_takes_nearly_all_pressure_drop():
 
 def test_no_dirichlet_is_config_error():
     g = _column_grid(4)
-    sys = assemble_flow(g, np.zeros(g.nelem), FLOW)
+    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), FLOW)
     with pytest.raises(ConfigError, match="Dirichlet"):
         solve_pressure(sys, np.array([], dtype=int), np.array([], dtype=int))
 
@@ -131,7 +129,7 @@ def test_no_dirichlet_is_config_error():
 def test_uniform_pressure_gives_zero_force():
     g = build_grid(GridSpec(2, (4, 3), 0.5))
     p = np.full(g.nnodes, 1.2e4)
-    f = pressure_to_force(g, p)
+    f = -(coupling_matrix(g) @ p)
     assert np.abs(f).max() <= 1e-12 * 1.2e4 * g.h
 
 
@@ -139,7 +137,7 @@ def test_linear_pressure_force_closed_form():
     g = build_grid(GridSpec(2, (1, 1), 1.0))
     slope = 3.7e3
     p = slope * g.coords[:, 0]
-    f = pressure_to_force(g, p)
+    f = -(coupling_matrix(g) @ p)
     fx = f[0::2]
     fy = f[1::2]
     # total x-force = -slope * volume, equally split over the 4 nodes
@@ -150,7 +148,7 @@ def test_linear_pressure_force_closed_form():
 
 def test_zero_gauge_pressure_zero_force():
     g = build_grid(GridSpec(3, (2, 2, 2), 0.3))
-    f = pressure_to_force(g, np.zeros(g.nnodes))
+    f = -(coupling_matrix(g) @ np.zeros(g.nnodes))
     assert np.all(f == 0.0)
 
 
@@ -159,7 +157,7 @@ def test_energy_loss_analytic_channel():
     g = _column_grid(n)
     left, right = _column_bcs(g)
     fp = FlowParams(P_in=5e4, D_s=0.0)
-    sys = assemble_flow(g, np.zeros(g.nelem), fp)
+    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), fp)
     pf = solve_pressure(sys, left, right)
     et = energy_loss(sys, pf)
     # K_v * A_c * dP^2 / L with unit-depth cross-section h x 1
@@ -176,11 +174,11 @@ def test_energy_loss_sealed_wall_much_smaller():
         g, BoundaryRegion("pressure_drain", ((10, 0), (10, 10)))
     ).nodes
     fp = FlowParams(P_in=5e4, D_s=drainage_for_wall(1e-7, 2.0, 0.01))
-    open_sys = assemble_flow(g, np.zeros(g.nelem), fp)
+    open_sys = FlowAssembler(g).assemble(np.zeros(g.nelem), fp)
     et_open = energy_loss(open_sys, solve_pressure(open_sys, left, right))
     rho = np.zeros(g.nelem)
     rho[g.elem_ijk[:, 0] == 5] = 1.0  # full-height wall
-    wall_sys = assemble_flow(g, rho, fp)
+    wall_sys = FlowAssembler(g).assemble(rho, fp)
     et_wall = energy_loss(wall_sys, solve_pressure(wall_sys, left, right))
     assert et_wall <= 1e-4 * et_open
     assert et_wall >= 0.0
@@ -195,13 +193,13 @@ def test_linearity_in_boundary_pressure():
     for p_in in (2.5e4,):
         fp1 = FlowParams(P_in=p_in, D_s=1.0)
         fp2 = FlowParams(P_in=2 * p_in, D_s=1.0)
-        s1 = assemble_flow(g, rho, fp1)
-        s2 = assemble_flow(g, rho, fp2)
+        s1 = FlowAssembler(g).assemble(rho, fp1)
+        s2 = FlowAssembler(g).assemble(rho, fp2)
         pf1 = solve_pressure(s1, left, right)
         pf2 = solve_pressure(s2, left, right)
         assert np.allclose(pf2.p, 2 * pf1.p, rtol=1e-9)
-        f1 = pressure_to_force(g, pf1.p)
-        f2 = pressure_to_force(g, pf2.p)
+        f1 = -(coupling_matrix(g) @ pf1.p)
+        f2 = -(coupling_matrix(g) @ pf2.p)
         assert np.allclose(f2, 2 * f1, rtol=1e-9, atol=1e-12 * np.abs(f1).max())
         assert energy_loss(s2, pf2) == pytest.approx(
             4 * energy_loss(s1, pf1), rel=1e-9
@@ -216,7 +214,7 @@ def test_energy_bookkeeping_identity():
     rng = np.random.default_rng(12)
     rho = rng.uniform(0, 1, g.nelem)
     fp = FlowParams(P_in=5e4, D_s=2.0)
-    sys = assemble_flow(g, rho, fp)
+    sys = FlowAssembler(g).assemble(rho, fp)
     pf = solve_pressure(sys, left, right)
     et = energy_loss(sys, pf)
     dissipation = float(pf.p @ (sys.A @ pf.p))
@@ -232,9 +230,9 @@ def test_force_symmetric_for_symmetric_design():
     rho_img = np.concatenate([half, half[:, ::-1]], axis=1)  # mirror about y mid
     rho = rho_img.T.ravel()
     fp = FlowParams(P_in=5e4, D_s=1.0)
-    sys = assemble_flow(g, rho, fp)
+    sys = FlowAssembler(g).assemble(rho, fp)
     pf = solve_pressure(sys, left, right)
-    f = pressure_to_force(g, pf.p)
+    f = -(coupling_matrix(g) @ pf.p)
     fx = f[0::2].reshape(9, 9)
     fy = f[1::2].reshape(9, 9)
     scale = np.abs(f).max()
@@ -250,7 +248,7 @@ def test_maximum_principle_with_drainage():
     fp = FlowParams(P_in=5e4, D_s=drainage_for_wall(1e-7, 1.5, 0.01))
     for _ in range(5):
         rho = rng.uniform(0, 1, g.nelem)
-        sys = assemble_flow(g, rho, fp)
+        sys = FlowAssembler(g).assemble(rho, fp)
         pf = solve_pressure(sys, left, right)
         assert pf.p.min() >= -1e-6 * 5e4
         assert pf.p.max() <= 5e4 * (1 + 1e-6)

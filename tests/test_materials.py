@@ -8,7 +8,6 @@ from pneumotop.materials import (
     MaterialSet,
     drainage_coefficient,
     drainage_for_wall,
-    drainage_term,
     flow_coefficient,
     interpolate_modulus,
     smoothed_heaviside,
@@ -122,34 +121,27 @@ def test_flow_coefficient_partials_fd():
     assert np.all(np.abs(dk - fd) <= 1e-5 * np.abs(fd) + fd_noise)
 
 
-def test_drainage_term_values():
-    q, _, _ = drainage_term(0.7, FLOW.p_atm, FLOW)
-    assert q == 0.0
-    q0, _, _ = drainage_term(0.0, 1234.0, FLOW)
-    assert q0 == 0.0
+def test_drainage_coefficient_values():
+    # FLOW has D_s = 0: no drainage at any density
+    assert drainage_coefficient(0.7, FLOW)[0] == 0.0
     fp = FlowParams(P_in=5e4, D_s=2.5)
-    q1, _, dqdp = drainage_term(1.0, fp.p_atm + 5e4, fp)
+    # void elements drain nothing; solid ones drain D_s H(1)
+    assert drainage_coefficient(0.0, fp)[0] == 0.0
     h1, _ = smoothed_heaviside(1.0, fp.beta_d, fp.eta_d)
-    assert q1 == pytest.approx(-2.5 * h1 * 5e4, rel=1e-12)
-    # linear in p: slope equals the returned dq/dp
-    q2, _, _ = drainage_term(1.0, fp.p_atm + 1e5, fp)
-    assert (q2 - q1) / 5e4 == pytest.approx(float(dqdp), rel=1e-12)
+    assert drainage_coefficient(1.0, fp)[0] == pytest.approx(2.5 * h1, rel=1e-12)
 
 
-def test_drainage_partials_fd():
+def test_drainage_coefficient_derivative_fd():
     fp = FlowParams(P_in=5e4, D_s=3.0)
     rng = np.random.default_rng(9)
     x = rng.uniform(0.02, 0.98, size=100)
-    p = rng.uniform(0, 5e4, size=100)
-    _, dqdr, dqdp = drainage_term(x, p, fp)
+    _, dd = drainage_coefficient(x, fp)
     step = 1e-6
-    fdr = (drainage_term(x + step, p, fp)[0] - drainage_term(x - step, p, fp)[0]) / (
+    fd = (drainage_coefficient(x + step, fp)[0] - drainage_coefficient(x - step, fp)[0]) / (
         2 * step
     )
-    scale = np.abs(fdr).max()
-    assert np.max(np.abs(dqdr - fdr) / np.maximum(np.abs(fdr), 1e-6 * scale)) < 1e-5
-    fdp = (drainage_term(x, p + 1.0, fp)[0] - drainage_term(x, p - 1.0, fp)[0]) / 2.0
-    assert np.allclose(dqdp, fdp, rtol=1e-9, atol=1e-15)
+    scale = np.abs(fd).max()
+    assert np.max(np.abs(dd - fd) / np.maximum(np.abs(fd), 1e-6 * scale)) < 1e-5
 
 
 def test_drainage_for_wall_decay_rate():

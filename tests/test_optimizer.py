@@ -1,4 +1,6 @@
 """Outer-loop behavior on small problems: initialization, constraints, runs."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from pneumotop import optimizer, problem
 from pneumotop.errors import ConfigError
 from pneumotop.model import Model
 from pneumotop.optimizer import (
-    VolumeConstraints,
     constraint_values,
     initialize,
     run,
@@ -63,18 +64,18 @@ def test_constraint_values_all_zero(tiny_model):
     assert np.allclose(g, -1.0)
 
 
-def test_volume_constraints_validation():
-    with pytest.raises(ConfigError):
-        VolumeConstraints((0.5, 0.6))
-    with pytest.raises(ConfigError):
-        VolumeConstraints((0.5, 0.0))
-    vc = VolumeConstraints((0.3, 0.2, 0.2))
-    assert vc.bound(0) == pytest.approx(0.7)
-    assert vc.bound(1) == pytest.approx(0.2)
+def test_model_volume_bounds_validation(tiny_spec):
+    with pytest.raises(ConfigError, match="sum"):
+        Model(replace(tiny_spec, volume_fractions=(0.5, 0.3, 0.3)))
+    with pytest.raises(ConfigError, match="> 0"):
+        Model(replace(tiny_spec, volume_fractions=(0.5, 0.0, 0.2)))
+    bounds = Model(tiny_spec).volume_bounds
+    assert bounds == pytest.approx((0.7, 0.2, 0.2))
 
 
 def test_zero_max_iters_returns_initialization(tiny_spec):
-    spec = tiny_spec.with_overrides(
+    spec = replace(
+        tiny_spec,
         optimizer=type(tiny_spec.optimizer)(max_iters=0, move_limit=0.2, change_tol=0.01)
     )
     model = Model(spec)
@@ -92,7 +93,8 @@ def test_move_limit_respected_in_history(tiny_model):
 
 
 def test_run_is_deterministic(tiny_spec):
-    spec = tiny_spec.with_overrides(
+    spec = replace(
+        tiny_spec,
         optimizer=type(tiny_spec.optimizer)(max_iters=25, move_limit=0.2, change_tol=0.01)
     )
     r1 = run(Model(spec))
@@ -112,7 +114,7 @@ def test_single_material_reduction_runs(tiny_spec):
     raw["optimizer"] = {"max_iters": 40}
     model = Model(problem.parse_problem(raw))
     result = run(model)
-    recs = result.history.records
+    recs = result.history
     assert len(recs) >= 10
     # classic single-channel pressure optimization still improves
     assert recs[-1].f < recs[0].f
@@ -121,22 +123,24 @@ def test_single_material_reduction_runs(tiny_spec):
 
 def test_single_material_finger2d_improves_tenfold():
     spec = problem.load_problem("finger2d")
-    spec = spec.with_overrides(
+    spec = replace(
+        spec,
         materials=type(spec.materials)(E=(1e6,), E_min=100.0, nu=0.3, penalty=3.0),
         volume_fractions=(0.3,),
         optimizer=type(spec.optimizer)(max_iters=60, move_limit=0.2, change_tol=0.01),
     )
     result = run(Model(spec))
-    recs = result.history.records
+    recs = result.history
     assert recs[-1].f < recs[0].f
     assert abs(recs[-1].f) >= 10 * abs(recs[0].f)
 
 
 def test_objective_monotone_modulo_continuation(tiny_spec):
-    spec = tiny_spec.with_overrides(
+    spec = replace(
+        tiny_spec,
         optimizer=type(tiny_spec.optimizer)(max_iters=250, move_limit=0.2, change_tol=0.01)
     )
-    recs = run(Model(spec)).history.records
+    recs = run(Model(spec)).history
     for i in range(len(recs) - 10):
         window = recs[i : i + 11]
         if any(r.beta != window[0].beta for r in window):
@@ -145,11 +149,12 @@ def test_objective_monotone_modulo_continuation(tiny_spec):
 
 
 def test_accepted_iterates_never_raise_objective_at_fixed_beta(tiny_spec):
-    spec = tiny_spec.with_overrides(
+    spec = replace(
+        tiny_spec,
         optimizer=type(tiny_spec.optimizer)(max_iters=250, move_limit=0.2, change_tol=0.01)
     )
     fspec = spec.filter
-    recs = run(Model(spec)).history.records
+    recs = run(Model(spec)).history
     assert recs[0].beta == fspec.beta_p_initial
     for prev, rec in zip(recs, recs[1:]):
         # each record carries the beta its f was evaluated at: beta doubles
@@ -167,7 +172,7 @@ def test_design_kept_when_no_trial_is_accepted(tiny_model, monkeypatch):
     # sharpening moves the start off the volume bounds, so it never converges
     monkeypatch.setattr(optimizer, "MAX_TRIALS", 0)
     result = run(tiny_model)
-    recs = result.history.records
+    recs = result.history
     assert np.array_equal(result.design, initialize(tiny_model))
     assert all(r.change == 0.0 for r in recs)
     assert [r.beta for r in recs[:6]] == [1.0, 2.0, 4.0, 8.0, 16.0, 16.0]
@@ -177,13 +182,14 @@ def test_design_kept_when_no_trial_is_accepted(tiny_model, monkeypatch):
 
 
 def test_full_convergence_exit_state(tiny_spec):
-    spec = tiny_spec.with_overrides(
+    spec = replace(
+        tiny_spec,
         optimizer=type(tiny_spec.optimizer)(max_iters=250, move_limit=0.2, change_tol=0.01)
     )
     model = Model(spec)
     result = run(model)
     assert result.converged
-    last = result.history.records[-1]
+    last = result.history[-1]
     assert max(last.g) <= 1e-6
     assert last.change < 0.01
     assert result.beta_final == spec.filter.beta_p_max

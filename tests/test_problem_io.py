@@ -1,8 +1,11 @@
 """Problem-file validation, fixtures, artifact formats, and the CLI verbs."""
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pneumotop import cli, io, problem
 from pneumotop.errors import ConfigError
@@ -61,6 +64,60 @@ def test_closure_mode_forces_objective_variant():
     assert spec.objective.variant == "energy_penalty"
 
 
+def test_load_problem_overrides_go_through_the_schema():
+    spec = problem.load_problem("finger2d", closure="energy_penalty", max_iters=0)
+    assert spec.closure.mode == "energy_penalty"
+    assert spec.objective.variant == "energy_penalty"
+    assert spec.optimizer.max_iters == 0
+    base = problem.load_problem("finger2d")
+    assert spec.optimizer.move_limit == base.optimizer.move_limit
+    assert spec.closure.skin_thickness_elems == base.closure.skin_thickness_elems
+    with pytest.raises(ConfigError, match="closure"):
+        problem.load_problem("finger2d", closure="weld")
+    with pytest.raises(ConfigError, match="max_iters"):
+        problem.load_problem("finger2d", max_iters=-1)
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a nested problem dictionary."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(list(_paths(tiny_problem_dict()))),
+       value=_JSON_VALUES, delete=st.booleans())
+def test_parse_problem_mutations_raise_only_config_errors(path, value, delete):
+    raw = tiny_problem_dict()
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        spec = problem.parse_problem(raw)
+    except ConfigError:
+        return
+    assert isinstance(spec, problem.ProblemSpec)
+
+
 def test_drainage_default_scales_with_filter_radius():
     raw = tiny_problem_dict()
     s1 = problem.parse_problem(raw)
@@ -82,6 +139,73 @@ def test_design_round_trip(tmp_path):
     assert np.array_equal(rho, rho2)  # exact: repr round-trips floats
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_design_round_trip_is_exact(tmp_path_factory, data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    nel = tuple(data.draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)))
+    h = data.draw(st.floats(min_value=1e-6, max_value=1.0))
+    gspec = GridSpec(dim, nel, h)
+    n = math.prod(nel)
+    rho = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=3 * n, max_size=3 * n
+    ))).reshape(3, n)
+    path = tmp_path_factory.mktemp("design") / "d.json"
+    io.save_design(path, gspec, rho, note=data.draw(st.text(max_size=8)))
+    spec2, rho2 = io.load_design(path)
+    assert spec2 == gspec
+    assert np.array_equal(rho2, rho)
+
+
+def _tiny_problem_and_design(tmp_path, value):
+    """The tiny problem file and a matching design with one density set to ``value``."""
+    prob = tmp_path / "tiny.json"
+    prob.write_text(json.dumps(tiny_problem_dict()))
+    spec = problem.load_problem(prob)
+    rho = np.full((3, math.prod(spec.grid.nel)), 0.5)
+    rho[0, 7] = value
+    design = tmp_path / "design.json"
+    io.save_design(design, spec.grid, rho)
+    return prob, design
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.7, -0.2])
+def test_cli_evaluate_bad_density_exit_3(tmp_path, value, capsys):
+    prob, design = _tiny_problem_and_design(tmp_path, value)
+    code = cli.main(["evaluate", str(design), str(prob), "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert "densities must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"{not json",
+    b"[1, 2]",
+    b'{"format": "pneumotop-design", "version": 1, "dim": 2, "nel": [12, 6]}',
+    b"\xff\xfe",
+])
+def test_cli_evaluate_malformed_design_exit_3(tmp_path, content):
+    prob, design = _tiny_problem_and_design(tmp_path, 0.5)
+    design.write_bytes(content)
+    assert cli.main(["evaluate", str(design), str(prob)]) == 3
+
+
+def test_design_rounding_outside_unit_interval_loads(tmp_path):
+    prob, design = _tiny_problem_and_design(tmp_path, 1.0 + 1e-12)
+    assert io.load_design(design)[1][0, 7] == 1.0 + 1e-12
+
+
+def test_optimize_has_no_threads_option():
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["optimize", "finger2d", "--threads", "2"])
+
+
+def _write_history(path, recs):
+    writer = io.HistoryWriter(path)
+    for rec in recs:
+        writer(rec)
+    writer.close()
+
+
 def test_history_csv_columns_and_values(tmp_path):
     from pneumotop.optimizer import IterationRecord
 
@@ -90,7 +214,7 @@ def test_history_csv_columns_and_values(tmp_path):
         IterationRecord(2, -12.5, (-0.01, -0.1, -0.2), 0.1, 0.7, 2e-3, 2.1e-2, 2.9e4, 1.0),
     ]
     path = tmp_path / "h.csv"
-    io.write_history_csv(path, recs)
+    _write_history(path, recs)
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,f,g1,g2,g3,change,grayness,u_out,SE,E_t"
     row = lines[1].split(",")
@@ -102,7 +226,7 @@ def test_history_csv_single_constraint_leaves_columns_empty(tmp_path):
 
     recs = [IterationRecord(1, -10.0, (-0.3,), 0.2, 0.8, 1e-3, 2e-2, 3e4, 1.0)]
     path = tmp_path / "h1.csv"
-    io.write_history_csv(path, recs)
+    _write_history(path, recs)
     row = path.read_text().splitlines()[1].split(",")
     assert row[2] != "" and row[3] == "" and row[4] == ""
 
@@ -183,6 +307,8 @@ def test_cli_optimize_bad_problem_exit_3(tmp_path):
     raw = tiny_problem_dict()
     del raw["regions"]
     prob.write_text(json.dumps(raw))
+    assert cli.main(["optimize", str(prob)]) == 3
+    prob.write_bytes(b"\xff\xfe")
     assert cli.main(["optimize", str(prob)]) == 3
 
 
