@@ -83,6 +83,9 @@ def _case_worker(args):
         return _run_case(case, sweep, out_dir)
     except PneumotopError as exc:
         return {"label": case.label, "error": str(exc)}
+    except Exception as exc:  # one broken case must not end the suite
+        log.exception("case %s raised", case.label)
+        return {"label": case.label, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def run_suite(cases, out_dir, sweep=None, threads: int = 1) -> dict:

@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sweep", type=float, nargs="+", default=None,
                         help="spring stiffnesses in N/m (default: 9 points, 0.1-1000)")
     p_eval.add_argument("--out-dir", default="out")
-    p_eval.add_argument("--threads", type=int, default=1)
 
     p_seal = sub.add_parser("seal-check", help="flood-fill airtightness check")
     p_seal.add_argument("design")
@@ -80,9 +79,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    rows = runner.evaluate_design(
-        args.design, args.problem, sweep=args.sweep, threads=args.threads
-    )
+    rows = runner.evaluate_design(args.design, args.problem, sweep=args.sweep)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     io.write_metrics_csv(out / "evaluation.csv", rows)

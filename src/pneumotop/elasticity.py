@@ -1,4 +1,4 @@
-"""Linear-elastic FEM: stiffness assembly, output springs, solve, metrics.
+"""Linear-elastic FEM: stiffness assembly, output operator, solve, metrics.
 
 2-D analysis is plane strain with unit thickness; 3-D uses full trilinear
 hexahedra. The element stiffness for unit modulus is precomputed once and
@@ -20,9 +20,8 @@ from .linalg import FactorizedSystem
 @dataclass
 class DisplacementField:
     u: np.ndarray
-    fixed_dofs: np.ndarray
     free_dofs: np.ndarray
-    lu: object = field(repr=False, default=None)
+    lu: FactorizedSystem = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -67,29 +66,18 @@ class ElasticAssembler:
         ).tocsr()
 
 
-def output_spring_matrix(
-    grid: Grid, sel: RegionSelection, k_out: float | None = None
-) -> sparse.csr_matrix:
-    """Diagonal-block spring matrix distributing k_out over the output nodes.
-
-    Each node receives (k_out / n_nodes) * d d^T on its displacement block,
-    so non-axis-aligned output directions are supported.
-    """
-    region = sel.region
-    k = region.k_out if k_out is None else k_out
-    d = np.asarray(region.direction, dtype=float)
-    n = sel.nodes.size
-    block = (k / n) * np.outer(d, d)
-    rows, cols, vals = [], [], []
-    for node in sel.nodes:
-        dofs = grid.dim * node + np.arange(grid.dim)
-        rows.append(np.repeat(dofs, grid.dim))
-        cols.append(np.tile(dofs, grid.dim))
-        vals.append(block.ravel())
-    return sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_disp_dofs,) * 2,
-    ).tocsr()
+def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
+    """Output operator D (n_disp_dofs x r): column j is the output direction
+    on the DOFs of output node j. ``l = D 1 / r`` gives u_out = l . u, and
+    ``(k_out / r) D D^T`` are the output springs, k_out split evenly over the
+    r nodes along any unit direction."""
+    d = np.asarray(sel.region.direction, dtype=float)
+    r = sel.nodes.size
+    rows = (grid.dim * sel.nodes[:, None] + np.arange(grid.dim)).ravel()
+    cols = np.repeat(np.arange(r), grid.dim)
+    return sparse.csr_matrix(
+        (np.tile(d, r), (rows, cols)), shape=(grid.n_disp_dofs, r)
+    )
 
 
 def solve_displacement(
@@ -97,7 +85,6 @@ def solve_displacement(
 ) -> DisplacementField:
     """Solve K u = F with the given DOFs pinned to zero."""
     n = k.shape[0]
-    fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
     free = np.setdiff1d(np.arange(n), fixed_dofs)
     k_csc = k.tocsc()
     k_ff = k_csc[free][:, free]
@@ -110,16 +97,7 @@ def solve_displacement(
         raise ConfigError(
             f"displacement system is singular; check supports ({exc})"
         ) from exc
-    return DisplacementField(u, fixed_dofs, free, lu)
-
-
-def output_projector(grid: Grid, sel: RegionSelection) -> np.ndarray:
-    """Vector l with u_out = l . u (mean output-direction displacement)."""
-    d = np.asarray(sel.region.direction, dtype=float)
-    l = np.zeros(grid.n_disp_dofs)
-    for node in sel.nodes:
-        l[grid.dim * node + np.arange(grid.dim)] += d / sel.nodes.size
-    return l
+    return DisplacementField(u, free, lu)
 
 
 def metrics(

@@ -10,6 +10,7 @@ regardless of solver quality.
 from __future__ import annotations
 
 import numpy as np
+from scipy import linalg
 from scipy.sparse.linalg import splu
 
 from .errors import SingularSystemError, SolveError
@@ -18,14 +19,17 @@ RESIDUAL_TOL = 1e-9
 MAX_REFINEMENTS = 4
 
 
+def _norm1(a) -> float:
+    return float(np.abs(a).sum(axis=0).max()) if a.shape[0] else 0.0
+
+
 class FactorizedSystem:
     """LU-factorized sparse system solving to a backward-error tolerance."""
 
-    def __init__(self, a, tol: float = RESIDUAL_TOL, context: str = "linear system"):
+    def __init__(self, a, context: str = "linear system"):
         self.a = a.tocsc()
-        self.tol = tol
         self.context = context
-        self.norm1 = float(np.abs(self.a).sum(axis=0).max()) if a.shape[0] else 0.0
+        self.norm1 = _norm1(self.a)
         try:
             self.lu = splu(self.a)
         except RuntimeError as exc:
@@ -44,25 +48,51 @@ class FactorizedSystem:
     def _backward_error(self, x, b, resid):
         return resid / (self.norm1 * np.linalg.norm(x) + np.linalg.norm(b))
 
+    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if np.linalg.norm(b) == 0.0:
             return np.zeros_like(b)
-        x = self.lu.solve(b)
+        x = self._apply_inverse(b)
         if not np.all(np.isfinite(x)):
             raise SingularSystemError(
                 f"{self.context}: produced non-finite solution"
             )
         resid = np.linalg.norm(b - self.a @ x)
         for _ in range(MAX_REFINEMENTS):
-            if self._backward_error(x, b, resid) <= self.tol:
+            if self._backward_error(x, b, resid) <= RESIDUAL_TOL:
                 break
-            x = x + self.lu.solve(b - self.a @ x)
+            x = x + self._apply_inverse(b - self.a @ x)
             resid = np.linalg.norm(b - self.a @ x)
         err = self._backward_error(x, b, resid)
-        if err > self.tol:
+        if err > RESIDUAL_TOL:
             raise SolveError(
                 f"{self.context}: backward error {err:.3e} exceeds "
-                f"{self.tol:.0e} after refinement"
+                f"{RESIDUAL_TOL:.0e} after refinement"
             )
         return x
+
+    def rank_updates(self, u, coefficients):
+        """Yield the system ``a + c U Uᵀ`` (U sparse, n × r) for each c, solved
+        through this LU by the Woodbury identity (Hager 1989, SIAM Review 31(2))
+        ``(A + c U Uᵀ)⁻¹ = A⁻¹ - c Z (I + c Uᵀ Z)⁻¹ Uᵀ A⁻¹``, where
+        ``Z = A⁻¹ U`` is computed once for all of them."""
+        z = self.lu.solve(u.toarray())
+        for c in coefficients:
+            yield _RankUpdatedSystem(self, c, u, z)
+
+
+class _RankUpdatedSystem(FactorizedSystem):
+    """``base.a + c U Uᵀ``, solved through the LU of ``base``."""
+
+    def __init__(self, base: FactorizedSystem, c: float, u, z):
+        self.a = (base.a + c * (u @ u.T)).tocsc()
+        self.context, self.lu, self.norm1 = base.context, base.lu, _norm1(self.a)
+        self._cu, self._z = c * u, z
+        self._capacitance = linalg.lu_factor(np.eye(u.shape[1]) + self._cu.T @ z)
+
+    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(b)
+        return y - self._z @ linalg.lu_solve(self._capacitance, self._cu.T @ y)

@@ -2,11 +2,11 @@
 
 A Model is built once per problem and is immutable afterwards; forward solves
 for different density fields or spring stiffnesses can then proceed
-independently (and in parallel processes for sweeps).
+independently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -107,11 +107,10 @@ class Model:
         if len(outputs) != 1:
             raise ConfigError(f"expected exactly one output region, got {len(outputs)}")
         self.output_sel = outputs[0]
-        self.k_out_default = self.output_sel.region.k_out
-        self.l_out = elasticity.output_projector(self.grid, self.output_sel)
-        self.spring_unit = elasticity.output_spring_matrix(
-            self.grid, self.output_sel, k_out=1.0
-        )
+        self.output_op = elasticity.output_operator(self.grid, self.output_sel)
+        n_out = self.output_op.shape[1]
+        self.l_out = (self.output_op @ np.ones(n_out)) / n_out
+        self.spring_unit = (1.0 / n_out) * (self.output_op @ self.output_op.T)
 
         # Gauge-pressure indicator at inlet DOFs, used for E_t derivatives.
         self.inlet_gauge = np.zeros(self.grid.nnodes)
@@ -187,7 +186,7 @@ class Model:
     def forward(self, rho_bar: np.ndarray, k_out: float | None = None) -> State:
         """Darcy solve, force transfer, elastic solve, and metrics."""
         rho_bar = np.asarray(rho_bar, dtype=float)
-        k_out = self.k_out_default if k_out is None else float(k_out)
+        k_out = self.output_sel.region.k_out if k_out is None else float(k_out)
 
         flow_sys = self.flow.assemble(rho_bar[0], self.flow_params)
         pressure = darcy.solve_pressure(flow_sys, self.inlet_nodes, self.drain_nodes)
@@ -213,6 +212,22 @@ class Model:
             k_out=k_out,
         )
 
+    def sweep(self, rho_bar: np.ndarray, k_values) -> list[PerformanceMetrics]:
+        """Metrics at increasing spring stiffnesses from one flow solve and one
+        factorization: a forward solve at the softest k_1, then for every other
+        k its LU with the rank-r update ``(k - k_1) / r * D_f D_f^T`` (r output
+        nodes, D_f the rows of D at the free DOFs)."""
+        state = self.forward(rho_bar, k_out=k_values[0])
+        free, n_out = state.disp.free_dofs, self.output_op.shape[1]
+        coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]
+        systems = state.disp.lu.rank_updates(self.output_op[free], coefficients)
+        out = [state.metrics]
+        for k, system in zip(k_values[1:], systems):
+            u = np.zeros_like(state.disp.u)
+            u[free] = system.solve(state.force[free])
+            out.append(elasticity.metrics(u, state.k_struct, self.l_out, k, state.metrics.E_t))
+        return out
+
     def _check_pressure_bounds(self, p: np.ndarray):
         lo = min(self.flow_params.p_atm, self.flow_params.P_in)
         hi = max(self.flow_params.p_atm, self.flow_params.P_in)
@@ -228,10 +243,4 @@ class Model:
         rep = closure_mod.check_sealed(
             rho_bar[0], self.grid, self.inlet_faces, self.drain_faces
         )
-        if added:
-            rep = closure_mod.SealReport(
-                sealed=rep.sealed,
-                leak_path=rep.leak_path,
-                added_volume_fraction=added / self.grid.nelem,
-            )
-        return rep
+        return replace(rep, added_volume_fraction=added / self.grid.nelem)

@@ -7,6 +7,7 @@ unknown keys so silent typos cannot change a run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -268,8 +269,27 @@ def load_problem(
     return parse_problem(raw, default_name=path.stem)
 
 
+def _non_finite_path(node, path: str = "$") -> str | None:
+    """JSON path of the first NaN or infinite number in a document, or None.
+
+    The schema's bounds are comparisons, and comparisons with NaN are false."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return path
+    if isinstance(node, (dict, list)):
+        keyed = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in keyed:
+            sub = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+            found = _non_finite_path(value, sub)
+            if found is not None:
+                return found
+    return None
+
+
 def parse_problem(raw: dict, default_name: str = "problem") -> ProblemSpec:
     """Validate a problem dictionary and build the resolved ProblemSpec."""
+    bad = _non_finite_path(raw)
+    if bad is not None:
+        raise ConfigError(f"{bad}: numbers must be finite")
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:

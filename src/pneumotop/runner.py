@@ -7,8 +7,8 @@ heuristic skin is applied, ``history.csv``, ``fields.vtk``, ``summary.json``.
 from __future__ import annotations
 
 import logging
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -107,82 +107,48 @@ def _export_fields(path, model: Model, state):
     )
 
 
-def _check_design_matches(spec: ProblemSpec, design_grid) -> None:
-    if (
-        design_grid.dim != spec.grid.dim
-        or tuple(design_grid.nel) != tuple(spec.grid.nel)
-        or abs(design_grid.h - spec.grid.h) > 1e-12 * spec.grid.h
-    ):
+def _load_matching(design_path, problem_path) -> tuple[ProblemSpec, np.ndarray]:
+    """The problem spec and the design's densities, checked to share one grid."""
+    spec = load_problem(problem_path)
+    design_grid, rho_bar = io.load_design(design_path)
+    same_lattice = (design_grid.dim, design_grid.nel) == (spec.grid.dim, spec.grid.nel)
+    if not same_lattice or abs(design_grid.h - spec.grid.h) > 1e-12 * spec.grid.h:
         raise ConfigError(
             f"design grid {design_grid.dim}D {design_grid.nel} h={design_grid.h} "
             f"does not match problem grid {spec.grid.dim}D {spec.grid.nel} "
             f"h={spec.grid.h}"
         )
+    return spec, rho_bar
 
 
-def _sweep_point(args):
-    design_path, problem_path, k_out = args
-    spec = load_problem(problem_path)
-    design_grid, rho_bar = io.load_design(design_path)
-    _check_design_matches(spec, design_grid)
-    model = Model(spec)
-    state = model.forward(rho_bar, k_out=k_out)
-    m = state.metrics
-    return {"k_out": k_out, "u_out": m.u_out, "SE": m.SE, "W": m.W, "E_t": m.E_t}
-
-
-def evaluate_design(
-    design_path,
-    problem_path,
-    sweep=None,
-    threads: int = 1,
-) -> list[dict]:
+def evaluate_design(design_path, problem_path, sweep=None) -> list[dict]:
     """Forward-solve a fixed design across a spring-stiffness sweep.
 
-    Returns one metrics row per stiffness, in ascending k_out order. The
-    pressure problem does not see the springs, so E_t is constant across
-    the sweep.
+    Returns one metrics row per stiffness, in ascending k_out order, from
+    one flow solve and one factorization (``Model.sweep``). The pressure
+    problem does not see the springs, so E_t is constant across the sweep.
     """
     sweep = list(DEFAULT_SWEEP) if sweep is None else [float(v) for v in sweep]
-    if any(v <= 0 for v in sweep):
-        raise ConfigError(f"sweep stiffnesses must be > 0, got {sweep}")
+    if not (sweep and all(math.isfinite(v) and v > 0 for v in sweep)):
+        raise ConfigError(f"sweep needs stiffnesses that are finite and > 0, got {sweep}")
     if any(b <= a for a, b in zip(sweep, sweep[1:])):
         raise ConfigError(f"sweep stiffnesses must be strictly increasing: {sweep}")
 
-    spec = load_problem(problem_path)
-    design_grid, rho_bar = io.load_design(design_path)
-    _check_design_matches(spec, design_grid)
-
-    if threads > 1:
-        args = [(str(design_path), str(problem_path), k) for k in sweep]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_point, args))
-        return rows
-
-    model = Model(spec)
-    rows = []
-    for k in sweep:
-        state = model.forward(rho_bar, k_out=k)
-        m = state.metrics
-        rows.append(
-            {"k_out": k, "u_out": m.u_out, "SE": m.SE, "W": m.W, "E_t": m.E_t}
-        )
-    return rows
+    spec, rho_bar = _load_matching(design_path, problem_path)
+    return [
+        {"k_out": k, "u_out": m.u_out, "SE": m.SE, "W": m.W, "E_t": m.E_t}
+        for k, m in zip(sweep, Model(spec).sweep(rho_bar, sweep))
+    ]
 
 
 def seal_check_design(design_path, problem_path) -> closure.SealReport:
-    spec = load_problem(problem_path)
-    design_grid, rho_bar = io.load_design(design_path)
-    _check_design_matches(spec, design_grid)
-    model = Model(spec)
-    return model.seal_report(rho_bar)
+    spec, rho_bar = _load_matching(design_path, problem_path)
+    return Model(spec).seal_report(rho_bar)
 
 
 def export_design_fields(design_path, problem_path, out_path) -> Path:
     """Solve a fixed design once and export all fields as legacy VTK."""
-    spec = load_problem(problem_path)
-    design_grid, rho_bar = io.load_design(design_path)
-    _check_design_matches(spec, design_grid)
+    spec, rho_bar = _load_matching(design_path, problem_path)
     model = Model(spec)
     state = model.forward(rho_bar)
     _export_fields(Path(out_path), model, state)

@@ -87,3 +87,25 @@ def test_energy_penalty_case_optimizes_energy_penalty_objective(tmp_path, monkey
     assert spec.closure.mode == "energy_penalty"
     assert spec.objective.variant == "energy_penalty"
     assert spec == problem.load_problem("finger2d", closure="energy_penalty")
+
+
+def test_unexpected_error_fails_only_its_case(tmp_path, monkeypatch, pneunet_design_path):
+    def evaluate_design(design_path, problem_path, sweep=None):
+        if "broken" in str(design_path):
+            raise RuntimeError("boom")
+        return [{"k_out": k, "u_out": 1.0 / k, "SE": 1.0, "W": 0.5 / k, "E_t": 1.0}
+                for k in sweep]
+
+    monkeypatch.setattr(bench.runner, "evaluate_design", evaluate_design)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"sweep_n_per_m": [1.0, 10.0], "cases": [
+        {"label": "ok", "problem": "pneunet2d", "design": str(pneunet_design_path)},
+        {"label": "bad", "problem": "pneunet2d", "design": str(tmp_path / "broken.json")},
+    ]}))
+    out = tmp_path / "out"
+    assert cli.main(["bench", str(suite), "--out-dir", str(out)]) == 1
+    summary = json.loads((out / "suite_summary.json").read_text())
+    assert summary["failed"] == {"bad": "RuntimeError: boom"}
+    assert list(summary["cases"]) == ["ok"]
+    for metric in bench.METRICS:
+        assert (out / f"{metric}.csv").read_text().splitlines()[0] == "k_out,ok"

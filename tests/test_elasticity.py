@@ -3,16 +3,19 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from pneumotop import problem
 from pneumotop.darcy import coupling_matrix
 from pneumotop.elasticity import (
     ElasticAssembler,
     metrics,
-    output_projector,
-    output_spring_matrix,
+    output_operator,
     solve_displacement,
 )
 from pneumotop.errors import ConfigError
 from pneumotop.grid import BoundaryRegion, GridSpec, build_grid, select_region
+from pneumotop.model import Model
+
+from conftest import tiny_problem_dict
 
 
 def _cantilever(nx=8, ny=4, h=1.0):
@@ -22,6 +25,18 @@ def _cantilever(nx=8, ny=4, h=1.0):
     )
     fixed = np.concatenate([2 * fixed_sel.nodes, 2 * fixed_sel.nodes + 1])
     return g, fixed
+
+
+def _springs(g, sel):
+    """Output springs ``(k_out / r) D D^T`` of an output region."""
+    d = output_operator(g, sel)
+    return (sel.region.k_out / d.shape[1]) * (d @ d.T)
+
+
+def _projector(g, sel):
+    """Output projector ``D 1 / r``: u_out = l . u."""
+    d = output_operator(g, sel)
+    return (d @ np.ones(d.shape[1])) / d.shape[1]
 
 
 def test_row_sums_zero_rigid_translation():
@@ -67,7 +82,7 @@ def test_zero_spring_is_identity():
             "output", ((2, 0), (2, 2)), direction=(0.0, -1.0), k_out=0.0
         ),
     )
-    assert abs((k + output_spring_matrix(g, sel)) - k).max() == 0.0
+    assert abs((k + _springs(g, sel)) - k).max() == 0.0
 
 
 def test_single_node_axis_aligned_spring():
@@ -78,12 +93,46 @@ def test_single_node_axis_aligned_spring():
             "output", ((2, 1), (2, 1)), direction=(0.0, -1.0), k_out=7.5
         ),
     )
-    s = output_spring_matrix(g, sel)
+    s = _springs(g, sel)
     assert sel.nodes.size == 1
     node = sel.nodes[0]
     dense = s.toarray()
     assert dense[2 * node + 1, 2 * node + 1] == pytest.approx(7.5)
     assert s.sum() == pytest.approx(7.5)
+
+
+def test_output_operator_columns_carry_direction_per_node():
+    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    sel = select_region(
+        g, BoundaryRegion("output", ((2, 0), (2, 2)), direction=(0.6, 0.8), k_out=3.0)
+    )
+    d = output_operator(g, sel)
+    assert d.shape == (g.n_disp_dofs, sel.nodes.size) == (18, 3)
+    dense = d.toarray()
+    for j, node in enumerate(sel.nodes):
+        col = np.zeros(g.n_disp_dofs)
+        col[2 * node : 2 * node + 2] = (0.6, 0.8)
+        assert np.array_equal(dense[:, j], col)
+
+
+@pytest.mark.parametrize("direction", [(0, -1), (0.6, 0.8)])
+def test_model_output_operators_equal_per_node_blocks(direction):
+    # Model.l_out and Model.spring_unit, built from output_operator, equal
+    # the per-node construction d / r and (1 / r) d d^T bit for bit
+    raw = tiny_problem_dict()
+    raw["regions"][3]["direction"] = list(direction)
+    model = Model(problem.parse_problem(raw))
+    g, nodes = model.grid, model.output_sel.nodes
+    d = np.asarray(direction, dtype=float)
+    l_ref = np.zeros(g.n_disp_dofs)
+    s_ref = np.zeros((g.n_disp_dofs,) * 2)
+    for node in nodes:
+        dofs = 2 * node + np.arange(2)
+        l_ref[dofs] += d / nodes.size
+        s_ref[np.ix_(dofs, dofs)] = (1.0 / nodes.size) * np.outer(d, d)
+    assert nodes.size == 3
+    assert np.array_equal(model.l_out, l_ref)
+    assert np.array_equal(model.spring_unit.toarray(), s_ref)
 
 
 def test_spring_oracle_force_over_k():
@@ -96,13 +145,13 @@ def test_spring_oracle_force_over_k():
         g,
         BoundaryRegion("output", ((1, 0), (1, 1)), direction=(1.0, 0.0), k_out=k_out),
     )
-    ks = k + output_spring_matrix(g, sel)
+    ks = k + _springs(g, sel)
     fixed = 2 * np.arange(g.nnodes) + 1  # pin the remaining rigid modes (y)
     f_total = 3.0
     f = np.zeros(g.n_disp_dofs)
     f[2 * sel.nodes] = f_total / sel.nodes.size
     disp = solve_displacement(ks, f, fixed)
-    m = metrics(disp.u, k, output_projector(g, sel), sel.region.k_out)
+    m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
     assert m.u_out == pytest.approx(f_total / k_out, rel=1e-9)
 
 
@@ -156,7 +205,7 @@ def test_metrics_zero_displacement():
     sel = select_region(
         g, BoundaryRegion("output", ((2, 0), (2, 2)), direction=(0.0, -1.0), k_out=5.0)
     )
-    m = metrics(np.zeros(g.n_disp_dofs), k, output_projector(g, sel), sel.region.k_out)
+    m = metrics(np.zeros(g.n_disp_dofs), k, _projector(g, sel), sel.region.k_out)
     assert (m.u_out, m.SE, m.W) == (0.0, 0.0, 0.0)
 
 
@@ -168,7 +217,7 @@ def test_metrics_spring_work_definition():
     u = np.zeros(g.n_disp_dofs)
     u[2 * sel.nodes + 1] = -2.0  # both output nodes move -y by 2
     k0 = sparse.csr_matrix((g.n_disp_dofs,) * 2)
-    m = metrics(u, k0, output_projector(g, sel), sel.region.k_out)
+    m = metrics(u, k0, _projector(g, sel), sel.region.k_out)
     assert m.u_out == pytest.approx(2.0)
     assert m.W == pytest.approx(0.5 * 3.0 * 4.0)  # 1-DOF analogy: 0.5 k u^2 = 6
 
@@ -181,12 +230,12 @@ def test_strain_energy_equals_external_work():
     sel = select_region(
         g, BoundaryRegion("output", ((6, 0), (6, 3)), direction=(0.0, -1.0), k_out=25.0)
     )
-    ks = k + output_spring_matrix(g, sel)
+    ks = k + _springs(g, sel)
     f = rng.normal(size=g.n_disp_dofs)
     f[fixed] = 0.0
     disp = solve_displacement(ks, f, fixed)
-    m = metrics(disp.u, k, output_projector(g, sel), sel.region.k_out)
-    spring = output_spring_matrix(g, sel)
+    m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
+    spring = _springs(g, sel)
     spring_energy = 0.5 * float(disp.u @ (spring @ disp.u))
     external = 0.5 * float(f @ disp.u)
     assert m.SE + spring_energy == pytest.approx(external, rel=1e-8)
@@ -219,8 +268,8 @@ def test_stiffer_spring_never_raises_u_out():
                 "output", ((8, 1), (8, 3)), direction=(0.0, -1.0), k_out=k_out
             ),
         )
-        disp = solve_displacement(k + output_spring_matrix(g, sel), f, fixed)
-        m = metrics(disp.u, k, output_projector(g, sel), sel.region.k_out)
+        disp = solve_displacement(k + _springs(g, sel), f, fixed)
+        m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
         if u_prev is not None:
             assert abs(m.u_out) <= abs(u_prev) + 1e-12
         u_prev = m.u_out

@@ -1,16 +1,18 @@
 """Problem-file validation, fixtures, artifact formats, and the CLI verbs."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pneumotop import cli, io, problem
+from pneumotop import cli, io, problem, runner
 from pneumotop.errors import ConfigError
 from pneumotop.fixtures import make_pneunet2d_design
 from pneumotop.grid import GridSpec, build_grid
+from pneumotop.model import Model
 
 from conftest import tiny_problem_dict
 
@@ -194,9 +196,13 @@ def test_design_rounding_outside_unit_interval_loads(tmp_path):
     assert io.load_design(design)[1][0, 7] == 1.0 + 1e-12
 
 
-def test_optimize_has_no_threads_option():
+@pytest.mark.parametrize("argv", [
+    ["optimize", "finger2d"],
+    ["evaluate", "design.json", "pneunet2d"],
+], ids=["optimize", "evaluate"])
+def test_verb_has_no_threads_option(argv):
     with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(["optimize", "finger2d", "--threads", "2"])
+        cli.build_parser().parse_args([*argv, "--threads", "2"])
 
 
 def _write_history(path, recs):
@@ -231,14 +237,27 @@ def test_history_csv_single_constraint_leaves_columns_empty(tmp_path):
     assert row[2] != "" and row[3] == "" and row[4] == ""
 
 
-def test_evaluate_parallel_matches_serial(tmp_path, pneunet_design_path):
-    from pneumotop import runner
-
-    serial = runner.evaluate_design(pneunet_design_path, "pneunet2d",
-                                    sweep=[1.0, 10.0], threads=1)
-    parallel = runner.evaluate_design(pneunet_design_path, "pneunet2d",
-                                      sweep=[1.0, 10.0], threads=2)
-    assert serial == parallel
+@pytest.mark.parametrize("case", ["pneunet2d", "finger2d"])
+def test_sweep_matches_per_point_forward(case, request):
+    # the first row is a plain forward solve; the others go through its LU
+    # with a rank-r spring update and must agree with a solve per point
+    if case == "pneunet2d":
+        design = request.getfixturevalue("pneunet_design_path")
+    else:
+        design = request.getfixturevalue("finger2d_run")["out"] / "design_sealed.json"
+    sweep = list(runner.DEFAULT_SWEEP)
+    rows = runner.evaluate_design(design, case, sweep=sweep)
+    model = Model(problem.load_problem(case))
+    rho = io.load_design(design)[1]
+    first = model.forward(rho, k_out=sweep[0]).metrics
+    assert rows[0] == {"k_out": sweep[0], "u_out": first.u_out, "SE": first.SE,
+                       "W": first.W, "E_t": first.E_t}
+    for k, row in zip(sweep[1:], rows[1:]):
+        ref = model.forward(rho, k_out=k).metrics
+        assert row["k_out"] == k
+        for name in ("u_out", "SE", "W"):
+            assert row[name] == pytest.approx(getattr(ref, name), rel=1e-6, abs=0)
+    assert {row["E_t"] for row in rows} == {first.E_t}
 
 
 def test_vtk_export_header_and_round_trip(tmp_path):
@@ -302,6 +321,26 @@ def test_cli_optimize_zero_iters_writes_init_and_exits_2(tmp_path):
     assert np.allclose(rho[0], 0.7, atol=1e-12)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("materials", "penalty"), float("nan")),
+    (("flow", "P_in_pa"), float("inf")),
+    (("volume_fractions", 0), float("nan")),
+    (("regions", 0, "box_m", 1, 0), float("-inf")),
+], ids=["penalty", "P_in_pa", "volume_fraction", "box_m"])
+def test_non_finite_problem_numbers_are_config_errors(tmp_path, path, value):
+    raw = tiny_problem_dict(materials={"E_pa": [1e6, 1e7, 1e8], "penalty": 3.0})
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    json_path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    with pytest.raises(ConfigError, match=re.escape(json_path) + ": numbers must be finite"):
+        problem.parse_problem(raw)
+    prob = tmp_path / "nonfinite.json"
+    prob.write_text(json.dumps(raw))
+    assert cli.main(["optimize", str(prob), "--out-dir", str(tmp_path / "o")]) == 3
+
+
 def test_cli_optimize_bad_problem_exit_3(tmp_path):
     prob = tmp_path / "bad.json"
     raw = tiny_problem_dict()
@@ -352,8 +391,20 @@ def test_cli_fixtures_export(tmp_path):
             "pneunet2d.json", "pneunet2d.design.json"} <= names
 
 
-def test_cli_sweep_must_increase(tmp_path, pneunet_design_path):
+@pytest.mark.parametrize("sweep, message", [
+    (["10", "5"], "increasing"),
+    (["1", "nan"], "finite"),
+    (["1", "inf"], "finite"),
+], ids=["decreasing", "nan", "inf"])
+def test_cli_sweep_must_increase(tmp_path, pneunet_design_path, sweep, message, capsys):
     code = cli.main(
-        ["evaluate", str(pneunet_design_path), "pneunet2d", "--sweep", "10", "5"]
+        ["evaluate", str(pneunet_design_path), "pneunet2d", "--sweep", *sweep,
+         "--out-dir", str(tmp_path)]
     )
     assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_evaluate_empty_sweep_is_config_error(pneunet_design_path):
+    with pytest.raises(ConfigError, match=r"finite and > 0, got \[\]"):
+        runner.evaluate_design(pneunet_design_path, "pneunet2d", sweep=[])
