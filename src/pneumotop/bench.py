@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,7 +64,22 @@ def load_suite(path) -> tuple[list[ComparisonCase], list[float] | None]:
     labels = [c.label for c in cases]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"{path}: duplicate case labels")
-    return cases, raw.get("sweep_n_per_m")
+    return cases, _suite_sweep(path, raw.get("sweep_n_per_m"))
+
+
+def _suite_sweep(path, sweep) -> list[float] | None:
+    """The suite's sweep stiffnesses: absent, or a non-empty list of finite
+    positive numbers."""
+    if sweep is None:
+        return None
+    if not (isinstance(sweep, list) and sweep and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0 for v in sweep)):
+        raise ConfigError(
+            f"{path}: 'sweep_n_per_m' must be a non-empty list of finite "
+            f"numbers > 0, got {sweep!r}"
+        )
+    return sweep
 
 
 def _run_case(case: ComparisonCase, sweep, out_dir) -> dict:

@@ -18,7 +18,7 @@ from scipy import sparse
 from . import shapefn
 from .errors import ConfigError
 from .grid import Grid
-from .linalg import FactorizedSystem
+from .linalg import solve_dirichlet
 from .materials import FlowParams, drainage_coefficient, flow_coefficient
 
 
@@ -32,6 +32,7 @@ class FlowSystem:
     d_elem: np.ndarray
     dd_elem: np.ndarray
     params: FlowParams
+    nel: tuple[int, ...]
 
 
 @dataclass
@@ -76,7 +77,7 @@ class FlowAssembler:
             (vals.ravel(), (self.rows, self.cols)),
             shape=(self.grid.nnodes, self.grid.nnodes),
         ).tocsr()
-        return FlowSystem(a, k, dk, d, dd, params)
+        return FlowSystem(a, k, dk, d, dd, params, self.grid.nel_axis)
 
 
 def solve_pressure(
@@ -86,8 +87,8 @@ def solve_pressure(
 ) -> PressureField:
     """Solve for equilibrium pressure with inlet/drain Dirichlet values.
 
-    Inlet nodes are held at P_in and drain nodes at p_atm; the reduced
-    symmetric system is factorized once and kept for adjoint reuse.
+    Inlet nodes are held at P_in and drain nodes at p_atm; the solver of the
+    reduced symmetric system is kept for adjoint reuse.
     """
     params = system.params
     inlet_nodes = np.asarray(inlet_nodes, dtype=np.int64)
@@ -99,19 +100,13 @@ def solve_pressure(
         raise ConfigError(
             "flow system has no pressure Dirichlet DOFs (need an inlet or drain)"
         )
-    n = system.A.shape[0]
     vals = np.concatenate(
         [np.full(inlet_nodes.size, params.P_in), np.full(drain_nodes.size, params.p_atm)]
     )
-    free = np.setdiff1d(np.arange(n), fixed, assume_unique=False)
-
-    p = np.zeros(n)
-    p[fixed] = vals
-    a_csc = system.A.tocsc()
-    a_ff = a_csc[free][:, free]
-    b = -a_csc[free][:, fixed] @ vals
-    lu = FactorizedSystem(a_ff, context="pressure solve")
-    p[free] = lu.solve(b)
+    p, free, lu = solve_dirichlet(
+        system.A, np.zeros(system.A.shape[0]), fixed, vals, system.nel,
+        context="pressure solve",
+    )
     return PressureField(p, fixed, free, inlet_nodes, lu)
 
 

@@ -14,7 +14,7 @@ from scipy import sparse
 from . import shapefn
 from .errors import ConfigError, SingularSystemError
 from .grid import Grid, RegionSelection
-from .linalg import FactorizedSystem
+from .linalg import FactorizedSystem, solve_dirichlet
 
 
 @dataclass
@@ -81,18 +81,15 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
 
 
 def solve_displacement(
-    k: sparse.csr_matrix, f: np.ndarray, fixed_dofs: np.ndarray
+    k: sparse.csr_matrix, f: np.ndarray, fixed_dofs: np.ndarray, nel: tuple[int, ...]
 ) -> DisplacementField:
-    """Solve K u = F with the given DOFs pinned to zero."""
-    n = k.shape[0]
-    free = np.setdiff1d(np.arange(n), fixed_dofs)
-    k_csc = k.tocsc()
-    k_ff = k_csc[free][:, free]
-    b = np.asarray(f, dtype=float)[free]
+    """Solve K u = F with the given DOFs pinned to zero, on a grid with
+    ``nel`` elements per axis."""
     try:
-        lu = FactorizedSystem(k_ff, context="displacement solve")
-        u = np.zeros(n)
-        u[free] = lu.solve(b)
+        u, free, lu = solve_dirichlet(
+            k, f, fixed_dofs, np.zeros(len(fixed_dofs)), nel,
+            context="displacement solve",
+        )
     except SingularSystemError as exc:
         raise ConfigError(
             f"displacement system is singular; check supports ({exc})"

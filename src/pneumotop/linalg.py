@@ -1,4 +1,4 @@
-"""Sparse direct solves with iterative refinement to a fixed residual contract.
+"""Sparse linear solves to a fixed residual contract.
 
 Solutions are accepted when the normwise backward error
 ``||b - A x|| / (||A||_1 ||x|| + ||b||)`` drops below the tolerance. Plain
@@ -6,21 +6,75 @@ Solutions are accepted when the normwise backward error
 floor accumulate displacements orders of magnitude above the structural
 ones, which raises the attainable residual floor to eps * ||A|| * ||x||
 regardless of solver quality.
+
+``solve_dirichlet`` is the one entry point: it reduces a grid system to its
+free DOFs and solves it by sparse LU with iterative refinement, or, on 3-D
+grids whose element counts all halve, by conjugate gradients preconditioned
+with a geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On
+multigrid-CG for efficient topology optimization", SMO 49:815). Both paths
+keep the same contract.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.sparse.linalg import splu
 
 from .errors import SingularSystemError, SolveError
 
 RESIDUAL_TOL = 1e-9
 MAX_REFINEMENTS = 4
+# CG runs well past RESIDUAL_TOL so that both paths give the same numbers to
+# the precision gradients and sweeps compare: on a 40-iteration gripper3d
+# design, stopping at 1e-9 left u_out 1.2e-5 relative from the LU solution,
+# stopping at 1e-12 left it 8.7e-9.
+CG_TOL = 1e-12
+CG_MAX_ITERS = 500
+JACOBI_OMEGA = 0.6
+SMOOTHING_SWEEPS = 2
 
 
 def _norm1(a) -> float:
     return float(np.abs(a).sum(axis=0).max()) if a.shape[0] else 0.0
+
+
+def _factorize(a, context: str):
+    """SuperLU factors of ``a`` (CSC), rejecting numerically singular ones."""
+    try:
+        lu = splu(a)
+    except RuntimeError as exc:
+        raise SingularSystemError(
+            f"{context}: factorization failed ({exc})"
+        ) from exc
+    # Roundoff can slip rigid-body modes past the factorization; a
+    # collapsed pivot is the reliable tell.
+    u_diag = np.abs(lu.U.diagonal())
+    if u_diag.size and u_diag.min() <= 1e-14 * u_diag.max():
+        raise SingularSystemError(
+            f"{context}: matrix is numerically singular "
+            f"(pivot ratio {u_diag.min() / u_diag.max():.2e})"
+        )
+    return lu
+
+
+def solve_dirichlet(a, f, fixed, values, nel, context: str):
+    """Solve ``A x = f`` with ``x[fixed] = values`` for a system assembled on
+    a structured grid with ``nel`` elements per axis (node-major DOFs, x
+    fastest). Returns ``(x, free, system)``; ``system`` solves the free block
+    again, for adjoints and spring sweeps."""
+    n = a.shape[0]
+    free = np.setdiff1d(np.arange(n), fixed)
+    a_f = a.tocsc()[free]
+    b = np.asarray(f, dtype=float)[free] - a_f[:, fixed] @ values
+    prolongations = _prolongations(nel, n, free) if len(nel) == 3 else []
+    if prolongations:
+        system = MultigridSystem(a_f[:, free], prolongations, context=context)
+    else:
+        system = FactorizedSystem(a_f[:, free], context=context)
+    x = np.zeros(n)
+    x[fixed] = values
+    x[free] = system.solve(b)
+    return x, free, system
 
 
 class FactorizedSystem:
@@ -30,20 +84,7 @@ class FactorizedSystem:
         self.a = a.tocsc()
         self.context = context
         self.norm1 = _norm1(self.a)
-        try:
-            self.lu = splu(self.a)
-        except RuntimeError as exc:
-            raise SingularSystemError(
-                f"{context}: factorization failed ({exc})"
-            ) from exc
-        # Roundoff can slip rigid-body modes past the factorization; a
-        # collapsed pivot is the reliable tell.
-        u_diag = np.abs(self.lu.U.diagonal())
-        if u_diag.size and u_diag.min() <= 1e-14 * u_diag.max():
-            raise SingularSystemError(
-                f"{context}: matrix is numerically singular "
-                f"(pivot ratio {u_diag.min() / u_diag.max():.2e})"
-            )
+        self.lu = _factorize(self.a, context)
 
     def _backward_error(self, x, b, resid):
         return resid / (self.norm1 * np.linalg.norm(x) + np.linalg.norm(b))
@@ -67,7 +108,7 @@ class FactorizedSystem:
             x = x + self._apply_inverse(b - self.a @ x)
             resid = np.linalg.norm(b - self.a @ x)
         err = self._backward_error(x, b, resid)
-        if err > RESIDUAL_TOL:
+        if not err <= RESIDUAL_TOL:  # also rejects a NaN from a refinement
             raise SolveError(
                 f"{self.context}: backward error {err:.3e} exceeds "
                 f"{RESIDUAL_TOL:.0e} after refinement"
@@ -96,3 +137,95 @@ class _RankUpdatedSystem(FactorizedSystem):
     def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
         y = self.lu.solve(b)
         return y - self._z @ linalg.lu_solve(self._capacitance, self._cu.T @ y)
+
+
+class MultigridSystem(FactorizedSystem):
+    """SPD system solved by CG with a geometric-multigrid V-cycle as the
+    preconditioner, under the same backward-error contract as the LU.
+
+    ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``); the
+    coarse operators are the Galerkin products ``Pᵀ A P``, smoothed by damped
+    Jacobi and solved directly on the coarsest level."""
+
+    def __init__(self, a, prolongations, context: str = "linear system"):
+        self.a = a.tocsr()
+        self.context = context
+        self.norm1 = _norm1(self.a)
+        self.prolongations = prolongations
+        self._levels, self._restrictions = [self.a], []
+        for p in prolongations:
+            r = p.T.tocsr()
+            self._restrictions.append(r)
+            self._levels.append((r @ self._levels[-1] @ p).tocsr())
+        self._jacobi = [JACOBI_OMEGA / a_l.diagonal() for a_l in self._levels[:-1]]
+        self._coarse = _factorize(self._levels[-1].tocsc(), f"{context} (coarsest level)")
+
+    def _v_cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self._jacobi):
+            return self._coarse.solve(r)
+        a, w = self._levels[level], self._jacobi[level]
+        x = w * r  # the first Jacobi sweep, from x = 0
+        for _ in range(SMOOTHING_SWEEPS - 1):
+            x += w * (r - a @ x)
+        coarse_r = self._restrictions[level] @ (r - a @ x)
+        x += self.prolongations[level] @ self._v_cycle(coarse_r, level + 1)
+        for _ in range(SMOOTHING_SWEEPS):
+            x += w * (r - a @ x)
+        return x
+
+    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
+        """Preconditioned CG from zero until the backward error of the
+        recursive residual reaches CG_TOL, or CG_MAX_ITERS; ``solve`` checks
+        the true residual afterwards."""
+        b_norm = np.linalg.norm(b)
+        x, r = np.zeros_like(b), b.copy()
+        z = self._v_cycle(r)
+        p, rz = z.copy(), r @ z
+        for _ in range(CG_MAX_ITERS):
+            q = self.a @ p
+            alpha = rz / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+            if np.linalg.norm(r) <= CG_TOL * (self.norm1 * np.linalg.norm(x) + b_norm):
+                break
+            z = self._v_cycle(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        return x
+
+    def rank_updates(self, u, coefficients):
+        """Yield a multigrid system on ``a + c U Uᵀ`` for each c, on this
+        system's prolongations. (Woodbury's ``Z = A⁻¹ U`` would cost r
+        preconditioned solves, one per output node.)"""
+        for c in coefficients:
+            a = self.a + c * (u @ u.T)
+            yield MultigridSystem(a, self.prolongations, context=self.context)
+
+
+def _prolongation_1d(n_coarse: int) -> sparse.csr_matrix:
+    """Linear interpolation from ``n_coarse + 1`` nodes to ``2 n_coarse + 1``."""
+    c, mid = np.arange(n_coarse + 1), np.arange(n_coarse)
+    rows = np.concatenate([2 * c, 2 * mid + 1, 2 * mid + 1])
+    cols = np.concatenate([c, mid, mid + 1])
+    vals = np.concatenate([np.ones(c.size), np.full(2 * n_coarse, 0.5)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n_coarse + 1, c.size))
+
+
+def _prolongations(nel, n_dofs: int, free: np.ndarray) -> list:
+    """Trilinear prolongations of node-major DOFs, one per halving of every
+    axis of ``nel`` (none if some count is odd). Each interpolates the kept
+    DOFs of the next coarser level onto the kept DOFs of its level; the
+    finest level keeps ``free``, a coarser one every DOF that some kept finer
+    DOF interpolates from."""
+    nel = list(nel)
+    dofs_per_node = n_dofs // int(np.prod([m + 1 for m in nel]))
+    keep, out = free, []
+    while all(m % 2 == 0 for m in nel):
+        nel = [m // 2 for m in nel]
+        p = sparse.identity(dofs_per_node, format="csr")
+        for m in nel:  # x varies fastest, so it is the innermost factor
+            p = sparse.kron(_prolongation_1d(m), p, format="csr")
+        p = p[keep]
+        keep = np.flatnonzero(p.getnnz(axis=0))
+        out.append(p[:, keep].tocsr())
+    return out

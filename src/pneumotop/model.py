@@ -197,7 +197,9 @@ class Model:
         e_field, de = interpolate_modulus(rho_bar, self.mats)
         k_struct = self.elastic.assemble(e_field)
         k_total = k_struct + k_out * self.spring_unit if k_out > 0 else k_struct
-        disp = elasticity.solve_displacement(k_total.tocsr(), force, self.fixed_u_dofs)
+        disp = elasticity.solve_displacement(
+            k_total.tocsr(), force, self.fixed_u_dofs, self.grid.nel_axis
+        )
         m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t)
         return State(
             rho_bar=rho_bar,
@@ -213,10 +215,11 @@ class Model:
         )
 
     def sweep(self, rho_bar: np.ndarray, k_values) -> list[PerformanceMetrics]:
-        """Metrics at increasing spring stiffnesses from one flow solve and one
-        factorization: a forward solve at the softest k_1, then for every other
-        k its LU with the rank-r update ``(k - k_1) / r * D_f D_f^T`` (r output
-        nodes, D_f the rows of D at the free DOFs)."""
+        """Metrics at increasing spring stiffnesses from one flow solve: a
+        forward solve at the softest k_1, then for every other k that solve's
+        system with the rank-r update ``(k - k_1) / r * D_f D_f^T`` (r output
+        nodes, D_f the rows of D at the free DOFs), through the one LU in 2-D
+        and a multigrid system per point in 3-D."""
         state = self.forward(rho_bar, k_out=k_values[0])
         free, n_out = state.disp.free_dofs, self.output_op.shape[1]
         coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]

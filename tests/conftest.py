@@ -72,6 +72,15 @@ def finger2d_skin_run(out_root):
     return {"spec": spec, "out": out, "summary": summary}
 
 
+@pytest.fixture(scope="session")
+def gripper3d_run(out_root):
+    """Three optimizer iterations of gripper3d (no closure)."""
+    spec = problem.load_problem("gripper3d", max_iters=3)
+    out = out_root / "gripper3d_3"
+    summary = runner.optimize_problem(spec, out)
+    return {"spec": spec, "out": out, "summary": summary}
+
+
 def _penalty_spec(vf1: float):
     spec = problem.load_problem("finger2d", closure="energy_penalty")
     return replace(spec, volume_fractions=(vf1, 0.2, 0.2))

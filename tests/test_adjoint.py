@@ -94,19 +94,48 @@ def _fd_assert(model, design, beta, spec, rng):
                 )
 
 
+def _instance_3d():
+    """An 8x4x4 block, so that the solves take the multigrid path."""
+    raw = {
+        "name": "fd8x4x4",
+        "grid": {"dim": 3, "nel": [8, 4, 4], "h_m": 0.001},
+        "regions": [
+            {"role": "fixed_support", "box_m": [[0, 0, 0], [0, 0.004, 0.004]]},
+            {"role": "pressure_inlet", "box_m": [[0, 0.002, 0.001], [0, 0.0035, 0.003]]},
+            {"role": "pressure_drain", "box_m": [[0.008, 0, 0], [0.008, 0.004, 0.004]]},
+            {
+                "role": "output",
+                "box_m": [[0.008, 0.001, 0.001], [0.008, 0.003, 0.003]],
+                "direction": [0, -1, 0],
+                "k_out_n_per_m": 10.0,
+            },
+        ],
+        "materials": {"E_pa": [1e6, 1e7, 1e8]},
+        "flow": {"P_in_pa": 5e4},
+        "volume_fractions": [0.3, 0.2, 0.2],
+    }
+    return Model(problem.parse_problem(raw))
+
+
+FD_CASES = [
+    ("baseline", True, True, 2),
+    ("baseline", False, True, 2),
+    ("baseline", True, False, 2),
+    ("energy_penalty", True, True, 2),
+    ("energy_penalty", False, True, 2),
+    ("energy_penalty", True, False, 2),
+    ("baseline", True, True, 3),
+    ("energy_penalty", True, True, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "variant,drainage,springs",
-    [
-        ("baseline", True, True),
-        ("baseline", False, True),
-        ("baseline", True, False),
-        ("energy_penalty", True, True),
-        ("energy_penalty", False, True),
-        ("energy_penalty", True, False),
-    ],
+    "variant,drainage,springs,dim",
+    FD_CASES,
+    ids=["-".join(map(str, c[:3])) + ("-3d" if c[3] == 3 else "") for c in FD_CASES],
 )
-def test_gradients_match_finite_differences(variant, drainage, springs):
-    model = _instance(drainage=drainage, springs=springs)
+def test_gradients_match_finite_differences(variant, drainage, springs, dim):
+    model = _instance(drainage=drainage, springs=springs) if dim == 2 else _instance_3d()
     rng = np.random.default_rng(17)
     design = _random_design(model, rng)
     spec = ObjectiveSpec(variant=variant, n=8.0, s=1.0)

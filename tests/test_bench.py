@@ -58,6 +58,14 @@ def test_unknown_closure_rejected():
     json.dumps({"cases": [{"problem": "pneunet2d"}]}),
     json.dumps({"cases": [{"label": "a"}]}),
     json.dumps({"cases": ["a"]}),
+    json.dumps({"cases": [], "sweep_n_per_m": 10.0}),
+    json.dumps({"cases": [], "sweep_n_per_m": []}),
+    json.dumps({"cases": [], "sweep_n_per_m": [1, "a"]}),
+    json.dumps({"cases": [], "sweep_n_per_m": [1, True]}),
+    json.dumps({"cases": [], "sweep_n_per_m": [1, 0]}),
+    json.dumps({"cases": [], "sweep_n_per_m": [-1, 2]}),
+    '{"cases": [], "sweep_n_per_m": [1, Infinity]}',
+    '{"cases": [], "sweep_n_per_m": [NaN]}',
 ])
 def test_malformed_suite_exits_3(tmp_path, content):
     suite = tmp_path / "suite.json"

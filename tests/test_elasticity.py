@@ -150,7 +150,7 @@ def test_spring_oracle_force_over_k():
     f_total = 3.0
     f = np.zeros(g.n_disp_dofs)
     f[2 * sel.nodes] = f_total / sel.nodes.size
-    disp = solve_displacement(ks, f, fixed)
+    disp = solve_displacement(ks, f, fixed, g.nel_axis)
     m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
     assert m.u_out == pytest.approx(f_total / k_out, rel=1e-9)
 
@@ -158,7 +158,7 @@ def test_spring_oracle_force_over_k():
 def test_zero_force_zero_displacement():
     g, fixed = _cantilever()
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
-    disp = solve_displacement(k, np.zeros(g.n_disp_dofs), fixed)
+    disp = solve_displacement(k, np.zeros(g.n_disp_dofs), fixed, g.nel_axis)
     assert np.all(disp.u == 0.0)
 
 
@@ -167,8 +167,8 @@ def test_force_doubling_doubles_displacement():
     rng = np.random.default_rng(1)
     k = ElasticAssembler(g, 0.3).assemble(rng.uniform(1e5, 1e7, g.nelem))
     f = rng.normal(size=g.n_disp_dofs)
-    u1 = solve_displacement(k, f, fixed).u
-    u2 = solve_displacement(k, 2 * f, fixed).u
+    u1 = solve_displacement(k, f, fixed, g.nel_axis).u
+    u2 = solve_displacement(k, 2 * f, fixed, g.nel_axis).u
     assert np.allclose(u2, 2 * u1, rtol=1e-9)
 
 
@@ -182,7 +182,7 @@ def test_cantilever_matches_dense_oracle():
         g, BoundaryRegion("output", ((8, 0), (8, 4)), direction=(0.0, -1.0))
     ).nodes
     f[2 * tip + 1] = -10.0
-    u = solve_displacement(k, f, fixed).u
+    u = solve_displacement(k, f, fixed, g.nel_axis).u
     free = np.setdiff1d(np.arange(g.n_disp_dofs), fixed)
     dense = k.toarray()[np.ix_(free, free)]
     u_dense = np.zeros(g.n_disp_dofs)
@@ -196,7 +196,7 @@ def test_insufficient_supports_is_config_error():
     f = np.zeros(g.n_disp_dofs)
     f[0] = 1.0
     with pytest.raises(ConfigError, match="support"):
-        solve_displacement(k, f, np.array([], dtype=int))
+        solve_displacement(k, f, np.array([], dtype=int), g.nel_axis)
 
 
 def test_metrics_zero_displacement():
@@ -233,7 +233,7 @@ def test_strain_energy_equals_external_work():
     ks = k + _springs(g, sel)
     f = rng.normal(size=g.n_disp_dofs)
     f[fixed] = 0.0
-    disp = solve_displacement(ks, f, fixed)
+    disp = solve_displacement(ks, f, fixed, g.nel_axis)
     m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
     spring = _springs(g, sel)
     spring_energy = 0.5 * float(disp.u @ (spring @ disp.u))
@@ -247,8 +247,8 @@ def test_reciprocity():
     k = ElasticAssembler(g, 0.3).assemble(rng.uniform(1e5, 1e7, g.nelem))
     fa = rng.normal(size=g.n_disp_dofs)
     fb = rng.normal(size=g.n_disp_dofs)
-    ua = solve_displacement(k, fa, fixed).u
-    ub = solve_displacement(k, fb, fixed).u
+    ua = solve_displacement(k, fa, fixed, g.nel_axis).u
+    ub = solve_displacement(k, fb, fixed, g.nel_axis).u
     assert ua @ fb == pytest.approx(ub @ fa, rel=1e-9)
 
 
@@ -268,7 +268,7 @@ def test_stiffer_spring_never_raises_u_out():
                 "output", ((8, 1), (8, 3)), direction=(0.0, -1.0), k_out=k_out
             ),
         )
-        disp = solve_displacement(k + _springs(g, sel), f, fixed)
+        disp = solve_displacement(k + _springs(g, sel), f, fixed, g.nel_axis)
         m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
         if u_prev is not None:
             assert abs(m.u_out) <= abs(u_prev) + 1e-12

@@ -1,10 +1,12 @@
 """Outer-loop behavior on small problems: initialization, constraints, runs."""
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from pneumotop import optimizer, problem
+from pneumotop import io, linalg, optimizer, problem, runner
 from pneumotop.errors import ConfigError
 from pneumotop.model import Model
 from pneumotop.optimizer import (
@@ -193,3 +195,36 @@ def test_full_convergence_exit_state(tiny_spec):
     assert max(last.g) <= 1e-6
     assert last.change < 0.01
     assert result.beta_final == spec.filter.beta_p_max
+
+
+def _backward_error(a, x, b):
+    """||b - A x|| / (||A||_1 ||x|| + ||b||), as the benchmark checks it."""
+    a = sparse.csr_matrix(a)
+    norm1 = np.abs(a).sum(axis=0).max()
+    return np.linalg.norm(b - a @ x) / (norm1 * np.linalg.norm(x) + np.linalg.norm(b))
+
+
+def test_refined_gripper3d_smoke(tmp_path):
+    # gripper3d at twice the resolution: 48x24x24 elements, 91,875
+    # displacement DOFs, four multigrid levels; impractical for sparse LU
+    spec = problem.load_problem("gripper3d", max_iters=3)
+    grid = replace(spec.grid, nel=tuple(2 * n for n in spec.grid.nel), h=spec.grid.h / 2)
+    spec = replace(spec, grid=grid)
+    runner.optimize_problem(spec, tmp_path)
+    with open(tmp_path / "history.csv", newline="") as fh:
+        f = [float(row["f"]) for row in csv.DictReader(fh)]
+    assert len(f) == 3 and f[-1] < f[0]
+
+    model = Model(spec)
+    assert model.grid.n_disp_dofs == 91_875
+    state = model.forward(io.load_design(tmp_path / "design.json")[1])
+    assert len(state.disp.lu.prolongations) == 3
+
+    p, pf = state.pressure.p, state.pressure
+    a_f = sparse.csr_matrix(state.flow.A)[pf.free_dofs]
+    b = -(a_f[:, pf.fixed_dofs] @ p[pf.fixed_dofs])
+    assert _backward_error(a_f[:, pf.free_dofs], p[pf.free_dofs], b) <= linalg.RESIDUAL_TOL
+    u, free = state.disp.u, state.disp.free_dofs
+    assert np.all(u[model.fixed_u_dofs] == 0.0)
+    k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
+    assert _backward_error(k, u[free], state.force[free]) <= linalg.RESIDUAL_TOL

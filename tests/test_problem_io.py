@@ -237,15 +237,19 @@ def test_history_csv_single_constraint_leaves_columns_empty(tmp_path):
     assert row[2] != "" and row[3] == "" and row[4] == ""
 
 
-@pytest.mark.parametrize("case", ["pneunet2d", "finger2d"])
+@pytest.mark.parametrize("case", ["pneunet2d", "finger2d", "gripper3d"])
 def test_sweep_matches_per_point_forward(case, request):
     # the first row is a plain forward solve; the others go through its LU
-    # with a rank-r spring update and must agree with a solve per point
+    # with a rank-r spring update (2-D) or a multigrid system of their own
+    # (3-D) and must agree with a solve per point
+    sweep = list(runner.DEFAULT_SWEEP)
     if case == "pneunet2d":
         design = request.getfixturevalue("pneunet_design_path")
-    else:
+    elif case == "finger2d":
         design = request.getfixturevalue("finger2d_run")["out"] / "design_sealed.json"
-    sweep = list(runner.DEFAULT_SWEEP)
+    else:
+        design = request.getfixturevalue("gripper3d_run")["out"] / "design.json"
+        sweep = sweep[::4]
     rows = runner.evaluate_design(design, case, sweep=sweep)
     model = Model(problem.load_problem(case))
     rho = io.load_design(design)[1]
