@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,8 +92,7 @@ def _run_case(case: ComparisonCase, sweep, out_dir) -> dict:
     return {"label": case.label, "design": str(design_path), "rows": rows}
 
 
-def _case_worker(args):
-    case, sweep, out_dir = args
+def _case_worker(case: ComparisonCase, sweep, out_dir) -> dict:
     try:
         return _run_case(case, sweep, out_dir)
     except PneumotopError as exc:
@@ -104,17 +102,13 @@ def _case_worker(args):
         return {"label": case.label, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run_suite(cases, out_dir, sweep=None, threads: int = 1) -> dict:
+def run_suite(cases, out_dir, sweep=None) -> dict:
     """Run all cases, merge by label order, and write the comparison tables."""
     sweep = list(runner.DEFAULT_SWEEP) if sweep is None else [float(v) for v in sweep]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_case_worker, [(c, sweep, out) for c in cases]))
-    else:
-        results = [_case_worker((c, sweep, out)) for c in cases]
+    results = [_case_worker(c, sweep, out) for c in cases]
 
     ok = [r for r in results if "rows" in r]
     failed = {r["label"]: r["error"] for r in results if "error" in r}

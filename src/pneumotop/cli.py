@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a comparison suite")
     p_bench.add_argument("suite", help="suite definition file")
     p_bench.add_argument("--out-dir", default="bench_out")
-    p_bench.add_argument("--threads", type=int, default=1)
 
     p_fix = sub.add_parser("fixtures", help="export packaged fixture problems")
     p_fix.add_argument("--out-dir", default="fixtures")
@@ -113,9 +112,7 @@ def cmd_export(args) -> int:
 
 def cmd_bench(args) -> int:
     cases, sweep = bench.load_suite(args.suite)
-    summary = bench.run_suite(
-        cases, args.out_dir, sweep=sweep, threads=args.threads
-    )
+    summary = bench.run_suite(cases, args.out_dir, sweep=sweep)
     print(f"suite complete: {len(summary['cases'])} cases, "
           f"{len(summary['failed'])} failed")
     return 0 if not summary["failed"] else 1

@@ -142,9 +142,6 @@ class Grid:
             eid = eid * self.nel_axis[ax] + ijk[ax]
         return int(eid)
 
-    def disp_dof(self, node: int, comp: int) -> int:
-        return self.dim * node + comp
-
 
 def build_grid(spec: GridSpec) -> Grid:
     """Construct the grid with deterministic lexicographic numbering."""

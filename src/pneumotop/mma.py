@@ -2,9 +2,11 @@
 
 Minimizes f(x) subject to g_i(x) <= 0 and box bounds by solving a separable
 convex approximation each iteration. Asymptotes contract under oscillation
-and relax under steady progress; the convex subproblem is solved with a
-primal-dual Newton interior-point method on its dual-augmented form, which
-is always feasible thanks to elastic constraint variables.
+and relax under steady progress. Elastic constraint variables y keep the
+subproblem feasible. It is solved through its dual (Svanberg 1987, IJNME
+24:359): for multipliers lam >= 0 of the m constraints, each x_j and y_i
+has a closed form, so the dual is a concave function of m variables, which
+projected Newton steps maximize at O(n m) cost per step.
 
 A step that turns out to raise the true objective can be re-solved more
 conservatively with ``MMA.conservative_step``: the objective approximation's
@@ -28,6 +30,13 @@ ASYDECR = 0.7      # asymptote narrowing under oscillation
 ALBEFA = 0.1       # fraction of the asymptote distance the step bounds keep
 RAA0 = 1e-5        # floor of the approximations' curvature term
 C_PENALTY = 1e4    # cost of the elastic constraint variables
+# The dual solve stops once every component of the dual gradient that is
+# not held at lam = 0 is within DUAL_TOL (1 + lam) of zero: the y term's
+# roundoff grows with lam.
+DUAL_TOL = 1e-12
+DUAL_MAX_ITERS = 50
+DUAL_MAX_HALVINGS = 60     # step halvings per Newton step
+BOUND_CURVATURE = 1e-6     # share of its curvature a bound variable keeps
 
 
 @dataclass
@@ -98,11 +107,7 @@ class MMA:
         dgdx: np.ndarray,
         move: float | None = None,
     ) -> np.ndarray:
-        """One MMA step; returns the new design within move limits and [0, 1].
-
-        If the subproblem fails at the full move limit it is solved again,
-        with the same asymptotes, at half of it.
-        """
+        """One MMA step; returns the new design within move limits and [0, 1]."""
         x = np.asarray(x, dtype=float)
         df0dx = np.asarray(df0dx, dtype=float)
         g = np.atleast_1d(np.asarray(g, dtype=float))
@@ -115,9 +120,9 @@ class MMA:
             self._sub = None
             return x.copy()
 
-        # The subproblem optimum is invariant to the objective's scale, but
-        # the interior-point tolerances are absolute; normalize so residual
-        # magnitudes stay O(1) whatever the caller's objective units are.
+        # RAA0 and C_PENALTY are in units of the normalized objective
+        # gradient, as is the 0.001 (p + q) term they are weighed against;
+        # normalizing makes the step independent of the objective's units.
         scale = max(np.abs(df0dx).max(), 1.0)
 
         self.iteration += 1
@@ -177,148 +182,72 @@ class MMA:
         return low, upp
 
     def _solve(self, sub: _Subproblem) -> np.ndarray:
-        """Solve ``sub`` at its move limit, retrying once at half of it."""
-        xnew = self._solve_at(sub, sub.move)
-        if xnew is None:
-            sub.move /= 2.0
-            xnew = self._solve_at(sub, sub.move)
-        if xnew is None:
-            raise SolveError("MMA subproblem failed to converge after move-limit retry")
-        return xnew
-
-    def _solve_at(self, sub: _Subproblem, move):
         x, low, upp = sub.x, sub.low, sub.upp
-        alfa = np.maximum(np.maximum(low + ALBEFA * (x - low), x - move), 0.0)
-        beta = np.minimum(np.minimum(upp - ALBEFA * (upp - x), x + move), 1.0)
+        alfa = np.maximum(np.maximum(low + ALBEFA * (x - low), x - sub.move), 0.0)
+        beta = np.minimum(np.minimum(upp - ALBEFA * (upp - x), x + sub.move), 1.0)
         p0, q0 = sub.objective_terms()
         pp, qq = _convex_terms(sub.dgdx, RAA0, sub)
         b = pp @ (1.0 / (upp - x)) + qq @ (1.0 / (x - low)) - sub.g
         return _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b)
 
 
-def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b, epsimin=1e-9):
-    """Primal-dual interior-point solve of the separable MMA subproblem.
+def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b):
+    """Solve the separable MMA subproblem through its dual; returns its x.
 
-    Returns the optimal x, or None if the Newton iteration stalls.
+    The subproblem minimizes sum(p0/(upp-x) + q0/(x-low)) + sum(C_PENALTY y
+    + y^2/2) subject to pp@(1/(upp-x)) + qq@(1/(x-low)) - y <= b, alfa <= x
+    <= beta and y >= 0. For multipliers lam >= 0 its Lagrangian has the
+    minimizer x(lam), y(lam) in closed form, and the dual is concave in
+    lam, with gradient the constraint residual at x(lam), y(lam). Projected
+    Newton steps maximize it until the stopping test of ``DUAL_TOL`` holds;
+    raises SolveError if that takes more than ``DUAL_MAX_ITERS`` steps or a
+    step cannot be made.
     """
-    n = low.size
-    m = b.size
-    a0 = 1.0
-    a = np.zeros(m)
-    c = np.full(m, C_PENALTY)
-    d = np.ones(m)
-
-    x = 0.5 * (alfa + beta)
-    y = np.ones(m)
-    z = 1.0
-    lam = np.ones(m)
-    xsi = np.maximum(1.0 / (x - alfa), 1.0)
-    eta = np.maximum(1.0 / (beta - x), 1.0)
-    mu = np.maximum(1.0, 0.5 * c)
-    zet = 1.0
-    s = np.ones(m)
-
-    def residuals(x, y, z, lam, xsi, eta, mu, zet, s, epsi):
-        ux1 = upp - x
-        xl1 = x - low
+    def at(lam):
+        """x(lam), the dual gradient and the negated dual Hessian at lam."""
         plam = p0 + lam @ pp
         qlam = q0 + lam @ qq
-        gvec = pp @ (1.0 / ux1) + qq @ (1.0 / xl1)
-        dpsidx = plam / ux1**2 - qlam / xl1**2
-        rex = dpsidx - xsi + eta
-        rey = c + d * y - mu - lam
-        rez = a0 - zet - a @ lam
-        relam = gvec - a * z - y + s - b
-        rexsi = xsi * (x - alfa) - epsi
-        reeta = eta * (beta - x) - epsi
-        remu = mu * y - epsi
-        rezet = zet * z - epsi
-        res = lam * s - epsi
-        full = np.concatenate(
-            [rex, rey, [rez], relam, rexsi, reeta, remu, [rezet], res]
-        )
-        return np.linalg.norm(full), np.abs(full).max()
+        sp, sq = np.sqrt(plam), np.sqrt(qlam)
+        x_free = (sp * low + sq * upp) / (sp + sq)
+        x = np.clip(x_free, alfa, beta)
+        ux, xl = upp - x, x - low
+        y = np.maximum(lam - C_PENALTY, 0.0)
+        grad = pp @ (1.0 / ux) + qq @ (1.0 / xl) - y - b
+        # dx/dlam = -dgdx / curvature for a free variable and 0 for one at a
+        # bound; bound variables keep a small share of theirs so that the
+        # matrix stays regular when every variable is at a bound.
+        dgdx = pp / ux**2 - qq / xl**2
+        curvature = 2.0 * (plam / ux**3 + qlam / xl**3)
+        weight = np.where(x == x_free, 1.0, BOUND_CURVATURE) / curvature
+        newton = (dgdx * weight) @ dgdx.T + np.diag((lam > C_PENALTY).astype(float))
+        return x, grad, newton
 
-    epsi = 1.0
-    while epsi > epsimin:
-        resinorm, resimax = residuals(x, y, z, lam, xsi, eta, mu, zet, s, epsi)
-        for _ in range(200):
-            if resimax <= 0.9 * epsi:
+    lam = np.zeros(b.size)
+    x, grad, newton = at(lam)
+    for _ in range(DUAL_MAX_ITERS):
+        # Components held at lam = 0 by a negative gradient are optimal.
+        open_ = (lam > 0.0) | (grad > 0.0)
+        if np.all(np.abs(grad[open_]) <= DUAL_TOL * (1.0 + lam[open_])):
+            return x
+        step = np.zeros_like(lam)
+        try:
+            step[open_] = np.linalg.solve(newton[np.ix_(open_, open_)], grad[open_])
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(f"MMA dual Newton matrix is singular ({exc})") from exc
+        t = 1.0
+        for _ in range(DUAL_MAX_HALVINGS):
+            lam_t = np.maximum(lam + t * step, 0.0)
+            trial = at(lam_t)
+            # By concavity the dual did not fall if its gradient at the
+            # end of the step still points along the step.
+            if trial[1] @ (lam_t - lam) >= 0.0:
                 break
-            ux1 = upp - x
-            xl1 = x - low
-            ux2 = ux1**2
-            xl2 = xl1**2
-            ux3 = ux1 * ux2
-            xl3 = xl1 * xl2
-            plam = p0 + lam @ pp
-            qlam = q0 + lam @ qq
-            gvec = pp @ (1.0 / ux1) + qq @ (1.0 / xl1)
-            gg = pp / ux2[None, :] - qq / xl2[None, :]
-            dpsidx = plam / ux2 - qlam / xl2
-            delx = dpsidx - epsi / (x - alfa) + epsi / (beta - x)
-            dely = c + d * y - lam - epsi / y
-            delz = a0 - a @ lam - epsi / z
-            dellam = gvec - a * z - y - b + epsi / lam
-            diagx = 2.0 * (plam / ux3 + qlam / xl3)
-            diagx += xsi / (x - alfa) + eta / (beta - x)
-            diagy = d + mu / y
-            diaglam = s / lam
-            diaglamyi = diaglam + 1.0 / diagy
-
-            blam = dellam + dely / diagy - gg @ (delx / diagx)
-            alam = np.diag(diaglamyi) + (gg / diagx[None, :]) @ gg.T
-            aa = np.zeros((m + 1, m + 1))
-            aa[:m, :m] = alam
-            aa[:m, m] = a
-            aa[m, :m] = a
-            aa[m, m] = -zet / z
-            bb = np.concatenate([blam, [delz]])
-            try:
-                solut = np.linalg.solve(aa, bb)
-            except np.linalg.LinAlgError:
-                return None
-            dlam = solut[:m]
-            dz = solut[m]
-            dx = -delx / diagx - (dlam @ gg) / diagx
-            dy = -dely / diagy + dlam / diagy
-            dxsi = -xsi + epsi / (x - alfa) - (xsi * dx) / (x - alfa)
-            deta = -eta + epsi / (beta - x) + (eta * dx) / (beta - x)
-            dmu = -mu + epsi / y - (mu * dy) / y
-            dzet = -zet + epsi / z - zet * dz / z
-            ds = -s + epsi / lam - (s * dlam) / lam
-
-            xx = np.concatenate([y, [z], lam, xsi, eta, mu, [zet], s])
-            dxx = np.concatenate([dy, [dz], dlam, dxsi, deta, dmu, [dzet], ds])
-            stepxx = -1.01 * dxx / xx
-            stepalfa = -1.01 * dx / (x - alfa)
-            stepbeta = 1.01 * dx / (beta - x)
-            stminv = max(stepxx.max(), stepalfa.max(), stepbeta.max(), 1.0)
-            steg = 1.0 / stminv
-
-            xold, yold, zold = x, y, z
-            lamold, xsiold, etaold = lam, xsi, eta
-            muold, zetold, sold = mu, zet, s
-            ok = False
-            for _ in range(50):
-                x = xold + steg * dx
-                y = yold + steg * dy
-                z = zold + steg * dz
-                lam = lamold + steg * dlam
-                xsi = xsiold + steg * dxsi
-                eta = etaold + steg * deta
-                mu = muold + steg * dmu
-                zet = zetold + steg * dzet
-                s = sold + steg * ds
-                newnorm, newmax = residuals(x, y, z, lam, xsi, eta, mu, zet, s, epsi)
-                if newnorm < 2.0 * resinorm:
-                    ok = True
-                    break
-                steg *= 0.5
-            if not ok:
-                return None
-            resinorm, resimax = newnorm, newmax
+            t *= 0.5
         else:
-            return None
-        epsi *= 0.1
-    return x
+            raise SolveError("MMA dual solve stalled in its step search")
+        lam = lam_t
+        x, grad, newton = trial
+    raise SolveError(
+        f"MMA dual solve did not converge in {DUAL_MAX_ITERS} Newton steps "
+        f"(dual gradient {np.abs(grad).max():.3g})"
+    )

@@ -48,8 +48,11 @@ def test_dof_numbering_bijection():
     # node -> ijk -> node round trip is the identity
     for node in range(g.nnodes):
         assert g.node_index(g.node_ijk[node]) == node
-    dofs = [g.disp_dof(n, c) for n in range(g.nnodes) for c in range(3)]
-    assert sorted(dofs) == list(range(g.n_disp_dofs))
+    # the element DOF map numbers component c of node n as 3 n + c, and
+    # together the elements cover every displacement DOF
+    edof = g.edof_u.reshape(g.nelem, g.nen, 3)
+    assert np.array_equal(edof, 3 * g.conn[:, :, None] + np.arange(3))
+    assert np.array_equal(np.unique(g.edof_u), np.arange(g.n_disp_dofs))
 
 
 def test_connectivity_coords():

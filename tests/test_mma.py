@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from pneumotop import mma as mma_module
 from pneumotop.errors import SolveError
-from pneumotop.mma import MMA
+from pneumotop.mma import ALBEFA, C_PENALTY, MMA, RAA0, _convex_terms, _Subproblem, _subsolve
 
 
 def test_active_constraint_toy():
@@ -141,3 +142,53 @@ def test_conservative_step_keeps_asymptotes_and_history():
 def test_conservative_step_without_update_raises():
     with pytest.raises(SolveError, match="no subproblem"):
         MMA(2, 1).conservative_step(np.array([0.5, 0.5]), 1.0)
+
+
+def _flat_subproblem(n=3000, seed=0):
+    """The arguments of ``_subsolve`` for one volume-like constraint
+    (m = 1) that binds, flat objective gradients of about 1e-3 around a
+    random x, asymptotes at +-0.5 and a move limit of 0.2."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.2, 0.8, n)
+    dgdx = np.full((1, n), 2.0 / n)
+    sub = _Subproblem(
+        x=x, df0dx=-1e-3 * rng.uniform(0.5, 1.5, n), g=np.array([x.mean() / 0.5 - 1.0]),
+        dgdx=dgdx, low=x - 0.5, upp=x + 0.5, move=0.2, scale=1.0, raa0=RAA0,
+    )
+    alfa = np.maximum(np.maximum(sub.low + ALBEFA * (x - sub.low), x - sub.move), 0.0)
+    beta = np.minimum(np.minimum(sub.upp - ALBEFA * (sub.upp - x), x + sub.move), 1.0)
+    p0, q0 = sub.objective_terms()
+    pp, qq = _convex_terms(dgdx, RAA0, sub)
+    b = pp @ (1.0 / (sub.upp - x)) + qq @ (1.0 / (x - sub.low)) - sub.g
+    return sub.low, sub.upp, alfa, beta, p0, q0, pp, qq, b
+
+
+def test_subsolve_matches_bisection_on_the_dual():
+    low, upp, alfa, beta, p0, q0, pp, qq, b = args = _flat_subproblem()
+
+    def x_of(lam):
+        sp, sq = np.sqrt(p0 + lam * pp[0]), np.sqrt(q0 + lam * qq[0])
+        return np.clip((sp * low + sq * upp) / (sp + sq), alfa, beta)
+
+    def dual_gradient(lam):  # falls monotonically in lam
+        x = x_of(lam)
+        return float(pp[0] @ (1.0 / (upp - x)) + qq[0] @ (1.0 / (x - low))
+                     - max(lam - C_PENALTY, 0.0) - b[0])
+
+    assert dual_gradient(0.0) > 0.0  # the constraint binds
+    lo, hi = 0.0, 1.0
+    while dual_gradient(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if dual_gradient(mid) > 0.0 else (lo, mid)
+    x_ref = x_of(0.5 * (lo + hi))
+    assert np.max(np.abs(_subsolve(*args) - x_ref)) <= 1e-9
+
+
+def test_subsolve_out_of_iterations_raises(monkeypatch):
+    monkeypatch.setattr(mma_module, "DUAL_MAX_ITERS", 1)
+    with pytest.raises(SolveError, match="did not converge"):
+        _subsolve(*_flat_subproblem())

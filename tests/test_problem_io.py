@@ -199,7 +199,8 @@ def test_design_rounding_outside_unit_interval_loads(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["optimize", "finger2d"],
     ["evaluate", "design.json", "pneunet2d"],
-], ids=["optimize", "evaluate"])
+    ["bench", "suite.json"],
+], ids=["optimize", "evaluate", "bench"])
 def test_verb_has_no_threads_option(argv):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([*argv, "--threads", "2"])
