@@ -65,10 +65,9 @@ def _neighbor_table(grid: Grid) -> np.ndarray:
             shifted = grid.elem_ijk.copy()
             shifted[:, ax] += delta
             ok = (shifted[:, ax] >= 0) & (shifted[:, ax] < nel[ax])
-            flat = shifted[ok, -1]
-            for a2 in range(grid.dim - 2, -1, -1):
-                flat = flat * grid.nel_axis[a2] + shifted[ok, a2]
-            nbrs[ok, 2 * ax + side] = flat
+            nbrs[ok, 2 * ax + side] = np.ravel_multi_index(
+                tuple(shifted[ok].T), grid.nel_axis, order="F"
+            )
     return nbrs
 
 

@@ -80,6 +80,11 @@ _CORNER_OFFSETS = {
 }
 
 
+def _lattice(shape: tuple[int, ...]) -> np.ndarray:
+    """Integer coordinates of every point of a ``shape`` lattice, x fastest."""
+    return np.stack(np.unravel_index(np.arange(np.prod(shape)), shape, order="F"), axis=-1)
+
+
 class Grid:
     """Geometry, connectivity, and DOF maps for a structured grid."""
 
@@ -94,15 +99,17 @@ class Grid:
         self.n_disp_dofs = self.dim * self.nnodes
         self.element_volume = spec.h**spec.dim
 
-        self.node_ijk = self._unravel(np.arange(self.nnodes), self.nnod_axis)
+        self.node_ijk = _lattice(self.nnod_axis)
         self.coords = self.node_ijk * spec.h
-        self.elem_ijk = self._unravel(np.arange(self.nelem), self.nel_axis)
+        self.elem_ijk = _lattice(self.nel_axis)
         self.centroids = (self.elem_ijk + 0.5) * spec.h
 
         offsets = _CORNER_OFFSETS[self.dim]
         self.nen = offsets.shape[0]
         corner_ijk = self.elem_ijk[:, None, :] + offsets[None, :, :]
-        self.conn = self._node_id(corner_ijk)
+        self.conn = np.ravel_multi_index(
+            tuple(np.moveaxis(corner_ijk, -1, 0)), self.nnod_axis, order="F"
+        )
 
         comps = np.arange(self.dim)
         self.edof_u = (
@@ -115,32 +122,6 @@ class Grid:
             for ax in range(self.dim)
             for side in (0, 1)
         }
-
-    @staticmethod
-    def _unravel(idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.empty(idx.shape + (len(shape),), dtype=np.int64)
-        rem = idx
-        for ax, n in enumerate(shape):
-            out[..., ax] = rem % n
-            rem = rem // n
-        return out
-
-    def _node_id(self, ijk: np.ndarray) -> np.ndarray:
-        nid = ijk[..., -1]
-        for ax in range(self.dim - 2, -1, -1):
-            nid = nid * self.nnod_axis[ax] + ijk[..., ax]
-        return nid
-
-    def node_index(self, ijk) -> int:
-        """Node id from integer lattice coordinates (inverse of node_ijk)."""
-        return int(self._node_id(np.asarray(ijk, dtype=np.int64)))
-
-    def elem_index(self, ijk) -> int:
-        ijk = np.asarray(ijk, dtype=np.int64)
-        eid = ijk[-1]
-        for ax in range(self.dim - 2, -1, -1):
-            eid = eid * self.nel_axis[ax] + ijk[ax]
-        return int(eid)
 
 
 def build_grid(spec: GridSpec) -> Grid:
@@ -245,10 +226,8 @@ class Neighborhoods:
     the same matrix with rows scaled to sum to one.
     """
 
-    r_min: float
     weights: sparse.csr_matrix
-    row_sums: np.ndarray
-    normalized: sparse.csr_matrix = field(repr=False, default=None)
+    normalized: sparse.csr_matrix = field(repr=False)
 
 
 def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
@@ -256,10 +235,7 @@ def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
     if not r_min > 0:
         raise ConfigError(f"filter radius must be > 0, got {r_min}")
     reach = int(np.ceil(r_min / grid.h))
-    offsets = Grid._unravel(
-        np.arange((2 * reach + 1) ** grid.dim),
-        (2 * reach + 1,) * grid.dim,
-    ) - reach
+    offsets = _lattice((2 * reach + 1,) * grid.dim) - reach
     dist = np.linalg.norm(offsets, axis=1) * grid.h
     keep = r_min - dist > 0
     offsets, wvals = offsets[keep], (r_min - dist)[keep]
@@ -271,11 +247,8 @@ def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
         valid = np.all(
             (shifted >= 0) & (shifted < np.array(grid.nel_axis)), axis=1
         )
-        nbr = shifted[valid, -1]
-        for ax in range(grid.dim - 2, -1, -1):
-            nbr = nbr * grid.nel_axis[ax] + shifted[valid, ax]
         rows.append(eids[valid])
-        cols.append(nbr)
+        cols.append(np.ravel_multi_index(tuple(shifted[valid].T), grid.nel_axis, order="F"))
         vals.append(np.full(valid.sum(), w))
 
     weights = sparse.coo_matrix(
@@ -284,4 +257,4 @@ def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
     ).tocsr()
     row_sums = np.asarray(weights.sum(axis=1)).ravel()
     normalized = sparse.diags(1.0 / row_sums) @ weights
-    return Neighborhoods(r_min, weights, row_sums, normalized.tocsr())
+    return Neighborhoods(weights, normalized.tocsr())

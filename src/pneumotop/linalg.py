@@ -8,13 +8,15 @@ ones, which raises the attainable residual floor to eps * ||A|| * ||x||
 regardless of solver quality.
 
 ``solve_dirichlet`` is the one entry point: it reduces a grid system to its
-free DOFs and solves it by sparse LU with iterative refinement, or, on 3-D
-grids whose element counts all halve, by conjugate gradients preconditioned
-with a geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On
-multigrid-CG for efficient topology optimization", SMO 49:815). Both paths
-keep the same contract.
+free DOFs and solves it, on 2-D grids, by sparse LU with iterative
+refinement, and on 3-D grids by conjugate gradients preconditioned with a
+geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG for
+efficient topology optimization", SMO 49:815). Both paths keep the same
+contract.
 """
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 from scipy import linalg, sparse
@@ -32,6 +34,9 @@ CG_TOL = 1e-12
 CG_MAX_ITERS = 500
 JACOBI_OMEGA = 0.6
 SMOOTHING_SWEEPS = 2
+# Multigrid halves every axis while each has at least this many elements;
+# the coarsest level (6x3x3 elements on gripper3d) is solved by LU.
+MIN_COARSENED_ELEMS = 4
 
 
 def _norm1(a) -> float:
@@ -66,9 +71,8 @@ def solve_dirichlet(a, f, fixed, values, nel, context: str):
     free = np.setdiff1d(np.arange(n), fixed)
     a_f = a.tocsc()[free]
     b = np.asarray(f, dtype=float)[free] - a_f[:, fixed] @ values
-    prolongations = _prolongations(nel, n, free) if len(nel) == 3 else []
-    if prolongations:
-        system = MultigridSystem(a_f[:, free], prolongations, context=context)
+    if len(nel) == 3:
+        system = MultigridSystem(a_f[:, free], _prolongations(nel, n, free), context=context)
     else:
         system = FactorizedSystem(a_f[:, free], context=context)
     x = np.zeros(n)
@@ -145,7 +149,8 @@ class MultigridSystem(FactorizedSystem):
 
     ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``); the
     coarse operators are the Galerkin products ``Pᵀ A P``, smoothed by damped
-    Jacobi and solved directly on the coarsest level."""
+    Jacobi and solved directly on the coarsest level. With no prolongations
+    the V-cycle is that direct solve, and CG converges in one step."""
 
     def __init__(self, a, prolongations, context: str = "linear system"):
         self.a = a.tocsr()
@@ -194,37 +199,46 @@ class MultigridSystem(FactorizedSystem):
         return x
 
     def rank_updates(self, u, coefficients):
-        """Yield a multigrid system on ``a + c U Uᵀ`` for each c, on this
-        system's prolongations. (Woodbury's ``Z = A⁻¹ U`` would cost r
-        preconditioned solves, one per output node.)"""
+        """Yield this system with ``a + c U Uᵀ`` as CG's operator for each c,
+        preconditioned by the V-cycle of ``a``: a rank-r change adds at most
+        r CG iterations in exact arithmetic, and no hierarchy is rebuilt.
+        (Woodbury's ``Z = A⁻¹ U`` would cost r preconditioned solves, one per
+        output node.)"""
         for c in coefficients:
-            a = self.a + c * (u @ u.T)
-            yield MultigridSystem(a, self.prolongations, context=self.context)
+            system = copy.copy(self)
+            system.a = (self.a + c * (u @ u.T)).tocsr()
+            system.norm1 = _norm1(system.a)
+            yield system
 
 
-def _prolongation_1d(n_coarse: int) -> sparse.csr_matrix:
-    """Linear interpolation from ``n_coarse + 1`` nodes to ``2 n_coarse + 1``."""
-    c, mid = np.arange(n_coarse + 1), np.arange(n_coarse)
-    rows = np.concatenate([2 * c, 2 * mid + 1, 2 * mid + 1])
-    cols = np.concatenate([c, mid, mid + 1])
-    vals = np.concatenate([np.ones(c.size), np.full(2 * n_coarse, 0.5)])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n_coarse + 1, c.size))
+def _prolongation_1d(n: int) -> sparse.csr_matrix:
+    """Linear interpolation onto the ``n + 1`` nodes of ``n`` elements from
+    the ``ceil(n / 2) + 1`` nodes of twice as long ones: fine node 2i takes
+    coarse node i, and fine node 2i + 1 the mean of coarse nodes i and i + 1.
+    For odd n the last coarse node lies one element past the end."""
+    fine = np.arange(n + 1)
+    even, odd = fine[::2], fine[1::2]
+    rows = np.concatenate([even, odd, odd])
+    cols = np.concatenate([even // 2, odd // 2, odd // 2 + 1])
+    vals = np.concatenate([np.ones(even.size), np.full(2 * odd.size, 0.5)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, (n + 1) // 2 + 1))
 
 
 def _prolongations(nel, n_dofs: int, free: np.ndarray) -> list:
     """Trilinear prolongations of node-major DOFs, one per halving of every
-    axis of ``nel`` (none if some count is odd). Each interpolates the kept
-    DOFs of the next coarser level onto the kept DOFs of its level; the
-    finest level keeps ``free``, a coarser one every DOF that some kept finer
-    DOF interpolates from."""
+    axis of ``nel`` (rounding up) while every axis has at least
+    MIN_COARSENED_ELEMS elements. Each interpolates the kept DOFs of the
+    next coarser level onto the kept DOFs of its level; the finest level
+    keeps ``free``, a coarser one every DOF that some kept finer DOF
+    interpolates from."""
     nel = list(nel)
     dofs_per_node = n_dofs // int(np.prod([m + 1 for m in nel]))
     keep, out = free, []
-    while all(m % 2 == 0 for m in nel):
-        nel = [m // 2 for m in nel]
+    while min(nel) >= MIN_COARSENED_ELEMS:
         p = sparse.identity(dofs_per_node, format="csr")
         for m in nel:  # x varies fastest, so it is the innermost factor
             p = sparse.kron(_prolongation_1d(m), p, format="csr")
+        nel = [(m + 1) // 2 for m in nel]
         p = p[keep]
         keep = np.flatnonzero(p.getnnz(axis=0))
         out.append(p[:, keep].tocsr())

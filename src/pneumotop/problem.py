@@ -297,11 +297,11 @@ def parse_problem(raw: dict, default_name: str = "problem") -> ProblemSpec:
         raise ConfigError("problem file is invalid:\n" + "\n".join(lines))
 
     g = raw["grid"]
-    grid_spec = GridSpec(dim=g["dim"], nel=tuple(g["nel"]), h=g["h_m"])
     if len(g["nel"]) != g["dim"]:
         raise ConfigError(
             f"$.grid.nel: expected {g['dim']} entries, got {len(g['nel'])}"
         )
+    grid_spec = GridSpec(dim=g["dim"], nel=tuple(g["nel"]), h=g["h_m"])
 
     m = raw["materials"]
     mats = MaterialSet(

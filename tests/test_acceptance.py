@@ -16,6 +16,8 @@ from pneumotop.grid import BoundaryRegion, GridSpec, build_grid, select_region
 from pneumotop.materials import FlowParams, MaterialSet, interpolate_modulus
 from pneumotop.model import Model
 
+from gridindex import elem_index, node_index
+
 
 def _report(num, text):
     print(f"\n[criterion {num:2d}] PASS - {text}")
@@ -63,7 +65,7 @@ def test_criterion_02_darcy_one_d_analytic():
     rho = np.zeros(g11.nelem)
     rho[5] = 1.0
     pf2 = solve_pressure(FlowAssembler(g11).assemble(rho, fp), inlet11, drain11)
-    drop = pf2.p[g11.node_index((5, 0))] - pf2.p[g11.node_index((6, 0))]
+    drop = pf2.p[node_index(g11, (5, 0))] - pf2.p[node_index(g11, (6, 0))]
     assert drop / 5e4 >= 0.9999
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -185,10 +187,10 @@ def test_criterion_06_sealing(finger2d_run):
     drain = select_region(g, BoundaryRegion("pressure_drain", ((10, 0), (10, 10)))).faces
     rho1 = np.zeros(g.nelem)
     rho1[g.elem_ijk[:, 0] == 5] = 1.0
-    rho1[g.elem_index((5, 7))] = 0.0
+    rho1[elem_index(g, (5, 7))] = 0.0
     rep = closure.check_sealed(rho1, g, inlet, drain)
     assert not rep.sealed
-    assert g.elem_index((5, 7)) in rep.leak_path
+    assert elem_index(g, (5, 7)) in rep.leak_path
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(

@@ -94,18 +94,20 @@ def _fd_assert(model, design, beta, spec, rng):
                 )
 
 
-def _instance_3d():
-    """An 8x4x4 block, so that the solves take the multigrid path."""
+def _instance_3d(nel):
+    """A block of ``nel`` 1 mm elements, clamped at x = 0 and drained at the
+    far end; its solves take the multigrid path."""
+    length, width, height = (n * 0.001 for n in nel)
     raw = {
-        "name": "fd8x4x4",
-        "grid": {"dim": 3, "nel": [8, 4, 4], "h_m": 0.001},
+        "name": "fd" + "x".join(map(str, nel)),
+        "grid": {"dim": 3, "nel": list(nel), "h_m": 0.001},
         "regions": [
-            {"role": "fixed_support", "box_m": [[0, 0, 0], [0, 0.004, 0.004]]},
+            {"role": "fixed_support", "box_m": [[0, 0, 0], [0, width, height]]},
             {"role": "pressure_inlet", "box_m": [[0, 0.002, 0.001], [0, 0.0035, 0.003]]},
-            {"role": "pressure_drain", "box_m": [[0.008, 0, 0], [0.008, 0.004, 0.004]]},
+            {"role": "pressure_drain", "box_m": [[length, 0, 0], [length, width, height]]},
             {
                 "role": "output",
-                "box_m": [[0.008, 0.001, 0.001], [0.008, 0.003, 0.003]],
+                "box_m": [[length, 0.001, 0.001], [length, 0.003, 0.003]],
                 "direction": [0, -1, 0],
                 "k_out_n_per_m": 10.0,
             },
@@ -117,25 +119,29 @@ def _instance_3d():
     return Model(problem.parse_problem(raw))
 
 
+# The last entry is the 3-D grid, or None for the 2-D 8x8 instance; 9x5x4
+# has odd axes, which coarsen past the end of the grid.
 FD_CASES = [
-    ("baseline", True, True, 2),
-    ("baseline", False, True, 2),
-    ("baseline", True, False, 2),
-    ("energy_penalty", True, True, 2),
-    ("energy_penalty", False, True, 2),
-    ("energy_penalty", True, False, 2),
-    ("baseline", True, True, 3),
-    ("energy_penalty", True, True, 3),
+    ("baseline", True, True, None),
+    ("baseline", False, True, None),
+    ("baseline", True, False, None),
+    ("energy_penalty", True, True, None),
+    ("energy_penalty", False, True, None),
+    ("energy_penalty", True, False, None),
+    ("baseline", True, True, (8, 4, 4)),
+    ("energy_penalty", True, True, (8, 4, 4)),
+    ("baseline", True, True, (9, 5, 4)),
 ]
+_3D_IDS = {None: "", (8, 4, 4): "-3d", (9, 5, 4): "-3d-odd"}
 
 
 @pytest.mark.parametrize(
-    "variant,drainage,springs,dim",
+    "variant,drainage,springs,nel",
     FD_CASES,
-    ids=["-".join(map(str, c[:3])) + ("-3d" if c[3] == 3 else "") for c in FD_CASES],
+    ids=["-".join(map(str, c[:3])) + _3D_IDS[c[3]] for c in FD_CASES],
 )
-def test_gradients_match_finite_differences(variant, drainage, springs, dim):
-    model = _instance(drainage=drainage, springs=springs) if dim == 2 else _instance_3d()
+def test_gradients_match_finite_differences(variant, drainage, springs, nel):
+    model = _instance(drainage=drainage, springs=springs) if nel is None else _instance_3d(nel)
     rng = np.random.default_rng(17)
     design = _random_design(model, rng)
     spec = ObjectiveSpec(variant=variant, n=8.0, s=1.0)

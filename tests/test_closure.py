@@ -14,6 +14,8 @@ from pneumotop.grid import (
 )
 from pneumotop.materials import FlowParams, drainage_for_wall
 
+from gridindex import elem_index
+
 PATTERN = np.array([1.0, 0.0, 0.0])
 
 
@@ -52,7 +54,7 @@ def test_flood_fill_pinhole_detected():
     rho1 = np.zeros(g.nelem)
     wall = g.elem_ijk[:, 0] == 5
     rho1[wall] = 1.0
-    hole = g.elem_index((5, 4))
+    hole = elem_index(g, (5, 4))
     rho1[hole] = 0.0
     rep = check_sealed(rho1, g, inlet, drain)
     assert not rep.sealed

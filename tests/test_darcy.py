@@ -12,6 +12,8 @@ from pneumotop.errors import ConfigError
 from pneumotop.grid import BoundaryRegion, GridSpec, build_grid, select_region
 from pneumotop.materials import FlowParams, drainage_for_wall
 
+from gridindex import node_index
+
 FLOW = FlowParams(P_in=5e4)
 
 
@@ -57,8 +59,8 @@ def test_no_coupling_without_shared_nodes():
     g = build_grid(GridSpec(2, (5, 1), 1.0))
     sys = FlowAssembler(g).assemble(np.zeros(g.nelem), FLOW)
     a = sys.A.toarray()
-    n_left = g.node_index((0, 0))
-    n_right = g.node_index((5, 1))
+    n_left = node_index(g, (0, 0))
+    n_right = node_index(g, (5, 1))
     assert a[n_left, n_right] == 0.0  # distant nodes never couple
 
 
@@ -71,7 +73,7 @@ def test_one_d_linear_pressure_profile():
     x = g.coords[:, 0]
     exact = 5e4 * (1.0 - x / 10.0)
     assert np.max(np.abs(pf.p - exact)) <= 1e-6 * 5e4
-    mid = g.node_index((5, 0))
+    mid = node_index(g, (5, 0))
     assert pf.p[mid] == pytest.approx(2.5e4, rel=1e-6)
 
 
@@ -114,8 +116,8 @@ def test_solid_element_takes_nearly_all_pressure_drop():
     sys = FlowAssembler(g).assemble(rho, fp)
     pf = solve_pressure(sys, left, right)
     drop_total = 5e4
-    p_before = pf.p[g.node_index((5, 0))]
-    p_after = pf.p[g.node_index((6, 0))]
+    p_before = pf.p[node_index(g, (5, 0))]
+    p_after = pf.p[node_index(g, (6, 0))]
     assert (p_before - p_after) / drop_total >= 0.9999
 
 

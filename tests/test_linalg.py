@@ -72,17 +72,20 @@ def _reduced(k, fixed, f):
 
 
 def test_multigrid_solve_meets_the_contract():
-    g, k, fixed, f = _elastic_3d()
-    u, free, system = linalg.solve_dirichlet(
-        k, f, fixed, np.zeros(fixed.size), g.nel_axis, context="test system"
-    )
-    assert isinstance(system, linalg.MultigridSystem)
-    assert len(system.prolongations) == 2  # 8x4x4 -> 4x2x2 -> 2x1x1
-    a_ff, b, free_ref = _reduced(k, fixed, f)
-    assert np.array_equal(free, free_ref) and np.all(u[fixed] == 0.0)
-    assert _backward_error(a_ff, u[free], b) <= linalg.RESIDUAL_TOL
-    exact = spsolve(a_ff.tocsc(), b)
-    assert np.linalg.norm(u[free] - exact) <= 1e-8 * np.linalg.norm(exact)
+    # 8x4x4 -> 4x2x2 and 7x5x4 -> 4x3x2: one level each, the odd axes
+    # halving with their last coarse node past the end
+    for nel in ((8, 4, 4), (7, 5, 4)):
+        g, k, fixed, f = _elastic_3d(nel)
+        u, free, system = linalg.solve_dirichlet(
+            k, f, fixed, np.zeros(fixed.size), g.nel_axis, context="test system"
+        )
+        assert isinstance(system, linalg.MultigridSystem)
+        assert len(system.prolongations) == 1
+        a_ff, b, free_ref = _reduced(k, fixed, f)
+        assert np.array_equal(free, free_ref) and np.all(u[fixed] == 0.0)
+        assert _backward_error(a_ff, u[free], b) <= linalg.RESIDUAL_TOL
+        exact = spsolve(a_ff.tocsc(), b)
+        assert np.linalg.norm(u[free] - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
 def test_multigrid_missing_the_contract_raises_and_terminates(monkeypatch):
@@ -106,8 +109,8 @@ def test_multigrid_missing_the_contract_raises_and_terminates(monkeypatch):
 
 @pytest.mark.parametrize("nel,multigrid", [
     ((8, 4), False),
-    ((8, 4, 3), False),
-    ((7, 4, 4), False),
+    ((8, 4, 3), True),
+    ((7, 4, 4), True),
     ((8, 4, 4), True),
     ((2, 2, 2), True),
 ], ids=["2d", "3d-odd-z", "3d-odd-x", "3d-even", "3d-2x2x2"])
@@ -121,6 +124,9 @@ def test_grid_selects_the_solver(nel, multigrid):
     )
     assert isinstance(system, linalg.MultigridSystem) == multigrid
     assert isinstance(system, linalg.FactorizedSystem)
+    if multigrid and min(nel) < linalg.MIN_COARSENED_ELEMS:
+        # no levels: the V-cycle is the coarsest-level LU of the whole system
+        assert system.prolongations == []
 
 
 def test_multigrid_rank_updates_solve_updated_matrix():
@@ -137,7 +143,7 @@ def test_multigrid_rank_updates_solve_updated_matrix():
     b = f[free]
     for c, system in zip(coefficients, base.rank_updates(u, coefficients)):
         assert isinstance(system, linalg.MultigridSystem)
-        assert system.prolongations is base.prolongations
+        assert system._levels is base._levels  # the base V-cycle, not a new hierarchy
         x = system.solve(b)
         a_c = base.a + c * (u @ u.T)
         assert _backward_error(a_c, x, b) <= linalg.RESIDUAL_TOL
@@ -147,14 +153,14 @@ def test_multigrid_rank_updates_solve_updated_matrix():
 
 @pytest.mark.parametrize("dofs_per_node", [1, 3])
 def test_prolongations_reproduce_linear_fields(dofs_per_node):
-    nel = (8, 4, 4)
-    fine, coarse = (build_grid(GridSpec(3, n, h)) for n, h in ((nel, 1.0), ((4, 2, 2), 2.0)))
-    n = dofs_per_node * fine.nnodes
-    (p, _) = linalg._prolongations(nel, n, np.arange(n))
-
     def linear(coords):
         comps = [coords @ [1.0, -2.0, 0.5] + c for c in range(dofs_per_node)]
         return np.stack(comps, axis=1).ravel()
 
-    assert p.shape == (n, dofs_per_node * coarse.nnodes)
-    assert np.allclose(p @ linear(coarse.coords), linear(fine.coords), rtol=0, atol=1e-12)
+    # an odd axis of n elements coarsens to (n + 1) / 2, one past its end
+    for nel, coarse_nel in (((8, 4, 4), (4, 2, 2)), ((7, 5, 4), (4, 3, 2))):
+        fine, coarse = (build_grid(GridSpec(3, m, h)) for m, h in ((nel, 1.0), (coarse_nel, 2.0)))
+        n = dofs_per_node * fine.nnodes
+        (p,) = linalg._prolongations(nel, n, np.arange(n))
+        assert p.shape == (n, dofs_per_node * coarse.nnodes)
+        assert np.allclose(p @ linear(coarse.coords), linear(fine.coords), rtol=0, atol=1e-12)

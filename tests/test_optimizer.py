@@ -1,5 +1,6 @@
 """Outer-loop behavior on small problems: initialization, constraints, runs."""
 import csv
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -228,3 +229,29 @@ def test_refined_gripper3d_smoke(tmp_path):
     assert np.all(u[model.fixed_u_dofs] == 0.0)
     k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
     assert _backward_error(k, u[free], state.force[free]) <= linalg.RESIDUAL_TOL
+
+
+def test_odd_gripper3d_runs_on_multigrid(tmp_path):
+    # gripper3d stretched along x to 25x12x12 elements: the odd axis coarsens
+    # to 13 and 7 elements, each ending one element past the grid
+    raw = json.loads(problem.fixture_path("gripper3d").read_text())
+    nel = (25, 12, 12)
+    stretch = [m / n for m, n in zip(nel, raw["grid"]["nel"])]
+    raw["grid"]["nel"] = list(nel)
+    for region in raw["regions"]:
+        region["box_m"] = [[v * s for v, s in zip(corner, stretch)] for corner in region["box_m"]]
+    raw["optimizer"]["max_iters"] = 2
+    spec = problem.parse_problem(raw)
+    runner.optimize_problem(spec, tmp_path)
+    with open(tmp_path / "history.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
+
+    model = Model(spec)
+    state = model.forward(io.load_design(tmp_path / "design.json")[1])
+    assert isinstance(state.pressure.lu, linalg.MultigridSystem)
+    assert isinstance(state.disp.lu, linalg.MultigridSystem)
+    assert len(state.disp.lu.prolongations) == 2
+    free = state.disp.free_dofs
+    k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
+    u_lu = linalg.FactorizedSystem(k).solve(state.force[free])
+    assert model.l_out[free] @ u_lu == pytest.approx(state.metrics.u_out, rel=1e-8, abs=0)

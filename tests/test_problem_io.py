@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pneumotop import cli, io, problem, runner
+from pneumotop import cli, io, linalg, problem, runner
 from pneumotop.errors import ConfigError
 from pneumotop.fixtures import make_pneunet2d_design
 from pneumotop.grid import GridSpec, build_grid
@@ -37,6 +37,13 @@ def test_missing_inlet_is_named_error():
     raw = tiny_problem_dict()
     raw["regions"] = [r for r in raw["regions"] if r["role"] != "pressure_inlet"]
     with pytest.raises(ConfigError, match="pressure_inlet"):
+        problem.parse_problem(raw)
+
+
+def test_nel_of_the_wrong_length_is_named_error():
+    raw = tiny_problem_dict()
+    raw["grid"]["nel"] = [12, 6, 6]
+    with pytest.raises(ConfigError, match=r"\$\.grid\.nel: expected 2 entries, got 3"):
         problem.parse_problem(raw)
 
 
@@ -239,10 +246,10 @@ def test_history_csv_single_constraint_leaves_columns_empty(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["pneunet2d", "finger2d", "gripper3d"])
-def test_sweep_matches_per_point_forward(case, request):
+def test_sweep_matches_per_point_forward(case, request, monkeypatch):
     # the first row is a plain forward solve; the others go through its LU
-    # with a rank-r spring update (2-D) or a multigrid system of their own
-    # (3-D) and must agree with a solve per point
+    # with a rank-r spring update (2-D) or CG on the updated matrix with its
+    # multigrid preconditioner (3-D) and must agree with a solve per point
     sweep = list(runner.DEFAULT_SWEEP)
     if case == "pneunet2d":
         design = request.getfixturevalue("pneunet_design_path")
@@ -251,7 +258,16 @@ def test_sweep_matches_per_point_forward(case, request):
     else:
         design = request.getfixturevalue("gripper3d_run")["out"] / "design.json"
         sweep = sweep[::4]
+    hierarchies, real_init = [], linalg.MultigridSystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        hierarchies.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.MultigridSystem, "__init__", counting_init)
     rows = runner.evaluate_design(design, case, sweep=sweep)
+    # one flow and one elastic hierarchy for the whole 3-D sweep
+    assert len(hierarchies) == (2 if case == "gripper3d" else 0)
     model = Model(problem.load_problem(case))
     rho = io.load_design(design)[1]
     first = model.forward(rho, k_out=sweep[0]).metrics
