@@ -107,11 +107,13 @@ class Grid:
         offsets = _CORNER_OFFSETS[self.dim]
         self.nen = offsets.shape[0]
         corner_ijk = self.elem_ijk[:, None, :] + offsets[None, :, :]
+        # int32, the index type of scipy's sparse matrices on any grid that
+        # fits in memory, so assembly hands its index arrays over uncopied
         self.conn = np.ravel_multi_index(
             tuple(np.moveaxis(corner_ijk, -1, 0)), self.nnod_axis, order="F"
-        )
+        ).astype(np.int32)
 
-        comps = np.arange(self.dim)
+        comps = np.arange(self.dim, dtype=np.int32)
         self.edof_u = (
             self.dim * self.conn[:, :, None] + comps[None, None, :]
         ).reshape(self.nelem, self.dim * self.nen)

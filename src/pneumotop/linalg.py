@@ -8,11 +8,20 @@ ones, which raises the attainable residual floor to eps * ||A|| * ||x||
 regardless of solver quality.
 
 ``solve_dirichlet`` is the one entry point: it reduces a grid system to its
-free DOFs and solves it, on 2-D grids, by sparse LU with iterative
+free DOFs and solves it, on 2-D grids, by banded Cholesky with iterative
 refinement, and on 3-D grids by conjugate gradients preconditioned with a
 geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG for
 efficient topology optimization", SMO 49:815). Both paths keep the same
 contract.
+
+Every system solved here is SPD. On a 2-D grid, listing the nodes with the
+shorter axis varying fastest keeps the half-bandwidth below
+dofs * (n_short + 2) for n_short nodes on that axis (George & Liu 1981,
+"Computer Solution of Large Sparse Positive Definite Systems"), and LAPACK's
+banded Cholesky of that band is several times faster than SuperLU (finger2d
+elastic: 7 ms against 45 ms). In 3-D a band spans a whole layer of nodes, so
+the coarsest multigrid level, which on a thin grid is the whole system,
+keeps SuperLU and its fill-reducing order.
 """
 from __future__ import annotations
 
@@ -20,6 +29,7 @@ import copy
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
 from .errors import SingularSystemError, SolveError
@@ -37,6 +47,8 @@ SMOOTHING_SWEEPS = 2
 # Multigrid halves every axis while each has at least this many elements;
 # the coarsest level (6x3x3 elements on gripper3d) is solved by LU.
 MIN_COARSENED_ELEMS = 4
+# A pivot this small against the largest marks a numerically singular matrix.
+PIVOT_RATIO_TOL = 1e-14
 
 
 def _norm1(a) -> float:
@@ -53,22 +65,69 @@ def _factorize(a, context: str):
         ) from exc
     # Roundoff can slip rigid-body modes past the factorization; a
     # collapsed pivot is the reliable tell.
-    u_diag = np.abs(lu.U.diagonal())
-    if u_diag.size and u_diag.min() <= 1e-14 * u_diag.max():
+    _check_pivots(np.abs(lu.U.diagonal()), context)
+    return lu
+
+
+def _check_pivots(pivots: np.ndarray, context: str):
+    if pivots.size and pivots.min() <= PIVOT_RATIO_TOL * pivots.max():
         raise SingularSystemError(
             f"{context}: matrix is numerically singular "
-            f"(pivot ratio {u_diag.min() / u_diag.max():.2e})"
+            f"(pivot ratio {pivots.min() / pivots.max():.2e})"
         )
-    return lu
+
+
+class BandedCholesky:
+    """Cholesky factor ``Uᵀ U`` of an SPD matrix within its band, in LAPACK's
+    upper band storage. Its cost grows with n times the square of the
+    half-bandwidth, so the matrix should come in a band order."""
+
+    def __init__(self, a, context: str):
+        coo = a.tocoo()
+        upper = coo.row <= coo.col
+        # int64, since the flat index into the band can pass 2**31
+        rows, cols = coo.row[upper].astype(np.int64), coo.col[upper]
+        n = a.shape[0]
+        width = int((cols - rows).max(initial=0))
+        band = np.bincount(
+            (width + rows - cols) * n + cols, weights=coo.data[upper],
+            minlength=(width + 1) * n,
+        ).reshape(width + 1, n)
+        try:
+            self.factor = cholesky_banded(band, overwrite_ab=True)
+        except (LinAlgError, ValueError) as exc:  # not positive definite, or not finite
+            raise SingularSystemError(
+                f"{context}: factorization failed ({exc})"
+            ) from exc
+        # Roundoff can slip rigid-body modes past the factorization; a
+        # collapsed pivot is the reliable tell.
+        _check_pivots(self.factor[width] ** 2, context)
+        self.nnz = self.factor.size
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self.factor, False), b, check_finite=False)
+
+
+def _band_order(nel, n_dofs: int) -> np.ndarray:
+    """The DOFs of a 2-D grid with ``nel`` elements per axis, node by node
+    with the shorter axis varying fastest and each node's DOFs together."""
+    # row j holds the nodes at y = j, x fastest as in the grid's numbering
+    nodes = np.arange((nel[0] + 1) * (nel[1] + 1)).reshape(nel[1] + 1, nel[0] + 1)
+    if nel[1] < nel[0]:
+        nodes = nodes.T  # y has fewer nodes, so y varies fastest
+    dofs_per_node = n_dofs // nodes.size
+    return (dofs_per_node * nodes.reshape(-1, 1) + np.arange(dofs_per_node)).ravel()
 
 
 def solve_dirichlet(a, f, fixed, values, nel, context: str):
     """Solve ``A x = f`` with ``x[fixed] = values`` for a system assembled on
     a structured grid with ``nel`` elements per axis (node-major DOFs, x
     fastest). Returns ``(x, free, system)``; ``system`` solves the free block
-    again, for adjoints and spring sweeps."""
+    again, for adjoints and spring sweeps. ``free`` lists the free DOFs in
+    ascending order in 3-D and in band order in 2-D."""
     n = a.shape[0]
-    free = np.setdiff1d(np.arange(n), fixed)
+    order = _band_order(nel, n) if len(nel) == 2 else np.arange(n)
+    free = order[np.isin(order, fixed, invert=True)]
     a_f = a.tocsc()[free]
     b = np.asarray(f, dtype=float)[free] - a_f[:, fixed] @ values
     if len(nel) == 3:
@@ -82,13 +141,13 @@ def solve_dirichlet(a, f, fixed, values, nel, context: str):
 
 
 class FactorizedSystem:
-    """LU-factorized sparse system solving to a backward-error tolerance."""
+    """Cholesky-factorized SPD system solving to a backward-error tolerance."""
 
     def __init__(self, a, context: str = "linear system"):
         self.a = a.tocsc()
         self.context = context
         self.norm1 = _norm1(self.a)
-        self.lu = _factorize(self.a, context)
+        self.lu = BandedCholesky(self.a, context)
 
     def _backward_error(self, x, b, resid):
         return resid / (self.norm1 * np.linalg.norm(x) + np.linalg.norm(b))
@@ -121,8 +180,8 @@ class FactorizedSystem:
 
     def rank_updates(self, u, coefficients):
         """Yield the system ``a + c U Uᵀ`` (U sparse, n × r) for each c, solved
-        through this LU by the Woodbury identity (Hager 1989, SIAM Review 31(2))
-        ``(A + c U Uᵀ)⁻¹ = A⁻¹ - c Z (I + c Uᵀ Z)⁻¹ Uᵀ A⁻¹``, where
+        through this factorization by the Woodbury identity (Hager 1989, SIAM
+        Review 31(2)) ``(A + c U Uᵀ)⁻¹ = A⁻¹ - c Z (I + c Uᵀ Z)⁻¹ Uᵀ A⁻¹``, where
         ``Z = A⁻¹ U`` is computed once for all of them."""
         z = self.lu.solve(u.toarray())
         for c in coefficients:
@@ -130,7 +189,7 @@ class FactorizedSystem:
 
 
 class _RankUpdatedSystem(FactorizedSystem):
-    """``base.a + c U Uᵀ``, solved through the LU of ``base``."""
+    """``base.a + c U Uᵀ``, solved through the factorization of ``base``."""
 
     def __init__(self, base: FactorizedSystem, c: float, u, z):
         self.a = (base.a + c * (u @ u.T)).tocsc()
@@ -145,11 +204,12 @@ class _RankUpdatedSystem(FactorizedSystem):
 
 class MultigridSystem(FactorizedSystem):
     """SPD system solved by CG with a geometric-multigrid V-cycle as the
-    preconditioner, under the same backward-error contract as the LU.
+    preconditioner, under the same backward-error contract as the Cholesky
+    solve.
 
     ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``); the
     coarse operators are the Galerkin products ``Pᵀ A P``, smoothed by damped
-    Jacobi and solved directly on the coarsest level. With no prolongations
+    Jacobi and solved on the coarsest level by SuperLU. With no prolongations
     the V-cycle is that direct solve, and CG converges in one step."""
 
     def __init__(self, a, prolongations, context: str = "linear system"):

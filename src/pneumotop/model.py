@@ -218,8 +218,9 @@ class Model:
         """Metrics at increasing spring stiffnesses from one flow solve: a
         forward solve at the softest k_1, then for every other k that solve's
         system with the rank-r update ``(k - k_1) / r * D_f D_f^T`` (r output
-        nodes, D_f the rows of D at the free DOFs), through the one LU in 2-D
-        and by CG preconditioned with the one multigrid hierarchy in 3-D."""
+        nodes, D_f the rows of D at the free DOFs), through the one banded
+        Cholesky factorization in 2-D and by CG preconditioned with the one
+        multigrid hierarchy in 3-D."""
         state = self.forward(rho_bar, k_out=k_values[0])
         free, n_out = state.disp.free_dofs, self.output_op.shape[1]
         coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]

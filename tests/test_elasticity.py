@@ -1,9 +1,11 @@
 """Stiffness assembly, springs, solves, and performance metrics."""
+import json
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from pneumotop import problem
+from pneumotop import cli, problem
 from pneumotop.darcy import coupling_matrix
 from pneumotop.elasticity import (
     ElasticAssembler,
@@ -197,6 +199,25 @@ def test_insufficient_supports_is_config_error():
     f[0] = 1.0
     with pytest.raises(ConfigError, match="support"):
         solve_displacement(k, f, np.array([], dtype=int), g.nel_axis)
+
+
+def test_free_rotation_of_a_fixture_is_config_error(tmp_path):
+    # finger2d pinned at the one node at the origin and without output
+    # springs keeps a rigid rotation; SuperLU once let it through with
+    # |u_out| ~ 1e10 m
+    raw = json.loads(problem.fixture_path("finger2d").read_text())
+    (support,) = [r for r in raw["regions"] if r["role"] == "fixed_support"]
+    support["box_m"] = [[0.0, 0.0], [0.0, 0.0]]
+    (output,) = [r for r in raw["regions"] if r["role"] == "output"]
+    output["k_out_n_per_m"] = 0.0
+    model = Model(problem.parse_problem(raw))
+    _, rho_bar, _ = model.physical_fields(np.full((3, model.grid.nelem), 0.5), 1.0)
+    with pytest.raises(ConfigError, match="check supports"):
+        model.forward(rho_bar)
+    prob = tmp_path / "pinned.json"
+    prob.write_text(json.dumps(raw))
+    argv = ["optimize", str(prob), "--max-iters", "1", "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv) == 3
 
 
 def test_metrics_zero_displacement():

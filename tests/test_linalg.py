@@ -1,13 +1,13 @@
-"""Backward-error contract of the LU and multigrid solves and their rank
-updates, and the grid's choice between them."""
+"""Backward-error contract of the banded-Cholesky and multigrid solves and
+their rank updates, the 2-D band order, and the grid's choice between them."""
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from pneumotop import linalg
+from pneumotop import linalg, shapefn
 from pneumotop.elasticity import ElasticAssembler
-from pneumotop.errors import SolveError
+from pneumotop.errors import SingularSystemError, SolveError
 from pneumotop.grid import GridSpec, build_grid
 
 
@@ -20,13 +20,13 @@ def _spd_and_basis(n=30, r=4, seed=0):
 
 
 def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
-    calls, real_splu = [], linalg.splu
+    calls, real_cholesky = [], linalg.cholesky_banded
 
-    def counting_splu(a):
-        calls.append(a.shape)
-        return real_splu(a)
+    def counting_cholesky(band, **kwargs):
+        calls.append(band.shape[1])
+        return real_cholesky(band, **kwargs)
 
-    monkeypatch.setattr(linalg, "splu", counting_splu)
+    monkeypatch.setattr(linalg, "cholesky_banded", counting_cholesky)
     a, u, b = _spd_and_basis()
     base = linalg.FactorizedSystem(a, context="test system")
     coefficients = [0.5, 10.0, 1e4]
@@ -38,7 +38,7 @@ def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
         )
         assert err <= linalg.RESIDUAL_TOL
         assert np.allclose(x, np.linalg.solve(a_c, b), rtol=1e-10, atol=0)
-    assert calls == [a.shape]
+    assert calls == [a.shape[0]]
 
 
 def test_rank_update_missing_the_contract_raises(monkeypatch):
@@ -47,6 +47,54 @@ def test_rank_update_missing_the_contract_raises(monkeypatch):
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolveError, match="test system: backward error"):
         system.solve(b)
+
+
+def _gray_2d(nel, dofs_per_node, seed=2):
+    """A stiffness (2 DOFs per node) or conduction matrix (1) with random
+    gray element coefficients on a 2-D grid, its DOFs on the x = 0 edge
+    fixed, and a random load."""
+    g = build_grid(GridSpec(2, nel, 1.0))
+    rng = np.random.default_rng(seed)
+    coeff = rng.uniform(1e2, 1e6, g.nelem)
+    if dofs_per_node == 2:
+        k = ElasticAssembler(g, 0.3).assemble(coeff)
+    else:
+        ke = shapefn.conduction_matrix(2, g.h)
+        rows = np.repeat(g.conn, g.nen, axis=1).ravel()
+        cols = np.tile(g.conn, (1, g.nen)).ravel()
+        vals = (coeff[:, None, None] * ke).ravel()
+        k = sparse.csr_matrix((vals, (rows, cols)), shape=(g.nnodes, g.nnodes))
+    edge = np.flatnonzero(g.coords[:, 0] == 0.0)
+    fixed = (dofs_per_node * edge[:, None] + np.arange(dofs_per_node)).ravel()
+    return g, k, fixed, rng.normal(size=k.shape[0])
+
+
+@pytest.mark.parametrize("dofs_per_node", [1, 2])
+@pytest.mark.parametrize("nel", [(12, 4), (4, 12)], ids=["wide", "tall"])
+def test_2d_band_order_bounds_the_bandwidth(nel, dofs_per_node):
+    g, k, fixed, f = _gray_2d(nel, dofs_per_node)
+    x, free, system = linalg.solve_dirichlet(
+        k, f, fixed, np.zeros(fixed.size), g.nel_axis, context="test system"
+    )
+    a_ff, b, free_sorted = _reduced(k, fixed, f)
+    assert np.array_equal(np.sort(free), free_sorted)
+    band = system.a.tocoo()
+    short = min(g.nnod_axis)
+    assert np.abs(band.row - band.col).max() <= dofs_per_node * (short + 1) + dofs_per_node - 1
+    assert system.lu.nnz == system.lu.factor.size
+    assert np.all(x[fixed] == 0.0)
+    exact = spsolve(a_ff.tocsc(), b)
+    assert np.linalg.norm(x[free_sorted] - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_collapsed_pivot_is_singular():
+    # positive definite in exact arithmetic, with a pivot 4e-16 of the largest
+    a = sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]]))
+    with pytest.raises(SingularSystemError, match="test system: matrix is numerically singular"):
+        linalg.FactorizedSystem(a, context="test system")
+    for not_spd in (-np.eye(2), np.diag([1.0, np.nan])):
+        with pytest.raises(SingularSystemError, match="test system: factorization failed"):
+            linalg.FactorizedSystem(sparse.csc_matrix(not_spd), context="test system")
 
 
 def _elastic_3d(nel=(8, 4, 4), seed=1):

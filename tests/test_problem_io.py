@@ -247,8 +247,8 @@ def test_history_csv_single_constraint_leaves_columns_empty(tmp_path):
 
 @pytest.mark.parametrize("case", ["pneunet2d", "finger2d", "gripper3d"])
 def test_sweep_matches_per_point_forward(case, request, monkeypatch):
-    # the first row is a plain forward solve; the others go through its LU
-    # with a rank-r spring update (2-D) or CG on the updated matrix with its
+    # the first row is a plain forward solve; the others go through its
+    # Cholesky factor with a rank-r spring update (2-D) or CG on the updated matrix with its
     # multigrid preconditioner (3-D) and must agree with a solve per point
     sweep = list(runner.DEFAULT_SWEEP)
     if case == "pneunet2d":
