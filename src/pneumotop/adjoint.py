@@ -112,8 +112,8 @@ def gradient_wrt_physical(model, state, spec: ObjectiveSpec, s: float):
     ue = state.disp.u[grid.edof_u]
     le = lam_u[grid.edof_u]
     k0 = model.elastic.ke
-    quad_ku = np.einsum("ei,ij,ej->e", le, k0, ue)
-    quad_uu = np.einsum("ei,ij,ej->e", ue, k0, ue)
+    quad_ku = np.einsum("ei,ei->e", le @ k0, ue)
+    quad_uu = np.einsum("ei,ei->e", ue @ k0, ue)
     elastic_weight = quad_ku + 0.5 * c_se * quad_uu
 
     grad = np.zeros((3, grid.nelem))
@@ -123,8 +123,8 @@ def gradient_wrt_physical(model, state, spec: ObjectiveSpec, s: float):
     mu = lam_p + c_et * model.inlet_gauge
     pe = state.pressure.p[grid.conn]
     me_ = mu[grid.conn]
-    quad_cond = np.einsum("ei,ij,ej->e", me_, model.flow.ke, pe)
-    quad_mass = np.einsum("ei,ij,ej->e", me_, model.flow.me, pe)
+    quad_cond = np.einsum("ei,ei->e", me_ @ model.flow.ke, pe)
+    quad_mass = np.einsum("ei,ei->e", me_ @ model.flow.me, pe)
     grad[0] += state.flow.dk_elem * quad_cond + state.flow.dd_elem * quad_mass
     return f, grad
 

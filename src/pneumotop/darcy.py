@@ -7,6 +7,11 @@ consistent mass matrix introduces positive off-diagonals that break the
 discrete maximum principle, producing nonphysical pressure undershoot of a
 few percent next to sharp walls. Nodal forces come from the volumetric
 gradient form F = -T p, which is what makes the load follow the design.
+
+The flow matrix's CSR pattern (each node coupled to its 3^d stencil) and
+the scatter matrix S from the element coefficients ``[k; d]`` to its data,
+against the templates ``[ke | lumped me]``, are built once per grid, so
+assembly is ``A.data = S @ [k; d]``; T is built through the same helper.
 """
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ from scipy import sparse
 
 from . import shapefn
 from .errors import ConfigError
-from .grid import Grid
-from .linalg import solve_dirichlet
+from .grid import Grid, stencil_operator
+from .linalg import DirichletReduction
 from .materials import FlowParams, drainage_coefficient, flow_coefficient
 
 
@@ -47,17 +52,15 @@ class PressureField:
 
 
 class FlowAssembler:
-    """Reusable element templates and sparsity pattern for one grid."""
+    """Reusable element templates, and the flow matrix's pattern and
+    scatter (``op``), for one grid."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.ke = shapefn.conduction_matrix(grid.dim, grid.h)
         # Lumped drainage keeps the flow matrix an M-matrix (see module doc).
         self.me = np.diag(shapefn.mass_matrix(grid.dim, grid.h).sum(axis=1))
-        conn = grid.conn
-        nen = grid.nen
-        self.rows = np.repeat(conn, nen, axis=1).ravel()
-        self.cols = np.tile(conn, (1, nen)).ravel()
+        self.op = stencil_operator(grid, [self.ke, self.me])
 
     def assemble(self, rho_bar1: np.ndarray, params: FlowParams) -> FlowSystem:
         """Global flow matrix for the given topology-channel densities."""
@@ -69,14 +72,7 @@ class FlowAssembler:
             )
         k, dk = flow_coefficient(rho_bar1, params)
         d, dd = drainage_coefficient(rho_bar1, params)
-        vals = (
-            k[:, None, None] * self.ke[None, :, :]
-            + d[:, None, None] * self.me[None, :, :]
-        )
-        a = sparse.coo_matrix(
-            (vals.ravel(), (self.rows, self.cols)),
-            shape=(self.grid.nnodes, self.grid.nnodes),
-        ).tocsr()
+        a = self.op.assemble(np.concatenate([k, d]))
         return FlowSystem(a, k, dk, d, dd, params, self.grid.nel_axis)
 
 
@@ -84,11 +80,14 @@ def solve_pressure(
     system: FlowSystem,
     inlet_nodes: np.ndarray,
     drain_nodes: np.ndarray,
+    reduction: DirichletReduction | None = None,
 ) -> PressureField:
     """Solve for equilibrium pressure with inlet/drain Dirichlet values.
 
     Inlet nodes are held at P_in and drain nodes at p_atm; the solver of the
-    reduced symmetric system is kept for adjoint reuse.
+    reduced symmetric system is kept for adjoint reuse. ``reduction``, if
+    given, was built for the flow matrix's pattern with the inlet nodes
+    then the drain nodes fixed.
     """
     params = system.params
     inlet_nodes = np.asarray(inlet_nodes, dtype=np.int64)
@@ -103,9 +102,10 @@ def solve_pressure(
     vals = np.concatenate(
         [np.full(inlet_nodes.size, params.P_in), np.full(drain_nodes.size, params.p_atm)]
     )
-    p, free, lu = solve_dirichlet(
-        system.A, np.zeros(system.A.shape[0]), fixed, vals, system.nel,
-        context="pressure solve",
+    if reduction is None:
+        reduction = DirichletReduction(system.A.indptr, system.A.indices, fixed, system.nel)
+    p, free, lu = reduction.solve(
+        system.A, np.zeros(system.A.shape[0]), vals, context="pressure solve"
     )
     return PressureField(p, fixed, free, inlet_nodes, lu)
 
@@ -113,13 +113,7 @@ def solve_pressure(
 def coupling_matrix(grid: Grid) -> sparse.csr_matrix:
     """Global pressure-to-force map T (geometry only): F = -T p."""
     te = shapefn.coupling_matrix(grid.dim, grid.h)
-    nen = grid.nen
-    rows = np.repeat(grid.edof_u, nen, axis=1).ravel()
-    cols = np.tile(grid.conn, (1, grid.dim * nen)).ravel()
-    vals = np.tile(te.ravel(), grid.nelem)
-    return sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(grid.n_disp_dofs, grid.nnodes)
-    ).tocsr()
+    return stencil_operator(grid, te, row_comps=grid.dim).assemble(np.ones(grid.nelem))
 
 
 def energy_loss(system: FlowSystem, pf: PressureField) -> float:

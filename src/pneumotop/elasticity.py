@@ -1,8 +1,10 @@
 """Linear-elastic FEM: stiffness assembly, output operator, solve, metrics.
 
 2-D analysis is plane strain with unit thickness; 3-D uses full trilinear
-hexahedra. The element stiffness for unit modulus is precomputed once and
-scaled by the interpolated modulus field during assembly.
+hexahedra. The element stiffness for unit modulus is precomputed once, and
+so are the stiffness's CSR pattern (each node's DOFs coupled to those of its
+3^d stencil) and the scatter matrix S from element moduli to the CSR data:
+assembly is ``K.data = S @ E``, and every design gives the same pattern.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from scipy import sparse
 
 from . import shapefn
 from .errors import ConfigError, SingularSystemError
-from .grid import Grid, RegionSelection
-from .linalg import FactorizedSystem, solve_dirichlet
+from .grid import Grid, RegionSelection, stencil_operator
+from .linalg import DirichletReduction, FactorizedSystem
 
 
 @dataclass
@@ -40,15 +42,14 @@ class PerformanceMetrics:
 
 
 class ElasticAssembler:
-    """Unit-modulus element stiffness and sparsity pattern for one grid."""
+    """Unit-modulus element stiffness, and the stiffness's pattern and
+    scatter (``op``), for one grid."""
 
     def __init__(self, grid: Grid, nu: float):
         self.grid = grid
         self.nu = nu
         self.ke = shapefn.stiffness_matrix(grid.dim, grid.h, nu)
-        ndof = grid.dim * grid.nen
-        self.rows = np.repeat(grid.edof_u, ndof, axis=1).ravel()
-        self.cols = np.tile(grid.edof_u, (1, ndof)).ravel()
+        self.op = stencil_operator(grid, self.ke, grid.dim, grid.dim)
 
     def assemble(self, e_field: np.ndarray) -> sparse.csr_matrix:
         e_field = np.asarray(e_field, dtype=float)
@@ -59,11 +60,7 @@ class ElasticAssembler:
             )
         if np.any(e_field <= 0):
             raise ConfigError("modulus field must be strictly positive")
-        vals = e_field[:, None, None] * self.ke[None, :, :]
-        return sparse.coo_matrix(
-            (vals.ravel(), (self.rows, self.cols)),
-            shape=(self.grid.n_disp_dofs,) * 2,
-        ).tocsr()
+        return self.op.assemble(e_field)
 
 
 def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
@@ -81,14 +78,20 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
 
 
 def solve_displacement(
-    k: sparse.csr_matrix, f: np.ndarray, fixed_dofs: np.ndarray, nel: tuple[int, ...]
+    k: sparse.csr_matrix,
+    f: np.ndarray,
+    fixed_dofs: np.ndarray,
+    nel: tuple[int, ...],
+    reduction: DirichletReduction | None = None,
 ) -> DisplacementField:
     """Solve K u = F with the given DOFs pinned to zero, on a grid with
-    ``nel`` elements per axis."""
+    ``nel`` elements per axis, through ``reduction`` (built for ``k``'s
+    pattern and ``fixed_dofs``) or else one built for this call."""
+    if reduction is None:
+        reduction = DirichletReduction(k.indptr, k.indices, fixed_dofs, nel)
     try:
-        u, free, lu = solve_dirichlet(
-            k, f, fixed_dofs, np.zeros(len(fixed_dofs)), nel,
-            context="displacement solve",
+        u, free, lu = reduction.solve(
+            k, f, np.zeros(len(fixed_dofs)), context="displacement solve"
         )
     except SingularSystemError as exc:
         raise ConfigError(

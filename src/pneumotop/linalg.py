@@ -7,8 +7,9 @@ floor accumulate displacements orders of magnitude above the structural
 ones, which raises the attainable residual floor to eps * ||A|| * ||x||
 regardless of solver quality.
 
-``solve_dirichlet`` is the one entry point: it reduces a grid system to its
-free DOFs and solves it, on 2-D grids, by banded Cholesky with iterative
+``DirichletReduction.solve`` is the one entry point: it reduces a grid
+system to its free DOFs, by a gather map built once per pattern and
+Dirichlet set, and solves it, on 2-D grids, by banded Cholesky with iterative
 refinement, and on 3-D grids by conjugate gradients preconditioned with a
 geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG for
 efficient topology optimization", SMO 49:815). Both paths keep the same
@@ -52,7 +53,8 @@ PIVOT_RATIO_TOL = 1e-14
 
 
 def _norm1(a) -> float:
-    return float(np.abs(a).sum(axis=0).max()) if a.shape[0] else 0.0
+    """The largest absolute column sum of ``a`` (CSR)."""
+    return float(np.bincount(a.indices, np.abs(a.data), minlength=a.shape[1]).max(initial=0.0))
 
 
 def _factorize(a, context: str):
@@ -119,32 +121,70 @@ def _band_order(nel, n_dofs: int) -> np.ndarray:
     return (dofs_per_node * nodes.reshape(-1, 1) + np.arange(dofs_per_node)).ravel()
 
 
-def solve_dirichlet(a, f, fixed, values, nel, context: str):
-    """Solve ``A x = f`` with ``x[fixed] = values`` for a system assembled on
-    a structured grid with ``nel`` elements per axis (node-major DOFs, x
-    fastest). Returns ``(x, free, system)``; ``system`` solves the free block
-    again, for adjoints and spring sweeps. ``free`` lists the free DOFs in
-    ascending order in 3-D and in band order in 2-D."""
-    n = a.shape[0]
-    order = _band_order(nel, n) if len(nel) == 2 else np.arange(n)
-    free = order[np.isin(order, fixed, invert=True)]
-    a_f = a.tocsc()[free]
-    b = np.asarray(f, dtype=float)[free] - a_f[:, fixed] @ values
-    if len(nel) == 3:
-        system = MultigridSystem(a_f[:, free], _prolongations(nel, n, free), context=context)
-    else:
-        system = FactorizedSystem(a_f[:, free], context=context)
-    x = np.zeros(n)
-    x[fixed] = values
-    x[free] = system.solve(b)
-    return x, free, system
+class DirichletReduction:
+    """The free block of every matrix with one CSR pattern, built once per
+    pattern and Dirichlet set on a structured grid with ``nel`` elements per
+    axis (node-major DOFs, x fastest).
+
+    It holds the free DOFs in solver order (ascending in 3-D, band order in
+    2-D), the place in the full data of every free x free entry together
+    with the free block's CSR pattern (its columns unsorted in 2-D, which
+    the band fill and matvecs accept), and in 3-D the multigrid
+    prolongations. A solve is then one gather, plus one SpMV when the
+    Dirichlet values are not all zero."""
+
+    def __init__(self, indptr, indices, fixed, nel):
+        n = len(indptr) - 1
+        self.pattern = (indptr, indices)
+        self.fixed = np.asarray(fixed)
+        order = _band_order(nel, n) if len(nel) == 2 else np.arange(n)
+        self.free = order[np.isin(order, self.fixed, invert=True)]
+        new = np.full(n, -1, dtype=np.int32)
+        new[self.free] = np.arange(self.free.size, dtype=np.int32)
+        # every entry of the free rows, row by row in solver order
+        starts, lengths = indptr[self.free], np.diff(indptr)[self.free]
+        ends = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+        entries = np.arange(ends[-1], dtype=np.int32)
+        entries += np.repeat(starts - ends[:-1], lengths)
+        cols = np.take(new, np.take(indices, entries))
+        kept = np.flatnonzero(cols >= 0)
+        self.gather, self.indices = np.take(entries, kept), np.take(cols, kept)
+        self.indptr = np.searchsorted(kept, ends).astype(np.int32)
+        self.prolongations = _prolongations(nel, n, self.free) if len(nel) == 3 else None
+
+    def solve(self, a, f, values, context: str):
+        """Solve ``A x = f`` with ``x[fixed] = values``, for ``a`` (CSR) with
+        this reduction's pattern. Returns ``(x, free, system)``; ``system``
+        solves the free block again, for adjoints and spring sweeps."""
+        indptr, indices = self.pattern
+        if not (np.array_equal(a.indptr, indptr) and np.array_equal(a.indices, indices)):
+            raise ValueError(f"{context}: matrix pattern differs from the reduction's")
+        x = np.zeros(a.shape[0])
+        x[self.fixed] = values
+        b = np.asarray(f, dtype=float)[self.free]
+        if np.any(x):
+            b -= (a @ x)[self.free]
+        # The free block gets its own index arrays, which scipy may sort in place.
+        a_ff = sparse.csr_matrix(
+            (a.data[self.gather], self.indices.copy(), self.indptr.copy()),
+            shape=(self.free.size,) * 2,
+        )
+        if self.prolongations is None:
+            system = FactorizedSystem(a_ff, context=context)
+        else:
+            # CG's matvecs and the Galerkin products cost what is stored:
+            # drop the exact zeros that a uniform modulus cancels to.
+            a_ff.eliminate_zeros()
+            system = MultigridSystem(a_ff, self.prolongations, context=context)
+        x[self.free] = system.solve(b)
+        return x, self.free, system
 
 
 class FactorizedSystem:
     """Cholesky-factorized SPD system solving to a backward-error tolerance."""
 
     def __init__(self, a, context: str = "linear system"):
-        self.a = a.tocsc()
+        self.a = a.tocsr()
         self.context = context
         self.norm1 = _norm1(self.a)
         self.lu = BandedCholesky(self.a, context)
@@ -192,7 +232,7 @@ class _RankUpdatedSystem(FactorizedSystem):
     """``base.a + c U Uᵀ``, solved through the factorization of ``base``."""
 
     def __init__(self, base: FactorizedSystem, c: float, u, z):
-        self.a = (base.a + c * (u @ u.T)).tocsc()
+        self.a = (base.a + c * (u @ u.T)).tocsr()
         self.context, self.lu, self.norm1 = base.context, base.lu, _norm1(self.a)
         self._cu, self._z = c * u, z
         self._capacitance = linalg.lu_factor(np.eye(u.shape[1]) + self._cu.T @ z)

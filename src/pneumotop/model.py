@@ -7,6 +7,7 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -25,6 +26,7 @@ from .grid import (
     filter_neighborhoods,
     select_region,
 )
+from .linalg import DirichletReduction
 from .materials import interpolate_modulus
 from .problem import ProblemSpec
 
@@ -131,6 +133,23 @@ class Model:
         self.flow = FlowAssembler(self.grid)
         self.elastic = ElasticAssembler(self.grid, self.mats.nu)
         self.t_matrix = darcy.coupling_matrix(self.grid)
+        springs = self.spring_unit.tocoo()
+        self.spring_slots = self.elastic.op.slots(springs.row, springs.col)
+        self.spring_data = springs.data
+
+    # Both operators keep one pattern for every design, so each physics
+    # reduces to its free DOFs by one gather map, built at its first solve.
+
+    @cached_property
+    def flow_reduction(self) -> DirichletReduction:
+        op = self.flow.op
+        fixed = np.concatenate([self.inlet_nodes, self.drain_nodes])
+        return DirichletReduction(op.indptr, op.indices, fixed, self.grid.nel_axis)
+
+    @cached_property
+    def elastic_reduction(self) -> DirichletReduction:
+        op = self.elastic.op
+        return DirichletReduction(op.indptr, op.indices, self.fixed_u_dofs, self.grid.nel_axis)
 
     def _build_mask(self, spec: ProblemSpec) -> np.ndarray:
         mask = np.full(self.grid.nelem, TAG_DESIGN, dtype=np.int64)
@@ -189,16 +208,24 @@ class Model:
         k_out = self.output_sel.region.k_out if k_out is None else float(k_out)
 
         flow_sys = self.flow.assemble(rho_bar[0], self.flow_params)
-        pressure = darcy.solve_pressure(flow_sys, self.inlet_nodes, self.drain_nodes)
+        pressure = darcy.solve_pressure(
+            flow_sys, self.inlet_nodes, self.drain_nodes, self.flow_reduction
+        )
         self._check_pressure_bounds(pressure.p)
         force = -(self.t_matrix @ pressure.p)
         e_t = darcy.energy_loss(flow_sys, pressure)
 
         e_field, de = interpolate_modulus(rho_bar, self.mats)
         k_struct = self.elastic.assemble(e_field)
-        k_total = k_struct + k_out * self.spring_unit if k_out > 0 else k_struct
+        k_total = k_struct
+        if k_out > 0:  # the springs, on their slots of the fixed pattern
+            data = k_struct.data.copy()
+            data[self.spring_slots] += k_out * self.spring_data
+            k_total = sparse.csr_matrix(
+                (data, k_struct.indices, k_struct.indptr), shape=k_struct.shape
+            )
         disp = elasticity.solve_displacement(
-            k_total.tocsr(), force, self.fixed_u_dofs, self.grid.nel_axis
+            k_total, force, self.fixed_u_dofs, self.grid.nel_axis, self.elastic_reduction
         )
         m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t)
         return State(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from pneumotop import cli, problem
+from pneumotop import cli, linalg, problem
 from pneumotop.darcy import coupling_matrix
 from pneumotop.elasticity import (
     ElasticAssembler,
@@ -294,3 +294,49 @@ def test_stiffer_spring_never_raises_u_out():
         if u_prev is not None:
             assert abs(m.u_out) <= abs(u_prev) + 1e-12
         u_prev = m.u_out
+
+
+def _designs(model, seed):
+    """Two projected random designs of a model."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (2, 3, model.grid.nelem))
+    return [model.physical_fields(xi, 8.0)[1] for xi in x]
+
+
+def test_operators_keep_one_pattern_across_designs(tiny_model):
+    uniform = np.full((3, tiny_model.grid.nelem), 0.5)
+    states = [tiny_model.forward(rho) for rho in [uniform, *_designs(tiny_model, 0)]]
+    for name in ("k_struct", "flow"):
+        mats = [s.k_struct if name == "k_struct" else s.flow.A for s in states]
+        for m in mats[1:]:
+            assert np.array_equal(m.indptr, mats[0].indptr)
+            assert np.array_equal(m.indices, mats[0].indices)
+    # the uniform design's stiffness stores the zeros its cancellations give
+    assert np.any(states[0].k_struct.data == 0.0)
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
+    """After the first forward solve, assembly and reduction are gathers
+    and products on the patterns, maps and prolongations built for it."""
+    spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
+    model = Model(spec)
+    first, second = _designs(model, 1)
+    model.forward(first)
+    calls = []
+    real_compress = sparse._coo._coo_base._coo_to_compressed
+    real_prolongations = linalg._prolongations
+
+    def spy_compress(self, *args, **kwargs):
+        calls.append("coo -> compressed")
+        return real_compress(self, *args, **kwargs)
+
+    def spy_prolongations(*args, **kwargs):
+        calls.append("_prolongations")
+        return real_prolongations(*args, **kwargs)
+
+    monkeypatch.setattr(sparse._coo._coo_base, "_coo_to_compressed", spy_compress)
+    monkeypatch.setattr(linalg, "_prolongations", spy_prolongations)
+    state = model.forward(second)
+    assert calls == []
+    assert isinstance(state.disp.lu, linalg.MultigridSystem) == (name == "gripper3d")

@@ -1,7 +1,12 @@
-"""Grid construction, region selection, and filter-neighborhood tests."""
+"""Grid construction, region selection, filter-neighborhood and stencil
+operator tests."""
 import numpy as np
 import pytest
+from scipy import sparse
 
+from pneumotop import shapefn
+from pneumotop.darcy import FlowAssembler, coupling_matrix
+from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import ConfigError
 from pneumotop.grid import (
     BoundaryRegion,
@@ -10,6 +15,7 @@ from pneumotop.grid import (
     filter_neighborhoods,
     select_region,
 )
+from pneumotop.materials import FlowParams
 
 from gridindex import elem_index, node_index
 
@@ -144,3 +150,91 @@ def test_filter_rows_normalized_and_symmetric():
     assert np.abs(rows - 1.0).max() < 1e-12
     asym = (neigh.weights - neigh.weights.T)
     assert abs(asym).max() < 1e-14
+
+
+def _loop_filter_weights(g, r_min):
+    """The filter weights built one offset at a time, through coo -> csr."""
+    reach = int(np.ceil(r_min / g.h))
+    offsets = np.stack(np.unravel_index(
+        np.arange((2 * reach + 1) ** g.dim), (2 * reach + 1,) * g.dim, order="F"
+    ), axis=-1) - reach
+    rows, cols, vals = [], [], []
+    for off in offsets:
+        w = r_min - np.linalg.norm(off) * g.h
+        if w <= 0:
+            continue
+        shifted = g.elem_ijk + off
+        ok = np.all((shifted >= 0) & (shifted < np.array(g.nel_axis)), axis=1)
+        rows.append(np.flatnonzero(ok))
+        cols.append(np.ravel_multi_index(tuple(shifted[ok].T), g.nel_axis, order="F"))
+        vals.append(np.full(ok.sum(), w))
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(g.nelem, g.nelem),
+    ).tocsr()
+
+
+@pytest.mark.parametrize("nel,h,r_min", [
+    ((7, 5), 1.0, 2.5), ((5, 3, 4), 0.7, 1.6 * 0.7), ((7, 5, 4), 1.0, 2.0),
+])
+def test_filter_weights_equal_the_per_offset_construction(nel, h, r_min):
+    g = build_grid(GridSpec(len(nel), nel, h))
+    neigh = filter_neighborhoods(g, r_min)
+    ref = _loop_filter_weights(g, r_min)
+    assert np.array_equal(neigh.weights.indptr, ref.indptr)
+    assert np.array_equal(neigh.weights.indices, ref.indices)
+    assert np.array_equal(neigh.weights.data, ref.data)
+    norm_ref = sparse.diags(1.0 / np.asarray(ref.sum(axis=1)).ravel()) @ ref
+    assert abs(neigh.normalized - norm_ref).max() == 0.0
+
+
+def _triplet_assembly(g, templates, coef, row_dofs, col_dofs):
+    """sum_t coef[t] * templates[t] over the elements, through coo -> csr."""
+    nr, nc = row_dofs.shape[1], col_dofs.shape[1]
+    rows = np.repeat(row_dofs, nc, axis=1).ravel()
+    cols = np.tile(col_dofs, (1, nr)).ravel()
+    vals = sum(c[:, None, None] * t[None] for c, t in zip(coef, templates))
+    shape = (row_dofs.max() + 1, col_dofs.max() + 1)
+    return sparse.coo_matrix((vals.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+def _assert_same_operator(a, ref):
+    # The same pattern as coo -> csr (stored zeros included), and the same
+    # values up to the order of the sums.
+    assert a.has_canonical_format and a.shape == ref.shape
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.abs(a.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+@pytest.mark.parametrize("nel", [(1, 1), (6, 3), (3, 7), (2, 2, 2), (5, 3, 3), (7, 5, 4)])
+def test_assemblers_equal_triplet_assembly(nel):
+    g = build_grid(GridSpec(len(nel), nel, 0.5))
+    rng = np.random.default_rng(len(nel))
+    e_field = rng.uniform(1e2, 1e6, g.nelem)
+    elastic = ElasticAssembler(g, 0.3)
+    _assert_same_operator(
+        elastic.assemble(e_field),
+        _triplet_assembly(g, [elastic.ke], [e_field], g.edof_u, g.edof_u),
+    )
+    flow = FlowAssembler(g)
+    system = flow.assemble(rng.uniform(0.0, 1.0, g.nelem), FlowParams(P_in=5e4))
+    _assert_same_operator(
+        system.A,
+        _triplet_assembly(g, [flow.ke, flow.me], [system.k_elem, system.d_elem],
+                          g.conn, g.conn),
+    )
+    te = shapefn.coupling_matrix(g.dim, g.h)
+    _assert_same_operator(
+        coupling_matrix(g), _triplet_assembly(g, [te], [np.ones(g.nelem)], g.edof_u, g.conn)
+    )
+
+
+def test_stencil_slots_locate_entries():
+    g = build_grid(GridSpec(3, (3, 2, 2), 1.0))
+    op = ElasticAssembler(g, 0.3).op
+    k = op.assemble(np.arange(1.0, g.nelem + 1))
+    coo = k.tocoo()
+    pick = np.random.default_rng(0).choice(coo.nnz, 50, replace=False)
+    slots = op.slots(coo.row[pick], coo.col[pick])
+    assert np.array_equal(k.data[slots], coo.data[pick])

@@ -11,6 +11,12 @@ from pneumotop.errors import SingularSystemError, SolveError
 from pneumotop.grid import GridSpec, build_grid
 
 
+def _solve_dirichlet(k, f, fixed, nel):
+    """``k x = f`` with ``x[fixed] = 0``, through a reduction built for ``k``."""
+    reduction = linalg.DirichletReduction(k.indptr, k.indices, fixed, nel)
+    return reduction.solve(k, f, np.zeros(len(fixed)), context="test system")
+
+
 def _spd_and_basis(n=30, r=4, seed=0):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
@@ -73,9 +79,7 @@ def _gray_2d(nel, dofs_per_node, seed=2):
 @pytest.mark.parametrize("nel", [(12, 4), (4, 12)], ids=["wide", "tall"])
 def test_2d_band_order_bounds_the_bandwidth(nel, dofs_per_node):
     g, k, fixed, f = _gray_2d(nel, dofs_per_node)
-    x, free, system = linalg.solve_dirichlet(
-        k, f, fixed, np.zeros(fixed.size), g.nel_axis, context="test system"
-    )
+    x, free, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
     a_ff, b, free_sorted = _reduced(k, fixed, f)
     assert np.array_equal(np.sort(free), free_sorted)
     band = system.a.tocoo()
@@ -124,9 +128,7 @@ def test_multigrid_solve_meets_the_contract():
     # halving with their last coarse node past the end
     for nel in ((8, 4, 4), (7, 5, 4)):
         g, k, fixed, f = _elastic_3d(nel)
-        u, free, system = linalg.solve_dirichlet(
-            k, f, fixed, np.zeros(fixed.size), g.nel_axis, context="test system"
-        )
+        u, free, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
         assert isinstance(system, linalg.MultigridSystem)
         assert len(system.prolongations) == 1
         a_ff, b, free_ref = _reduced(k, fixed, f)
@@ -167,9 +169,7 @@ def test_grid_selects_the_solver(nel, multigrid):
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
     fixed = np.arange(g.dim * np.prod(g.nnod_axis[:-1]))  # the first layer of nodes
     f = np.ones(g.n_disp_dofs)
-    _, _, system = linalg.solve_dirichlet(
-        k, f, fixed, np.zeros(fixed.size), nel, context="test system"
-    )
+    _, _, system = _solve_dirichlet(k, f, fixed, nel)
     assert isinstance(system, linalg.MultigridSystem) == multigrid
     assert isinstance(system, linalg.FactorizedSystem)
     if multigrid and min(nel) < linalg.MIN_COARSENED_ELEMS:
@@ -179,9 +179,7 @@ def test_grid_selects_the_solver(nel, multigrid):
 
 def test_multigrid_rank_updates_solve_updated_matrix():
     g, k, fixed, f = _elastic_3d()
-    u_full, free, base = linalg.solve_dirichlet(
-        k, f, fixed, np.zeros(fixed.size), g.nel_axis, context="test system"
-    )
+    u_full, free, base = _solve_dirichlet(k, f, fixed, g.nel_axis)
     tip = np.flatnonzero(g.coords[:, 0] == g.coords[:, 0].max())
     rows = 3 * tip + 1
     u = sparse.csr_matrix(
@@ -212,3 +210,33 @@ def test_prolongations_reproduce_linear_fields(dofs_per_node):
         (p,) = linalg._prolongations(nel, n, np.arange(n))
         assert p.shape == (n, dofs_per_node * coarse.nnodes)
         assert np.allclose(p @ linear(coarse.coords), linear(fine.coords), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nel", [(6, 3), (3, 7), (5, 3, 3), (7, 5, 4)])
+def test_reduction_gathers_the_free_block_in_solver_order(nel):
+    g = build_grid(GridSpec(len(nel), nel, 1.0))
+    # a uniform modulus, whose stiffness stores exact zeros
+    k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
+    clamped = np.flatnonzero(g.coords[:, 0] == 0.0)
+    fixed = (g.dim * clamped[:, None] + np.arange(g.dim)).ravel()
+    reduction = linalg.DirichletReduction(k.indptr, k.indices, fixed, nel)
+    order = linalg._band_order(nel, k.shape[0]) if g.dim == 2 else np.arange(k.shape[0])
+    assert np.array_equal(reduction.free, order[np.isin(order, fixed, invert=True)])
+    _, free, system = reduction.solve(k, np.ones(k.shape[0]), np.zeros(fixed.size), "test system")
+    ref = k.tocsc()[free][:, free]
+    assert abs(system.a - ref).max() == 0.0
+    if g.dim == 3:  # the exact zeros are pruned before CG and the Galerkin products
+        assert system.a.nnz < ref.nnz and np.all(system.a.data != 0.0)
+
+
+def test_reduction_rejects_another_pattern():
+    g = build_grid(GridSpec(2, (4, 3), 1.0))
+    k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
+    fixed = np.arange(2 * g.nnod_axis[0])
+    reduction = linalg.DirichletReduction(k.indptr, k.indices, fixed, g.nel_axis)
+    # as many stored entries, one of them in another column
+    moved = k.copy()
+    moved.indices[moved.indptr[-2]] = 0
+    assert moved.nnz == k.nnz
+    with pytest.raises(ValueError, match="test system: matrix pattern"):
+        reduction.solve(moved, np.ones(k.shape[0]), np.zeros(fixed.size), "test system")

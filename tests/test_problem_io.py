@@ -1,7 +1,11 @@
 """Problem-file validation, fixtures, artifact formats, and the CLI verbs."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,3 +433,21 @@ def test_cli_sweep_must_increase(tmp_path, pneunet_design_path, sweep, message, 
 def test_evaluate_empty_sweep_is_config_error(pneunet_design_path):
     with pytest.raises(ConfigError, match=r"finite and > 0, got \[\]"):
         runner.evaluate_design(pneunet_design_path, "pneunet2d", sweep=[])
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "set"])
+def test_cli_defaults_blas_threads_to_one_unless_set(preset):
+    """Importing the CLI sets every BLAS thread count the user left unset
+    to 1, before numpy loads, and keeps one the user set."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import os, sys, pneumotop; assert 'numpy' not in sys.modules; "
+        "import pneumotop.cli as c; "
+        "print(' '.join(os.environ[v] for v in c.BLAS_THREAD_VARS))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert out == [preset or "1", "1", "1"]
