@@ -340,14 +340,11 @@ def stencil_operator(grid: Grid, templates, row_comps: int = 1, col_comps: int =
     kept = [np.flatnonzero(t) for t in templates]
     col_ptr = np.zeros(len(kept) * nelem + 1, dtype=np.int32)
     np.cumsum(np.repeat([k.size for k in kept], nelem), out=col_ptr[1:])
-    if len(kept) == 1 and kept[0].size == slot.shape[1]:  # one template, no zeros
-        rows, vals = slot.ravel(), np.tile(templates[0], nelem)
-    else:
-        rows, vals = np.empty(col_ptr[-1], dtype=np.int32), np.empty(col_ptr[-1])
-        for t, k in enumerate(kept):
-            block = slice(col_ptr[t * nelem], col_ptr[(t + 1) * nelem])
-            np.take(slot, k, axis=1, out=rows[block].reshape(nelem, k.size), mode="clip")
-            vals[block].reshape(nelem, k.size)[:] = templates[t, k]
+    rows, vals = np.empty(col_ptr[-1], dtype=np.int32), np.empty(col_ptr[-1])
+    for t, k in enumerate(kept):
+        block = slice(col_ptr[t * nelem], col_ptr[(t + 1) * nelem])
+        np.take(slot, k, axis=1, out=rows[block].reshape(nelem, k.size), mode="clip")
+        vals[block].reshape(nelem, k.size)[:] = templates[t, k]
     scatter = sparse.csc_matrix((vals, rows, col_ptr), shape=(indices.size, col_ptr.size - 1))
     shape = (row_comps * nnodes, col_comps * nnodes)
     return StencilOperator(indptr, indices, shape, scatter)

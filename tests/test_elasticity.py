@@ -14,7 +14,7 @@ from pneumotop.elasticity import (
     solve_displacement,
 )
 from pneumotop.errors import ConfigError
-from pneumotop.grid import BoundaryRegion, GridSpec, build_grid, select_region
+from pneumotop.grid import BoundaryRegion, Grid, GridSpec, build_grid, select_region
 from pneumotop.model import Model
 
 from conftest import tiny_problem_dict
@@ -324,19 +324,23 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     first, second = _designs(model, 1)
     model.forward(first)
     calls = []
-    real_compress = sparse._coo._coo_base._coo_to_compressed
-    real_prolongations = linalg._prolongations
 
-    def spy_compress(self, *args, **kwargs):
-        calls.append("coo -> compressed")
-        return real_compress(self, *args, **kwargs)
+    def spy(owner, attr):
+        real = getattr(owner, attr)
 
-    def spy_prolongations(*args, **kwargs):
-        calls.append("_prolongations")
-        return real_prolongations(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(sparse._coo._coo_base, "_coo_to_compressed", spy_compress)
-    monkeypatch.setattr(linalg, "_prolongations", spy_prolongations)
+        monkeypatch.setattr(owner, attr, counted)
+
+    spy(Grid, "node_pattern")  # every stencil_operator starts here
+    spy(linalg.DirichletReduction, "__init__")
+    spy(linalg, "_prolongations")
     state = model.forward(second)
     assert calls == []
+    # the assembled operators share the model's pattern arrays, not copies
+    for mat, op in [(state.k_struct, model.elastic.op), (state.flow.A, model.flow.op)]:
+        assert np.shares_memory(mat.indptr, op.indptr)
+        assert np.shares_memory(mat.indices, op.indices)
     assert isinstance(state.disp.lu, linalg.MultigridSystem) == (name == "gripper3d")
