@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,7 @@ class ComparisonCase:
             raise ConfigError(f"case {self.label!r}: unknown closure {self.closure!r}")
 
 
-def load_suite(path) -> tuple[list[ComparisonCase], list[float] | None]:
+def load_suite(path) -> tuple[list[ComparisonCase], list[float]]:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError covers JSON and decoding errors
@@ -63,22 +62,7 @@ def load_suite(path) -> tuple[list[ComparisonCase], list[float] | None]:
     labels = [c.label for c in cases]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"{path}: duplicate case labels")
-    return cases, _suite_sweep(path, raw.get("sweep_n_per_m"))
-
-
-def _suite_sweep(path, sweep) -> list[float] | None:
-    """The suite's sweep stiffnesses: absent, or a non-empty list of finite
-    positive numbers."""
-    if sweep is None:
-        return None
-    if not (isinstance(sweep, list) and sweep and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0 for v in sweep)):
-        raise ConfigError(
-            f"{path}: 'sweep_n_per_m' must be a non-empty list of finite "
-            f"numbers > 0, got {sweep!r}"
-        )
-    return sweep
+    return cases, runner.sweep_stiffnesses(raw.get("sweep_n_per_m"), f"{path}: 'sweep_n_per_m'")
 
 
 def _run_case(case: ComparisonCase, sweep, out_dir) -> dict:
@@ -104,7 +88,7 @@ def _case_worker(case: ComparisonCase, sweep, out_dir) -> dict:
 
 def run_suite(cases, out_dir, sweep=None) -> dict:
     """Run all cases, merge by label order, and write the comparison tables."""
-    sweep = list(runner.DEFAULT_SWEEP) if sweep is None else [float(v) for v in sweep]
+    sweep = runner.sweep_stiffnesses(sweep)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

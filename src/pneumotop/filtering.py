@@ -30,10 +30,7 @@ class ProjectionParams:
 
 def filter_densities(rho: np.ndarray, neigh: Neighborhoods) -> np.ndarray:
     """Weighted neighbor average; accepts (nel,) or (nch, nel) arrays."""
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 1:
-        return neigh.normalized @ rho
-    return (neigh.normalized @ rho.T).T
+    return (neigh.normalized @ np.asarray(rho, dtype=float).T).T
 
 
 def project(rho_tilde: np.ndarray, params: ProjectionParams):
@@ -58,8 +55,6 @@ def chain_sensitivities(
     row-normalized filter; accepts (nel,) or (nch, nel) arrays.
     """
     scaled = np.asarray(df_drho_bar, dtype=float) * dproj
-    if scaled.ndim == 1:
-        return neigh.normalized.T @ scaled
     return (neigh.normalized.T @ scaled.T).T
 
 

@@ -54,16 +54,9 @@ class Model:
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        fractions = spec.volume_fractions
-        if any(v <= 0 for v in fractions):
-            raise ConfigError(f"volume fractions must be > 0, got {fractions}")
-        if not sum(fractions) <= 1.0 + 1e-12:
-            raise ConfigError(
-                f"volume fractions must sum to at most 1, got {sum(fractions)}"
-            )
         # Upper volume fraction per constrained channel; the topology
         # channel holds every material, so it is bounded by their sum.
-        self.volume_bounds = (sum(fractions),) + tuple(fractions[1:])
+        self.volume_bounds = (sum(spec.volume_fractions),) + spec.volume_fractions[1:]
         self.grid: Grid = build_grid(spec.grid)
         self.mats = spec.materials
         self.flow_params = spec.flow
@@ -77,10 +70,8 @@ class Model:
         for sel in self.selections:
             by_role.setdefault(sel.region.role, []).append(sel)
 
-        inlets = by_role.get("pressure_inlet", [])
+        inlets = by_role["pressure_inlet"]
         drains = by_role.get("pressure_drain", [])
-        if not inlets:
-            raise ConfigError("problem has no pressure_inlet region")
         self.inlet_nodes = np.unique(np.concatenate([s.nodes for s in inlets]))
         self.drain_nodes = (
             np.unique(np.concatenate([s.nodes for s in drains]))
@@ -96,19 +87,14 @@ class Model:
         self.drain_faces = tuple(f for s in drains for f in s.faces)
 
         fixed = []
-        for sel in by_role.get("fixed_support", []):
+        for sel in by_role["fixed_support"]:
             for c in range(self.grid.dim):
                 fixed.append(self.grid.dim * sel.nodes + c)
         for sel in by_role.get("symmetry", []):
             fixed.append(self.grid.dim * sel.nodes + sel.normal_axis)
-        if not fixed:
-            raise ConfigError("problem has no fixed_support or symmetry region")
         self.fixed_u_dofs = np.unique(np.concatenate(fixed))
 
-        outputs = by_role.get("output", [])
-        if len(outputs) != 1:
-            raise ConfigError(f"expected exactly one output region, got {len(outputs)}")
-        self.output_sel = outputs[0]
+        (self.output_sel,) = by_role["output"]
         self.output_op = elasticity.output_operator(self.grid, self.output_sel)
         n_out = self.output_op.shape[1]
         self.l_out = (self.output_op @ np.ones(n_out)) / n_out

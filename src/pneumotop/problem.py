@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -208,7 +208,11 @@ class PassiveBox:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Fully validated problem with all defaults resolved."""
+    """Fully validated problem with all defaults resolved.
+
+    The rules that span sections are checked here, so a spec changed by
+    ``dataclasses.replace`` is checked again; messages name the file keys.
+    """
 
     name: str
     grid: GridSpec
@@ -222,9 +226,61 @@ class ProblemSpec:
     closure: ClosureSpec = field(default_factory=ClosureSpec)
     passive: tuple = ()
 
+    def __post_init__(self):
+        vf = tuple(float(v) for v in self.volume_fractions)
+        object.__setattr__(self, "volume_fractions", vf)
+        dim, n_mat = self.grid.dim, self.materials.n_materials
+        if len(vf) != n_mat:
+            raise ConfigError(
+                f"$.volume_fractions: expected {n_mat} entries (one per material), "
+                f"got {len(vf)}"
+            )
+        if not all(v > 0 for v in vf):
+            raise ConfigError(f"$.volume_fractions: each must be > 0, got {vf}")
+        if not sum(vf) <= 1.0 + 1e-12:
+            raise ConfigError(f"$.volume_fractions: sum {sum(vf):.4g} exceeds 1")
 
-def _default_r_min_elems(dim: int) -> float:
-    return 1.5 if dim == 2 else 2.5
+        for i, r in enumerate(self.regions):
+            if any(len(b) != dim for b in r.box):
+                raise ConfigError(f"$.regions[{i}].box_m: expected {dim} coordinates")
+            if r.direction is not None and len(r.direction) != dim:
+                raise ConfigError(f"$.regions[{i}].direction: expected {dim} components")
+        roles = [r.role for r in self.regions]
+        if "pressure_inlet" not in roles:
+            raise ConfigError("$.regions: no pressure_inlet region defined")
+        if roles.count("output") != 1:
+            raise ConfigError(
+                f"$.regions: exactly one output region required, found "
+                f"{roles.count('output')}"
+            )
+        if "fixed_support" not in roles:
+            raise ConfigError("$.regions: no fixed_support region defined")
+
+        for i, p in enumerate(self.passive):
+            if any(len(b) != dim for b in p.box):
+                raise ConfigError(f"$.passive[{i}].box_m: expected {dim} coordinates")
+            if p.tag == "solid" and p.material > n_mat:
+                raise ConfigError(
+                    f"$.passive[{i}]: material {p.material} exceeds the "
+                    f"{n_mat} defined materials"
+                )
+
+
+# File keys that differ from their spec field names; every other key is
+# its field's name.
+FIELD_NAMES = {
+    "h_m": "h",
+    "box_m": "box",
+    "k_out_n_per_m": "k_out",
+    "E_pa": "E",
+    "E_min_pa": "E_min",
+    "P_in_pa": "P_in",
+    "p_atm_pa": "p_atm",
+    "beta_kappa": "beta_k",
+    "eta_kappa": "eta_k",
+    "beta_drain": "beta_d",
+    "eta_drain": "eta_d",
+}
 
 
 def fixture_path(name: str) -> Path:
@@ -285,6 +341,17 @@ def _non_finite_path(node, path: str = "$") -> str | None:
     return None
 
 
+def _fields(section: dict) -> dict:
+    """A file section as keyword arguments of its spec dataclass: keys
+    renamed by FIELD_NAMES, arrays turned into tuples. A key the file
+    leaves out takes the dataclass default."""
+    return {FIELD_NAMES.get(k, k): _tuples(v) for k, v in section.items()}
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 def parse_problem(raw: dict, default_name: str = "problem") -> ProblemSpec:
     """Validate a problem dictionary and build the resolved ProblemSpec."""
     bad = _non_finite_path(raw)
@@ -296,141 +363,45 @@ def parse_problem(raw: dict, default_name: str = "problem") -> ProblemSpec:
         lines = [f"  {err.json_path}: {err.message}" for err in errors]
         raise ConfigError("problem file is invalid:\n" + "\n".join(lines))
 
-    g = raw["grid"]
-    if len(g["nel"]) != g["dim"]:
-        raise ConfigError(
-            f"$.grid.nel: expected {g['dim']} entries, got {len(g['nel'])}"
-        )
-    grid_spec = GridSpec(dim=g["dim"], nel=tuple(g["nel"]), h=g["h_m"])
-
-    m = raw["materials"]
-    mats = MaterialSet(
-        E=tuple(m["E_pa"]),
-        E_min=m.get("E_min_pa", 100.0),
-        nu=m.get("nu", 0.3),
-        penalty=m.get("penalty", 3.0),
-    )
-
-    vf = tuple(float(v) for v in raw["volume_fractions"])
-    if len(vf) != mats.n_materials:
-        raise ConfigError(
-            f"$.volume_fractions: expected {mats.n_materials} entries "
-            f"(one per material), got {len(vf)}"
-        )
-    if sum(vf) > 1.0 + 1e-12:
-        raise ConfigError(f"$.volume_fractions: sum {sum(vf):.4g} exceeds 1")
-
-    regions = []
+    dim, nel = raw["grid"]["dim"], raw["grid"]["nel"]
+    if len(nel) != dim:
+        raise ConfigError(f"$.grid.nel: expected {dim} entries, got {len(nel)}")
+    # keys that would be silently ignored
     for i, r in enumerate(raw["regions"]):
-        box = tuple(tuple(float(v) for v in b) for b in r["box_m"])
-        for b in box:
-            if len(b) != grid_spec.dim:
-                raise ConfigError(
-                    f"$.regions[{i}].box_m: expected {grid_spec.dim} coordinates"
-                )
-        direction = r.get("direction")
-        if r["role"] == "output" and direction is not None:
-            if len(direction) != grid_spec.dim:
-                raise ConfigError(
-                    f"$.regions[{i}].direction: expected {grid_spec.dim} components"
-                )
-        regions.append(
-            BoundaryRegion(
-                role=r["role"],
-                box=box,
-                direction=tuple(direction) if direction is not None else None,
-                k_out=r.get("k_out_n_per_m", 0.0),
-                name=r.get("name", ""),
-            )
-        )
-    roles = [r.role for r in regions]
-    if "pressure_inlet" not in roles:
-        raise ConfigError("$.regions: no pressure_inlet region defined")
-    if roles.count("output") != 1:
-        raise ConfigError(
-            f"$.regions: exactly one output region required, found "
-            f"{roles.count('output')}"
-        )
-    if "fixed_support" not in roles:
-        raise ConfigError("$.regions: no fixed_support region defined")
+        for key in ("direction", "k_out_n_per_m"):
+            if key in r and r["role"] != "output":
+                raise ConfigError(f"$.regions[{i}].{key}: only an output region takes it")
+    for i, p in enumerate(raw.get("passive", [])):
+        if "material" in p and p["tag"] == "void":
+            raise ConfigError(f"$.passive[{i}].material: a void box holds no material")
 
-    fspec_raw = raw.get("filter", {})
-    filt = FilterSpec(
-        r_min_elems=fspec_raw.get(
-            "r_min_elems", _default_r_min_elems(grid_spec.dim)
-        ),
-        eta_p=fspec_raw.get("eta_p", 0.5),
-        beta_p_initial=fspec_raw.get("beta_p_initial", 1.0),
-        beta_p_max=fspec_raw.get("beta_p_max", 16.0),
-        beta_p_double_every=fspec_raw.get("beta_p_double_every", 40),
-    )
+    grid = GridSpec(**_fields(raw["grid"]))
+    filt = FilterSpec(**{"r_min_elems": 1.5 if dim == 2 else 2.5,
+                         **_fields(raw.get("filter", {}))})
+    flow_fields = _fields(raw["flow"])
+    drain_ratio = flow_fields.pop("drain_ratio", 0.01)
+    flow = FlowParams(**flow_fields)
+    if "D_s" not in flow_fields:  # the drainage that leaves drain_ratio across a wall
+        wall = filt.r_min_elems * grid.h
+        flow = replace(flow, D_s=drainage_for_wall(flow.K_s, wall, drain_ratio))
 
-    fl = raw["flow"]
-    k_s = fl.get("K_s", 1e-7)
-    d_s = fl.get("D_s")
-    if d_s is None:
-        r_min_phys = filt.r_min_elems * grid_spec.h
-        d_s = drainage_for_wall(k_s, r_min_phys, fl.get("drain_ratio", 0.01))
-    flow = FlowParams(
-        P_in=fl["P_in_pa"],
-        p_atm=fl.get("p_atm_pa", 0.0),
-        K_v=fl.get("K_v", 1.0),
-        K_s=k_s,
-        beta_k=fl.get("beta_kappa", 10.0),
-        eta_k=fl.get("eta_kappa", 0.2),
-        D_s=d_s,
-        beta_d=fl.get("beta_drain", 10.0),
-        eta_d=fl.get("eta_drain", 0.3),
-    )
-
-    obj_raw = raw.get("objective", {})
-    closure_raw = raw.get("closure", {})
-    closure = ClosureSpec(
-        mode=closure_raw.get("mode", "none"),
-        skin_thickness_elems=closure_raw.get("skin_thickness_elems", 1),
-    )
-    variant = obj_raw.get("variant", "baseline")
+    closure = ClosureSpec(**_fields(raw.get("closure", {})))
+    objective = _fields(raw.get("objective", {}))
+    if objective.get("s") == "auto":
+        del objective["s"]
     if closure.mode == "energy_penalty":
-        variant = "energy_penalty"
-    s_raw = obj_raw.get("s", "auto")
-    objective = ObjectiveSpec(
-        variant=variant,
-        n=obj_raw.get("n", 8.0),
-        s=None if s_raw == "auto" else s_raw,
-    )
-
-    opt_raw = raw.get("optimizer", {})
-    settings = OptSettings(
-        max_iters=opt_raw.get("max_iters", 300),
-        move_limit=opt_raw.get("move_limit", 0.2),
-        change_tol=opt_raw.get("change_tol", 0.01),
-    )
-
-    passive = tuple(
-        PassiveBox(
-            tag=p["tag"],
-            box=tuple(tuple(float(v) for v in b) for b in p["box_m"]),
-            material=p.get("material", 1),
-        )
-        for p in raw.get("passive", [])
-    )
-    for i, p in enumerate(passive):
-        if p.tag == "solid" and p.material > mats.n_materials:
-            raise ConfigError(
-                f"$.passive[{i}]: material {p.material} exceeds the "
-                f"{mats.n_materials} defined materials"
-            )
+        objective["variant"] = "energy_penalty"
 
     return ProblemSpec(
         name=raw.get("name", default_name),
-        grid=grid_spec,
-        regions=tuple(regions),
-        materials=mats,
+        grid=grid,
+        regions=tuple(BoundaryRegion(**_fields(r)) for r in raw["regions"]),
+        materials=MaterialSet(**_fields(raw["materials"])),
         flow=flow,
-        volume_fractions=vf,
-        objective=objective,
+        volume_fractions=tuple(raw["volume_fractions"]),
+        objective=ObjectiveSpec(**objective),
         filter=filt,
-        optimizer=settings,
+        optimizer=OptSettings(**_fields(raw.get("optimizer", {}))),
         closure=closure,
-        passive=passive,
+        passive=tuple(PassiveBox(**_fields(p)) for p in raw.get("passive", [])),
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from pathlib import Path
 
@@ -121,6 +122,20 @@ def _load_matching(design_path, problem_path) -> tuple[ProblemSpec, np.ndarray]:
     return spec, rho_bar
 
 
+def sweep_stiffnesses(sweep, name: str = "sweep") -> list[float]:
+    """A sweep's spring stiffnesses: DEFAULT_SWEEP for None, else a
+    non-empty, strictly increasing list of finite numbers > 0."""
+    if sweep is None:
+        return list(DEFAULT_SWEEP)
+    if not (isinstance(sweep, (list, tuple, np.ndarray)) and len(sweep) > 0 and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0 for v in sweep)):
+        raise ConfigError(f"{name} needs stiffnesses that are finite and > 0, got {sweep!r}")
+    if any(b <= a for a, b in zip(sweep, sweep[1:])):
+        raise ConfigError(f"{name} stiffnesses must be strictly increasing: {sweep!r}")
+    return [float(v) for v in sweep]
+
+
 def evaluate_design(design_path, problem_path, sweep=None) -> list[dict]:
     """Forward-solve a fixed design across a spring-stiffness sweep.
 
@@ -128,12 +143,7 @@ def evaluate_design(design_path, problem_path, sweep=None) -> list[dict]:
     one flow solve and one factorization (``Model.sweep``). The pressure
     problem does not see the springs, so E_t is constant across the sweep.
     """
-    sweep = list(DEFAULT_SWEEP) if sweep is None else [float(v) for v in sweep]
-    if not (sweep and all(math.isfinite(v) and v > 0 for v in sweep)):
-        raise ConfigError(f"sweep needs stiffnesses that are finite and > 0, got {sweep}")
-    if any(b <= a for a, b in zip(sweep, sweep[1:])):
-        raise ConfigError(f"sweep stiffnesses must be strictly increasing: {sweep}")
-
+    sweep = sweep_stiffnesses(sweep)
     spec, rho_bar = _load_matching(design_path, problem_path)
     return [
         {"k_out": k, "u_out": m.u_out, "SE": m.SE, "W": m.W, "E_t": m.E_t}

@@ -75,6 +75,21 @@ def test_malformed_suite_exits_3(tmp_path, content):
     assert cli.main(["bench", str(suite), "--out-dir", str(tmp_path / "out")]) == 3
 
 
+def test_decreasing_suite_sweep_exits_3_before_any_case_runs(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench.runner, "optimize_problem", lambda *a: calls.append(a))
+    monkeypatch.setattr(bench.runner, "evaluate_design", lambda *a, **k: calls.append(a))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"sweep_n_per_m": [10, 1], "cases": [
+        {"label": "a", "problem": "finger2d"},
+    ]}))
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        bench.load_suite(suite)
+    assert cli.main(["bench", str(suite), "--out-dir", str(tmp_path / "out")]) == 3
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_energy_penalty_case_optimizes_energy_penalty_objective(tmp_path, monkeypatch):
     captured = []
 

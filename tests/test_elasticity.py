@@ -17,7 +17,7 @@ from pneumotop.errors import ConfigError
 from pneumotop.grid import BoundaryRegion, Grid, GridSpec, build_grid, select_region
 from pneumotop.model import Model
 
-from conftest import tiny_problem_dict
+from tinyproblem import tiny_problem_dict
 
 
 def _cantilever(nx=8, ny=4, h=1.0):

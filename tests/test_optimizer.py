@@ -16,7 +16,7 @@ from pneumotop.optimizer import (
     run,
 )
 
-from conftest import tiny_problem_dict
+from tinyproblem import tiny_problem_dict
 
 
 def test_initialize_levels_and_active_constraints(tiny_model):

@@ -1,4 +1,5 @@
 """Problem-file validation, fixtures, artifact formats, and the CLI verbs."""
+import dataclasses
 import json
 import math
 import os
@@ -16,9 +17,10 @@ from pneumotop import cli, io, linalg, problem, runner
 from pneumotop.errors import ConfigError
 from pneumotop.fixtures import make_pneunet2d_design
 from pneumotop.grid import GridSpec, build_grid
+from pneumotop.materials import drainage_for_wall
 from pneumotop.model import Model
 
-from conftest import tiny_problem_dict
+from tinyproblem import tiny_problem_dict
 
 
 def test_finger2d_fixture_values():
@@ -41,6 +43,80 @@ def test_missing_inlet_is_named_error():
     raw = tiny_problem_dict()
     raw["regions"] = [r for r in raw["regions"] if r["role"] != "pressure_inlet"]
     with pytest.raises(ConfigError, match="pressure_inlet"):
+        problem.parse_problem(raw)
+
+
+def test_spec_rules_hold_under_replace(tiny_spec):
+    no_inlet = tuple(r for r in tiny_spec.regions if r.role != "pressure_inlet")
+    with pytest.raises(ConfigError, match="pressure_inlet"):
+        dataclasses.replace(tiny_spec, regions=no_inlet)
+    symmetry_only = tuple(
+        dataclasses.replace(r, role="symmetry") if r.role == "fixed_support" else r
+        for r in tiny_spec.regions
+    )
+    with pytest.raises(ConfigError, match="fixed_support"):
+        dataclasses.replace(tiny_spec, regions=symmetry_only)
+    with pytest.raises(ConfigError, match=r"\$\.volume_fractions: expected 3 entries"):
+        dataclasses.replace(tiny_spec, volume_fractions=(0.3, 0.2))
+    solid = problem.PassiveBox("solid", ((0.0, 0.0), (0.001, 0.001)), material=4)
+    with pytest.raises(ConfigError, match=r"\$\.passive\[0\]: material 4"):
+        dataclasses.replace(tiny_spec, passive=(solid,))
+    void = problem.PassiveBox("void", ((0.0, 0.0, 0.0), (0.001, 0.001, 0.001)))
+    with pytest.raises(ConfigError, match=r"\$\.passive\[0\]\.box_m: expected 2"):
+        dataclasses.replace(tiny_spec, passive=(void,))
+
+
+def _assert_defaults(section, given=()):
+    """Every optional field of a spec dataclass, but those ``given``, holds
+    its declared default."""
+    for f in dataclasses.fields(section):
+        if f.name in given:
+            continue
+        if f.default is not dataclasses.MISSING:
+            assert getattr(section, f.name) == f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(section, f.name) == f.default_factory(), f.name
+
+
+def test_missing_keys_take_the_spec_dataclass_defaults():
+    raw = {
+        "grid": {"dim": 2, "nel": [12, 6], "h_m": 0.001},
+        "regions": [
+            {"role": "fixed_support", "box_m": [[0, 0], [0, 0.006]]},
+            {"role": "pressure_inlet", "box_m": [[0, 0.003], [0, 0.005]]},
+            {"role": "output", "box_m": [[0.012, 0.002], [0.012, 0.004]],
+             "direction": [0, -1]},
+        ],
+        "materials": {"E_pa": [1e6]},
+        "flow": {"P_in_pa": 5e4},
+        "volume_fractions": [0.3],
+    }
+    spec = problem.parse_problem(raw)
+    assert spec.name == "problem"
+    for section in (spec, spec.materials, spec.objective, spec.filter, spec.optimizer,
+                    spec.closure):
+        _assert_defaults(section)
+    for region in spec.regions:
+        _assert_defaults(region, given=("direction",) if region.role == "output" else ())
+    _assert_defaults(spec.flow, given=("D_s",))
+    # the two values derived from the file: the filter radius by dimension,
+    # and the drainage that leaves 1% of the pressure across one radius
+    assert spec.filter.r_min_elems == 1.5
+    assert spec.flow.D_s == drainage_for_wall(spec.flow.K_s, 1.5 * 0.001, 0.01)
+
+
+@pytest.mark.parametrize("where, entry, message", [
+    ("regions", {"role": "fixed_support", "box_m": [[0, 0], [0, 0.006]],
+                 "direction": [1, 0]}, r"\$\.regions\[4\]\.direction"),
+    ("regions", {"role": "fixed_support", "box_m": [[0, 0], [0, 0.006]],
+                 "k_out_n_per_m": 5}, r"\$\.regions\[4\]\.k_out_n_per_m"),
+    ("passive", {"tag": "void", "box_m": [[0, 0], [0.001, 0.001]], "material": 2},
+     r"\$\.passive\[0\]\.material"),
+], ids=["direction", "k_out", "void-material"])
+def test_keys_that_do_nothing_are_rejected(where, entry, message):
+    raw = tiny_problem_dict()
+    raw.setdefault(where, []).append(entry)
+    with pytest.raises(ConfigError, match=message):
         problem.parse_problem(raw)
 
 
