@@ -7,6 +7,7 @@ and ``dim`` displacement DOFs (``dim * node + component``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,6 +61,14 @@ class GridSpec:
             raise ConfigError(
                 f"grid {self.nel} would need {self.dim * nnodes} displacement "
                 f"DOFs, exceeding the {MAX_DOFS} index space"
+            )
+        # The stiffness's scatter (stencil_operator) has one int32-indexed
+        # column per element and entry of the (dim 2^dim)^2 element matrix.
+        entries = (self.dim * 2**self.dim) ** 2 * math.prod(self.nel)
+        if entries > MAX_DOFS:
+            raise ConfigError(
+                f"grid {self.nel} would need {entries} stiffness scatter "
+                f"entries, exceeding the {MAX_DOFS} index space"
             )
 
 

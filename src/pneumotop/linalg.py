@@ -12,8 +12,9 @@ system to its free DOFs, by a gather map built once per pattern and
 Dirichlet set, and solves it, on 2-D grids, by banded Cholesky with iterative
 refinement, and on 3-D grids by conjugate gradients preconditioned with a
 geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG for
-efficient topology optimization", SMO 49:815). Both paths keep the same
-contract.
+efficient topology optimization", SMO 49:815) that smooths by one
+damped-Jacobi sweep on each side of every coarse correction. Both paths keep
+the same contract.
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
@@ -43,8 +44,11 @@ MAX_REFINEMENTS = 4
 # stopping at 1e-12 left it 8.7e-9.
 CG_TOL = 1e-12
 CG_MAX_ITERS = 500
+# One damped-Jacobi sweep before and one after each coarse correction. With
+# one sweep, omega = 0.4 and 0.5 took more CG iterations on gripper3d designs,
+# and 0.7 left the initial design's adjoint solve at a backward error of
+# 1.3e-9.
 JACOBI_OMEGA = 0.6
-SMOOTHING_SWEEPS = 2
 # Multigrid halves every axis while each has at least this many elements;
 # the coarsest level (6x3x3 elements on gripper3d) is solved by LU.
 MIN_COARSENED_ELEMS = 4
@@ -130,8 +134,8 @@ class DirichletReduction:
     2-D), the place in the full data of every free x free entry together
     with the free block's CSR pattern (its columns unsorted in 2-D, which
     the band fill and matvecs accept), and in 3-D the multigrid
-    prolongations. A solve is then one gather, plus one SpMV when the
-    Dirichlet values are not all zero."""
+    prolongations with their transposes, the restrictions. A solve is then
+    one gather, plus one SpMV when the Dirichlet values are not all zero."""
 
     def __init__(self, indptr, indices, fixed, nel):
         n = len(indptr) - 1
@@ -150,7 +154,10 @@ class DirichletReduction:
         kept = np.flatnonzero(cols >= 0)
         self.gather, self.indices = np.take(entries, kept), np.take(cols, kept)
         self.indptr = np.searchsorted(kept, ends).astype(np.int32)
-        self.prolongations = _prolongations(nel, n, self.free) if len(nel) == 3 else None
+        self.prolongations = self.restrictions = None
+        if len(nel) == 3:
+            self.prolongations = _prolongations(nel, n, self.free)
+            self.restrictions = [p.T.tocsr() for p in self.prolongations]
 
     def solve(self, a, f, values, context: str):
         """Solve ``A x = f`` with ``x[fixed] = values``, for ``a`` (CSR) with
@@ -175,7 +182,9 @@ class DirichletReduction:
             # CG's matvecs and the Galerkin products cost what is stored:
             # drop the exact zeros that a uniform modulus cancels to.
             a_ff.eliminate_zeros()
-            system = MultigridSystem(a_ff, self.prolongations, context=context)
+            system = MultigridSystem(
+                a_ff, self.prolongations, self.restrictions, context=context
+            )
         x[self.free] = system.solve(b)
         return x, self.free, system
 
@@ -247,20 +256,22 @@ class MultigridSystem(FactorizedSystem):
     preconditioner, under the same backward-error contract as the Cholesky
     solve.
 
-    ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``); the
-    coarse operators are the Galerkin products ``Pᵀ A P``, smoothed by damped
-    Jacobi and solved on the coarsest level by SuperLU. With no prolongations
-    the V-cycle is that direct solve, and CG converges in one step."""
+    ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``) and
+    ``restrictions[l]`` is its transpose, both built once by the
+    ``DirichletReduction``. The coarse operators are the Galerkin products
+    ``Pᵀ A P``; every level but the coarsest is smoothed by one damped-Jacobi
+    sweep before and one after its coarse correction, which keeps the
+    V-cycle symmetric, and the coarsest is solved by SuperLU. With no
+    prolongations the V-cycle is that direct solve, and CG converges in one
+    step."""
 
-    def __init__(self, a, prolongations, context: str = "linear system"):
+    def __init__(self, a, prolongations, restrictions, context: str = "linear system"):
         self.a = a.tocsr()
         self.context = context
         self.norm1 = _norm1(self.a)
-        self.prolongations = prolongations
-        self._levels, self._restrictions = [self.a], []
-        for p in prolongations:
-            r = p.T.tocsr()
-            self._restrictions.append(r)
+        self.prolongations, self.restrictions = prolongations, restrictions
+        self._levels = [self.a]
+        for p, r in zip(prolongations, restrictions):
             self._levels.append((r @ self._levels[-1] @ p).tocsr())
         self._jacobi = [JACOBI_OMEGA / a_l.diagonal() for a_l in self._levels[:-1]]
         self._coarse = _factorize(self._levels[-1].tocsc(), f"{context} (coarsest level)")
@@ -269,13 +280,10 @@ class MultigridSystem(FactorizedSystem):
         if level == len(self._jacobi):
             return self._coarse.solve(r)
         a, w = self._levels[level], self._jacobi[level]
-        x = w * r  # the first Jacobi sweep, from x = 0
-        for _ in range(SMOOTHING_SWEEPS - 1):
-            x += w * (r - a @ x)
-        coarse_r = self._restrictions[level] @ (r - a @ x)
+        x = w * r  # pre-smoothing: one Jacobi sweep from x = 0
+        coarse_r = self.restrictions[level] @ (r - a @ x)
         x += self.prolongations[level] @ self._v_cycle(coarse_r, level + 1)
-        for _ in range(SMOOTHING_SWEEPS):
-            x += w * (r - a @ x)
+        x += w * (r - a @ x)  # post-smoothing
         return x
 
     def _apply_inverse(self, b: np.ndarray) -> np.ndarray:

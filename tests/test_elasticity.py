@@ -344,3 +344,10 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
         assert np.shares_memory(mat.indptr, op.indptr)
         assert np.shares_memory(mat.indices, op.indices)
     assert isinstance(state.disp.lu, linalg.MultigridSystem) == (name == "gripper3d")
+    if name == "gripper3d":
+        # the V-cycles restrict by the reductions' own transposes, not new ones
+        for system, reduction in [(state.disp.lu, model.elastic_reduction),
+                                  (state.pressure.lu, model.flow_reduction)]:
+            assert system.prolongations is reduction.prolongations
+            assert system.restrictions is reduction.restrictions
+            assert len(system.restrictions) == len(system.prolongations) > 0

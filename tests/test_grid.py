@@ -1,5 +1,7 @@
 """Grid construction, region selection, filter-neighborhood and stencil
 operator tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -40,6 +42,20 @@ def test_unit_element_volume():
 def test_dof_index_overflow_rejected():
     with pytest.raises(ConfigError, match="index space"):
         GridSpec(3, (2000, 2000, 2000), 1e-3)
+
+
+def test_scatter_index_overflow_rejected():
+    # 4.1 M elements times the 576 entries of a hexahedral stiffness pass
+    # 2**31, while the 12.5 M displacement DOFs do not
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="2359296000 stiffness scatter entries"):
+            GridSpec(3, (160, 160, 160), 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # rejected before anything grid-sized is allocated
+    GridSpec(3, (155, 155, 155), 1e-3)  # 3.72 M elements still fit
 
 
 def test_invalid_spec_rejected():

@@ -141,9 +141,9 @@ def test_multigrid_solve_meets_the_contract():
 def test_multigrid_missing_the_contract_raises_and_terminates(monkeypatch):
     g, k, fixed, f = _elastic_3d()
     a_ff, b, free = _reduced(k, fixed, f)
-    system = linalg.MultigridSystem(
-        a_ff, linalg._prolongations(g.nel_axis, k.shape[0], free), context="test system"
-    )
+    prolongations = linalg._prolongations(g.nel_axis, k.shape[0], free)
+    restrictions = [p.T.tocsr() for p in prolongations]
+    system = linalg.MultigridSystem(a_ff, prolongations, restrictions, context="test system")
     calls, real = [], linalg.MultigridSystem._apply_inverse
 
     def counting(self, rhs):
@@ -155,6 +155,19 @@ def test_multigrid_missing_the_contract_raises_and_terminates(monkeypatch):
     with pytest.raises(SolveError, match="test system: backward error"):
         system.solve(b)
     assert len(calls) == 1 + linalg.MAX_REFINEMENTS
+
+
+def test_v_cycle_is_a_symmetric_positive_definite_preconditioner():
+    # PCG needs M symmetric and positive definite: one Jacobi sweep before
+    # and one after each coarse correction keeps the V-cycle symmetric
+    g, k, fixed, f = _elastic_3d()
+    _, free, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
+    n = free.size
+    assert n == 600 and len(system.prolongations) == 1
+    m = np.column_stack([system._v_cycle(e) for e in np.eye(n)])
+    r1, r2 = np.random.default_rng(3).normal(size=(2, n))
+    assert abs((m @ r1) @ r2 - r1 @ (m @ r2)) <= 1e-12 * np.linalg.norm(m @ r1) * np.linalg.norm(r2)
+    assert np.linalg.eigvalsh((m + m.T) / 2).min() > 0.0
 
 
 @pytest.mark.parametrize("nel,multigrid", [
