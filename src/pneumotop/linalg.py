@@ -14,14 +14,17 @@ refinement, and on 3-D grids by conjugate gradients preconditioned with a
 geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG for
 efficient topology optimization", SMO 49:815) that smooths by one
 damped-Jacobi sweep on each side of every coarse correction. Both paths keep
-the same contract.
+the same contract. In 2-D the reduction also builds, once, the map from the
+full matrix's data to LAPACK's band storage, so a factorization fills the
+band by one scatter and LAPACK factors it in place, without a copy
+(Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3).
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
 dofs * (n_short + 2) for n_short nodes on that axis (George & Liu 1981,
 "Computer Solution of Large Sparse Positive Definite Systems"), and LAPACK's
-banded Cholesky of that band is several times faster than SuperLU (finger2d
-elastic: 7 ms against 45 ms). In 3-D a band spans a whole layer of nodes, so
+banded Cholesky of that band is many times faster than SuperLU (finger2d
+elastic: 3 ms against 45 ms). In 3-D a band spans a whole layer of nodes, so
 the coarsest multigrid level, which on a thin grid is the whole system,
 keeps SuperLU and its fill-reducing order.
 """
@@ -57,8 +60,12 @@ PIVOT_RATIO_TOL = 1e-14
 
 
 def _norm1(a) -> float:
-    """The largest absolute column sum of ``a`` (CSR)."""
-    return float(np.bincount(a.indices, np.abs(a.data), minlength=a.shape[1]).max(initial=0.0))
+    """The 1-norm of ``a`` (CSR), taken as its largest absolute row sum.
+
+    That equals the largest column sum because every matrix solved here is
+    symmetric, and ``reduceat`` sums each row correctly only because none
+    has an empty row (an SPD matrix stores its diagonal)."""
+    return float(np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max(initial=0.0))
 
 
 def _factorize(a, context: str):
@@ -83,22 +90,43 @@ def _check_pivots(pivots: np.ndarray, context: str):
         )
 
 
+class BandMap:
+    """Where the upper triangle of an SPD matrix with a fixed CSR pattern (no
+    duplicate entries) goes in LAPACK's upper band storage, built once per
+    pattern.
+
+    ``width`` is the half-bandwidth. For every entry on or above the
+    diagonal, ``src`` is its place in the data the band is read from (the
+    pattern's own data, or through ``places`` the data those entries were
+    gathered from) and ``pos`` its flat place in the Fortran-ordered
+    (width + 1) x n band, ``ab[width + i - j, j] = a[i, j]``, which
+    ``dpbtrf`` factors in place."""
+
+    def __init__(self, indptr, indices, places=None):
+        self.n = len(indptr) - 1
+        rows = np.repeat(np.arange(self.n, dtype=indices.dtype), np.diff(indptr))
+        upper = np.flatnonzero(rows <= indices)
+        rows, cols = rows[upper], indices[upper]
+        self.width = int((cols - rows).max(initial=0))
+        # int64 only once the flat index can pass 2**31
+        dtype = np.int32 if (self.width + 1) * self.n < 2**31 else np.int64
+        # column j of the band starts at (width + 1) j
+        self.pos = rows.astype(dtype) + self.width * (cols.astype(dtype) + 1)
+        self.src = upper if places is None else places[upper]
+
+    def band(self, data: np.ndarray) -> np.ndarray:
+        flat = np.zeros((self.width + 1) * self.n)
+        flat[self.pos] = data[self.src]
+        return flat.reshape(self.width + 1, self.n, order="F")
+
+
 class BandedCholesky:
-    """Cholesky factor ``Uᵀ U`` of an SPD matrix within its band, in LAPACK's
-    upper band storage. Its cost grows with n times the square of the
+    """Cholesky factor ``Uᵀ U`` of an SPD matrix given as its LAPACK upper
+    band (see ``BandMap``), factored in place when the band is
+    F-contiguous. Its cost grows with n times the square of the
     half-bandwidth, so the matrix should come in a band order."""
 
-    def __init__(self, a, context: str):
-        coo = a.tocoo()
-        upper = coo.row <= coo.col
-        # int64, since the flat index into the band can pass 2**31
-        rows, cols = coo.row[upper].astype(np.int64), coo.col[upper]
-        n = a.shape[0]
-        width = int((cols - rows).max(initial=0))
-        band = np.bincount(
-            (width + rows - cols) * n + cols, weights=coo.data[upper],
-            minlength=(width + 1) * n,
-        ).reshape(width + 1, n)
+    def __init__(self, band: np.ndarray, context: str):
         try:
             self.factor = cholesky_banded(band, overwrite_ab=True)
         except (LinAlgError, ValueError) as exc:  # not positive definite, or not finite
@@ -107,7 +135,7 @@ class BandedCholesky:
             ) from exc
         # Roundoff can slip rigid-body modes past the factorization; a
         # collapsed pivot is the reliable tell.
-        _check_pivots(self.factor[width] ** 2, context)
+        _check_pivots(self.factor[-1] ** 2, context)
         self.nnz = self.factor.size
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -133,9 +161,11 @@ class DirichletReduction:
     It holds the free DOFs in solver order (ascending in 3-D, band order in
     2-D), the place in the full data of every free x free entry together
     with the free block's CSR pattern (its columns unsorted in 2-D, which
-    the band fill and matvecs accept), and in 3-D the multigrid
-    prolongations with their transposes, the restrictions. A solve is then
-    one gather, plus one SpMV when the Dirichlet values are not all zero."""
+    the band map and matvecs accept), in 2-D the ``BandMap`` from the full
+    data to the free block's band, and in 3-D the multigrid prolongations
+    with their transposes, the restrictions. A solve is then one gather,
+    plus one SpMV when the Dirichlet values are not all zero, and in 2-D one
+    scatter into the band that LAPACK factors in place."""
 
     def __init__(self, indptr, indices, fixed, nel):
         n = len(indptr) - 1
@@ -154,8 +184,10 @@ class DirichletReduction:
         kept = np.flatnonzero(cols >= 0)
         self.gather, self.indices = np.take(entries, kept), np.take(cols, kept)
         self.indptr = np.searchsorted(kept, ends).astype(np.int32)
-        self.prolongations = self.restrictions = None
-        if len(nel) == 3:
+        self.band_map = self.prolongations = self.restrictions = None
+        if len(nel) == 2:
+            self.band_map = BandMap(self.indptr, self.indices, places=self.gather)
+        else:
             self.prolongations = _prolongations(nel, n, self.free)
             self.restrictions = [p.T.tocsr() for p in self.prolongations]
 
@@ -176,8 +208,8 @@ class DirichletReduction:
             (a.data[self.gather], self.indices.copy(), self.indptr.copy()),
             shape=(self.free.size,) * 2,
         )
-        if self.prolongations is None:
-            system = FactorizedSystem(a_ff, context=context)
+        if self.band_map is not None:
+            system = FactorizedSystem(a_ff, context=context, band=self.band_map.band(a.data))
         else:
             # CG's matvecs and the Galerkin products cost what is stored:
             # drop the exact zeros that a uniform modulus cancels to.
@@ -190,13 +222,19 @@ class DirichletReduction:
 
 
 class FactorizedSystem:
-    """Cholesky-factorized SPD system solving to a backward-error tolerance."""
+    """Cholesky-factorized SPD system solving to a backward-error tolerance.
 
-    def __init__(self, a, context: str = "linear system"):
+    ``band`` is ``a`` in LAPACK upper band storage, as a ``DirichletReduction``
+    fills it from the full matrix; without it the band is filled through a
+    ``BandMap`` of ``a``'s own pattern."""
+
+    def __init__(self, a, context: str = "linear system", band=None):
         self.a = a.tocsr()
         self.context = context
         self.norm1 = _norm1(self.a)
-        self.lu = BandedCholesky(self.a, context)
+        if band is None:
+            band = BandMap(self.a.indptr, self.a.indices).band(self.a.data)
+        self.lu = BandedCholesky(band, context)
 
     def _backward_error(self, x, b, resid):
         return resid / (self.norm1 * np.linalg.norm(x) + np.linalg.norm(b))
@@ -232,16 +270,16 @@ class FactorizedSystem:
         through this factorization by the Woodbury identity (Hager 1989, SIAM
         Review 31(2)) ``(A + c U Uᵀ)⁻¹ = A⁻¹ - c Z (I + c Uᵀ Z)⁻¹ Uᵀ A⁻¹``, where
         ``Z = A⁻¹ U`` is computed once for all of them."""
-        z = self.lu.solve(u.toarray())
+        z, uu = self.lu.solve(u.toarray()), u @ u.T
         for c in coefficients:
-            yield _RankUpdatedSystem(self, c, u, z)
+            yield _RankUpdatedSystem(self, c, u, uu, z)
 
 
 class _RankUpdatedSystem(FactorizedSystem):
     """``base.a + c U Uᵀ``, solved through the factorization of ``base``."""
 
-    def __init__(self, base: FactorizedSystem, c: float, u, z):
-        self.a = (base.a + c * (u @ u.T)).tocsr()
+    def __init__(self, base: FactorizedSystem, c: float, u, uu, z):
+        self.a = (base.a + c * uu).tocsr()
         self.context, self.lu, self.norm1 = base.context, base.lu, _norm1(self.a)
         self._cu, self._z = c * u, z
         self._capacitance = linalg.lu_factor(np.eye(u.shape[1]) + self._cu.T @ z)
@@ -312,9 +350,10 @@ class MultigridSystem(FactorizedSystem):
         r CG iterations in exact arithmetic, and no hierarchy is rebuilt.
         (Woodbury's ``Z = A⁻¹ U`` would cost r preconditioned solves, one per
         output node.)"""
+        uu = u @ u.T
         for c in coefficients:
             system = copy.copy(self)
-            system.a = (self.a + c * (u @ u.T)).tocsr()
+            system.a = (self.a + c * uu).tocsr()
             system.norm1 = _norm1(system.a)
             yield system
 

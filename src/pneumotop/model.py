@@ -239,9 +239,11 @@ class Model:
         coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]
         systems = state.disp.lu.rank_updates(self.output_op[free], coefficients)
         out = [state.metrics]
-        for k, system in zip(k_values[1:], systems):
+        # Each updated system holds its own matrix: drop it before the next
+        # is built (a loop variable would keep it alive through next()).
+        for k in k_values[1:]:
             u = np.zeros_like(state.disp.u)
-            u[free] = system.solve(state.force[free])
+            u[free] = next(systems).solve(state.force[free])
             out.append(elasticity.metrics(u, state.k_struct, self.l_out, k, state.metrics.E_t))
         return out
 

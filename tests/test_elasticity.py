@@ -1,5 +1,6 @@
 """Stiffness assembly, springs, solves, and performance metrics."""
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -337,8 +338,12 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     spy(Grid, "node_pattern")  # every stencil_operator starts here
     spy(linalg.DirichletReduction, "__init__")
     spy(linalg, "_prolongations")
+    spy(linalg.BandMap, "__init__")
     state = model.forward(second)
     assert calls == []
+    # in 2-D both physics fill their bands through the maps built with them
+    for reduction in (model.elastic_reduction, model.flow_reduction):
+        assert (reduction.band_map is None) == (name == "gripper3d")
     # the assembled operators share the model's pattern arrays, not copies
     for mat, op in [(state.k_struct, model.elastic.op), (state.flow.A, model.flow.op)]:
         assert np.shares_memory(mat.indptr, op.indptr)
@@ -351,3 +356,42 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
             assert system.prolongations is reduction.prolongations
             assert system.restrictions is reduction.restrictions
             assert len(system.restrictions) == len(system.prolongations) > 0
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_sweep_holds_one_updated_system_at_a_time(name, tiny_spec, monkeypatch):
+    """Each rank-updated system owns its matrix, so the sweep drops it before
+    the next one is built."""
+    spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
+    model = Model(spec)
+    rho = _designs(model, 2)[0]
+    refs, live_at_build = [], []
+
+    class Recording:
+        def __init__(self, systems):
+            self.systems = systems
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            system = next(self.systems)
+            refs.append(weakref.ref(system))
+            return system
+
+    for cls in (linalg.FactorizedSystem, linalg.MultigridSystem):
+        real = vars(cls)["rank_updates"]
+        monkeypatch.setattr(
+            cls, "rank_updates", lambda self, u, cs, real=real: Recording(real(self, u, cs))
+        )
+    real_norm1 = linalg._norm1
+
+    def norm1(a):  # every updated system takes the norm of its new matrix
+        live_at_build.append(sum(ref() is not None for ref in refs))
+        return real_norm1(a)
+
+    monkeypatch.setattr(linalg, "_norm1", norm1)
+    k_values = [0.1, 1.0, 10.0, 100.0]
+    model.sweep(rho, k_values)
+    assert len(refs) == len(k_values) - 1
+    assert live_at_build[-len(refs):] == [0] * len(refs)

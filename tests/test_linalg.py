@@ -1,5 +1,6 @@
 """Backward-error contract of the banded-Cholesky and multigrid solves and
-their rank updates, the 2-D band order, and the grid's choice between them."""
+their rank updates, the 2-D band order and band map, the 1-norm, and the
+grid's choice between them."""
 import numpy as np
 import pytest
 from scipy import sparse
@@ -89,6 +90,61 @@ def test_2d_band_order_bounds_the_bandwidth(nel, dofs_per_node):
     assert np.all(x[fixed] == 0.0)
     exact = spsolve(a_ff.tocsc(), b)
     assert np.linalg.norm(x[free_sorted] - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def _reference_band(a):
+    """The band as the factorization built it from each matrix before the
+    band map: ``tocoo``, an upper-triangle mask, an int64 flat index into a
+    C-ordered band and a weighted ``bincount``."""
+    coo = a.tocoo()
+    upper = coo.row <= coo.col
+    rows, cols = coo.row[upper].astype(np.int64), coo.col[upper]
+    n = a.shape[0]
+    width = int((cols - rows).max(initial=0))
+    return np.bincount(
+        (width + rows - cols) * n + cols, weights=coo.data[upper],
+        minlength=(width + 1) * n,
+    ).reshape(width + 1, n)
+
+
+@pytest.mark.parametrize("dirichlet", ["edge", "one-component"])
+@pytest.mark.parametrize("dofs_per_node", [1, 2])
+@pytest.mark.parametrize("nel", [(12, 4), (4, 12)], ids=["wide", "tall"])
+def test_band_map_fills_the_band_in_place(nel, dofs_per_node, dirichlet, monkeypatch):
+    g, k, fixed, f = _gray_2d(nel, dofs_per_node)
+    if dirichlet == "one-component":
+        # a symmetry plane: the first component on the x = 0 edge, plus the
+        # last component of the origin node against rigid motion
+        fixed = np.union1d(fixed[::dofs_per_node], [dofs_per_node - 1])
+    handed, real_cholesky = [], linalg.cholesky_banded
+
+    def recording_cholesky(band, **kwargs):
+        before = band.copy()
+        factor = real_cholesky(band, **kwargs)
+        handed.append((before, band.flags.f_contiguous, np.shares_memory(factor, band)))
+        return factor
+
+    monkeypatch.setattr(linalg, "cholesky_banded", recording_cholesky)
+    _, _, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
+    linalg.FactorizedSystem(system.a, context="test system")  # the map of its own pattern
+    reference = np.ascontiguousarray(_reference_band(system.a))
+    assert len(handed) == 2
+    for band, f_contiguous, in_place in handed:
+        assert np.ascontiguousarray(band).tobytes() == reference.tobytes()
+        assert f_contiguous and in_place
+
+
+def test_norm1_is_the_largest_column_sum():
+    g, k, fixed, f = _gray_2d((12, 4), 2)
+    _, free, system_2d = _solve_dirichlet(k, f, fixed, g.nel_axis)
+    u = sparse.csr_matrix(np.eye(free.size)[:, -3:])
+    (updated,) = system_2d.rank_updates(u, [1e5])
+    g3, k3, fixed3, f3 = _elastic_3d()
+    _, _, system_3d = _solve_dirichlet(k3, f3, fixed3, g3.nel_axis)
+    for a in (system_2d.a, system_3d.a, updated.a):
+        # abs() of a CSR with unsorted columns sorts them in place: take a copy
+        column_sum = abs(a.copy()).sum(axis=0).max()
+        assert abs(linalg._norm1(a) - column_sum) <= 1e-14 * column_sum
 
 
 def test_collapsed_pivot_is_singular():
