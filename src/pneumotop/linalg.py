@@ -23,10 +23,10 @@ Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
 dofs * (n_short + 2) for n_short nodes on that axis (George & Liu 1981,
 "Computer Solution of Large Sparse Positive Definite Systems"), and LAPACK's
-banded Cholesky of that band is many times faster than SuperLU (finger2d
+banded Cholesky of that band is many times faster than sparse LU (finger2d
 elastic: 3 ms against 45 ms). In 3-D a band spans a whole layer of nodes, so
-the coarsest multigrid level, which on a thin grid is the whole system,
-keeps SuperLU and its fill-reducing order.
+multigrid coarsens until the coarsest level is small enough for the same
+banded Cholesky, whatever the grid's shape.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ import copy
 import numpy as np
 from scipy import linalg, sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import splu
 
 from .errors import SingularSystemError, SolveError
 
@@ -52,9 +51,11 @@ CG_MAX_ITERS = 500
 # and 0.7 left the initial design's adjoint solve at a backward error of
 # 1.3e-9.
 JACOBI_OMEGA = 0.6
-# Multigrid halves every axis while each has at least this many elements;
-# the coarsest level (6x3x3 elements on gripper3d) is solved by LU.
-MIN_COARSENED_ELEMS = 4
+# Multigrid halves every axis while its level keeps more DOFs than this, so
+# the coarsest level (6x3x3 elements, 112 and 336 DOFs, on gripper3d) is
+# cheap to factor by banded Cholesky. Any value in [384, 637) keeps the
+# hierarchies of gripper3d, 25x12x12 and 48x24x24.
+COARSEST_DOFS = 500
 # A pivot this small against the largest marks a numerically singular matrix.
 PIVOT_RATIO_TOL = 1e-14
 
@@ -66,28 +67,6 @@ def _norm1(a) -> float:
     symmetric, and ``reduceat`` sums each row correctly only because none
     has an empty row (an SPD matrix stores its diagonal)."""
     return float(np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max(initial=0.0))
-
-
-def _factorize(a, context: str):
-    """SuperLU factors of ``a`` (CSC), rejecting numerically singular ones."""
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:
-        raise SingularSystemError(
-            f"{context}: factorization failed ({exc})"
-        ) from exc
-    # Roundoff can slip rigid-body modes past the factorization; a
-    # collapsed pivot is the reliable tell.
-    _check_pivots(np.abs(lu.U.diagonal()), context)
-    return lu
-
-
-def _check_pivots(pivots: np.ndarray, context: str):
-    if pivots.size and pivots.min() <= PIVOT_RATIO_TOL * pivots.max():
-        raise SingularSystemError(
-            f"{context}: matrix is numerically singular "
-            f"(pivot ratio {pivots.min() / pivots.max():.2e})"
-        )
 
 
 class BandMap:
@@ -135,7 +114,12 @@ class BandedCholesky:
             ) from exc
         # Roundoff can slip rigid-body modes past the factorization; a
         # collapsed pivot is the reliable tell.
-        _check_pivots(self.factor[-1] ** 2, context)
+        pivots = self.factor[-1] ** 2
+        if pivots.size and pivots.min() <= PIVOT_RATIO_TOL * pivots.max():
+            raise SingularSystemError(
+                f"{context}: matrix is numerically singular "
+                f"(pivot ratio {pivots.min() / pivots.max():.2e})"
+            )
         self.nnz = self.factor.size
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -299,9 +283,9 @@ class MultigridSystem(FactorizedSystem):
     ``DirichletReduction``. The coarse operators are the Galerkin products
     ``Pᵀ A P``; every level but the coarsest is smoothed by one damped-Jacobi
     sweep before and one after its coarse correction, which keeps the
-    V-cycle symmetric, and the coarsest is solved by SuperLU. With no
-    prolongations the V-cycle is that direct solve, and CG converges in one
-    step."""
+    V-cycle symmetric, and the coarsest, of at most COARSEST_DOFS rows, is
+    solved by banded Cholesky. With no prolongations the V-cycle is that
+    direct solve, and CG converges in one step."""
 
     def __init__(self, a, prolongations, restrictions, context: str = "linear system"):
         self.a = a.tocsr()
@@ -312,7 +296,10 @@ class MultigridSystem(FactorizedSystem):
         for p, r in zip(prolongations, restrictions):
             self._levels.append((r @ self._levels[-1] @ p).tocsr())
         self._jacobi = [JACOBI_OMEGA / a_l.diagonal() for a_l in self._levels[:-1]]
-        self._coarse = _factorize(self._levels[-1].tocsc(), f"{context} (coarsest level)")
+        c = self._levels[-1]
+        self._coarse = BandedCholesky(
+            BandMap(c.indptr, c.indices).band(c.data), f"{context} (coarsest level)"
+        )
 
     def _v_cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self._jacobi):
@@ -373,15 +360,16 @@ def _prolongation_1d(n: int) -> sparse.csr_matrix:
 
 def _prolongations(nel, n_dofs: int, free: np.ndarray) -> list:
     """Trilinear prolongations of node-major DOFs, one per halving of every
-    axis of ``nel`` (rounding up) while every axis has at least
-    MIN_COARSENED_ELEMS elements. Each interpolates the kept DOFs of the
-    next coarser level onto the kept DOFs of its level; the finest level
+    axis of ``nel`` (rounding up; an axis of one element stays one, twice as
+    long) while the level keeps more than COARSEST_DOFS DOFs, which ends at
+    the latest at one element per axis. Each interpolates the kept DOFs of
+    the next coarser level onto the kept DOFs of its level; the finest level
     keeps ``free``, a coarser one every DOF that some kept finer DOF
     interpolates from."""
     nel = list(nel)
     dofs_per_node = n_dofs // int(np.prod([m + 1 for m in nel]))
     keep, out = free, []
-    while min(nel) >= MIN_COARSENED_ELEMS:
+    while keep.size > COARSEST_DOFS:
         p = sparse.identity(dofs_per_node, format="csr")
         for m in nel:  # x varies fastest, so it is the innermost factor
             p = sparse.kron(_prolongation_1d(m), p, format="csr")

@@ -193,8 +193,11 @@ def test_cantilever_matches_dense_oracle():
     assert np.linalg.norm(u - u_dense) <= 1e-8 * np.linalg.norm(u_dense)
 
 
-def test_insufficient_supports_is_config_error():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+@pytest.mark.parametrize("nel", [(2, 2), (2, 2, 2)], ids=["2d", "3d"])
+def test_insufficient_supports_is_config_error(nel):
+    # the 3-D grid is too small for coarse levels, so its multigrid V-cycle
+    # is the coarsest level's Cholesky of the whole singular system
+    g = build_grid(GridSpec(len(nel), nel, 1.0))
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
     f = np.zeros(g.n_disp_dofs)
     f[0] = 1.0
@@ -319,7 +322,9 @@ def test_operators_keep_one_pattern_across_designs(tiny_model):
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     """After the first forward solve, assembly and reduction are gathers
-    and products on the patterns, maps and prolongations built for it."""
+    and products on the patterns, maps and prolongations built for it. The
+    one pattern a 3-D forward builds is the band map of each multigrid
+    system's coarsest level, at most COARSEST_DOFS rows."""
     spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
     model = Model(spec)
     first, second = _designs(model, 1)
@@ -330,7 +335,7 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
         real = getattr(owner, attr)
 
         def counted(*args, **kwargs):
-            calls.append(attr)
+            calls.append(args[0])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
@@ -340,7 +345,7 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     spy(linalg, "_prolongations")
     spy(linalg.BandMap, "__init__")
     state = model.forward(second)
-    assert calls == []
+    assert all(isinstance(obj, linalg.BandMap) for obj in calls)
     # in 2-D both physics fill their bands through the maps built with them
     for reduction in (model.elastic_reduction, model.flow_reduction):
         assert (reduction.band_map is None) == (name == "gripper3d")
@@ -349,10 +354,15 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
         assert np.shares_memory(mat.indptr, op.indptr)
         assert np.shares_memory(mat.indices, op.indices)
     assert isinstance(state.disp.lu, linalg.MultigridSystem) == (name == "gripper3d")
-    if name == "gripper3d":
+    if name == "tiny":
+        assert calls == []
+    else:
+        systems = [state.disp.lu, state.pressure.lu]
+        coarsest = [system._levels[-1].shape[0] for system in systems]
+        assert sorted(band_map.n for band_map in calls) == sorted(coarsest)
+        assert max(coarsest) <= linalg.COARSEST_DOFS
         # the V-cycles restrict by the reductions' own transposes, not new ones
-        for system, reduction in [(state.disp.lu, model.elastic_reduction),
-                                  (state.pressure.lu, model.flow_reduction)]:
+        for system, reduction in zip(systems, [model.elastic_reduction, model.flow_reduction]):
             assert system.prolongations is reduction.prolongations
             assert system.restrictions is reduction.restrictions
             assert len(system.restrictions) == len(system.prolongations) > 0

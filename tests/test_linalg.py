@@ -181,12 +181,14 @@ def _reduced(k, fixed, f):
 
 def test_multigrid_solve_meets_the_contract():
     # 8x4x4 -> 4x2x2 and 7x5x4 -> 4x3x2: one level each, the odd axes
-    # halving with their last coarse node past the end
-    for nel in ((8, 4, 4), (7, 5, 4)):
+    # halving with their last coarse node past the end; the thin 32x32x2
+    # -> 16x16x1 -> 8x8x1 keeps its axis of one element
+    for nel, n_levels in (((8, 4, 4), 1), ((7, 5, 4), 1), ((32, 32, 2), 2)):
         g, k, fixed, f = _elastic_3d(nel)
         u, free, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
         assert isinstance(system, linalg.MultigridSystem)
-        assert len(system.prolongations) == 1
+        assert len(system.prolongations) == n_levels
+        assert system._levels[-1].shape[0] <= linalg.COARSEST_DOFS
         a_ff, b, free_ref = _reduced(k, fixed, f)
         assert np.array_equal(free, free_ref) and np.all(u[fixed] == 0.0)
         assert _backward_error(a_ff, u[free], b) <= linalg.RESIDUAL_TOL
@@ -232,7 +234,8 @@ def test_v_cycle_is_a_symmetric_positive_definite_preconditioner():
     ((7, 4, 4), True),
     ((8, 4, 4), True),
     ((2, 2, 2), True),
-], ids=["2d", "3d-odd-z", "3d-odd-x", "3d-even", "3d-2x2x2"])
+    ((32, 32, 2), True),
+], ids=["2d", "3d-odd-z", "3d-odd-x", "3d-even", "3d-2x2x2", "3d-thin"])
 def test_grid_selects_the_solver(nel, multigrid):
     g = build_grid(GridSpec(len(nel), nel, 1.0))
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
@@ -241,9 +244,11 @@ def test_grid_selects_the_solver(nel, multigrid):
     _, _, system = _solve_dirichlet(k, f, fixed, nel)
     assert isinstance(system, linalg.MultigridSystem) == multigrid
     assert isinstance(system, linalg.FactorizedSystem)
-    if multigrid and min(nel) < linalg.MIN_COARSENED_ELEMS:
-        # no levels: the V-cycle is the coarsest-level LU of the whole system
-        assert system.prolongations == []
+    if multigrid:
+        # coarsened, whatever the grid's shape, until the coarsest level is
+        # small; a system already that small is solved by its Cholesky alone
+        assert system._levels[-1].shape[0] <= linalg.COARSEST_DOFS
+        assert bool(system.prolongations) == (system.a.shape[0] > linalg.COARSEST_DOFS)
 
 
 def test_multigrid_rank_updates_solve_updated_matrix():
@@ -272,11 +277,13 @@ def test_prolongations_reproduce_linear_fields(dofs_per_node):
         comps = [coords @ [1.0, -2.0, 0.5] + c for c in range(dofs_per_node)]
         return np.stack(comps, axis=1).ravel()
 
-    # an odd axis of n elements coarsens to (n + 1) / 2, one past its end
-    for nel, coarse_nel in (((8, 4, 4), (4, 2, 2)), ((7, 5, 4), (4, 3, 2))):
+    # an odd axis of n elements coarsens to (n + 1) / 2, one past its end,
+    # so an axis of one element stays one, twice as long
+    for nel, coarse_nel in (((16, 8, 8), (8, 4, 4)), ((15, 9, 8), (8, 5, 4)),
+                            ((64, 4, 1), (32, 2, 1)), ((48, 2, 3), (24, 1, 2))):
         fine, coarse = (build_grid(GridSpec(3, m, h)) for m, h in ((nel, 1.0), (coarse_nel, 2.0)))
         n = dofs_per_node * fine.nnodes
-        (p,) = linalg._prolongations(nel, n, np.arange(n))
+        p = linalg._prolongations(nel, n, np.arange(n))[0]
         assert p.shape == (n, dofs_per_node * coarse.nnodes)
         assert np.allclose(p @ linear(coarse.coords), linear(fine.coords), rtol=0, atol=1e-12)
 
