@@ -89,13 +89,13 @@ def objective_partials(model, state, spec: ObjectiveSpec, s: float):
 def solve_adjoints(model, state, df_du: np.ndarray, df_dp: np.ndarray):
     """Adjoint fields (lam_u, lam_p), padded with zeros on Dirichlet DOFs."""
     lam_u = np.zeros(model.grid.n_disp_dofs)
-    free_u = state.disp.free_dofs
-    lam_u[free_u] = state.disp.lu.solve(-df_du[free_u])
+    free_u = model.elastic_reduction.free
+    lam_u[free_u] = state.disp.system.solve(-df_du[free_u])
 
     lam_p = np.zeros(model.grid.nnodes)
-    free_p = state.pressure.free_dofs
+    free_p = model.flow_reduction.free
     rhs = -(model.t_matrix.T @ lam_u)[free_p] - df_dp[free_p]
-    lam_p[free_p] = state.pressure.lu.solve(rhs)
+    lam_p[free_p] = state.pressure.system.solve(rhs)
     return lam_u, lam_p
 
 

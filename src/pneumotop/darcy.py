@@ -12,6 +12,9 @@ The flow matrix's CSR pattern (each node coupled to its 3^d stencil) and
 the scatter matrix S from the element coefficients ``[k; d]`` to its data,
 against the templates ``[ke | lumped me]``, are built once per grid, so
 assembly is ``A.data = S @ [k; d]``; T is built through the same helper.
+The inlet nodes (held at P_in) and the drain nodes (at p_atm) make one
+Dirichlet set, which ``pressure_reduction`` derives once per model together
+with its values; ``solve_pressure`` solves through that reduction.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from scipy import sparse
 from . import shapefn
 from .errors import ConfigError
 from .grid import Grid, stencil_operator
-from .linalg import DirichletReduction
+from .linalg import DirichletReduction, FactorizedSystem
 from .materials import FlowParams, drainage_coefficient, flow_coefficient
 
 
@@ -37,18 +40,14 @@ class FlowSystem:
     d_elem: np.ndarray
     dd_elem: np.ndarray
     params: FlowParams
-    nel: tuple[int, ...]
 
 
 @dataclass
 class PressureField:
-    """Equilibrium nodal pressures (Pa) with the solve's Dirichlet sets."""
+    """Equilibrium nodal pressures (Pa) and the solver of their free block."""
 
     p: np.ndarray
-    fixed_dofs: np.ndarray
-    free_dofs: np.ndarray
-    inlet_dofs: np.ndarray
-    lu: object = field(repr=False, default=None)
+    system: FactorizedSystem = field(repr=False)
 
 
 class FlowAssembler:
@@ -73,41 +72,37 @@ class FlowAssembler:
         k, dk = flow_coefficient(rho_bar1, params)
         d, dd = drainage_coefficient(rho_bar1, params)
         a = self.op.assemble(np.concatenate([k, d]))
-        return FlowSystem(a, k, dk, d, dd, params, self.grid.nel_axis)
+        return FlowSystem(a, k, dk, d, dd, params)
 
 
-def solve_pressure(
-    system: FlowSystem,
+def pressure_reduction(
+    assembler: FlowAssembler,
     inlet_nodes: np.ndarray,
     drain_nodes: np.ndarray,
-    reduction: DirichletReduction | None = None,
-) -> PressureField:
-    """Solve for equilibrium pressure with inlet/drain Dirichlet values.
-
-    Inlet nodes are held at P_in and drain nodes at p_atm; the solver of the
-    reduced symmetric system is kept for adjoint reuse. ``reduction``, if
-    given, was built for the flow matrix's pattern with the inlet nodes
-    then the drain nodes fixed.
-    """
-    params = system.params
-    inlet_nodes = np.asarray(inlet_nodes, dtype=np.int64)
-    drain_nodes = np.asarray(drain_nodes, dtype=np.int64)
-    if np.intersect1d(inlet_nodes, drain_nodes).size:
-        raise ConfigError("pressure inlet and drain node sets overlap")
+    params: FlowParams,
+) -> DirichletReduction:
+    """The flow matrix's reduction to its free nodes, holding the inlet
+    nodes at P_in and then the drain nodes at p_atm."""
     fixed = np.concatenate([inlet_nodes, drain_nodes])
     if fixed.size == 0:
         raise ConfigError(
             "flow system has no pressure Dirichlet DOFs (need an inlet or drain)"
         )
-    vals = np.concatenate(
-        [np.full(inlet_nodes.size, params.P_in), np.full(drain_nodes.size, params.p_atm)]
+    values = np.concatenate(
+        [np.full(len(inlet_nodes), params.P_in), np.full(len(drain_nodes), params.p_atm)]
     )
-    if reduction is None:
-        reduction = DirichletReduction(system.A.indptr, system.A.indices, fixed, system.nel)
-    p, free, lu = reduction.solve(
-        system.A, np.zeros(system.A.shape[0]), vals, context="pressure solve"
+    op = assembler.op
+    return DirichletReduction(op.indptr, op.indices, fixed, assembler.grid.nel_axis, values)
+
+
+def solve_pressure(system: FlowSystem, reduction: DirichletReduction) -> PressureField:
+    """Solve for equilibrium pressure with the Dirichlet values ``reduction``
+    holds (see ``pressure_reduction``); the solver of the reduced symmetric
+    system is kept for adjoint reuse."""
+    p, solver = reduction.solve(
+        system.A, np.zeros(system.A.shape[0]), context="pressure solve"
     )
-    return PressureField(p, fixed, free, inlet_nodes, lu)
+    return PressureField(p, solver)
 
 
 def coupling_matrix(grid: Grid) -> sparse.csr_matrix:
@@ -116,13 +111,12 @@ def coupling_matrix(grid: Grid) -> sparse.csr_matrix:
     return stencil_operator(grid, te, row_comps=grid.dim).assemble(np.ones(grid.nelem))
 
 
-def energy_loss(system: FlowSystem, pf: PressureField) -> float:
+def energy_loss(system: FlowSystem, p: np.ndarray, inlet_nodes: np.ndarray) -> float:
     """Leakage power from inlet boundary reactions.
 
-    Sums (reaction flux) * (p - p_atm) over the inlet DOFs, the reaction
+    Sums (reaction flux) * (p - p_atm) over the inlet nodes, the reaction
     being the unconstrained-matrix residual at the fixed nodes. With gauge
     pressure this equals the total dissipation p^T A p.
     """
-    r = system.A @ pf.p
-    inlet = pf.inlet_dofs
-    return float(np.dot(pf.p[inlet] - system.params.p_atm, r[inlet]))
+    r = system.A @ p
+    return float(np.dot(p[inlet_nodes] - system.params.p_atm, r[inlet_nodes]))

@@ -5,6 +5,8 @@ hexahedra. The element stiffness for unit modulus is precomputed once, and
 so are the stiffness's CSR pattern (each node's DOFs coupled to those of its
 3^d stencil) and the scatter matrix S from element moduli to the CSR data:
 assembly is ``K.data = S @ E``, and every design gives the same pattern.
+``solve_displacement`` solves through a ``DirichletReduction`` of that
+pattern whose fixed DOFs, the supports, hold zero.
 """
 from __future__ import annotations
 
@@ -21,9 +23,10 @@ from .linalg import DirichletReduction, FactorizedSystem
 
 @dataclass
 class DisplacementField:
+    """Nodal displacements (m) and the solver of their free block."""
+
     u: np.ndarray
-    free_dofs: np.ndarray
-    lu: FactorizedSystem = field(repr=False)
+    system: FactorizedSystem = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -78,26 +81,17 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
 
 
 def solve_displacement(
-    k: sparse.csr_matrix,
-    f: np.ndarray,
-    fixed_dofs: np.ndarray,
-    nel: tuple[int, ...],
-    reduction: DirichletReduction | None = None,
+    k: sparse.csr_matrix, f: np.ndarray, reduction: DirichletReduction
 ) -> DisplacementField:
-    """Solve K u = F with the given DOFs pinned to zero, on a grid with
-    ``nel`` elements per axis, through ``reduction`` (built for ``k``'s
-    pattern and ``fixed_dofs``) or else one built for this call."""
-    if reduction is None:
-        reduction = DirichletReduction(k.indptr, k.indices, fixed_dofs, nel)
+    """Solve K u = F with the supports ``reduction`` holds (built for
+    ``k``'s pattern) pinned to zero."""
     try:
-        u, free, lu = reduction.solve(
-            k, f, np.zeros(len(fixed_dofs)), context="displacement solve"
-        )
+        u, system = reduction.solve(k, f, context="displacement solve")
     except SingularSystemError as exc:
         raise ConfigError(
             f"displacement system is singular; check supports ({exc})"
         ) from exc
-    return DisplacementField(u, free, lu)
+    return DisplacementField(u, system)
 
 
 def metrics(

@@ -8,6 +8,7 @@ and ``dim`` displacement DOFs (``dim * node + component``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +35,12 @@ MAX_DOFS = 2**31 - 1
 BOX_TOL_FACTOR = 1e-6
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integral number (an integral float too), not a bool."""
+    return (isinstance(n, numbers.Real) and not isinstance(n, bool)
+            and float(n).is_integer())
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform structured grid: ``nel`` elements per axis, edge length ``h`` in m."""
@@ -43,9 +50,14 @@ class GridSpec:
     h: float
 
     def __post_init__(self):
+        if not all(_is_count(n) for n in (self.dim, *self.nel)):
+            raise ConfigError(
+                f"grid dim and nel must be integers, got {self.dim} and {self.nel}"
+            )
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "nel", tuple(int(n) for n in self.nel))
         if self.dim not in (2, 3):
             raise ConfigError(f"grid dim must be 2 or 3, got {self.dim}")
-        object.__setattr__(self, "nel", tuple(int(n) for n in self.nel))
         if len(self.nel) != self.dim:
             raise ConfigError(
                 f"nel must have {self.dim} entries, got {len(self.nel)}"
@@ -54,16 +66,9 @@ class GridSpec:
             raise ConfigError(f"element counts must be >= 1, got {self.nel}")
         if not self.h > 0:
             raise ConfigError(f"element size h must be > 0, got {self.h}")
-        nnodes = 1
-        for n in self.nel:
-            nnodes *= n + 1
-        if self.dim * nnodes > MAX_DOFS:
-            raise ConfigError(
-                f"grid {self.nel} would need {self.dim * nnodes} displacement "
-                f"DOFs, exceeding the {MAX_DOFS} index space"
-            )
         # The stiffness's scatter (stencil_operator) has one int32-indexed
         # column per element and entry of the (dim 2^dim)^2 element matrix.
+        # It bounds the DOF indices too: dim * nnodes <= dim 2^dim nelem.
         entries = (self.dim * 2**self.dim) ** 2 * math.prod(self.nel)
         if entries > MAX_DOFS:
             raise ConfigError(

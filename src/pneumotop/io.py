@@ -23,7 +23,8 @@ HISTORY_COLUMNS = (
     "iter", "f", "g1", "g2", "g3", "change", "grayness", "u_out", "SE", "E_t",
 )
 METRICS_COLUMNS = ("k_out", "u_out", "SE", "W", "E_t")
-# Largest excursion of a stored density outside [0, 1] taken for rounding.
+# Largest excursion of a stored density outside [0, 1] taken for rounding,
+# and clipped.
 DENSITY_TOL = 1e-9
 
 
@@ -90,7 +91,8 @@ def load_design(path):
             f"{path}: densities must lie in [0, 1], found "
             f"[{data.min():.6g}, {data.max():.6g}]"
         )
-    return spec, data
+    # a rounding excursion below 0 would make r**p NaN for a fractional p
+    return spec, np.clip(data, 0.0, 1.0)
 
 
 class HistoryWriter:

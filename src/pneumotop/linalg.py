@@ -7,9 +7,10 @@ floor accumulate displacements orders of magnitude above the structural
 ones, which raises the attainable residual floor to eps * ||A|| * ||x||
 regardless of solver quality.
 
-``DirichletReduction.solve`` is the one entry point: it reduces a grid
-system to its free DOFs, by a gather map built once per pattern and
-Dirichlet set, and solves it, on 2-D grids, by banded Cholesky with iterative
+``DirichletReduction.solve`` is the one entry point: a reduction holds one
+Dirichlet set, its fixed DOFs and the values they hold, and reduces every
+grid system of one pattern to its free DOFs, by a gather map built once,
+and solves it, on 2-D grids, by banded Cholesky with iterative
 refinement, and on 3-D grids by conjugate gradients preconditioned with a
 geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG for
 efficient topology optimization", SMO 49:815) that smooths by one
@@ -140,21 +141,23 @@ def _band_order(nel, n_dofs: int) -> np.ndarray:
 class DirichletReduction:
     """The free block of every matrix with one CSR pattern, built once per
     pattern and Dirichlet set on a structured grid with ``nel`` elements per
-    axis (node-major DOFs, x fastest).
+    axis (node-major DOFs, x fastest). The set is the DOFs ``fixed`` and the
+    ``values`` they hold (one per DOF, or one for all).
 
-    It holds the free DOFs in solver order (ascending in 3-D, band order in
-    2-D), the place in the full data of every free x free entry together
-    with the free block's CSR pattern (its columns unsorted in 2-D, which
-    the band map and matvecs accept), in 2-D the ``BandMap`` from the full
-    data to the free block's band, and in 3-D the multigrid prolongations
-    with their transposes, the restrictions. A solve is then one gather,
+    It also holds the free DOFs in solver order (ascending in 3-D, band
+    order in 2-D), the place in the full data of every free x free entry
+    together with the free block's CSR pattern (its columns unsorted in 2-D,
+    which the band map and matvecs accept), in 2-D the ``BandMap`` from the
+    full data to the free block's band, and in 3-D the multigrid
+    prolongations with their transposes, the restrictions. A solve is then one gather,
     plus one SpMV when the Dirichlet values are not all zero, and in 2-D one
     scatter into the band that LAPACK factors in place."""
 
-    def __init__(self, indptr, indices, fixed, nel):
+    def __init__(self, indptr, indices, fixed, nel, values=0.0):
         n = len(indptr) - 1
         self.pattern = (indptr, indices)
         self.fixed = np.asarray(fixed)
+        self.values = values
         order = _band_order(nel, n) if len(nel) == 2 else np.arange(n)
         self.free = order[np.isin(order, self.fixed, invert=True)]
         new = np.full(n, -1, dtype=np.int32)
@@ -175,15 +178,15 @@ class DirichletReduction:
             self.prolongations = _prolongations(nel, n, self.free)
             self.restrictions = [p.T.tocsr() for p in self.prolongations]
 
-    def solve(self, a, f, values, context: str):
+    def solve(self, a, f, context: str):
         """Solve ``A x = f`` with ``x[fixed] = values``, for ``a`` (CSR) with
-        this reduction's pattern. Returns ``(x, free, system)``; ``system``
-        solves the free block again, for adjoints and spring sweeps."""
+        this reduction's pattern. Returns ``(x, system)``; ``system`` solves
+        the free block again, on ``free``, for adjoints and spring sweeps."""
         indptr, indices = self.pattern
         if not (np.array_equal(a.indptr, indptr) and np.array_equal(a.indices, indices)):
             raise ValueError(f"{context}: matrix pattern differs from the reduction's")
         x = np.zeros(a.shape[0])
-        x[self.fixed] = values
+        x[self.fixed] = self.values
         b = np.asarray(f, dtype=float)[self.free]
         if np.any(x):
             b -= (a @ x)[self.free]
@@ -202,7 +205,7 @@ class DirichletReduction:
                 a_ff, self.prolongations, self.restrictions, context=context
             )
         x[self.free] = system.solve(b)
-        return x, self.free, system
+        return x, system
 
 
 class FactorizedSystem:

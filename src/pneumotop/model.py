@@ -123,14 +123,15 @@ class Model:
         self.spring_slots = self.elastic.op.slots(springs.row, springs.col)
         self.spring_data = springs.data
 
-    # Both operators keep one pattern for every design, so each physics
-    # reduces to its free DOFs by one gather map, built at its first solve.
+    # Both operators keep one pattern for every design, so each physics has
+    # one reduction, built at its first solve: its fixed DOFs, the values
+    # they hold and the gather map to its free DOFs.
 
     @cached_property
     def flow_reduction(self) -> DirichletReduction:
-        op = self.flow.op
-        fixed = np.concatenate([self.inlet_nodes, self.drain_nodes])
-        return DirichletReduction(op.indptr, op.indices, fixed, self.grid.nel_axis)
+        return darcy.pressure_reduction(
+            self.flow, self.inlet_nodes, self.drain_nodes, self.flow_params
+        )
 
     @cached_property
     def elastic_reduction(self) -> DirichletReduction:
@@ -194,12 +195,10 @@ class Model:
         k_out = self.output_sel.region.k_out if k_out is None else float(k_out)
 
         flow_sys = self.flow.assemble(rho_bar[0], self.flow_params)
-        pressure = darcy.solve_pressure(
-            flow_sys, self.inlet_nodes, self.drain_nodes, self.flow_reduction
-        )
+        pressure = darcy.solve_pressure(flow_sys, self.flow_reduction)
         self._check_pressure_bounds(pressure.p)
         force = -(self.t_matrix @ pressure.p)
-        e_t = darcy.energy_loss(flow_sys, pressure)
+        e_t = darcy.energy_loss(flow_sys, pressure.p, self.inlet_nodes)
 
         e_field, de = interpolate_modulus(rho_bar, self.mats)
         k_struct = self.elastic.assemble(e_field)
@@ -210,9 +209,7 @@ class Model:
             k_total = sparse.csr_matrix(
                 (data, k_struct.indices, k_struct.indptr), shape=k_struct.shape
             )
-        disp = elasticity.solve_displacement(
-            k_total, force, self.fixed_u_dofs, self.grid.nel_axis, self.elastic_reduction
-        )
+        disp = elasticity.solve_displacement(k_total, force, self.elastic_reduction)
         m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t)
         return State(
             rho_bar=rho_bar,
@@ -235,9 +232,9 @@ class Model:
         Cholesky factorization in 2-D and by CG preconditioned with the one
         multigrid hierarchy in 3-D."""
         state = self.forward(rho_bar, k_out=k_values[0])
-        free, n_out = state.disp.free_dofs, self.output_op.shape[1]
+        free, n_out = self.elastic_reduction.free, self.output_op.shape[1]
         coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]
-        systems = state.disp.lu.rank_updates(self.output_op[free], coefficients)
+        systems = state.disp.system.rank_updates(self.output_op[free], coefficients)
         out = [state.metrics]
         # Each updated system holds its own matrix: drop it before the next
         # is built (a loop variable would keep it alive through next()).

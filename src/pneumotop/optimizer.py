@@ -87,12 +87,17 @@ def constraint_values(rho_bar: np.ndarray, model: Model) -> np.ndarray:
     return g
 
 
-def constraint_gradients_physical(model: Model) -> np.ndarray:
-    """d g_k / d rho_bar, shape (n_con, 3, nelem); constant in the physical field."""
+def constraint_gradients(model: Model, dproj: np.ndarray) -> np.ndarray:
+    """d g_k / d design, shape (n_con, 3, nelem). Constraint k depends on
+    channel k alone, so one filter product chains every row."""
     total = model.volumes.sum()
-    dg = np.zeros((len(model.volume_bounds), 3, model.grid.nelem))
+    n_con = len(model.volume_bounds)
+    dg_bar = np.zeros((3, model.grid.nelem))
     for ch, bound in enumerate(model.volume_bounds):
-        dg[ch, ch, :] = model.volumes / (bound * total)
+        dg_bar[ch] = model.volumes / (bound * total)
+    chained = filtering.chain_sensitivities(dg_bar, dproj, model.kernel)
+    dg = np.zeros((n_con, 3, model.grid.nelem))
+    dg[np.arange(n_con), np.arange(n_con)] = chained[:n_con]
     return dg
 
 
@@ -112,9 +117,6 @@ class _DesignPacker:
         design = template.copy()
         design[: self.n_ch, self.free] = x.reshape(self.n_ch, self.n_per_ch)
         return design
-
-    def pack_gradient(self, grad: np.ndarray) -> np.ndarray:
-        return grad[: self.n_ch, self.free].ravel()
 
 
 def run(model: Model, sink=None) -> RunResult:
@@ -139,9 +141,7 @@ def run(model: Model, sink=None) -> RunResult:
     settings = model.spec.optimizer
     fspec = model.spec.filter
     packer = _DesignPacker(model)
-    dg_bar = constraint_gradients_physical(model)
-    n_con = dg_bar.shape[0]
-    mma = MMA(packer.size, n_con, move=settings.move_limit)
+    mma = MMA(packer.size, len(model.volume_bounds), move=settings.move_limit)
 
     design = initialize(model)
     beta = fspec.beta_p_initial
@@ -193,15 +193,9 @@ def run(model: Model, sink=None) -> RunResult:
         except SolveError as exc:
             raise SolveError(f"iteration {it}, adjoint solve: {exc}") from exc
 
-        dg_chained = np.stack(
-            [
-                filtering.chain_sensitivities(dg_bar[k], dproj, model.kernel)
-                for k in range(n_con)
-            ]
-        )
         x = packer.pack(design)
-        df_x = packer.pack_gradient(df_drho)
-        dg_x = np.stack([packer.pack_gradient(dg_chained[k]) for k in range(n_con)])
+        df_x = packer.pack(df_drho)
+        dg_x = np.stack([packer.pack(dg) for dg in constraint_gradients(model, dproj)])
 
         # Shrink steps as the projection sharpens: full moves across the
         # steep transition band alias into 2-cycles that never settle.

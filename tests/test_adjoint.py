@@ -57,14 +57,7 @@ def _analytic_gradients(model, design, beta, spec):
     _, rho_bar, dproj = model.physical_fields(design, beta)
     state = model.forward(rho_bar)
     f, df = adjoint.total_gradient(model, state, spec, 1.0, dproj)
-    dg_bar = optimizer.constraint_gradients_physical(model)
-    dg = np.stack(
-        [
-            filtering.chain_sensitivities(dg_bar[k], dproj, model.kernel)
-            for k in range(dg_bar.shape[0])
-        ]
-    )
-    return f, df, dg
+    return f, df, optimizer.constraint_gradients(model, dproj)
 
 
 def _fd_assert(model, design, beta, spec, rng):
@@ -191,9 +184,9 @@ def test_stiffness_self_adjoint():
     design = _random_design(model, rng)
     _, rho_bar, _ = model.physical_fields(design, 2.0)
     state = model.forward(rho_bar)
-    rhs = rng.normal(size=state.disp.free_dofs.size)
-    a = state.disp.lu.solve(rhs)
-    k_ff = state.disp.lu.a
+    rhs = rng.normal(size=model.elastic_reduction.free.size)
+    a = state.disp.system.solve(rhs)
+    k_ff = state.disp.system.a
     # symmetric K: transpose solve equals direct solve
     assert np.allclose(k_ff.T @ a, rhs, atol=1e-9 * np.abs(rhs).max() * 1e2)
 
@@ -209,16 +202,13 @@ def test_force_coupling_independent_of_design():
         assert (model.t_matrix != t_ref).nnz == 0
 
 
-def test_constraint_gradients_constant_in_physical_space():
+def test_constraint_gradients_chain_each_channel_alone():
+    # constraint k weighs channel k alone, by the element volumes, so one
+    # filter product of the three rows chains each exactly as it would alone
     model = _instance()
-    dg1 = optimizer.constraint_gradients_physical(model)
-    dg2 = optimizer.constraint_gradients_physical(model)
-    assert np.array_equal(dg1, dg2)
-    # one uniform row per matching channel, zero elsewhere
-    for k in range(3):
-        for ch in range(3):
-            col = dg1[k, ch]
-            if ch == k:
-                assert np.allclose(col, col[0]) and col[0] > 0
-            else:
-                assert np.all(col == 0.0)
+    _, _, dproj = model.physical_fields(_random_design(model, np.random.default_rng(6)), 2.0)
+    dg = optimizer.constraint_gradients(model, dproj)
+    for k, bound in enumerate(model.volume_bounds):
+        physical = np.zeros((3, model.grid.nelem))
+        physical[k] = model.volumes / (bound * model.volumes.sum())
+        assert np.array_equal(dg[k], filtering.chain_sensitivities(physical, dproj, model.kernel))

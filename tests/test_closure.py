@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from pneumotop.closure import check_sealed, heuristic_skin, non_design_skin
-from pneumotop.darcy import FlowAssembler, solve_pressure
 from pneumotop.errors import ConfigError
 from pneumotop.grid import (
     TAG_DESIGN,
@@ -15,6 +14,7 @@ from pneumotop.grid import (
 from pneumotop.materials import FlowParams, drainage_for_wall
 
 from gridindex import elem_index
+from solves import flow_solve
 
 PATTERN = np.array([1.0, 0.0, 0.0])
 
@@ -83,8 +83,7 @@ def test_heuristic_skin_one_d_midpoint_element():
     inlet = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 1)))).nodes
     drain = select_region(g, BoundaryRegion("pressure_drain", ((10, 0), (10, 1)))).nodes
     fp = FlowParams(P_in=5e4, D_s=0.0)
-    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), fp)
-    pf = solve_pressure(sys, inlet, drain)
+    _, pf = flow_solve(g, np.zeros(g.nelem), fp, inlet, drain)
     rho = np.zeros((3, g.nelem))
     sealed, added = heuristic_skin(rho, pf.p, g, fp, PATTERN)
     # linear profile crosses 25 kPa inside elements 4 and 5 (node at exactly
@@ -103,8 +102,7 @@ def test_heuristic_skin_already_sealed_unchanged():
     rho = np.zeros((3, g.nelem))
     rho[:, 5] = PATTERN
     rho[:, 6] = PATTERN
-    sys = FlowAssembler(g).assemble(rho[0], fp)
-    pf = solve_pressure(sys, inlet, drain)
+    _, pf = flow_solve(g, rho[0], fp, inlet, drain)
     out, added = heuristic_skin(rho, pf.p, g, fp, PATTERN)
     assert added == 0
     assert np.array_equal(out, rho)
@@ -115,8 +113,7 @@ def test_heuristic_skin_all_void_produces_sealed_cut():
     inlet_sel = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 6))))
     drain_sel = select_region(g, BoundaryRegion("pressure_drain", ((12, 0), (12, 6))))
     fp = FlowParams(P_in=5e4, D_s=0.0)
-    sys = FlowAssembler(g).assemble(np.zeros(g.nelem), fp)
-    pf = solve_pressure(sys, inlet_sel.nodes, drain_sel.nodes)
+    _, pf = flow_solve(g, np.zeros(g.nelem), fp, inlet_sel.nodes, drain_sel.nodes)
     rho = np.zeros((3, g.nelem))
     sealed, added = heuristic_skin(rho, pf.p, g, fp, PATTERN)
     rep = check_sealed(sealed[0], g, inlet_sel.faces, drain_sel.faces)
@@ -132,8 +129,7 @@ def test_heuristic_skin_idempotent():
     rho = np.zeros((3, g.nelem))
     rho[0] = rng.uniform(0, 1, g.nelem)
     fp = FlowParams(P_in=5e4, D_s=drainage_for_wall(1e-7, 1.5, 0.01))
-    sys = FlowAssembler(g).assemble(rho[0], fp)
-    pf = solve_pressure(sys, inlet, drain)
+    _, pf = flow_solve(g, rho[0], fp, inlet, drain)
     once, n1 = heuristic_skin(rho, pf.p, g, fp, PATTERN)
     twice, n2 = heuristic_skin(once, pf.p, g, fp, PATTERN)
     assert n2 == 0

@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from pneumotop import cli, linalg, problem
+from pneumotop import cli, darcy, linalg, problem
 from pneumotop.darcy import coupling_matrix
-from pneumotop.elasticity import (
-    ElasticAssembler,
-    metrics,
-    output_operator,
-    solve_displacement,
-)
+from pneumotop.elasticity import ElasticAssembler, metrics, output_operator
 from pneumotop.errors import ConfigError
 from pneumotop.grid import BoundaryRegion, Grid, GridSpec, build_grid, select_region
 from pneumotop.model import Model
 
+from solves import elastic_solve
 from tinyproblem import tiny_problem_dict
 
 
@@ -153,7 +149,7 @@ def test_spring_oracle_force_over_k():
     f_total = 3.0
     f = np.zeros(g.n_disp_dofs)
     f[2 * sel.nodes] = f_total / sel.nodes.size
-    disp = solve_displacement(ks, f, fixed, g.nel_axis)
+    disp = elastic_solve(ks, f, fixed, g.nel_axis)
     m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
     assert m.u_out == pytest.approx(f_total / k_out, rel=1e-9)
 
@@ -161,7 +157,7 @@ def test_spring_oracle_force_over_k():
 def test_zero_force_zero_displacement():
     g, fixed = _cantilever()
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
-    disp = solve_displacement(k, np.zeros(g.n_disp_dofs), fixed, g.nel_axis)
+    disp = elastic_solve(k, np.zeros(g.n_disp_dofs), fixed, g.nel_axis)
     assert np.all(disp.u == 0.0)
 
 
@@ -170,8 +166,8 @@ def test_force_doubling_doubles_displacement():
     rng = np.random.default_rng(1)
     k = ElasticAssembler(g, 0.3).assemble(rng.uniform(1e5, 1e7, g.nelem))
     f = rng.normal(size=g.n_disp_dofs)
-    u1 = solve_displacement(k, f, fixed, g.nel_axis).u
-    u2 = solve_displacement(k, 2 * f, fixed, g.nel_axis).u
+    u1 = elastic_solve(k, f, fixed, g.nel_axis).u
+    u2 = elastic_solve(k, 2 * f, fixed, g.nel_axis).u
     assert np.allclose(u2, 2 * u1, rtol=1e-9)
 
 
@@ -185,7 +181,7 @@ def test_cantilever_matches_dense_oracle():
         g, BoundaryRegion("output", ((8, 0), (8, 4)), direction=(0.0, -1.0))
     ).nodes
     f[2 * tip + 1] = -10.0
-    u = solve_displacement(k, f, fixed, g.nel_axis).u
+    u = elastic_solve(k, f, fixed, g.nel_axis).u
     free = np.setdiff1d(np.arange(g.n_disp_dofs), fixed)
     dense = k.toarray()[np.ix_(free, free)]
     u_dense = np.zeros(g.n_disp_dofs)
@@ -202,7 +198,7 @@ def test_insufficient_supports_is_config_error(nel):
     f = np.zeros(g.n_disp_dofs)
     f[0] = 1.0
     with pytest.raises(ConfigError, match="support"):
-        solve_displacement(k, f, np.array([], dtype=int), g.nel_axis)
+        elastic_solve(k, f, np.array([], dtype=int), g.nel_axis)
 
 
 def test_free_rotation_of_a_fixture_is_config_error(tmp_path):
@@ -258,7 +254,7 @@ def test_strain_energy_equals_external_work():
     ks = k + _springs(g, sel)
     f = rng.normal(size=g.n_disp_dofs)
     f[fixed] = 0.0
-    disp = solve_displacement(ks, f, fixed, g.nel_axis)
+    disp = elastic_solve(ks, f, fixed, g.nel_axis)
     m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
     spring = _springs(g, sel)
     spring_energy = 0.5 * float(disp.u @ (spring @ disp.u))
@@ -272,8 +268,8 @@ def test_reciprocity():
     k = ElasticAssembler(g, 0.3).assemble(rng.uniform(1e5, 1e7, g.nelem))
     fa = rng.normal(size=g.n_disp_dofs)
     fb = rng.normal(size=g.n_disp_dofs)
-    ua = solve_displacement(k, fa, fixed, g.nel_axis).u
-    ub = solve_displacement(k, fb, fixed, g.nel_axis).u
+    ua = elastic_solve(k, fa, fixed, g.nel_axis).u
+    ub = elastic_solve(k, fb, fixed, g.nel_axis).u
     assert ua @ fb == pytest.approx(ub @ fa, rel=1e-9)
 
 
@@ -293,7 +289,7 @@ def test_stiffer_spring_never_raises_u_out():
                 "output", ((8, 1), (8, 3)), direction=(0.0, -1.0), k_out=k_out
             ),
         )
-        disp = solve_displacement(k + _springs(g, sel), f, fixed, g.nel_axis)
+        disp = elastic_solve(k + _springs(g, sel), f, fixed, g.nel_axis)
         m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
         if u_prev is not None:
             assert abs(m.u_out) <= abs(u_prev) + 1e-12
@@ -344,6 +340,7 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     spy(linalg.DirichletReduction, "__init__")
     spy(linalg, "_prolongations")
     spy(linalg.BandMap, "__init__")
+    spy(darcy, "pressure_reduction")  # the flow set and its values
     state = model.forward(second)
     assert all(isinstance(obj, linalg.BandMap) for obj in calls)
     # in 2-D both physics fill their bands through the maps built with them
@@ -353,11 +350,11 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     for mat, op in [(state.k_struct, model.elastic.op), (state.flow.A, model.flow.op)]:
         assert np.shares_memory(mat.indptr, op.indptr)
         assert np.shares_memory(mat.indices, op.indices)
-    assert isinstance(state.disp.lu, linalg.MultigridSystem) == (name == "gripper3d")
+    assert isinstance(state.disp.system, linalg.MultigridSystem) == (name == "gripper3d")
     if name == "tiny":
         assert calls == []
     else:
-        systems = [state.disp.lu, state.pressure.lu]
+        systems = [state.disp.system, state.pressure.system]
         coarsest = [system._levels[-1].shape[0] for system in systems]
         assert sorted(band_map.n for band_map in calls) == sorted(coarsest)
         assert max(coarsest) <= linalg.COARSEST_DOFS

@@ -219,13 +219,13 @@ def test_refined_gripper3d_smoke(tmp_path):
     model = Model(spec)
     assert model.grid.n_disp_dofs == 91_875
     state = model.forward(io.load_design(tmp_path / "design.json")[1])
-    assert len(state.disp.lu.prolongations) == 3
+    assert len(state.disp.system.prolongations) == 3
 
-    p, pf = state.pressure.p, state.pressure
-    a_f = sparse.csr_matrix(state.flow.A)[pf.free_dofs]
-    b = -(a_f[:, pf.fixed_dofs] @ p[pf.fixed_dofs])
-    assert _backward_error(a_f[:, pf.free_dofs], p[pf.free_dofs], b) <= linalg.RESIDUAL_TOL
-    u, free = state.disp.u, state.disp.free_dofs
+    p, flow = state.pressure.p, model.flow_reduction
+    a_f = sparse.csr_matrix(state.flow.A)[flow.free]
+    b = -(a_f[:, flow.fixed] @ p[flow.fixed])
+    assert _backward_error(a_f[:, flow.free], p[flow.free], b) <= linalg.RESIDUAL_TOL
+    u, free = state.disp.u, model.elastic_reduction.free
     assert np.all(u[model.fixed_u_dofs] == 0.0)
     k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
     assert _backward_error(k, u[free], state.force[free]) <= linalg.RESIDUAL_TOL
@@ -248,10 +248,10 @@ def test_odd_gripper3d_runs_on_multigrid(tmp_path):
 
     model = Model(spec)
     state = model.forward(io.load_design(tmp_path / "design.json")[1])
-    assert isinstance(state.pressure.lu, linalg.MultigridSystem)
-    assert isinstance(state.disp.lu, linalg.MultigridSystem)
-    assert len(state.disp.lu.prolongations) == 2
-    free = state.disp.free_dofs
+    assert isinstance(state.pressure.system, linalg.MultigridSystem)
+    assert isinstance(state.disp.system, linalg.MultigridSystem)
+    assert len(state.disp.system.prolongations) == 2
+    free = model.elastic_reduction.free
     k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
     u_lu = linalg.FactorizedSystem(k).solve(state.force[free])
     assert model.l_out[free] @ u_lu == pytest.approx(state.metrics.u_out, rel=1e-8, abs=0)

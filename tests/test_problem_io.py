@@ -246,10 +246,11 @@ def test_design_round_trip_is_exact(tmp_path_factory, data):
     assert np.array_equal(rho2, rho)
 
 
-def _tiny_problem_and_design(tmp_path, value):
-    """The tiny problem file and a matching design with one density set to ``value``."""
+def _tiny_problem_and_design(tmp_path, value, **overrides):
+    """The tiny problem file, with ``overrides``, and a matching design with
+    one density set to ``value``."""
     prob = tmp_path / "tiny.json"
-    prob.write_text(json.dumps(tiny_problem_dict()))
+    prob.write_text(json.dumps(tiny_problem_dict(**overrides)))
     spec = problem.load_problem(prob)
     rho = np.full((3, math.prod(spec.grid.nel)), 0.5)
     rho[0, 7] = value
@@ -271,6 +272,10 @@ def test_cli_evaluate_bad_density_exit_3(tmp_path, value, capsys):
     b"[1, 2]",
     b'{"format": "pneumotop-design", "version": 1, "dim": 2, "nel": [12, 6]}',
     b"\xff\xfe",
+    # the tiny design but for a fractional count, which was once truncated to 12
+    pytest.param(json.dumps({"format": "pneumotop-design", "version": 1, "dim": 2,
+                             "nel": [12.5, 6], "h_m": 0.001,
+                             "data": [[0.5] * 72] * 3}).encode(), id="fractional-nel"),
 ])
 def test_cli_evaluate_malformed_design_exit_3(tmp_path, content):
     prob, design = _tiny_problem_and_design(tmp_path, 0.5)
@@ -278,9 +283,27 @@ def test_cli_evaluate_malformed_design_exit_3(tmp_path, content):
     assert cli.main(["evaluate", str(design), str(prob)]) == 3
 
 
+def test_overlapping_inlet_and_drain_exit_3(tmp_path, capsys):
+    # Model holds the one overlap check, for every verb that builds one
+    drain = {"role": "pressure_drain", "box_m": [[0, 0.004], [0, 0.006]]}
+    regions = tiny_problem_dict()["regions"] + [drain]
+    prob, design = _tiny_problem_and_design(tmp_path, 0.5, regions=regions)
+    for verb in (["seal-check"], ["export", "-o", str(tmp_path / "fields.vtk")]):
+        assert cli.main([*verb, str(design), str(prob)]) == 3
+        assert "share 2 nodes" in capsys.readouterr().err
+
+
 def test_design_rounding_outside_unit_interval_loads(tmp_path):
     prob, design = _tiny_problem_and_design(tmp_path, 1.0 + 1e-12)
-    assert io.load_design(design)[1][0, 7] == 1.0 + 1e-12
+    assert io.load_design(design)[1][0, 7] == 1.0
+
+
+def test_design_rounding_below_zero_evaluates_with_fractional_penalty(tmp_path):
+    # (-1e-10) ** 2.5 is NaN, so an unclipped density broke the modulus
+    materials = dict(tiny_problem_dict()["materials"], penalty=2.5)
+    prob, design = _tiny_problem_and_design(tmp_path, -1e-10, materials=materials)
+    rows = runner.evaluate_design(design, prob)
+    assert rows and all(math.isfinite(v) for row in rows for v in row.values())
 
 
 @pytest.mark.parametrize("argv", [
