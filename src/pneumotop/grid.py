@@ -309,13 +309,19 @@ class StencilOperator:
             (self.scatter @ coef, self.indices, self.indptr), shape=self.shape
         )
 
-    def slots(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Positions in the data of the entries ``(rows, cols)``, each of
-        which must be in the pattern."""
-        start = self.indptr[rows]
-        width = int(np.diff(self.indptr).max())
-        window = np.minimum(start[:, None] + np.arange(width), self.indices.size - 1)
-        return start + np.argmax(self.indices[window] == np.asarray(cols)[:, None], axis=1)
+
+def pattern_slots(indptr, indices, rows, cols) -> np.ndarray:
+    """Positions in the data of a CSR pattern (no duplicates, its columns
+    in any order) of the entries ``(rows, cols)``; ``ValueError`` if one is
+    not in the pattern."""
+    start, length = indptr[rows], np.diff(indptr)[rows]
+    offsets = np.arange(length.max(initial=0))
+    window = np.minimum(start[:, None] + offsets, indices.size - 1)
+    hit = (indices[window] == np.asarray(cols)[:, None]) & (offsets < length[:, None])
+    missing = np.count_nonzero(~hit.any(axis=1))
+    if missing:
+        raise ValueError(f"{missing} entries lie outside the sparsity pattern")
+    return start + hit.argmax(axis=1)
 
 
 def _widen(nodes: np.ndarray, comps: int) -> np.ndarray:

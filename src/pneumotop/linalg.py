@@ -20,6 +20,16 @@ full matrix's data to LAPACK's band storage, so a factorization fills the
 band by one scatter and LAPACK factors it in place, without a copy
 (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3).
 
+A 2-D spring sweep solves ``A + c U Uᵀ`` (U: the r output DOFs) for several
+c through the one factor ``A = Rᵀ R`` of ``dpbtrf`` and its two triangular
+halves (``dtbtrs``), with ``W = R⁻ᵀ U``:
+``(A + c U Uᵀ)⁻¹ = R⁻¹ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) R⁻ᵀ``. ``W`` is zero
+above the first row U touches, and the output DOFs come last in band order,
+so it costs a half-solve on the last rows only (70 of 10,080 on pneunet2d),
+and each point costs what one band solve does. ``A + c U Uᵀ`` is
+``Rᵀ (I + c W Wᵀ) R``, so it is SPD exactly when the r x r capacitance
+``I + c Wᵀ W`` is, and that is factored by Cholesky too.
+
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
 dofs * (n_short + 2) for n_short nodes on that axis (George & Liu 1981,
@@ -36,8 +46,10 @@ import copy
 import numpy as np
 from scipy import linalg, sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import SingularSystemError, SolveError
+from .grid import pattern_slots
 
 RESIDUAL_TOL = 1e-9
 MAX_REFINEMENTS = 4
@@ -101,12 +113,13 @@ class BandMap:
 
 
 class BandedCholesky:
-    """Cholesky factor ``Uᵀ U`` of an SPD matrix given as its LAPACK upper
+    """Cholesky factor ``Rᵀ R`` of an SPD matrix given as its LAPACK upper
     band (see ``BandMap``), factored in place when the band is
     F-contiguous. Its cost grows with n times the square of the
     half-bandwidth, so the matrix should come in a band order."""
 
     def __init__(self, band: np.ndarray, context: str):
+        self.context = context
         try:
             self.factor = cholesky_banded(band, overwrite_ab=True)
         except (LinAlgError, ValueError) as exc:  # not positive definite, or not finite
@@ -125,6 +138,29 @@ class BandedCholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return cho_solve_banded((self.factor, False), b, check_finite=False)
+
+    def forward(self, b: np.ndarray, start: int = 0) -> np.ndarray:
+        """The rows from ``start`` on of ``y`` in ``Rᵀ y = b``, for ``b`` zero
+        above row ``start`` and given as its rows from ``start`` on (``y`` is
+        zero there too). The triangle solved begins a half-bandwidth above
+        ``start``, with zeros in ``b``, so that every row sums as many terms
+        as in the full solve and comes out bit-identical to it: OpenBLAS
+        orders a dot product's sum by its length."""
+        lo = max(start - (self.factor.shape[0] - 1), 0)
+        b = np.concatenate([np.zeros((start - lo,) + np.shape(b)[1:]), b])
+        return self._half_solve(lo, b, "T")[start - lo:]
+
+    def backward(self, y: np.ndarray) -> np.ndarray:
+        """``x`` in ``R x = y``."""
+        return self._half_solve(0, y, "N")
+
+    def _half_solve(self, lo: int, b: np.ndarray, trans: str) -> np.ndarray:
+        x, info = dtbtrs(self.factor[:, lo:], b, trans=trans)
+        if info != 0:
+            raise SingularSystemError(
+                f"{self.context}: triangular solve failed (LAPACK info {info})"
+            )
+        return x
 
 
 def _band_order(nel, n_dofs: int) -> np.ndarray:
@@ -255,25 +291,47 @@ class FactorizedSystem:
     def rank_updates(self, u, coefficients):
         """Yield the system ``a + c U Uᵀ`` (U sparse, n × r) for each c, solved
         through this factorization by the Woodbury identity (Hager 1989, SIAM
-        Review 31(2)) ``(A + c U Uᵀ)⁻¹ = A⁻¹ - c Z (I + c Uᵀ Z)⁻¹ Uᵀ A⁻¹``, where
-        ``Z = A⁻¹ U`` is computed once for all of them."""
-        z, uu = self.lu.solve(u.toarray()), u @ u.T
+        Review 31(2)) on the factor's halves (see the module docstring), with
+        ``W = R⁻ᵀ U`` computed once, on the rows from the first that U
+        touches. Each matrix is this one's pattern with ``c U Uᵀ`` added to
+        the slots of ``U Uᵀ``, found once; ``ValueError`` if one is not in
+        the pattern."""
+        u = sparse.csr_matrix(u)
+        uu = (u @ u.T).tocoo()
+        slots = pattern_slots(self.a.indptr, self.a.indices, uu.row, uu.col)
+        start = int(np.argmax(np.diff(u.indptr) > 0))  # the first row U touches
+        w = self.lu.forward(u[start:].toarray(), start)
+        gram = w.T @ w
         for c in coefficients:
-            yield _RankUpdatedSystem(self, c, u, uu, z)
+            yield _RankUpdatedSystem(self, c, slots, uu.data, start, w, gram)
 
 
 class _RankUpdatedSystem(FactorizedSystem):
-    """``base.a + c U Uᵀ``, solved through the factorization of ``base``."""
+    """``base.a + c U Uᵀ``, solved through the factorization of ``base``:
+    ``w`` holds the rows from ``start`` on of ``W = R⁻ᵀ U`` and ``gram`` is
+    ``Wᵀ W``."""
 
-    def __init__(self, base: FactorizedSystem, c: float, u, uu, z):
-        self.a = (base.a + c * uu).tocsr()
+    def __init__(self, base: FactorizedSystem, c: float, slots, uu_data, start, w, gram):
+        data = base.a.data.copy()
+        data[slots] += c * uu_data
+        # Own index arrays, as the reduction gives each free block.
+        self.a = sparse.csr_matrix(
+            (data, base.a.indices.copy(), base.a.indptr.copy()), shape=base.a.shape
+        )
         self.context, self.lu, self.norm1 = base.context, base.lu, _norm1(self.a)
-        self._cu, self._z = c * u, z
-        self._capacitance = linalg.lu_factor(np.eye(u.shape[1]) + self._cu.T @ z)
+        self._c, self._start, self._w = c, start, w
+        try:
+            self._capacitance = linalg.cho_factor(np.eye(len(gram)) + c * gram)
+        except LinAlgError as exc:
+            raise SingularSystemError(
+                f"{self.context}: rank-updated matrix is not positive definite ({exc})"
+            ) from exc
 
     def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        y = self.lu.solve(b)
-        return y - self._z @ linalg.lu_solve(self._capacitance, self._cu.T @ y)
+        y = self.lu.forward(b)
+        tail = y[self._start:]
+        tail -= self._c * (self._w @ linalg.cho_solve(self._capacitance, self._w.T @ tail))
+        return self.lu.backward(y)
 
 
 class MultigridSystem(FactorizedSystem):

@@ -24,6 +24,7 @@ from .grid import (
     Grid,
     build_grid,
     filter_neighborhoods,
+    pattern_slots,
     select_region,
 )
 from .linalg import DirichletReduction
@@ -100,12 +101,6 @@ class Model:
         self.l_out = (self.output_op @ np.ones(n_out)) / n_out
         self.spring_unit = (1.0 / n_out) * (self.output_op @ self.output_op.T)
 
-        # Gauge-pressure indicator at inlet DOFs, used for E_t derivatives.
-        self.inlet_gauge = np.zeros(self.grid.nnodes)
-        self.inlet_gauge[self.inlet_nodes] = (
-            self.flow_params.P_in - self.flow_params.p_atm
-        )
-
         self.mask = self._build_mask(spec)
         self.free_elems = np.nonzero(self.mask == TAG_DESIGN)[0]
         self.passive_elems = np.nonzero(self.mask != TAG_DESIGN)[0]
@@ -120,7 +115,8 @@ class Model:
         self.elastic = ElasticAssembler(self.grid, self.mats.nu)
         self.t_matrix = darcy.coupling_matrix(self.grid)
         springs = self.spring_unit.tocoo()
-        self.spring_slots = self.elastic.op.slots(springs.row, springs.col)
+        op = self.elastic.op
+        self.spring_slots = pattern_slots(op.indptr, op.indices, springs.row, springs.col)
         self.spring_data = springs.data
 
     # Both operators keep one pattern for every design, so each physics has
@@ -132,6 +128,15 @@ class Model:
         return darcy.pressure_reduction(
             self.flow, self.inlet_nodes, self.drain_nodes, self.flow_params
         )
+
+    @cached_property
+    def inlet_gauge(self) -> np.ndarray:
+        """The gauge pressure the flow set holds, on every node (zero off the
+        set and at the drains), for the E_t derivatives."""
+        reduction = self.flow_reduction
+        gauge = np.zeros(self.grid.nnodes)
+        gauge[reduction.fixed] = reduction.values - self.flow_params.p_atm
+        return gauge
 
     @cached_property
     def elastic_reduction(self) -> DirichletReduction:

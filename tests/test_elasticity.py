@@ -402,3 +402,19 @@ def test_sweep_holds_one_updated_system_at_a_time(name, tiny_spec, monkeypatch):
     model.sweep(rho, k_values)
     assert len(refs) == len(k_values) - 1
     assert live_at_build[-len(refs):] == [0] * len(refs)
+
+
+def test_2d_sweep_makes_no_band_solve_of_several_right_hand_sides(tiny_model, monkeypatch):
+    """A 2-D sweep takes ``W = R⁻ᵀ U`` by a half-solve on the factor's last
+    rows, not by a band solve with one right-hand side per output node."""
+    widths, real = [], linalg.cho_solve_banded
+
+    def counting(cb_and_lower, b, **kwargs):
+        widths.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+        return real(cb_and_lower, b, **kwargs)
+
+    monkeypatch.setattr(linalg, "cho_solve_banded", counting)
+    assert tiny_model.output_op.shape[1] > 1
+    rows = tiny_model.sweep(_designs(tiny_model, 3)[0], [0.1, 1.0, 10.0, 100.0])
+    assert len(rows) == 4
+    assert widths and max(widths) == 1

@@ -15,6 +15,7 @@ from pneumotop.grid import (
     GridSpec,
     build_grid,
     filter_neighborhoods,
+    pattern_slots,
     select_region,
 )
 from pneumotop.materials import FlowParams
@@ -252,5 +253,5 @@ def test_stencil_slots_locate_entries():
     k = op.assemble(np.arange(1.0, g.nelem + 1))
     coo = k.tocoo()
     pick = np.random.default_rng(0).choice(coo.nnz, 50, replace=False)
-    slots = op.slots(coo.row[pick], coo.col[pick])
+    slots = pattern_slots(op.indptr, op.indices, coo.row[pick], coo.col[pick])
     assert np.array_equal(k.data[slots], coo.data[pick])

@@ -58,6 +58,84 @@ def test_rank_update_missing_the_contract_raises(monkeypatch):
         system.solve(b)
 
 
+def _band_system(nel=(12, 4)):
+    """The banded Cholesky system of a gray 2-D stiffness's free block
+    (x = 0 edge fixed), its free load, and a random generator."""
+    g, k, fixed, f = _gray_2d(nel, 2)
+    _, free, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
+    return system, f[free], np.random.default_rng(4)
+
+
+def test_half_solves_compose_to_the_band_solve():
+    system, b, _ = _band_system()
+    x = system.lu.backward(system.lu.forward(b))
+    exact = system.lu.solve(b)
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("rhs", [1, 3])
+def test_trailing_half_solve_is_bit_identical_to_the_full_one(rhs):
+    # a band wide enough for the dot products to sum in SIMD blocks
+    system, _, rng = _band_system((40, 20))
+    n, width = system.a.shape[0], system.lu.factor.shape[0] - 1
+    for start in (0, width // 2, width, n - 2 * width, n - 5):
+        b = rng.normal(size=(n, rhs)).squeeze()
+        b[:start] = 0.0
+        full = system.lu.forward(b)
+        assert np.all(full[:start] == 0.0)
+        assert np.array_equal(system.lu.forward(b[start:], start), full[start:])
+
+
+def test_failed_half_solve_is_singular():
+    system, b, _ = _band_system()
+    system.lu.factor[-1, 3] = 0.0  # a zero pivot on the diagonal
+    with pytest.raises(SingularSystemError, match="test system: triangular solve failed"):
+        system.lu.forward(b)
+
+
+def _node_columns(system, nodes):
+    """U with one column per node (2 DOFs, together in band order): random
+    weights on both of its DOFs, so that U Uᵀ couples them."""
+    rows = (2 * np.asarray(nodes)[:, None] + np.arange(2)).ravel()
+    weights = np.random.default_rng(5).uniform(0.5, 1.5, rows.size)
+    return sparse.csr_matrix(
+        (weights, (rows, np.repeat(np.arange(len(nodes)), 2))),
+        shape=(system.a.shape[0], len(nodes)),
+    )
+
+
+@pytest.mark.parametrize("where", ["first-rows", "last-rows"])
+def test_rank_updates_match_a_dense_solve(where):
+    system, b, _ = _band_system()
+    n_nodes = system.a.shape[0] // 2
+    nodes = [0, 1, 5] if where == "first-rows" else [n_nodes - 3, n_nodes - 2, n_nodes - 1]
+    u = _node_columns(system, nodes)
+    coefficients = [1e2, 1e5, 1e7]
+    for c, updated in zip(coefficients, system.rank_updates(u, coefficients)):
+        a_c = system.a.toarray() + c * (u @ u.T).toarray()
+        assert np.array_equal(updated.a.toarray(), a_c)
+        x = updated.solve(b)
+        assert np.allclose(x, np.linalg.solve(a_c, b), rtol=1e-10, atol=0)
+
+
+def test_rank_update_outside_the_pattern_raises():
+    system, _, _ = _band_system()
+    u = _node_columns(system, [0])
+    u = sparse.csr_matrix(u + _node_columns(system, [system.a.shape[0] // 2 - 1]))
+    with pytest.raises(ValueError, match="entries lie outside the sparsity pattern"):
+        next(system.rank_updates(u, [1.0]))
+
+
+def test_indefinite_rank_update_is_singular():
+    # a_kk - 2 a_kk < 0 on the diagonal: A + c e_k e_kᵀ is indefinite
+    system, b, _ = _band_system()
+    k = system.a.shape[0] - 1
+    u = sparse.csr_matrix(([1.0], ([k], [0])), shape=(k + 1, 1))
+    c = -2.0 * system.a[k, k]
+    with pytest.raises(SingularSystemError, match="test system: rank-updated matrix is not positive definite"):
+        next(system.rank_updates(u, [c])).solve(b)
+
+
 def _gray_2d(nel, dofs_per_node, seed=2):
     """A stiffness (2 DOFs per node) or conduction matrix (1) with random
     gray element coefficients on a 2-D grid, its DOFs on the x = 0 edge

@@ -373,6 +373,10 @@ def test_sweep_matches_per_point_forward(case, request, monkeypatch):
     assert len(hierarchies) == (2 if case == "gripper3d" else 0)
     model = Model(problem.load_problem(case))
     rho = io.load_design(design)[1]
+    # In 2-D the rows and the references come from one Cholesky factor
+    # each, and agreed to 6e-11 on pneunet2d and 5.1e-9 on finger2d (its
+    # SE). In 3-D they are two CG runs with different preconditioners.
+    rel = 1e-6 if case == "gripper3d" else 5e-8
     first = model.forward(rho, k_out=sweep[0]).metrics
     assert rows[0] == {"k_out": sweep[0], "u_out": first.u_out, "SE": first.SE,
                        "W": first.W, "E_t": first.E_t}
@@ -380,7 +384,7 @@ def test_sweep_matches_per_point_forward(case, request, monkeypatch):
         ref = model.forward(rho, k_out=k).metrics
         assert row["k_out"] == k
         for name in ("u_out", "SE", "W"):
-            assert row[name] == pytest.approx(getattr(ref, name), rel=1e-6, abs=0)
+            assert row[name] == pytest.approx(getattr(ref, name), rel=rel, abs=0)
     assert {row["E_t"] for row in rows} == {first.E_t}
 
 
