@@ -53,6 +53,11 @@ def load_suite(path) -> tuple[list[ComparisonCase], list[float]]:
         if not (isinstance(c, dict) and isinstance(c.get("label"), str)
                 and isinstance(c.get("problem"), str)):
             raise ConfigError(f"{path}: case {i} needs a 'label' and a 'problem'")
+        if c.get("design") is not None and "closure" in c:
+            raise ConfigError(
+                f"{path}: case {c['label']!r} evaluates a given design, "
+                f"so its 'closure' would be ignored"
+            )
         cases.append(ComparisonCase(
             label=c["label"],
             problem=c["problem"],

@@ -13,17 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-# One BLAS thread unless the user sets another count, before numpy loads:
-# the solver's banded Cholesky and small products lose more to thread
-# synchronisation than they gain (LAPACK's dpbtrf on the finger2d elastic
-# band: 6.2 ms on one thread, 17-18 ms on two).
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_THREAD_VARS:
-    os.environ.setdefault(_var, "1")
-
-from . import bench, fixtures, io, runner  # noqa: E402
-from .errors import ConfigError, SolveError  # noqa: E402
-from .problem import CLOSURE_MODES, load_problem  # noqa: E402
+from . import bench, fixtures, io, runner
+from .errors import ConfigError, SolveError
+from .problem import CLOSURE_MODES, load_problem
 
 
 def _setup_logging():

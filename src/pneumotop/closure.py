@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import TAG_DESIGN, Grid
+from .grid import TAG_DESIGN, Grid, lattice_neighbours
 from .materials import FlowParams
 
 DEFAULT_VOID_THRESHOLD = 0.5
@@ -56,21 +56,6 @@ def heuristic_skin(
     return rho_bar, int(target.sum())
 
 
-def _neighbor_table(grid: Grid) -> np.ndarray:
-    """Face-adjacent element ids, shape (nelem, 2*dim); -1 past the boundary."""
-    nbrs = np.full((grid.nelem, 2 * grid.dim), -1, dtype=np.int64)
-    nel = np.array(grid.nel_axis)
-    for ax in range(grid.dim):
-        for side, delta in ((0, -1), (1, +1)):
-            shifted = grid.elem_ijk.copy()
-            shifted[:, ax] += delta
-            ok = (shifted[:, ax] >= 0) & (shifted[:, ax] < nel[ax])
-            nbrs[ok, 2 * ax + side] = np.ravel_multi_index(
-                tuple(shifted[ok].T), grid.nel_axis, order="F"
-            )
-    return nbrs
-
-
 def check_sealed(
     rho_bar1: np.ndarray,
     grid: Grid,
@@ -87,7 +72,10 @@ def check_sealed(
     void = np.asarray(rho_bar1) < threshold
     seeds = [f[0] for f in inlet_faces if void[f[0]]]
     drain_elems = {f[0] for f in drain_faces}
-    nbrs = _neighbor_table(grid)
+    # face-adjacent element ids in (axis, side) order, -1 past the boundary
+    faces = np.stack([side * e for e in np.eye(grid.dim, dtype=int) for side in (-1, 1)])
+    inside, ids = lattice_neighbours(grid.elem_ijk, grid.nel_axis, faces)
+    nbrs = np.where(inside, ids, -1)
 
     pred: dict[int, int] = {s: -1 for s in seeds}
     queue = deque(seeds)

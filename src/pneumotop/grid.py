@@ -101,6 +101,32 @@ def _lattice(shape: tuple[int, ...]) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(np.prod(shape)), shape, order="F"), axis=-1)
 
 
+def lattice_neighbours(ijk: np.ndarray, shape: tuple[int, ...], offsets: np.ndarray):
+    """For each point ``ijk`` (n x d) of a ``shape`` lattice and each of the
+    ``offsets`` (k x d), as ``(inside, ids)``, both n x k: whether the point
+    plus the offset lies in the lattice, and its int32 flat index, x fastest
+    (meaningless where it does not). With x fastest, a point's ids grow with
+    the offset's position when the offsets are listed x fastest too."""
+    inside = np.ones((ijk.shape[0], offsets.shape[0]), dtype=bool)
+    for ax, n in enumerate(shape):
+        # tested once per distinct step along the axis, then spread
+        steps, col = np.unique(offsets[:, ax], return_inverse=True)
+        c = ijk[:, ax, None] + steps
+        inside &= ((c >= 0) & (c < n))[:, col]
+    strides = np.cumprod((1,) + tuple(shape[:-1]))
+    ids = (ijk @ strides).astype(np.int32)[:, None] + (offsets @ strides).astype(np.int32)
+    return inside, ids
+
+
+def in_box(points: np.ndarray, box, h: float) -> np.ndarray:
+    """Which ``points`` (n x d, in m) lie in the axis-aligned ``box``
+    ((lo...), (hi...)), its faces included and widened by h BOX_TOL_FACTOR
+    for roundoff in the coordinates."""
+    tol = h * BOX_TOL_FACTOR
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    return np.all((points >= lo - tol) & (points <= hi + tol), axis=1)
+
+
 class Grid:
     """Geometry, connectivity, and DOF maps for a structured grid."""
 
@@ -122,12 +148,10 @@ class Grid:
 
         offsets = _CORNER_OFFSETS[self.dim]
         self.nen = offsets.shape[0]
-        corner_ijk = self.elem_ijk[:, None, :] + offsets[None, :, :]
         # int32, the index type of scipy's sparse matrices on any grid that
-        # fits in memory, so assembly hands its index arrays over uncopied
-        self.conn = np.ravel_multi_index(
-            tuple(np.moveaxis(corner_ijk, -1, 0)), self.nnod_axis, order="F"
-        ).astype(np.int32)
+        # fits in memory, so assembly hands its index arrays over uncopied;
+        # every corner is a node
+        self.conn = lattice_neighbours(self.elem_ijk, self.nnod_axis, offsets)[1]
 
         comps = np.arange(self.dim, dtype=np.int32)
         self.edof_u = (
@@ -149,16 +173,10 @@ class Grid:
         its 3^d neighbourhood; those nodes, node by node in ascending order;
         and, per element corner pair (i, j), the place of corner j's node
         among corner i's node's neighbours."""
-        # With x fastest, node ids grow with the offset's position.
         offsets = _lattice((3,) * self.dim) - 1
-        valid = np.ones((self.nnodes, offsets.shape[0]), dtype=bool)
-        for ax in range(self.dim):
-            inside = np.stack([self.node_ijk[:, ax] > 0, np.ones(self.nnodes, dtype=bool),
-                               self.node_ijk[:, ax] < self.nel_axis[ax]], axis=1)
-            valid &= inside[:, offsets[:, ax] + 1]
+        valid, ids = lattice_neighbours(self.node_ijk, self.nnod_axis, offsets)
         rank = np.cumsum(valid, axis=1, dtype=np.int32) - 1
-        strides = np.cumprod((1,) + self.nnod_axis[:-1])
-        neighbours = (np.arange(self.nnodes)[:, None] + offsets @ strides).astype(np.int32)[valid]
+        neighbours = ids[valid]
         corners = _CORNER_OFFSETS[self.dim]
         pair = ((corners[None, :, :] - corners[:, None, :] + 1) * 3 ** np.arange(self.dim)).sum(axis=-1)
         corner_rank = np.take(rank, self.conn[:, :, None] * rank.shape[1] + pair)
@@ -253,10 +271,7 @@ def select_region(grid: Grid, region: BoundaryRegion) -> RegionSelection:
         raise ConfigError(
             f"region '{region.label}': box has {lo.size} axes, grid has {grid.dim}"
         )
-    tol = grid.h * BOX_TOL_FACTOR
-    inside = np.all(
-        (grid.coords >= lo - tol) & (grid.coords <= hi + tol), axis=1
-    )
+    inside = in_box(grid.coords, (lo, hi), grid.h)
     nodes = np.nonzero(inside)[0]
     if nodes.size == 0:
         raise ConfigError(f"region '{region.label}': selects no nodes")
@@ -272,7 +287,7 @@ def select_region(grid: Grid, region: BoundaryRegion) -> RegionSelection:
 
     normal_axis = None
     if region.role == "symmetry":
-        degenerate = np.nonzero(hi - lo < tol)[0]
+        degenerate = np.nonzero(hi - lo < grid.h * BOX_TOL_FACTOR)[0]
         if degenerate.size != 1:
             raise ConfigError(
                 f"region '{region.label}': symmetry box must be a plane "
@@ -394,12 +409,7 @@ def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
     keep = r_min - dist > 0
     offsets, wvals = offsets[keep], (r_min - dist)[keep]
 
-    valid = np.ones((grid.nelem, offsets.shape[0]), dtype=bool)
-    for ax in range(grid.dim):
-        c = grid.elem_ijk[:, ax, None] + offsets[None, :, ax]
-        valid &= (c >= 0) & (c < grid.nel_axis[ax])
-    strides = np.cumprod((1,) + grid.nel_axis[:-1])
-    cols = (np.arange(grid.nelem)[:, None] + offsets @ strides).astype(np.int32)
+    valid, cols = lattice_neighbours(grid.elem_ijk, grid.nel_axis, offsets)
     counts = valid.sum(axis=1)
     indptr = np.zeros(grid.nelem + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])

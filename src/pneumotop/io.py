@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ def atomic_write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        # no newline translation: csv's \r\n row ends stay as they are
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -96,16 +98,13 @@ def load_design(path):
 
 
 class HistoryWriter:
-    """Streams iteration records to CSV, publishing atomically on close."""
+    """Collects iteration records as CSV rows and publishes them atomically
+    on close; a run that never closes it leaves no file."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, self._tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        self._fh = os.fdopen(fd, "w", newline="")
-        self._writer = csv.writer(self._fh)
+        self._buffer = StringIO()
+        self._writer = csv.writer(self._buffer)
         self._writer.writerow(HISTORY_COLUMNS)
 
     def __call__(self, rec):
@@ -123,13 +122,7 @@ class HistoryWriter:
         self._writer.writerow(row)
 
     def close(self):
-        self._fh.close()
-        os.replace(self._tmp, self.path)
-
-    def abort(self):
-        self._fh.close()
-        if os.path.exists(self._tmp):
-            os.unlink(self._tmp)
+        atomic_write_text(self.path, self._buffer.getvalue())
 
 
 def write_summary(path, summary: dict):
@@ -192,13 +185,12 @@ def export_vtk(path, grid: Grid, cell_data: dict | None = None,
 
 
 def dominant_material_labels(rho_bar: np.ndarray, n_materials: int) -> np.ndarray:
-    """Per-element label: 0 void, otherwise the selected material index."""
-    r1, r2, r3 = rho_bar
-    label = np.zeros(r1.shape, dtype=np.int32)
-    solid = r1 >= 0.5
-    label[solid] = 1
-    if n_materials >= 2:
-        label[solid & (r2 >= 0.5)] = 2
-    if n_materials >= 3:
-        label[solid & (r2 >= 0.5) & (r3 >= 0.5)] = 3
+    """Per-element label: 0 void, otherwise the selected material index.
+    Channel k selects material k + 1 where it and every channel before it
+    are at least 0.5."""
+    label = np.zeros(rho_bar[0].shape, dtype=np.int32)
+    selected = np.ones(rho_bar[0].shape, dtype=bool)
+    for k in range(n_materials):
+        selected &= rho_bar[k] >= 0.5
+        label[selected] = k + 1
     return label

@@ -248,15 +248,13 @@ class FactorizedSystem:
     """Cholesky-factorized SPD system solving to a backward-error tolerance.
 
     ``band`` is ``a`` in LAPACK upper band storage, as a ``DirichletReduction``
-    fills it from the full matrix; without it the band is filled through a
-    ``BandMap`` of ``a``'s own pattern."""
+    fills it from the full matrix (or a ``BandMap`` of ``a``'s own pattern
+    from ``a.data``)."""
 
-    def __init__(self, a, context: str = "linear system", band=None):
+    def __init__(self, a, context: str = "linear system", *, band):
         self.a = a.tocsr()
         self.context = context
         self.norm1 = _norm1(self.a)
-        if band is None:
-            band = BandMap(self.a.indptr, self.a.indices).band(self.a.data)
         self.lu = BandedCholesky(band, context)
 
     def _backward_error(self, x, b, resid):
@@ -276,12 +274,14 @@ class FactorizedSystem:
             )
         resid = np.linalg.norm(b - self.a @ x)
         for _ in range(MAX_REFINEMENTS):
-            if self._backward_error(x, b, resid) <= RESIDUAL_TOL:
+            # an overflowed residual cannot be refined on; the check below
+            # rejects it
+            if not np.isfinite(resid) or self._backward_error(x, b, resid) <= RESIDUAL_TOL:
                 break
             x = x + self._apply_inverse(b - self.a @ x)
             resid = np.linalg.norm(b - self.a @ x)
         err = self._backward_error(x, b, resid)
-        if not err <= RESIDUAL_TOL:  # also rejects a NaN from a refinement
+        if not err <= RESIDUAL_TOL:  # also rejects a NaN or an overflow
             raise SolveError(
                 f"{self.context}: backward error {err:.3e} exceeds "
                 f"{RESIDUAL_TOL:.0e} after refinement"

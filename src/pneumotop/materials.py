@@ -44,19 +44,15 @@ class MaterialSet:
             raise ConfigError(f"penalty must be >= 1, got {self.penalty}")
 
     @property
-    def n_materials(self) -> int:
-        return len(self.E)
-
-    @property
     def n_channels(self) -> int:
         """Active density channels: topology plus one selector per extra material."""
         return len(self.E)
 
     def solid_pattern(self, material: int) -> np.ndarray:
         """Channel corner values (3,) that produce the given material exactly."""
-        if not 1 <= material <= self.n_materials:
+        if not 1 <= material <= self.n_channels:
             raise ConfigError(
-                f"material index {material} outside 1..{self.n_materials}"
+                f"material index {material} outside 1..{self.n_channels}"
             )
         pattern = np.zeros(3)
         pattern[:material] = 1.0
@@ -119,31 +115,17 @@ def interpolate_modulus(rho: np.ndarray, mats: MaterialSet):
     """
     rho = np.asarray(rho, dtype=float)
     p = mats.penalty
-    r1, r2, r3 = rho[0], rho[1], rho[2]
-    r1p, r2p, r3p = r1**p, r2**p, r3**p
-    # Innermost selector first: m2 picks between E_2 and E_3.
-    if mats.n_materials == 3:
-        m2 = (1.0 - r3p) * mats.E[1] + r3p * mats.E[2]
-        dm2_dr3 = p * np.where(r3 > 0, r3 ** (p - 1.0), 0.0) * (mats.E[2] - mats.E[1])
-    else:
-        m2 = np.zeros_like(r1)
-        dm2_dr3 = np.zeros_like(r1)
-    if mats.n_materials >= 2:
-        m1 = (1.0 - r2p) * mats.E[0] + r2p * (m2 if mats.n_materials == 3 else mats.E[1])
-        inner = (m2 if mats.n_materials == 3 else mats.E[1]) - mats.E[0]
-        dm1_dr2 = p * np.where(r2 > 0, r2 ** (p - 1.0), 0.0) * inner
-        dm1_dr3 = r2p * dm2_dr3
-    else:
-        m1 = np.full_like(r1, mats.E[0])
-        dm1_dr2 = np.zeros_like(r1)
-        dm1_dr3 = np.zeros_like(r1)
-
-    e = (1.0 - r1p) * mats.E_min + r1p * m1
-    de = np.zeros_like(rho)
-    de[0] = p * np.where(r1 > 0, r1 ** (p - 1.0), 0.0) * (m1 - mats.E_min)
-    de[1] = r1p * dm1_dr2
-    de[2] = r1p * dm1_dr3
-    return e, de
+    floors = (mats.E_min,) + mats.E[:-1]
+    m, dm = mats.E[-1], np.zeros_like(rho)
+    # Innermost selector first: channel k picks between floors[k] and the
+    # modulus m that the channels past it select.
+    for k in reversed(range(mats.n_channels)):
+        r = rho[k]
+        rp = r**p
+        dm[k + 1:] *= rp
+        dm[k] = p * np.where(r > 0, r ** (p - 1.0), 0.0) * (m - floors[k])
+        m = (1.0 - rp) * floors[k] + rp * m
+    return m, dm
 
 
 def flow_coefficient(rho1, params: FlowParams):

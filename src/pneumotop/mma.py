@@ -78,19 +78,16 @@ def _convex_terms(grad, rho, sub: _Subproblem):
 
 
 class MMA:
-    """Stateful MMA driver for a fixed problem size.
+    """Stateful MMA driver; the problem size is that of the first update's
+    arrays.
 
     Parameters
     ----------
-    n, m : int
-        Number of design variables and inequality constraints.
     move : float
         Move limit as a fraction of the box width per update.
     """
 
-    def __init__(self, n: int, m: int, move: float = 0.2):
-        self.n = n
-        self.m = m
+    def __init__(self, move: float = 0.2):
         self.move = move
         self.iteration = 0
         self.low = None

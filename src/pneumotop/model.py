@@ -24,6 +24,7 @@ from .grid import (
     Grid,
     build_grid,
     filter_neighborhoods,
+    in_box,
     pattern_slots,
     select_region,
 )
@@ -105,7 +106,7 @@ class Model:
         self.free_elems = np.nonzero(self.mask == TAG_DESIGN)[0]
         self.passive_elems = np.nonzero(self.mask != TAG_DESIGN)[0]
         self.passive_pattern = np.zeros((3, self.grid.nelem))
-        for m in range(1, self.mats.n_materials + 1):
+        for m in range(1, self.mats.n_channels + 1):
             idx = np.nonzero(self.mask == m)[0]
             if idx.size:
                 self.passive_pattern[:, idx] = self.mats.solid_pattern(m)[:, None]
@@ -145,13 +146,8 @@ class Model:
 
     def _build_mask(self, spec: ProblemSpec) -> np.ndarray:
         mask = np.full(self.grid.nelem, TAG_DESIGN, dtype=np.int64)
-        tol = self.grid.h * 1e-6
         for p in spec.passive:
-            lo = np.asarray(p.box[0]) - tol
-            hi = np.asarray(p.box[1]) + tol
-            inside = np.all(
-                (self.grid.centroids >= lo) & (self.grid.centroids <= hi), axis=1
-            )
+            inside = in_box(self.grid.centroids, p.box, self.grid.h)
             mask[inside] = TAG_PASSIVE_VOID if p.tag == "void" else p.material
         if spec.closure.mode == "skin":
             mask = closure_mod.non_design_skin(

@@ -107,15 +107,13 @@ class _DesignPacker:
     def __init__(self, model: Model):
         self.free = model.free_elems
         self.n_ch = model.mats.n_channels
-        self.n_per_ch = self.free.size
-        self.size = self.n_ch * self.n_per_ch
 
     def pack(self, design: np.ndarray) -> np.ndarray:
         return design[: self.n_ch, self.free].ravel()
 
     def unpack(self, x: np.ndarray, template: np.ndarray) -> np.ndarray:
         design = template.copy()
-        design[: self.n_ch, self.free] = x.reshape(self.n_ch, self.n_per_ch)
+        design[: self.n_ch, self.free] = x.reshape(self.n_ch, -1)
         return design
 
 
@@ -141,7 +139,7 @@ def run(model: Model, sink=None) -> RunResult:
     settings = model.spec.optimizer
     fspec = model.spec.filter
     packer = _DesignPacker(model)
-    mma = MMA(packer.size, len(model.volume_bounds), move=settings.move_limit)
+    mma = MMA(move=settings.move_limit)
 
     design = initialize(model)
     beta = fspec.beta_p_initial

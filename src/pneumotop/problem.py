@@ -229,7 +229,7 @@ class ProblemSpec:
     def __post_init__(self):
         vf = tuple(float(v) for v in self.volume_fractions)
         object.__setattr__(self, "volume_fractions", vf)
-        dim, n_mat = self.grid.dim, self.materials.n_materials
+        dim, n_mat = self.grid.dim, self.materials.n_channels
         if len(vf) != n_mat:
             raise ConfigError(
                 f"$.volume_fractions: expected {n_mat} entries (one per material), "

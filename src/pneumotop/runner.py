@@ -37,11 +37,7 @@ def optimize_problem(spec: ProblemSpec, out_dir) -> dict:
     model = Model(spec)
 
     history_writer = io.HistoryWriter(out / "history.csv")
-    try:
-        result = optimizer.run(model, sink=history_writer)
-    except BaseException:
-        history_writer.abort()
-        raise
+    result = optimizer.run(model, sink=history_writer)
     history_writer.close()
 
     state = result.state
@@ -92,7 +88,7 @@ def optimize_problem(spec: ProblemSpec, out_dir) -> dict:
 
 
 def _export_fields(path, model: Model, state):
-    labels = io.dominant_material_labels(state.rho_bar, model.mats.n_materials)
+    labels = io.dominant_material_labels(state.rho_bar, model.mats.n_channels)
     u = state.disp.u.reshape(-1, model.grid.dim)
     io.export_vtk(
         path,

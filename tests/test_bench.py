@@ -66,6 +66,8 @@ def test_unknown_closure_rejected():
     json.dumps({"cases": [], "sweep_n_per_m": [-1, 2]}),
     '{"cases": [], "sweep_n_per_m": [1, Infinity]}',
     '{"cases": [], "sweep_n_per_m": [NaN]}',
+    json.dumps({"cases": [{"label": "a", "problem": "pneunet2d", "design": "d.json",
+                           "closure": "heuristic"}]}),
 ])
 def test_malformed_suite_exits_3(tmp_path, content):
     suite = tmp_path / "suite.json"

@@ -20,6 +20,14 @@ def _solve_dirichlet(k, f, fixed, nel):
     return x, reduction.free, system
 
 
+def _factorized(a):
+    """``a``'s FactorizedSystem, its band filled through the map of its own
+    pattern."""
+    a = sparse.csr_matrix(a)
+    band = linalg.BandMap(a.indptr, a.indices).band(a.data)
+    return linalg.FactorizedSystem(a, context="test system", band=band)
+
+
 def _spd_and_basis(n=30, r=4, seed=0):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
@@ -37,7 +45,7 @@ def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
 
     monkeypatch.setattr(linalg, "cholesky_banded", counting_cholesky)
     a, u, b = _spd_and_basis()
-    base = linalg.FactorizedSystem(a, context="test system")
+    base = _factorized(a)
     coefficients = [0.5, 10.0, 1e4]
     for c, system in zip(coefficients, base.rank_updates(u, coefficients)):
         x = system.solve(b)
@@ -52,7 +60,7 @@ def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
 
 def test_rank_update_missing_the_contract_raises(monkeypatch):
     a, u, b = _spd_and_basis()
-    (system,) = linalg.FactorizedSystem(a, context="test system").rank_updates(u, [3.0])
+    (system,) = _factorized(a).rank_updates(u, [3.0])
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolveError, match="test system: backward error"):
         system.solve(b)
@@ -206,7 +214,7 @@ def test_band_map_fills_the_band_in_place(nel, dofs_per_node, dirichlet, monkeyp
 
     monkeypatch.setattr(linalg, "cholesky_banded", recording_cholesky)
     _, _, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
-    linalg.FactorizedSystem(system.a, context="test system")  # the map of its own pattern
+    _factorized(system.a)  # the map of its own pattern
     reference = np.ascontiguousarray(_reference_band(system.a))
     assert len(handed) == 2
     for band, f_contiguous, in_place in handed:
@@ -231,10 +239,10 @@ def test_collapsed_pivot_is_singular():
     # positive definite in exact arithmetic, with a pivot 4e-16 of the largest
     a = sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]]))
     with pytest.raises(SingularSystemError, match="test system: matrix is numerically singular"):
-        linalg.FactorizedSystem(a, context="test system")
+        _factorized(a)
     for not_spd in (-np.eye(2), np.diag([1.0, np.nan])):
         with pytest.raises(SingularSystemError, match="test system: factorization failed"):
-            linalg.FactorizedSystem(sparse.csc_matrix(not_spd), context="test system")
+            _factorized(not_spd)
 
 
 def _elastic_3d(nel=(8, 4, 4), seed=1):

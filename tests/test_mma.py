@@ -9,7 +9,7 @@ from pneumotop.mma import ALBEFA, C_PENALTY, MMA, RAA0, _convex_terms, _Subprobl
 
 def test_active_constraint_toy():
     # minimize -x subject to x <= 0.5 on [0, 1], start 0.25, move 0.5
-    mma = MMA(1, 1, move=0.5)
+    mma = MMA(move=0.5)
     x = np.array([0.25])
     for _ in range(30):
         g = np.array([x[0] / 0.5 - 1.0])
@@ -19,7 +19,7 @@ def test_active_constraint_toy():
 
 
 def test_zero_gradient_leaves_design_unchanged():
-    mma = MMA(5, 1, move=0.2)
+    mma = MMA(move=0.2)
     x = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     x_new = mma.update(
         x, np.zeros(5), np.array([-0.5]), np.zeros((1, 5))
@@ -33,7 +33,7 @@ def test_two_variable_kkt_point():
     # (-2, -2): lambda balances both; true optimum of the QP on the triangle
     # is x = (1, 0)? minimize distance to (2,1) over {x1+x2<=1, box}:
     # closest point is (1, 0) on the corner of box and constraint.
-    mma = MMA(2, 1, move=0.3)
+    mma = MMA(move=0.3)
     x = np.array([0.2, 0.2])
     for _ in range(50):
         df = 2 * (x - np.array([2.0, 1.0]))
@@ -46,7 +46,7 @@ def test_two_variable_kkt_point():
 def test_quadratic_active_constraint_kkt():
     # minimize (x1-1)^2 + (x2-1)^2 s.t. x1 + x2 <= 1 on [0,1]^2
     # KKT point x* = (0.5, 0.5) with multiplier 1 (constraint active)
-    mma = MMA(2, 1, move=0.3)
+    mma = MMA(move=0.3)
     x = np.array([0.15, 0.35])
     for _ in range(50):
         df = 2 * (x - 1.0)
@@ -58,7 +58,7 @@ def test_quadratic_active_constraint_kkt():
 
 def test_move_limit_respected_every_step():
     rng = np.random.default_rng(0)
-    mma = MMA(20, 2, move=0.1)
+    mma = MMA(move=0.1)
     x = rng.uniform(0.2, 0.8, 20)
     for _ in range(10):
         df = rng.normal(size=20) * 10
@@ -72,7 +72,7 @@ def test_move_limit_respected_every_step():
 
 def test_recovers_feasibility_from_infeasible_start():
     # start violating x1 + x2 <= 0.6
-    mma = MMA(2, 1, move=0.2)
+    mma = MMA(move=0.2)
     x = np.array([0.9, 0.9])
     for _ in range(40):
         df = np.array([-1.0, -1.0])  # objective pushes further infeasible
@@ -83,7 +83,7 @@ def test_recovers_feasibility_from_infeasible_start():
 
 
 def test_nonfinite_gradients_rejected():
-    mma = MMA(2, 1)
+    mma = MMA()
     with pytest.raises(SolveError, match="non-finite"):
         mma.update(
             np.array([0.5, 0.5]),
@@ -94,7 +94,7 @@ def test_nonfinite_gradients_rejected():
 
 
 def test_huge_gradient_scales_are_handled():
-    mma = MMA(3, 1, move=0.2)
+    mma = MMA(move=0.2)
     x = np.array([0.5, 0.5, 0.5])
     x_new = mma.update(
         x,
@@ -113,7 +113,7 @@ def test_conservative_step_shortens_step_and_covers_observed_f():
         return float(100.0 * np.sum((x - 0.55) ** 2))
 
     x0 = np.array([0.5, 0.6, 0.45])
-    mma = MMA(3, 1, move=0.2)
+    mma = MMA(move=0.2)
     trial = mma.update(x0, 200.0 * (x0 - 0.55), np.array([-1.0]), np.zeros((1, 3)))
     assert f(trial) > f(x0)
     assert f(x0) + mma._sub.objective_change(trial) < f(trial)
@@ -127,7 +127,7 @@ def test_conservative_step_shortens_step_and_covers_observed_f():
 
 def test_conservative_step_keeps_asymptotes_and_history():
     rng = np.random.default_rng(1)
-    mma = MMA(10, 1, move=0.2)
+    mma = MMA(move=0.2)
     x = rng.uniform(0.2, 0.8, 10)
     for _ in range(3):
         x_prev = x
@@ -141,7 +141,7 @@ def test_conservative_step_keeps_asymptotes_and_history():
 
 def test_conservative_step_without_update_raises():
     with pytest.raises(SolveError, match="no subproblem"):
-        MMA(2, 1).conservative_step(np.array([0.5, 0.5]), 1.0)
+        MMA().conservative_step(np.array([0.5, 0.5]), 1.0)
 
 
 def _flat_subproblem(n=3000, seed=0):

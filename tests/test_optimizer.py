@@ -253,5 +253,6 @@ def test_odd_gripper3d_runs_on_multigrid(tmp_path):
     assert len(state.disp.system.prolongations) == 2
     free = model.elastic_reduction.free
     k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
-    u_lu = linalg.FactorizedSystem(k).solve(state.force[free])
+    band = linalg.BandMap(k.indptr, k.indices).band(k.data)
+    u_lu = linalg.FactorizedSystem(k, band=band).solve(state.force[free])
     assert model.l_out[free] @ u_lu == pytest.approx(state.metrics.u_out, rel=1e-8, abs=0)

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pneumotop
 from pneumotop import cli, io, linalg, problem, runner
-from pneumotop.errors import ConfigError
+from pneumotop.errors import ConfigError, SolveError
 from pneumotop.fixtures import make_pneunet2d_design
 from pneumotop.grid import GridSpec, build_grid
 from pneumotop.materials import drainage_for_wall
@@ -323,6 +324,19 @@ def _write_history(path, recs):
     writer.close()
 
 
+def test_run_that_raises_leaves_no_history(tmp_path, tiny_spec, monkeypatch):
+    from pneumotop.optimizer import IterationRecord
+
+    def failing_run(model, sink):
+        sink(IterationRecord(1, -10.0, (0.0,), 0.2, 0.8, 1e-3, 2e-2, 3e4, 1.0))
+        raise SolveError("mid-run failure")
+
+    monkeypatch.setattr(runner.optimizer, "run", failing_run)
+    with pytest.raises(SolveError, match="mid-run failure"):
+        runner.optimize_problem(tiny_spec, tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_history_csv_columns_and_values(tmp_path):
     from pneumotop.optimizer import IterationRecord
 
@@ -415,12 +429,16 @@ def test_vtk_2d_exports_unit_thickness_slab(tmp_path):
     assert "DIMENSIONS 4 3 1" in path.read_text()
 
 
-def test_dominant_material_labels():
+@pytest.mark.parametrize("n_materials, expected", [
+    (1, [1, 1, 1, 0]), (2, [2, 2, 1, 0]), (3, [3, 2, 1, 0]),
+], ids=["1", "2", "3"])
+def test_dominant_material_labels(n_materials, expected):
+    # channels past the material count select nothing
     rho = np.array(
         [[0.9, 0.9, 0.9, 0.2], [0.9, 0.9, 0.1, 0.9], [0.9, 0.2, 0.8, 0.9]]
     )
-    labels = io.dominant_material_labels(rho, 3)
-    assert list(labels) == [3, 2, 1, 0]
+    labels = io.dominant_material_labels(rho, n_materials)
+    assert list(labels) == expected
 
 
 def test_pneunet_design_matches_problem_grid():
@@ -501,6 +519,20 @@ def test_cli_evaluate_dimension_mismatch(tmp_path, pneunet_design_path):
     assert cli.main(["evaluate", str(pneunet_design_path), "finger2d"]) == 3
 
 
+def test_cli_evaluate_overflowing_spring_exit_4(tmp_path, pneunet_design_path):
+    # the residual of the 1e200 N/m point overflows: refinement stops there
+    # and the backward-error check reports it as a solver failure
+    env = {**os.environ, "PYTHONPATH": str(Path(pneumotop.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pneumotop.cli", "evaluate", str(pneunet_design_path),
+         "pneunet2d", "--sweep", "1", "1e200", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 4
+    assert "backward error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_seal_check_pneunet(tmp_path, pneunet_design_path):
     code = cli.main(
         ["seal-check", str(pneunet_design_path), "pneunet2d",
@@ -538,19 +570,35 @@ def test_evaluate_empty_sweep_is_config_error(pneunet_design_path):
         runner.evaluate_design(pneunet_design_path, "pneunet2d", sweep=[])
 
 
-@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "set"])
-def test_cli_defaults_blas_threads_to_one_unless_set(preset):
-    """Importing the CLI sets every BLAS thread count the user left unset
-    to 1, before numpy loads, and keeps one the user set."""
-    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+def _blas_threads_after(imports: str, preset=None) -> list:
+    """The BLAS thread variables in a fresh interpreter after ``imports``,
+    with OPENBLAS_NUM_THREADS set to ``preset`` and the others unset
+    beforehand ("-" for one still unset)."""
+    env = {k: v for k, v in os.environ.items() if k not in pneumotop.BLAS_THREAD_VARS}
     if preset:
         env["OPENBLAS_NUM_THREADS"] = preset
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        "import os, sys, pneumotop; assert 'numpy' not in sys.modules; "
-        "import pneumotop.cli as c; "
-        "print(' '.join(os.environ[v] for v in c.BLAS_THREAD_VARS))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout.split()
-    assert out == [preset or "1", "1", "1"]
+    env["PYTHONPATH"] = str(Path(pneumotop.__file__).resolve().parents[1])
+    code = (f"import os; {imports}; "
+            f"print(' '.join(os.environ.get(v, '-') for v in {pneumotop.BLAS_THREAD_VARS!r}))")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout.split()
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "set"])
+def test_cli_defaults_blas_threads_to_one_unless_set(preset):
+    """The CLI sets every BLAS thread count the user left unset to 1,
+    through the package, and keeps one the user set."""
+    assert _blas_threads_after("import pneumotop.cli", preset) == [preset or "1", "1", "1"]
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "set"])
+def test_import_defaults_blas_threads_to_one_unless_set(preset):
+    """So does a plain import, before numpy loads."""
+    imports = "import sys, pneumotop; assert 'numpy' not in sys.modules"
+    assert _blas_threads_after(imports, preset) == [preset or "1", "1", "1"]
+
+
+def test_import_after_numpy_leaves_blas_threads_unset():
+    # numpy's BLAS has read the variables already, so setting them would
+    # only mislead
+    assert _blas_threads_after("import numpy, pneumotop") == ["-", "-", "-"]
