@@ -1,4 +1,5 @@
-"""Sparse linear solves to a fixed residual contract.
+"""Sparse SPD solves to one backward-error contract, through one of three
+inverse operators.
 
 Solutions are accepted when the normwise backward error
 ``||b - A x|| / (||A||_1 ||x|| + ||b||)`` drops below the tolerance. Plain
@@ -9,26 +10,26 @@ regardless of solver quality.
 
 ``DirichletReduction.solve`` is the one entry point: a reduction holds one
 Dirichlet set, its fixed DOFs and the values they hold, and reduces every
-grid system of one pattern to its free DOFs, by a gather map built once,
-and solves it, on 2-D grids, by banded Cholesky with iterative
-refinement, and on 3-D grids by conjugate gradients preconditioned with a
-geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG for
-efficient topology optimization", SMO 49:815) that smooths by one
-damped-Jacobi sweep on each side of every coarse correction. Both paths keep
-the same contract. In 2-D the reduction also builds, once, the map from the
-full matrix's data to LAPACK's band storage, so a factorization fills the
-band by one scatter and LAPACK factors it in place, without a copy
-(Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3).
+grid system of one pattern to its free DOFs, by a gather map built once.
+The free block is a ``FactorizedSystem``, the one system class, which holds
+the contract and solves through one of three inverse operators:
 
-A 2-D spring sweep solves ``A + c U Uᵀ`` (U: the r output DOFs) for several
-c through the one factor ``A = Rᵀ R`` of ``dpbtrf`` and its two triangular
-halves (``dtbtrs``), with ``W = R⁻ᵀ U``:
-``(A + c U Uᵀ)⁻¹ = R⁻¹ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) R⁻ᵀ``. ``W`` is zero
-above the first row U touches, and the output DOFs come last in band order,
-so it costs a half-solve on the last rows only (70 of 10,080 on pneunet2d),
-and each point costs what one band solve does. ``A + c U Uᵀ`` is
-``Rᵀ (I + c W Wᵀ) R``, so it is SPD exactly when the r x r capacitance
-``I + c Wᵀ W`` is, and that is factored by Cholesky too.
+- ``BandedCholesky`` in 2-D, its band filled from the full matrix's data
+  by one scatter through a map the reduction builds once, and factored in
+  place by LAPACK (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3).
+- ``WoodburyUpdate`` for a 2-D spring sweep, which solves ``A + c U Uᵀ``
+  (U: the r output DOFs) for several c through the one factor ``A = Rᵀ R``
+  and its two triangular halves (``dtbtrs``), with ``W = R⁻ᵀ U``:
+  ``(A + c U Uᵀ)⁻¹ = R⁻¹ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) R⁻ᵀ``. ``W`` is zero
+  above the first row U touches, and the output DOFs come last in band
+  order, so it costs a half-solve on the last rows only (70 of 10,080 on
+  pneunet2d), and each point costs what one band solve does.
+  ``A + c U Uᵀ`` is ``Rᵀ (I + c W Wᵀ) R``, so it is SPD exactly when the
+  r x r capacitance ``I + c Wᵀ W`` is, and that is factored by Cholesky too.
+- ``MultigridCG`` in 3-D: conjugate gradients preconditioned with a
+  geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG
+  for efficient topology optimization", SMO 49:815) that smooths by one
+  damped-Jacobi sweep on each side of every coarse correction.
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
@@ -41,7 +42,7 @@ banded Cholesky, whatever the grid's shape.
 """
 from __future__ import annotations
 
-import copy
+from functools import partial
 
 import numpy as np
 from scipy import linalg, sparse
@@ -53,10 +54,10 @@ from .grid import pattern_slots
 
 RESIDUAL_TOL = 1e-9
 MAX_REFINEMENTS = 4
-# CG runs well past RESIDUAL_TOL so that both paths give the same numbers to
-# the precision gradients and sweeps compare: on a 40-iteration gripper3d
-# design, stopping at 1e-9 left u_out 1.2e-5 relative from the LU solution,
-# stopping at 1e-12 left it 8.7e-9.
+# CG runs well past RESIDUAL_TOL so that it agrees with a direct solve to the
+# precision gradients and sweeps compare: on a 40-iteration gripper3d design,
+# stopping at 1e-9 left u_out 1.2e-5 relative from a sparse-LU solve of the
+# same system, stopping at 1e-12 left it 8.7e-9.
 CG_TOL = 1e-12
 CG_MAX_ITERS = 500
 # One damped-Jacobi sweep before and one after each coarse correction. With
@@ -80,6 +81,54 @@ def _norm1(a) -> float:
     symmetric, and ``reduceat`` sums each row correctly only because none
     has an empty row (an SPD matrix stores its diagonal)."""
     return float(np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max(initial=0.0))
+
+
+class FactorizedSystem:
+    """An SPD system ``a`` (CSR), solved to the backward-error contract through
+    the inverse operator ``lu = inverse(self)``, built once ``a``, ``context``
+    and ``norm1`` are set. An operator that held the system would make a
+    cycle, which outlives its last use until the garbage collector runs."""
+
+    def __init__(self, a, *, context: str, inverse):
+        self.a = a.tocsr()
+        self.context = context
+        self.norm1 = _norm1(self.a)
+        self.lu = inverse(self)
+
+    def _backward_error(self, x, b, resid):
+        return resid / (self.norm1 * np.linalg.norm(x) + np.linalg.norm(b))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        with np.errstate(over="ignore"):  # an overflowed norm fails the check below
+            if np.linalg.norm(b) == 0.0:
+                return np.zeros_like(b)
+            x = self.lu.solve(b)
+            if not np.all(np.isfinite(x)):
+                raise SingularSystemError(
+                    f"{self.context}: produced non-finite solution"
+                )
+            resid = np.linalg.norm(b - self.a @ x)
+            for _ in range(MAX_REFINEMENTS):
+                # an overflowed residual cannot be refined on
+                if not np.isfinite(resid) or self._backward_error(x, b, resid) <= RESIDUAL_TOL:
+                    break
+                x = x + self.lu.solve(b - self.a @ x)
+                resid = np.linalg.norm(b - self.a @ x)
+            err = self._backward_error(x, b, resid)
+        if not err <= RESIDUAL_TOL:  # also rejects a NaN or an overflow
+            raise SolveError(
+                f"{self.context}: backward error {err:.3e} exceeds "
+                f"{RESIDUAL_TOL:.0e} after refinement"
+            )
+        return x
+
+    def rank_updates(self, u, coefficients):
+        """Yield the system ``a + c U Uᵀ`` (U sparse, n × r) for each c, its
+        matrix and inverse given by this system's operator."""
+        for a_c, inverse in self.lu.rank_updates(self, u, coefficients):
+            yield FactorizedSystem(a_c, context=self.context, inverse=inverse)
+            del a_c, inverse  # a dropped system is freed before the next is built
 
 
 class BandMap:
@@ -162,6 +211,117 @@ class BandedCholesky:
             )
         return x
 
+    def rank_updates(self, system, u, coefficients):
+        """Yield ``(a + c U Uᵀ, inverse)`` for each c, ``a`` the matrix of
+        ``system``, on ``a``'s pattern with ``c U Uᵀ`` added to the slots of
+        ``U Uᵀ`` (``ValueError`` if one is not in it), and the inverse a
+        ``WoodburyUpdate`` of this factor. The slots and ``W = R⁻ᵀ U``, on
+        the rows from the first that U touches, are computed once."""
+        a, u = system.a, sparse.csr_matrix(u)
+        uu = (u @ u.T).tocoo()
+        slots = pattern_slots(a.indptr, a.indices, uu.row, uu.col)
+        start = int(np.argmax(np.diff(u.indptr) > 0))  # the first row U touches
+        w = self.forward(u[start:].toarray(), start)
+        gram = w.T @ w
+        for c in coefficients:
+            a_c = a.copy()  # its own data and index arrays, as the reduction gives each free block
+            a_c.data[slots] += c * uu.data
+            yield a_c, partial(WoodburyUpdate, factor=self, c=c, start=start, w=w, gram=gram)
+            del a_c
+
+
+class WoodburyUpdate:
+    """The inverse of ``A + c U Uᵀ`` through the ``BandedCholesky`` factor
+    ``A = Rᵀ R``: ``w`` holds the rows from ``start`` on of ``W = R⁻ᵀ U``
+    and ``gram`` is ``Wᵀ W`` (see the module docstring). A sweep updates
+    its base system only, so this has no ``rank_updates``."""
+
+    def __init__(self, system, *, factor: BandedCholesky, c: float, start: int, w, gram):
+        self.factor, self.nnz = factor, factor.nnz
+        self._c, self._start, self._w = c, start, w
+        try:
+            self._capacitance = linalg.cho_factor(np.eye(len(gram)) + c * gram)
+        except LinAlgError as exc:
+            raise SingularSystemError(
+                f"{system.context}: rank-updated matrix is not positive definite ({exc})"
+            ) from exc
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self.factor.forward(b)
+        tail = y[self._start:]
+        tail -= self._c * (self._w @ linalg.cho_solve(self._capacitance, self._w.T @ tail))
+        return self.factor.backward(y)
+
+
+class VCycle:
+    """The geometric-multigrid V-cycle of the SPD matrix ``a``, built once.
+    ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``) and
+    ``restrictions[l]`` is its transpose, both from the ``DirichletReduction``.
+    The coarse operators are the Galerkin products ``Pᵀ A P``; every level
+    but the coarsest is smoothed by one damped-Jacobi sweep before and one
+    after its coarse correction, which keeps the V-cycle symmetric, and the
+    coarsest, of at most COARSEST_DOFS rows, is solved by banded Cholesky."""
+
+    def __init__(self, a, prolongations, restrictions, context: str):
+        self.prolongations, self.restrictions = prolongations, restrictions
+        self.levels = [a]
+        for p, r in zip(prolongations, restrictions):
+            self.levels.append((r @ self.levels[-1] @ p).tocsr())
+        self.jacobi = [JACOBI_OMEGA / a_l.diagonal() for a_l in self.levels[:-1]]
+        c = self.levels[-1]
+        self.coarse = BandedCholesky(
+            BandMap(c.indptr, c.indices).band(c.data), f"{context} (coarsest level)"
+        )
+
+    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.jacobi):
+            return self.coarse.solve(r)
+        a, w = self.levels[level], self.jacobi[level]
+        x = w * r  # pre-smoothing: one Jacobi sweep from x = 0
+        coarse_r = self.restrictions[level] @ (r - a @ x)
+        x += self.prolongations[level] @ self(coarse_r, level + 1)
+        x += w * (r - a @ x)  # post-smoothing
+        return x
+
+
+class MultigridCG:
+    """CG over the matrix of ``system`` (held with its 1-norm, not the system)
+    preconditioned by ``v_cycle``, which may be another matrix's. With no
+    prolongations the V-cycle is a direct solve, and CG takes one step."""
+
+    def __init__(self, system, v_cycle: VCycle):
+        self.a, self.norm1, self.v_cycle = system.a, system.norm1, v_cycle
+        self.nnz = v_cycle.coarse.nnz
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """CG from zero until the backward error of the recursive residual
+        reaches CG_TOL, or CG_MAX_ITERS; the system checks the true residual
+        afterwards."""
+        b_norm = np.linalg.norm(b)
+        x, r = np.zeros_like(b), b.copy()
+        z = self.v_cycle(r)
+        p, rz = z.copy(), r @ z
+        for _ in range(CG_MAX_ITERS):
+            q = self.a @ p
+            alpha = rz / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+            if np.linalg.norm(r) <= CG_TOL * (self.norm1 * np.linalg.norm(x) + b_norm):
+                break
+            z = self.v_cycle(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        return x
+
+    def rank_updates(self, system, u, coefficients):
+        """Yield ``(a + c U Uᵀ, inverse)`` for each c, ``a`` the matrix of
+        ``system``: CG over the sum, preconditioned by this V-cycle. A rank-r
+        change adds at most r CG iterations in exact arithmetic, and no hierarchy
+        is rebuilt (Woodbury's ``Z = A⁻¹ U`` would cost r preconditioned solves)."""
+        uu = u @ u.T
+        for c in coefficients:
+            yield (system.a + c * uu).tocsr(), partial(MultigridCG, v_cycle=self.v_cycle)
+
 
 def _band_order(nel, n_dofs: int) -> np.ndarray:
     """The DOFs of a 2-D grid with ``nel`` elements per axis, node by node
@@ -232,178 +392,18 @@ class DirichletReduction:
             shape=(self.free.size,) * 2,
         )
         if self.band_map is not None:
-            system = FactorizedSystem(a_ff, context=context, band=self.band_map.band(a.data))
+            def inverse(system):  # the band filled from the full data
+                return BandedCholesky(self.band_map.band(a.data), context)
         else:
+            def inverse(system):  # the hierarchy on the reduction's transfer operators
+                v_cycle = VCycle(system.a, self.prolongations, self.restrictions, context)
+                return MultigridCG(system, v_cycle)
             # CG's matvecs and the Galerkin products cost what is stored:
             # drop the exact zeros that a uniform modulus cancels to.
             a_ff.eliminate_zeros()
-            system = MultigridSystem(
-                a_ff, self.prolongations, self.restrictions, context=context
-            )
+        system = FactorizedSystem(a_ff, context=context, inverse=inverse)
         x[self.free] = system.solve(b)
         return x, system
-
-
-class FactorizedSystem:
-    """Cholesky-factorized SPD system solving to a backward-error tolerance.
-
-    ``band`` is ``a`` in LAPACK upper band storage, as a ``DirichletReduction``
-    fills it from the full matrix (or a ``BandMap`` of ``a``'s own pattern
-    from ``a.data``)."""
-
-    def __init__(self, a, context: str = "linear system", *, band):
-        self.a = a.tocsr()
-        self.context = context
-        self.norm1 = _norm1(self.a)
-        self.lu = BandedCholesky(band, context)
-
-    def _backward_error(self, x, b, resid):
-        return resid / (self.norm1 * np.linalg.norm(x) + np.linalg.norm(b))
-
-    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if np.linalg.norm(b) == 0.0:
-            return np.zeros_like(b)
-        x = self._apply_inverse(b)
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError(
-                f"{self.context}: produced non-finite solution"
-            )
-        resid = np.linalg.norm(b - self.a @ x)
-        for _ in range(MAX_REFINEMENTS):
-            # an overflowed residual cannot be refined on; the check below
-            # rejects it
-            if not np.isfinite(resid) or self._backward_error(x, b, resid) <= RESIDUAL_TOL:
-                break
-            x = x + self._apply_inverse(b - self.a @ x)
-            resid = np.linalg.norm(b - self.a @ x)
-        err = self._backward_error(x, b, resid)
-        if not err <= RESIDUAL_TOL:  # also rejects a NaN or an overflow
-            raise SolveError(
-                f"{self.context}: backward error {err:.3e} exceeds "
-                f"{RESIDUAL_TOL:.0e} after refinement"
-            )
-        return x
-
-    def rank_updates(self, u, coefficients):
-        """Yield the system ``a + c U Uᵀ`` (U sparse, n × r) for each c, solved
-        through this factorization by the Woodbury identity (Hager 1989, SIAM
-        Review 31(2)) on the factor's halves (see the module docstring), with
-        ``W = R⁻ᵀ U`` computed once, on the rows from the first that U
-        touches. Each matrix is this one's pattern with ``c U Uᵀ`` added to
-        the slots of ``U Uᵀ``, found once; ``ValueError`` if one is not in
-        the pattern."""
-        u = sparse.csr_matrix(u)
-        uu = (u @ u.T).tocoo()
-        slots = pattern_slots(self.a.indptr, self.a.indices, uu.row, uu.col)
-        start = int(np.argmax(np.diff(u.indptr) > 0))  # the first row U touches
-        w = self.lu.forward(u[start:].toarray(), start)
-        gram = w.T @ w
-        for c in coefficients:
-            yield _RankUpdatedSystem(self, c, slots, uu.data, start, w, gram)
-
-
-class _RankUpdatedSystem(FactorizedSystem):
-    """``base.a + c U Uᵀ``, solved through the factorization of ``base``:
-    ``w`` holds the rows from ``start`` on of ``W = R⁻ᵀ U`` and ``gram`` is
-    ``Wᵀ W``."""
-
-    def __init__(self, base: FactorizedSystem, c: float, slots, uu_data, start, w, gram):
-        data = base.a.data.copy()
-        data[slots] += c * uu_data
-        # Own index arrays, as the reduction gives each free block.
-        self.a = sparse.csr_matrix(
-            (data, base.a.indices.copy(), base.a.indptr.copy()), shape=base.a.shape
-        )
-        self.context, self.lu, self.norm1 = base.context, base.lu, _norm1(self.a)
-        self._c, self._start, self._w = c, start, w
-        try:
-            self._capacitance = linalg.cho_factor(np.eye(len(gram)) + c * gram)
-        except LinAlgError as exc:
-            raise SingularSystemError(
-                f"{self.context}: rank-updated matrix is not positive definite ({exc})"
-            ) from exc
-
-    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        y = self.lu.forward(b)
-        tail = y[self._start:]
-        tail -= self._c * (self._w @ linalg.cho_solve(self._capacitance, self._w.T @ tail))
-        return self.lu.backward(y)
-
-
-class MultigridSystem(FactorizedSystem):
-    """SPD system solved by CG with a geometric-multigrid V-cycle as the
-    preconditioner, under the same backward-error contract as the Cholesky
-    solve.
-
-    ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``) and
-    ``restrictions[l]`` is its transpose, both built once by the
-    ``DirichletReduction``. The coarse operators are the Galerkin products
-    ``Pᵀ A P``; every level but the coarsest is smoothed by one damped-Jacobi
-    sweep before and one after its coarse correction, which keeps the
-    V-cycle symmetric, and the coarsest, of at most COARSEST_DOFS rows, is
-    solved by banded Cholesky. With no prolongations the V-cycle is that
-    direct solve, and CG converges in one step."""
-
-    def __init__(self, a, prolongations, restrictions, context: str = "linear system"):
-        self.a = a.tocsr()
-        self.context = context
-        self.norm1 = _norm1(self.a)
-        self.prolongations, self.restrictions = prolongations, restrictions
-        self._levels = [self.a]
-        for p, r in zip(prolongations, restrictions):
-            self._levels.append((r @ self._levels[-1] @ p).tocsr())
-        self._jacobi = [JACOBI_OMEGA / a_l.diagonal() for a_l in self._levels[:-1]]
-        c = self._levels[-1]
-        self._coarse = BandedCholesky(
-            BandMap(c.indptr, c.indices).band(c.data), f"{context} (coarsest level)"
-        )
-
-    def _v_cycle(self, r: np.ndarray, level: int = 0) -> np.ndarray:
-        if level == len(self._jacobi):
-            return self._coarse.solve(r)
-        a, w = self._levels[level], self._jacobi[level]
-        x = w * r  # pre-smoothing: one Jacobi sweep from x = 0
-        coarse_r = self.restrictions[level] @ (r - a @ x)
-        x += self.prolongations[level] @ self._v_cycle(coarse_r, level + 1)
-        x += w * (r - a @ x)  # post-smoothing
-        return x
-
-    def _apply_inverse(self, b: np.ndarray) -> np.ndarray:
-        """Preconditioned CG from zero until the backward error of the
-        recursive residual reaches CG_TOL, or CG_MAX_ITERS; ``solve`` checks
-        the true residual afterwards."""
-        b_norm = np.linalg.norm(b)
-        x, r = np.zeros_like(b), b.copy()
-        z = self._v_cycle(r)
-        p, rz = z.copy(), r @ z
-        for _ in range(CG_MAX_ITERS):
-            q = self.a @ p
-            alpha = rz / (p @ q)
-            x += alpha * p
-            r -= alpha * q
-            if np.linalg.norm(r) <= CG_TOL * (self.norm1 * np.linalg.norm(x) + b_norm):
-                break
-            z = self._v_cycle(r)
-            rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
-        return x
-
-    def rank_updates(self, u, coefficients):
-        """Yield this system with ``a + c U Uᵀ`` as CG's operator for each c,
-        preconditioned by the V-cycle of ``a``: a rank-r change adds at most
-        r CG iterations in exact arithmetic, and no hierarchy is rebuilt.
-        (Woodbury's ``Z = A⁻¹ U`` would cost r preconditioned solves, one per
-        output node.)"""
-        uu = u @ u.T
-        for c in coefficients:
-            system = copy.copy(self)
-            system.a = (self.a + c * uu).tocsr()
-            system.norm1 = _norm1(system.a)
-            yield system
 
 
 def _prolongation_1d(n: int) -> sparse.csr_matrix:

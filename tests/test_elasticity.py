@@ -1,4 +1,5 @@
 """Stiffness assembly, springs, solves, and performance metrics."""
+import gc
 import json
 import weakref
 
@@ -350,19 +351,20 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     for mat, op in [(state.k_struct, model.elastic.op), (state.flow.A, model.flow.op)]:
         assert np.shares_memory(mat.indptr, op.indptr)
         assert np.shares_memory(mat.indices, op.indices)
-    assert isinstance(state.disp.system, linalg.MultigridSystem) == (name == "gripper3d")
+    assert isinstance(state.disp.system.lu, linalg.MultigridCG) == (name == "gripper3d")
     if name == "tiny":
         assert calls == []
     else:
         systems = [state.disp.system, state.pressure.system]
-        coarsest = [system._levels[-1].shape[0] for system in systems]
+        coarsest = [system.lu.v_cycle.levels[-1].shape[0] for system in systems]
         assert sorted(band_map.n for band_map in calls) == sorted(coarsest)
         assert max(coarsest) <= linalg.COARSEST_DOFS
         # the V-cycles restrict by the reductions' own transposes, not new ones
         for system, reduction in zip(systems, [model.elastic_reduction, model.flow_reduction]):
-            assert system.prolongations is reduction.prolongations
-            assert system.restrictions is reduction.restrictions
-            assert len(system.restrictions) == len(system.prolongations) > 0
+            v_cycle = system.lu.v_cycle
+            assert v_cycle.prolongations is reduction.prolongations
+            assert v_cycle.restrictions is reduction.restrictions
+            assert len(v_cycle.restrictions) == len(v_cycle.prolongations) > 0
 
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
@@ -386,11 +388,10 @@ def test_sweep_holds_one_updated_system_at_a_time(name, tiny_spec, monkeypatch):
             refs.append(weakref.ref(system))
             return system
 
-    for cls in (linalg.FactorizedSystem, linalg.MultigridSystem):
-        real = vars(cls)["rank_updates"]
-        monkeypatch.setattr(
-            cls, "rank_updates", lambda self, u, cs, real=real: Recording(real(self, u, cs))
-        )
+    real = linalg.FactorizedSystem.rank_updates
+    monkeypatch.setattr(
+        linalg.FactorizedSystem, "rank_updates", lambda self, u, cs: Recording(real(self, u, cs))
+    )
     real_norm1 = linalg._norm1
 
     def norm1(a):  # every updated system takes the norm of its new matrix
@@ -402,6 +403,23 @@ def test_sweep_holds_one_updated_system_at_a_time(name, tiny_spec, monkeypatch):
     model.sweep(rho, k_values)
     assert len(refs) == len(k_values) - 1
     assert live_at_build[-len(refs):] == [0] * len(refs)
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_dropped_state_frees_its_solvers_without_the_collector(name, tiny_spec):
+    """No inverse operator holds the system that holds it, so dropping a
+    forward solve's state frees its factors and hierarchies at once, with
+    the garbage collector off: a cycle would keep them until it runs."""
+    spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
+    model = Model(spec)
+    state = model.forward(_designs(model, 4)[0])
+    refs = [weakref.ref(system.lu) for system in (state.disp.system, state.pressure.system)]
+    gc.disable()
+    try:
+        del state
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_2d_sweep_makes_no_band_solve_of_several_right_hand_sides(tiny_model, monkeypatch):

@@ -25,7 +25,9 @@ def _factorized(a):
     pattern."""
     a = sparse.csr_matrix(a)
     band = linalg.BandMap(a.indptr, a.indices).band(a.data)
-    return linalg.FactorizedSystem(a, context="test system", band=band)
+    return linalg.FactorizedSystem(
+        a, context="test system", inverse=lambda s: linalg.BandedCholesky(band, s.context)
+    )
 
 
 def _spd_and_basis(n=30, r=4, seed=0):
@@ -48,6 +50,8 @@ def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
     base = _factorized(a)
     coefficients = [0.5, 10.0, 1e4]
     for c, system in zip(coefficients, base.rank_updates(u, coefficients)):
+        # through the base factor's halves, not a factor of its own
+        assert isinstance(system.lu, linalg.WoodburyUpdate) and system.lu.factor is base.lu
         x = system.solve(b)
         a_c = a.toarray() + c * (u @ u.T).toarray()
         err = np.linalg.norm(b - a_c @ x) / (
@@ -274,9 +278,9 @@ def test_multigrid_solve_meets_the_contract():
     for nel, n_levels in (((8, 4, 4), 1), ((7, 5, 4), 1), ((32, 32, 2), 2)):
         g, k, fixed, f = _elastic_3d(nel)
         u, free, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
-        assert isinstance(system, linalg.MultigridSystem)
-        assert len(system.prolongations) == n_levels
-        assert system._levels[-1].shape[0] <= linalg.COARSEST_DOFS
+        assert isinstance(system.lu, linalg.MultigridCG)
+        assert len(system.lu.v_cycle.prolongations) == n_levels
+        assert system.lu.v_cycle.levels[-1].shape[0] <= linalg.COARSEST_DOFS
         a_ff, b, free_ref = _reduced(k, fixed, f)
         assert np.array_equal(free, free_ref) and np.all(u[fixed] == 0.0)
         assert _backward_error(a_ff, u[free], b) <= linalg.RESIDUAL_TOL
@@ -289,14 +293,19 @@ def test_multigrid_missing_the_contract_raises_and_terminates(monkeypatch):
     a_ff, b, free = _reduced(k, fixed, f)
     prolongations = linalg._prolongations(g.nel_axis, k.shape[0], free)
     restrictions = [p.T.tocsr() for p in prolongations]
-    system = linalg.MultigridSystem(a_ff, prolongations, restrictions, context="test system")
-    calls, real = [], linalg.MultigridSystem._apply_inverse
+
+    def multigrid(system):
+        v_cycle = linalg.VCycle(system.a, prolongations, restrictions, system.context)
+        return linalg.MultigridCG(system, v_cycle)
+
+    system = linalg.FactorizedSystem(a_ff, context="test system", inverse=multigrid)
+    calls, real = [], linalg.MultigridCG.solve
 
     def counting(self, rhs):
         calls.append(1)
         return real(self, rhs)
 
-    monkeypatch.setattr(linalg.MultigridSystem, "_apply_inverse", counting)
+    monkeypatch.setattr(linalg.MultigridCG, "solve", counting)
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolveError, match="test system: backward error"):
         system.solve(b)
@@ -309,8 +318,8 @@ def test_v_cycle_is_a_symmetric_positive_definite_preconditioner():
     g, k, fixed, f = _elastic_3d()
     _, free, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
     n = free.size
-    assert n == 600 and len(system.prolongations) == 1
-    m = np.column_stack([system._v_cycle(e) for e in np.eye(n)])
+    assert n == 600 and len(system.lu.v_cycle.prolongations) == 1
+    m = np.column_stack([system.lu.v_cycle(e) for e in np.eye(n)])
     r1, r2 = np.random.default_rng(3).normal(size=(2, n))
     assert abs((m @ r1) @ r2 - r1 @ (m @ r2)) <= 1e-12 * np.linalg.norm(m @ r1) * np.linalg.norm(r2)
     assert np.linalg.eigvalsh((m + m.T) / 2).min() > 0.0
@@ -330,13 +339,15 @@ def test_grid_selects_the_solver(nel, multigrid):
     fixed = np.arange(g.dim * np.prod(g.nnod_axis[:-1]))  # the first layer of nodes
     f = np.ones(g.n_disp_dofs)
     _, _, system = _solve_dirichlet(k, f, fixed, nel)
-    assert isinstance(system, linalg.MultigridSystem) == multigrid
+    assert isinstance(system.lu, linalg.MultigridCG) == multigrid
+    assert isinstance(system.lu, linalg.BandedCholesky) != multigrid
     assert isinstance(system, linalg.FactorizedSystem)
     if multigrid:
         # coarsened, whatever the grid's shape, until the coarsest level is
         # small; a system already that small is solved by its Cholesky alone
-        assert system._levels[-1].shape[0] <= linalg.COARSEST_DOFS
-        assert bool(system.prolongations) == (system.a.shape[0] > linalg.COARSEST_DOFS)
+        v_cycle = system.lu.v_cycle
+        assert v_cycle.levels[-1].shape[0] <= linalg.COARSEST_DOFS
+        assert bool(v_cycle.prolongations) == (system.a.shape[0] > linalg.COARSEST_DOFS)
 
 
 def test_multigrid_rank_updates_solve_updated_matrix():
@@ -350,8 +361,9 @@ def test_multigrid_rank_updates_solve_updated_matrix():
     coefficients = [1e2, 1e4, 1e6]
     b = f[free]
     for c, system in zip(coefficients, base.rank_updates(u, coefficients)):
-        assert isinstance(system, linalg.MultigridSystem)
-        assert system._levels is base._levels  # the base V-cycle, not a new hierarchy
+        assert isinstance(system, linalg.FactorizedSystem)
+        assert isinstance(system.lu, linalg.MultigridCG) and system.lu.a is system.a
+        assert system.lu.v_cycle is base.lu.v_cycle  # the base V-cycle, not a new hierarchy
         x = system.solve(b)
         a_c = base.a + c * (u @ u.T)
         assert _backward_error(a_c, x, b) <= linalg.RESIDUAL_TOL

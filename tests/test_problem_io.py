@@ -375,13 +375,13 @@ def test_sweep_matches_per_point_forward(case, request, monkeypatch):
     else:
         design = request.getfixturevalue("gripper3d_run")["out"] / "design.json"
         sweep = sweep[::4]
-    hierarchies, real_init = [], linalg.MultigridSystem.__init__
+    hierarchies, real_init = [], linalg.VCycle.__init__
 
     def counting_init(self, *args, **kwargs):
         hierarchies.append(self)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(linalg.MultigridSystem, "__init__", counting_init)
+    monkeypatch.setattr(linalg.VCycle, "__init__", counting_init)
     rows = runner.evaluate_design(design, case, sweep=sweep)
     # one flow and one elastic hierarchy for the whole 3-D sweep
     assert len(hierarchies) == (2 if case == "gripper3d" else 0)
@@ -531,6 +531,7 @@ def test_cli_evaluate_overflowing_spring_exit_4(tmp_path, pneunet_design_path):
     assert proc.returncode == 4
     assert "backward error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr  # the overflowed norms are checked, not warned of
 
 
 def test_cli_seal_check_pneunet(tmp_path, pneunet_design_path):
