@@ -17,14 +17,16 @@ the contract and solves through one of three inverse operators:
 - ``BandedCholesky`` in 2-D, its band filled from the full matrix's data
   by one scatter through a map the reduction builds once, and factored in
   place by LAPACK (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3).
+  The band is in LAPACK's lower storage: ``dpbtrf`` factors the pneunet2d
+  elastic band (half-bandwidth 73) in about 0.6x the time of the upper.
 - ``WoodburyUpdate`` for a 2-D spring sweep, which solves ``A + c U Uᵀ``
-  (U: the r output DOFs) for several c through the one factor ``A = Rᵀ R``
-  and its two triangular halves (``dtbtrs``), with ``W = R⁻ᵀ U``:
-  ``(A + c U Uᵀ)⁻¹ = R⁻¹ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) R⁻ᵀ``. ``W`` is zero
+  (U: the r output DOFs) for several c through the one factor ``A = L Lᵀ``
+  and its two triangular halves (``dtbtrs``), with ``W = L⁻¹ U``:
+  ``(A + c U Uᵀ)⁻¹ = L⁻ᵀ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) L⁻¹``. ``W`` is zero
   above the first row U touches, and the output DOFs come last in band
   order, so it costs a half-solve on the last rows only (70 of 10,080 on
   pneunet2d), and each point costs what one band solve does.
-  ``A + c U Uᵀ`` is ``Rᵀ (I + c W Wᵀ) R``, so it is SPD exactly when the
+  ``A + c U Uᵀ`` is ``L (I + c W Wᵀ) Lᵀ``, so it is SPD exactly when the
   r x r capacitance ``I + c Wᵀ W`` is, and that is factored by Cholesky too.
 - ``MultigridCG`` in 3-D: conjugate gradients preconditioned with a
   geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG
@@ -46,8 +48,8 @@ from functools import partial
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import SingularSystemError, SolveError
 from .grid import pattern_slots
@@ -71,28 +73,40 @@ JACOBI_OMEGA = 0.6
 # hierarchies of gripper3d, 25x12x12 and 48x24x24.
 COARSEST_DOFS = 500
 # A pivot this small against the largest marks a numerically singular matrix.
-PIVOT_RATIO_TOL = 1e-14
+# It lies 970x above a rigid rotation left free (finger2d pinned at one node
+# reads 2.0e-14, 1.0e-13 at twice the resolution) and 670x below random 0/1
+# finger2d designs at beta 16 (6.7e-8 at modulus contrast 1e6; 2.5e-10 at 1e9).
+PIVOT_RATIO_TOL = 1e-10
+
+
+def _row_sums(a) -> np.ndarray:
+    """The absolute row sums of ``a`` (CSR). ``reduceat`` sums each row
+    correctly only because none is empty (an SPD matrix stores its
+    diagonal)."""
+    with np.errstate(over="ignore"):  # an overflowed sum is caught as non-finite
+        return np.add.reduceat(np.abs(a.data), a.indptr[:-1])
 
 
 def _norm1(a) -> float:
-    """The 1-norm of ``a`` (CSR), taken as its largest absolute row sum.
-
-    That equals the largest column sum because every matrix solved here is
-    symmetric, and ``reduceat`` sums each row correctly only because none
-    has an empty row (an SPD matrix stores its diagonal)."""
-    return float(np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max(initial=0.0))
+    """The 1-norm of ``a`` (CSR), taken as its largest absolute row sum,
+    which equals the largest column sum because every matrix solved here is
+    symmetric. It is NaN or inf when an entry is (or the sum overflows)."""
+    return float(_row_sums(a).max(initial=0.0))
 
 
 class FactorizedSystem:
     """An SPD system ``a`` (CSR), solved to the backward-error contract through
     the inverse operator ``lu = inverse(self)``, built once ``a``, ``context``
-    and ``norm1`` are set. An operator that held the system would make a
-    cycle, which outlives its last use until the garbage collector runs."""
+    and ``norm1`` (given, or taken from ``a``) are set. An operator that held
+    the system would make a cycle, which outlives its last use until the
+    garbage collector runs."""
 
-    def __init__(self, a, *, context: str, inverse):
+    def __init__(self, a, *, context: str, inverse, norm1: float | None = None):
         self.a = a.tocsr()
         self.context = context
-        self.norm1 = _norm1(self.a)
+        self.norm1 = _norm1(self.a) if norm1 is None else norm1
+        if not np.isfinite(self.norm1):
+            raise SolveError(f"{context}: matrix has a non-finite 1-norm ({self.norm1})")
         self.lu = inverse(self)
 
     def _backward_error(self, x, b, resid):
@@ -100,7 +114,8 @@ class FactorizedSystem:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        with np.errstate(over="ignore"):  # an overflowed norm fails the check below
+        # an overflowed or NaN norm fails the check below
+        with np.errstate(over="ignore", invalid="ignore"):
             if np.linalg.norm(b) == 0.0:
                 return np.zeros_like(b)
             x = self.lu.solve(b)
@@ -125,23 +140,29 @@ class FactorizedSystem:
 
     def rank_updates(self, u, coefficients):
         """Yield the system ``a + c U Uᵀ`` (U sparse, n × r) for each c, its
-        matrix and inverse given by this system's operator."""
+        matrix and inverse given by this system's operator. Only the rows U
+        touches change, so each 1-norm sums those rows alone."""
+        u = sparse.csr_matrix(u)
+        rows = np.flatnonzero(np.diff(u.indptr))
+        rest = np.delete(_row_sums(self.a), rows).max(initial=0.0)
         for a_c, inverse in self.lu.rank_updates(self, u, coefficients):
-            yield FactorizedSystem(a_c, context=self.context, inverse=inverse)
+            norm1 = float(np.maximum(rest, _norm1(a_c[rows])))  # NaN stays NaN
+            yield FactorizedSystem(a_c, context=self.context, inverse=inverse, norm1=norm1)
             del a_c, inverse  # a dropped system is freed before the next is built
 
 
 class BandMap:
-    """Where the upper triangle of an SPD matrix with a fixed CSR pattern (no
-    duplicate entries) goes in LAPACK's upper band storage, built once per
-    pattern.
+    """Where an SPD matrix with a fixed CSR pattern (no duplicate entries)
+    goes in LAPACK's lower band storage, built once per pattern.
 
-    ``width`` is the half-bandwidth. For every entry on or above the
-    diagonal, ``src`` is its place in the data the band is read from (the
+    ``width`` is the half-bandwidth. The band is read from the upper
+    triangle, each entry ``a[j, i]`` (i >= j) standing for its mirror
+    ``a[i, j]``: ``src`` is its place in the data the band is read from (the
     pattern's own data, or through ``places`` the data those entries were
     gathered from) and ``pos`` its flat place in the Fortran-ordered
-    (width + 1) x n band, ``ab[width + i - j, j] = a[i, j]``, which
-    ``dpbtrf`` factors in place."""
+    (width + 1) x n band, ``ab[i - j, j] = a[i, j]``, which ``dpbtrf``
+    factors in place. Row j of the upper triangle fills column j of the
+    band."""
 
     def __init__(self, indptr, indices, places=None):
         self.n = len(indptr) - 1
@@ -151,8 +172,8 @@ class BandMap:
         self.width = int((cols - rows).max(initial=0))
         # int64 only once the flat index can pass 2**31
         dtype = np.int32 if (self.width + 1) * self.n < 2**31 else np.int64
-        # column j of the band starts at (width + 1) j
-        self.pos = rows.astype(dtype) + self.width * (cols.astype(dtype) + 1)
+        # a[i, j] (i = cols, j = rows) lies i - j into column j, which starts at (width + 1) j
+        self.pos = cols.astype(dtype) + self.width * rows.astype(dtype)
         self.src = upper if places is None else places[upper]
 
     def band(self, data: np.ndarray) -> np.ndarray:
@@ -162,22 +183,19 @@ class BandMap:
 
 
 class BandedCholesky:
-    """Cholesky factor ``Rᵀ R`` of an SPD matrix given as its LAPACK upper
-    band (see ``BandMap``), factored in place when the band is
-    F-contiguous. Its cost grows with n times the square of the
+    """Cholesky factor ``L Lᵀ`` of an SPD matrix given as its LAPACK lower
+    band (see ``BandMap``), with finite entries, factored in place when the
+    band is F-contiguous. Its cost grows with n times the square of the
     half-bandwidth, so the matrix should come in a band order."""
 
     def __init__(self, band: np.ndarray, context: str):
         self.context = context
-        try:
-            self.factor = cholesky_banded(band, overwrite_ab=True)
-        except (LinAlgError, ValueError) as exc:  # not positive definite, or not finite
-            raise SingularSystemError(
-                f"{context}: factorization failed ({exc})"
-            ) from exc
+        self.factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:  # a leading minor is not positive definite
+            raise SingularSystemError(f"{context}: factorization failed (LAPACK info {info})")
         # Roundoff can slip rigid-body modes past the factorization; a
         # collapsed pivot is the reliable tell.
-        pivots = self.factor[-1] ** 2
+        pivots = self.factor[0] ** 2
         if pivots.size and pivots.min() <= PIVOT_RATIO_TOL * pivots.max():
             raise SingularSystemError(
                 f"{context}: matrix is numerically singular "
@@ -186,25 +204,22 @@ class BandedCholesky:
         self.nnz = self.factor.size
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self.factor, False), b, check_finite=False)
+        return dpbtrs(self.factor, b, lower=1)[0]
 
     def forward(self, b: np.ndarray, start: int = 0) -> np.ndarray:
-        """The rows from ``start`` on of ``y`` in ``Rᵀ y = b``, for ``b`` zero
+        """The rows from ``start`` on of ``y`` in ``L y = b``, for ``b`` zero
         above row ``start`` and given as its rows from ``start`` on (``y`` is
-        zero there too). The triangle solved begins a half-bandwidth above
-        ``start``, with zeros in ``b``, so that every row sums as many terms
-        as in the full solve and comes out bit-identical to it: OpenBLAS
-        orders a dot product's sum by its length."""
-        lo = max(start - (self.factor.shape[0] - 1), 0)
-        b = np.concatenate([np.zeros((start - lo,) + np.shape(b)[1:]), b])
-        return self._half_solve(lo, b, "T")[start - lo:]
+        zero there too). LAPACK substitutes forward by columns, so the zero
+        rows above ``start`` would add nothing to the rows below: this is
+        bit-identical to the full solve."""
+        return self._half_solve(start, b, "N")
 
     def backward(self, y: np.ndarray) -> np.ndarray:
-        """``x`` in ``R x = y``."""
-        return self._half_solve(0, y, "N")
+        """``x`` in ``Lᵀ x = y``."""
+        return self._half_solve(0, y, "T")
 
-    def _half_solve(self, lo: int, b: np.ndarray, trans: str) -> np.ndarray:
-        x, info = dtbtrs(self.factor[:, lo:], b, trans=trans)
+    def _half_solve(self, start: int, b: np.ndarray, trans: str) -> np.ndarray:
+        x, info = dtbtrs(self.factor[:, start:], b, uplo="L", trans=trans)
         if info != 0:
             raise SingularSystemError(
                 f"{self.context}: triangular solve failed (LAPACK info {info})"
@@ -215,30 +230,36 @@ class BandedCholesky:
         """Yield ``(a + c U Uᵀ, inverse)`` for each c, ``a`` the matrix of
         ``system``, on ``a``'s pattern with ``c U Uᵀ`` added to the slots of
         ``U Uᵀ`` (``ValueError`` if one is not in it), and the inverse a
-        ``WoodburyUpdate`` of this factor. The slots and ``W = R⁻ᵀ U``, on
-        the rows from the first that U touches, are computed once."""
+        ``WoodburyUpdate`` of this factor. The slots and ``W = L⁻¹ U``, on
+        the rows from the first that U touches, are computed once, and so is
+        the forward half-solve of the first load, which a sweep solves at
+        every point."""
         a, u = system.a, sparse.csr_matrix(u)
         uu = (u @ u.T).tocoo()
         slots = pattern_slots(a.indptr, a.indices, uu.row, uu.col)
         start = int(np.argmax(np.diff(u.indptr) > 0))  # the first row U touches
         w = self.forward(u[start:].toarray(), start)
         gram = w.T @ w
+        first = []  # (b, L⁻¹ b) of the first load solved
         for c in coefficients:
             a_c = a.copy()  # its own data and index arrays, as the reduction gives each free block
             a_c.data[slots] += c * uu.data
-            yield a_c, partial(WoodburyUpdate, factor=self, c=c, start=start, w=w, gram=gram)
+            yield a_c, partial(
+                WoodburyUpdate, factor=self, c=c, start=start, w=w, gram=gram, first=first
+            )
             del a_c
 
 
 class WoodburyUpdate:
     """The inverse of ``A + c U Uᵀ`` through the ``BandedCholesky`` factor
-    ``A = Rᵀ R``: ``w`` holds the rows from ``start`` on of ``W = R⁻ᵀ U``
-    and ``gram`` is ``Wᵀ W`` (see the module docstring). A sweep updates
-    its base system only, so this has no ``rank_updates``."""
+    ``A = L Lᵀ``: ``w`` holds the rows from ``start`` on of ``W = L⁻¹ U``
+    and ``gram`` is ``Wᵀ W`` (see the module docstring). ``first`` holds
+    ``(b, L⁻¹ b)`` of the first ``b`` the sweep solved, for any ``b`` equal to
+    it. A sweep updates its base system only, so this has no ``rank_updates``."""
 
-    def __init__(self, system, *, factor: BandedCholesky, c: float, start: int, w, gram):
+    def __init__(self, system, *, factor: BandedCholesky, c: float, start: int, w, gram, first):
         self.factor, self.nnz = factor, factor.nnz
-        self._c, self._start, self._w = c, start, w
+        self._c, self._start, self._w, self._first = c, start, w, first
         try:
             self._capacitance = linalg.cho_factor(np.eye(len(gram)) + c * gram)
         except LinAlgError as exc:
@@ -247,7 +268,10 @@ class WoodburyUpdate:
             ) from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self.factor.forward(b)
+        if not self._first:
+            self._first.append((b.copy(), self.factor.forward(b)))
+        first_b, first_y = self._first[0]
+        y = first_y.copy() if np.array_equal(b, first_b) else self.factor.forward(b)
         tail = y[self._start:]
         tail -= self._c * (self._w @ linalg.cho_solve(self._capacitance, self._w.T @ tail))
         return self.factor.backward(y)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from pneumotop import cli, darcy, linalg, problem
+from pneumotop import cli, darcy, io, linalg, problem
 from pneumotop.darcy import coupling_matrix
 from pneumotop.elasticity import ElasticAssembler, metrics, output_operator
 from pneumotop.errors import ConfigError
@@ -221,6 +221,19 @@ def test_free_rotation_of_a_fixture_is_config_error(tmp_path):
     assert cli.main(argv) == 3
 
 
+def test_overflowing_stiffness_is_a_solver_failure(tmp_path, capsys):
+    # a solid design at 1e308 Pa overflows the stiffness: a solver failure
+    # (exit 4), not the "check supports" (exit 3) of a singular system
+    raw = tiny_problem_dict(materials={"E_pa": [1e306, 1e307, 1e308]})
+    prob = tmp_path / "huge.json"
+    prob.write_text(json.dumps(raw))
+    grid = problem.parse_problem(raw).grid
+    design = tmp_path / "solid.json"
+    io.save_design(design, grid, np.ones((3, int(np.prod(grid.nel)))))
+    assert cli.main(["evaluate", str(design), str(prob), "--out-dir", str(tmp_path / "o")]) == 4
+    assert "displacement solve: matrix has a non-finite 1-norm" in capsys.readouterr().err
+
+
 def test_metrics_zero_displacement():
     g = build_grid(GridSpec(2, (2, 2), 1.0))
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
@@ -423,15 +436,15 @@ def test_dropped_state_frees_its_solvers_without_the_collector(name, tiny_spec):
 
 
 def test_2d_sweep_makes_no_band_solve_of_several_right_hand_sides(tiny_model, monkeypatch):
-    """A 2-D sweep takes ``W = R⁻ᵀ U`` by a half-solve on the factor's last
+    """A 2-D sweep takes ``W = L⁻¹ U`` by a half-solve on the factor's last
     rows, not by a band solve with one right-hand side per output node."""
-    widths, real = [], linalg.cho_solve_banded
+    widths, real = [], linalg.dpbtrs
 
-    def counting(cb_and_lower, b, **kwargs):
+    def counting(factor, b, **kwargs):
         widths.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
-        return real(cb_and_lower, b, **kwargs)
+        return real(factor, b, **kwargs)
 
-    monkeypatch.setattr(linalg, "cho_solve_banded", counting)
+    monkeypatch.setattr(linalg, "dpbtrs", counting)
     assert tiny_model.output_op.shape[1] > 1
     rows = tiny_model.sweep(_designs(tiny_model, 3)[0], [0.1, 1.0, 10.0, 100.0])
     assert len(rows) == 4

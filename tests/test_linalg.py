@@ -39,13 +39,13 @@ def _spd_and_basis(n=30, r=4, seed=0):
 
 
 def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
-    calls, real_cholesky = [], linalg.cholesky_banded
+    calls, real_dpbtrf = [], linalg.dpbtrf
 
-    def counting_cholesky(band, **kwargs):
+    def counting_dpbtrf(band, **kwargs):
         calls.append(band.shape[1])
-        return real_cholesky(band, **kwargs)
+        return real_dpbtrf(band, **kwargs)
 
-    monkeypatch.setattr(linalg, "cholesky_banded", counting_cholesky)
+    monkeypatch.setattr(linalg, "dpbtrf", counting_dpbtrf)
     a, u, b = _spd_and_basis()
     base = _factorized(a)
     coefficients = [0.5, 10.0, 1e4]
@@ -100,7 +100,7 @@ def test_trailing_half_solve_is_bit_identical_to_the_full_one(rhs):
 
 def test_failed_half_solve_is_singular():
     system, b, _ = _band_system()
-    system.lu.factor[-1, 3] = 0.0  # a zero pivot on the diagonal
+    system.lu.factor[0, 3] = 0.0  # a zero pivot on the diagonal
     with pytest.raises(SingularSystemError, match="test system: triangular solve failed"):
         system.lu.forward(b)
 
@@ -185,17 +185,16 @@ def test_2d_band_order_bounds_the_bandwidth(nel, dofs_per_node):
 
 
 def _reference_band(a):
-    """The band as the factorization built it from each matrix before the
-    band map: ``tocoo``, an upper-triangle mask, an int64 flat index into a
-    C-ordered band and a weighted ``bincount``."""
+    """LAPACK's lower band ``ab[i - j, j] = a[i, j]`` of the symmetric ``a``,
+    read from its upper triangle (``a[j, i]`` for i >= j) by ``tocoo``, an
+    int64 flat index into a C-ordered band and a weighted ``bincount``."""
     coo = a.tocoo()
     upper = coo.row <= coo.col
-    rows, cols = coo.row[upper].astype(np.int64), coo.col[upper]
+    j, i = coo.row[upper].astype(np.int64), coo.col[upper]
     n = a.shape[0]
-    width = int((cols - rows).max(initial=0))
+    width = int((i - j).max(initial=0))
     return np.bincount(
-        (width + rows - cols) * n + cols, weights=coo.data[upper],
-        minlength=(width + 1) * n,
+        (i - j) * n + j, weights=coo.data[upper], minlength=(width + 1) * n
     ).reshape(width + 1, n)
 
 
@@ -208,15 +207,15 @@ def test_band_map_fills_the_band_in_place(nel, dofs_per_node, dirichlet, monkeyp
         # a symmetry plane: the first component on the x = 0 edge, plus the
         # last component of the origin node against rigid motion
         fixed = np.union1d(fixed[::dofs_per_node], [dofs_per_node - 1])
-    handed, real_cholesky = [], linalg.cholesky_banded
+    handed, real_dpbtrf = [], linalg.dpbtrf
 
-    def recording_cholesky(band, **kwargs):
+    def recording_dpbtrf(band, **kwargs):
         before = band.copy()
-        factor = real_cholesky(band, **kwargs)
+        factor, info = real_dpbtrf(band, **kwargs)
         handed.append((before, band.flags.f_contiguous, np.shares_memory(factor, band)))
-        return factor
+        return factor, info
 
-    monkeypatch.setattr(linalg, "cholesky_banded", recording_cholesky)
+    monkeypatch.setattr(linalg, "dpbtrf", recording_dpbtrf)
     _, _, system = _solve_dirichlet(k, f, fixed, g.nel_axis)
     _factorized(system.a)  # the map of its own pattern
     reference = np.ascontiguousarray(_reference_band(system.a))
@@ -239,14 +238,65 @@ def test_norm1_is_the_largest_column_sum():
         assert abs(linalg._norm1(a) - column_sum) <= 1e-14 * column_sum
 
 
+@pytest.mark.parametrize("where", ["first-rows", "last-rows"])
+def test_updated_norm_matches_the_full_one(where):
+    system, _, _ = _band_system()
+    n_nodes = system.a.shape[0] // 2
+    # at 1e9 the rows U touches hold the largest sum, at 1e2 the others do
+    nodes = [0, 1] if where == "first-rows" else [n_nodes - 2, n_nodes - 1]
+    u = _node_columns(system, nodes)
+    coefficients = [1e2, 1e9]
+    for updated in system.rank_updates(u, coefficients):
+        assert updated.norm1 == linalg._norm1(updated.a)
+    with pytest.raises(SolveError, match="test system: matrix has a non-finite 1-norm"):
+        next(system.rank_updates(u, [np.nan]))  # the touched rows turn NaN
+
+
+def test_sweep_takes_the_loads_forward_half_solve_once(monkeypatch):
+    system, b, _ = _band_system()
+    u = _node_columns(system, [system.a.shape[0] // 2 - 1])
+    calls, real = [], linalg.BandedCholesky.forward
+
+    def counting(self, rhs, start=0):
+        calls.append(np.ndim(rhs) == 1 and np.array_equal(rhs, b))
+        return real(self, rhs, start)
+
+    coefficients = [1e2, 1e5, 1e7]
+    expected = [updated.solve(b) for updated in system.rank_updates(u, coefficients)]
+    monkeypatch.setattr(linalg.BandedCholesky, "forward", counting)
+    for updated, x in zip(system.rank_updates(u, coefficients), expected):
+        assert np.array_equal(updated.solve(b.copy()), x)  # equal in value, not the same array
+    assert calls.count(True) == 1
+
+
 def test_collapsed_pivot_is_singular():
-    # positive definite in exact arithmetic, with a pivot 4e-16 of the largest
-    a = sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]]))
-    with pytest.raises(SingularSystemError, match="test system: matrix is numerically singular"):
+    for eps in (4e-16, 1e-12):
+        # positive definite in exact arithmetic, with a pivot eps of the largest
+        a = sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + eps]]))
+        with pytest.raises(SingularSystemError, match="test system: matrix is numerically singular"):
+            _factorized(a)
+    with pytest.raises(SingularSystemError, match="test system: factorization failed"):
+        _factorized(-np.eye(2))
+
+
+def test_pure_neumann_laplacian_is_singular():
+    # the constant lies in its null space, whatever roundoff leaves of the last pivot
+    n = 400
+    a = sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0], -np.ones(n - 1)],
+                     [-1, 0, 1])
+    with pytest.raises(SingularSystemError, match="test system: "):
         _factorized(a)
-    for not_spd in (-np.eye(2), np.diag([1.0, np.nan])):
-        with pytest.raises(SingularSystemError, match="test system: factorization failed"):
-            _factorized(not_spd)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_entry_is_a_solve_error(dim, value):
+    # a solver failure, not the "check supports" of a singular system
+    g, k, fixed, f = _gray_2d((12, 4), 2) if dim == 2 else _elastic_3d()
+    k.data[k.indptr[-2]:] = value  # the last row, which is free
+    with pytest.raises(SolveError, match="test system: matrix has a non-finite 1-norm") as err:
+        _solve_dirichlet(k, f, fixed, g.nel_axis)
+    assert not isinstance(err.value, SingularSystemError)
 
 
 def _elastic_3d(nel=(8, 4, 4), seed=1):
