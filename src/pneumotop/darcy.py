@@ -91,17 +91,16 @@ def pressure_reduction(
     values = np.concatenate(
         [np.full(len(inlet_nodes), params.P_in), np.full(len(drain_nodes), params.p_atm)]
     )
-    op = assembler.op
-    return DirichletReduction(op.indptr, op.indices, fixed, assembler.grid.nel_axis, values)
+    return DirichletReduction(assembler.op, fixed, assembler.grid, values)
 
 
 def solve_pressure(system: FlowSystem, reduction: DirichletReduction) -> PressureField:
     """Solve for equilibrium pressure with the Dirichlet values ``reduction``
-    holds (see ``pressure_reduction``); the solver of the reduced symmetric
+    holds (see ``pressure_reduction``), its multigrid levels in 3-D built
+    from the coefficients ``[k; d]``; the solver of the reduced symmetric
     system is kept for adjoint reuse."""
-    p, solver = reduction.solve(
-        system.A, np.zeros(system.A.shape[0]), context="pressure solve"
-    )
+    coef = np.concatenate([system.k_elem, system.d_elem])
+    p, solver = reduction.solve(system.A, np.zeros(system.A.shape[0]), coef, "pressure solve")
     return PressureField(p, solver)
 
 

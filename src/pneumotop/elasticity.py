@@ -81,12 +81,12 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
 
 
 def solve_displacement(
-    k: sparse.csr_matrix, f: np.ndarray, reduction: DirichletReduction
+    k: sparse.csr_matrix, f: np.ndarray, reduction: DirichletReduction, e_field: np.ndarray
 ) -> DisplacementField:
-    """Solve K u = F with the supports ``reduction`` holds (built for
-    ``k``'s pattern) pinned to zero."""
+    """Solve K u = F, ``k`` the stiffness of the moduli ``e_field`` plus any
+    springs, with the supports ``reduction`` holds (for ``k``'s pattern) at zero."""
     try:
-        u, system = reduction.solve(k, f, context="displacement solve")
+        u, system = reduction.solve(k, f, e_field, context="displacement solve")
     except SingularSystemError as exc:
         raise ConfigError(
             f"displacement system is singular; check supports ({exc})"

@@ -79,7 +79,7 @@ class GridSpec:
 
 # Corner offsets in element-local (i,j[,k]) coordinates; must match the
 # shape-function corner ordering in shapefn.
-_CORNER_OFFSETS = {
+CORNER_OFFSETS = {
     2: np.array([[0, 0], [1, 0], [1, 1], [0, 1]]),
     3: np.array(
         [
@@ -96,7 +96,7 @@ _CORNER_OFFSETS = {
 }
 
 
-def _lattice(shape: tuple[int, ...]) -> np.ndarray:
+def lattice(shape: tuple[int, ...]) -> np.ndarray:
     """Integer coordinates of every point of a ``shape`` lattice, x fastest."""
     return np.stack(np.unravel_index(np.arange(np.prod(shape)), shape, order="F"), axis=-1)
 
@@ -141,12 +141,12 @@ class Grid:
         self.n_disp_dofs = self.dim * self.nnodes
         self.element_volume = spec.h**spec.dim
 
-        self.node_ijk = _lattice(self.nnod_axis)
+        self.node_ijk = lattice(self.nnod_axis)
         self.coords = self.node_ijk * spec.h
-        self.elem_ijk = _lattice(self.nel_axis)
+        self.elem_ijk = lattice(self.nel_axis)
         self.centroids = (self.elem_ijk + 0.5) * spec.h
 
-        offsets = _CORNER_OFFSETS[self.dim]
+        offsets = CORNER_OFFSETS[self.dim]
         self.nen = offsets.shape[0]
         # int32, the index type of scipy's sparse matrices on any grid that
         # fits in memory, so assembly hands its index arrays over uncopied;
@@ -173,11 +173,11 @@ class Grid:
         its 3^d neighbourhood; those nodes, node by node in ascending order;
         and, per element corner pair (i, j), the place of corner j's node
         among corner i's node's neighbours."""
-        offsets = _lattice((3,) * self.dim) - 1
+        offsets = lattice((3,) * self.dim) - 1
         valid, ids = lattice_neighbours(self.node_ijk, self.nnod_axis, offsets)
         rank = np.cumsum(valid, axis=1, dtype=np.int32) - 1
         neighbours = ids[valid]
-        corners = _CORNER_OFFSETS[self.dim]
+        corners = CORNER_OFFSETS[self.dim]
         pair = ((corners[None, :, :] - corners[:, None, :] + 1) * 3 ** np.arange(self.dim)).sum(axis=-1)
         corner_rank = np.take(rank, self.conn[:, :, None] * rank.shape[1] + pair)
         return rank[:, -1] + 1, neighbours, corner_rank
@@ -205,6 +205,11 @@ class Grid:
             slot = np.take(indptr, row_dofs)[:, :, :, None] + corner_rank[:, :, None, :]
             self._node_patterns[row_comps] = indptr, indices, slot
         return self._node_patterns[row_comps]
+
+    def release_patterns(self):
+        """Drop the node patterns and stencil once every operator is built."""
+        self._node_patterns.clear()
+        self.__dict__.pop("stencil", None)
 
 
 def build_grid(spec: GridSpec) -> Grid:
@@ -308,14 +313,15 @@ class StencilOperator:
     stencil, with sorted columns; it is the pattern that ``coo -> csr`` of
     all element triplets gives, exact zeros included, so it is the same for
     every coefficient field. ``scatter`` (nnz x t·nelem) maps the
-    coefficients of the t templates, template-major, to the CSR data. Every
-    assembled matrix shares the pattern arrays, which must not be modified.
+    coefficients of the t ``templates``, template-major, to the CSR data.
+    Every assembled matrix shares the pattern arrays (not to be modified).
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     shape: tuple
     scatter: sparse.csc_matrix = field(repr=False)
+    templates: np.ndarray = field(repr=False)
 
     def assemble(self, coef: np.ndarray) -> sparse.csr_matrix:
         """sum over elements e and templates t of ``coef[t·nelem + e]`` times
@@ -350,19 +356,14 @@ def _widen(nodes: np.ndarray, comps: int) -> np.ndarray:
     return out
 
 
-def stencil_operator(grid: Grid, templates, row_comps: int = 1, col_comps: int = 1):
-    """The StencilOperator of ``templates`` (t x nen·row_comps x
-    nen·col_comps element matrices, local DOFs corner-major as in
-    ``Grid.edof_u``), mapping ``col_comps`` DOFs per node to ``row_comps``.
-
-    Each entry's place in the data is its row's start plus the rank of its
-    column node among the row node's valid stencil neighbours, so nothing is
-    sorted and no triplet is formed (the index vectors of Andreassen et al.
-    2011, "Efficient topology optimization in MATLAB using 88 lines of
-    code", SMO 43:1, without their ``coo -> csr``). Exact zeros of the
-    templates are left out of the scatter."""
-    nen, nnodes, nelem = grid.nen, grid.nnodes, grid.nelem
-    templates = np.asarray(templates, dtype=float).reshape(-1, nen * row_comps * nen * col_comps)
+def element_pattern(grid: Grid, row_comps: int = 1, col_comps: int = 1):
+    """``(indptr, indices, slot)`` of an operator mapping ``col_comps`` DOFs
+    per node to ``row_comps``: its CSR pattern, and the place in its data of
+    every element matrix entry (local DOFs corner-major as in ``edof_u``),
+    shape (nelem, nen·row_comps·nen·col_comps): its row's start plus the
+    rank of its column node among the row node's stencil neighbours, so no
+    triplet is formed (Andreassen et al. 2011, SMO 43:1, without ``coo ->
+    csr``)."""
     # The pattern with one column per node, then every column widened to
     # its node's col_comps DOFs.
     indptr, indices, slot = grid.node_pattern(row_comps)
@@ -370,7 +371,17 @@ def stencil_operator(grid: Grid, templates, row_comps: int = 1, col_comps: int =
         indptr = np.int32(col_comps) * indptr
         indices = _widen(indices, col_comps).ravel()
         slot = _widen(slot, col_comps)
-    slot = slot.reshape(nelem, -1)
+    return indptr, indices, slot.reshape(grid.nelem, -1)
+
+
+def stencil_operator(grid: Grid, templates, row_comps: int = 1, col_comps: int = 1):
+    """The StencilOperator of ``templates`` (t x nen·row_comps x
+    nen·col_comps element matrices, local DOFs corner-major) on the
+    ``element_pattern`` from ``col_comps`` to ``row_comps`` DOFs per node.
+    Exact zeros of the templates are left out of the scatter."""
+    nen, nnodes, nelem = grid.nen, grid.nnodes, grid.nelem
+    templates = np.asarray(templates, dtype=float).reshape(-1, nen * row_comps, nen * col_comps)
+    indptr, indices, slot = element_pattern(grid, row_comps, col_comps)
 
     kept = [np.flatnonzero(t) for t in templates]
     col_ptr = np.zeros(len(kept) * nelem + 1, dtype=np.int32)
@@ -379,10 +390,10 @@ def stencil_operator(grid: Grid, templates, row_comps: int = 1, col_comps: int =
     for t, k in enumerate(kept):
         block = slice(col_ptr[t * nelem], col_ptr[(t + 1) * nelem])
         np.take(slot, k, axis=1, out=rows[block].reshape(nelem, k.size), mode="clip")
-        vals[block].reshape(nelem, k.size)[:] = templates[t, k]
+        vals[block].reshape(nelem, k.size)[:] = templates[t].flat[k]
     scatter = sparse.csc_matrix((vals, rows, col_ptr), shape=(indices.size, col_ptr.size - 1))
     shape = (row_comps * nnodes, col_comps * nnodes)
-    return StencilOperator(indptr, indices, shape, scatter)
+    return StencilOperator(indptr, indices, shape, scatter, templates)
 
 
 @dataclass(frozen=True)
@@ -404,7 +415,7 @@ def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
     if not r_min > 0:
         raise ConfigError(f"filter radius must be > 0, got {r_min}")
     reach = int(np.ceil(r_min / grid.h))
-    offsets = _lattice((2 * reach + 1,) * grid.dim) - reach
+    offsets = lattice((2 * reach + 1,) * grid.dim) - reach
     dist = np.linalg.norm(offsets, axis=1) * grid.h
     keep = r_min - dist > 0
     offsets, wvals = offsets[keep], (r_min - dist)[keep]

@@ -31,7 +31,9 @@ the contract and solves through one of three inverse operators:
 - ``MultigridCG`` in 3-D: conjugate gradients preconditioned with a
   geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG
   for efficient topology optimization", SMO 49:815) that smooths by one
-  damped-Jacobi sweep on each side of every coarse correction.
+  damped-Jacobi sweep on each side of every coarse correction. Its coarse
+  levels, the Galerkin products ``Pᵀ A P``, are linear maps of the element
+  coefficients built once (``GalerkinLevel``), so no sparse product is formed.
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
@@ -52,7 +54,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import SingularSystemError, SolveError
-from .grid import pattern_slots
+from .grid import CORNER_OFFSETS, GridSpec, build_grid, element_pattern, lattice, pattern_slots
 
 RESIDUAL_TOL = 1e-9
 MAX_REFINEMENTS = 4
@@ -278,24 +280,18 @@ class WoodburyUpdate:
 
 
 class VCycle:
-    """The geometric-multigrid V-cycle of the SPD matrix ``a``, built once.
-    ``prolongations[l]`` maps level l + 1 to level l (level 0 is ``a``) and
-    ``restrictions[l]`` is its transpose, both from the ``DirichletReduction``.
-    The coarse operators are the Galerkin products ``Pᵀ A P``; every level
-    but the coarsest is smoothed by one damped-Jacobi sweep before and one
-    after its coarse correction, which keeps the V-cycle symmetric, and the
-    coarsest, of at most COARSEST_DOFS rows, is solved by banded Cholesky."""
+    """The geometric-multigrid V-cycle over the given ``levels`` (CSR, level
+    0 the finest). ``prolongations[l]`` maps level l + 1 to level l,
+    ``restrictions[l]`` is its transpose, and ``coarse`` is the
+    ``BandedCholesky`` factor of the coarsest level (at most COARSEST_DOFS
+    rows). Every other level l is smoothed by one damped-Jacobi sweep on
+    ``diagonals[l]`` before and one after its coarse correction, which keeps
+    the V-cycle symmetric."""
 
-    def __init__(self, a, prolongations, restrictions, context: str):
+    def __init__(self, levels, diagonals, coarse, prolongations, restrictions):
+        self.levels, self.coarse = levels, coarse
         self.prolongations, self.restrictions = prolongations, restrictions
-        self.levels = [a]
-        for p, r in zip(prolongations, restrictions):
-            self.levels.append((r @ self.levels[-1] @ p).tocsr())
-        self.jacobi = [JACOBI_OMEGA / a_l.diagonal() for a_l in self.levels[:-1]]
-        c = self.levels[-1]
-        self.coarse = BandedCholesky(
-            BandMap(c.indptr, c.indices).band(c.data), f"{context} (coarsest level)"
-        )
+        self.jacobi = [JACOBI_OMEGA / d for d in diagonals]
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.jacobi):
@@ -359,49 +355,43 @@ def _band_order(nel, n_dofs: int) -> np.ndarray:
 
 
 class DirichletReduction:
-    """The free block of every matrix with one CSR pattern, built once per
-    pattern and Dirichlet set on a structured grid with ``nel`` elements per
-    axis (node-major DOFs, x fastest). The set is the DOFs ``fixed`` and the
-    ``values`` they hold (one per DOF, or one for all).
+    """The free block of every matrix on the pattern of the
+    ``StencilOperator`` ``op`` on ``grid``, for the Dirichlet set of the DOFs
+    ``fixed`` and the ``values`` they hold (one per DOF, or one for all).
+    Built once: the free DOFs in solver order (ascending in 3-D, band order
+    in 2-D), the place in the full data of every free x free entry with the
+    block's CSR pattern (columns unsorted in 2-D), and the ``BandMap`` of
+    what banded Cholesky factors (the free block in 2-D, the coarsest level
+    in 3-D); in 3-D also the prolongations, their transposes, the coarse
+    ``levels`` and the places of the free block's diagonal."""
 
-    It also holds the free DOFs in solver order (ascending in 3-D, band
-    order in 2-D), the place in the full data of every free x free entry
-    together with the free block's CSR pattern (its columns unsorted in 2-D,
-    which the band map and matvecs accept), in 2-D the ``BandMap`` from the
-    full data to the free block's band, and in 3-D the multigrid
-    prolongations with their transposes, the restrictions. A solve is then one gather,
-    plus one SpMV when the Dirichlet values are not all zero, and in 2-D one
-    scatter into the band that LAPACK factors in place."""
-
-    def __init__(self, indptr, indices, fixed, nel, values=0.0):
-        n = len(indptr) - 1
-        self.pattern = (indptr, indices)
+    def __init__(self, op, fixed, grid, values=0.0):
+        n = op.shape[0]
+        self.pattern = (op.indptr, op.indices)
         self.fixed = np.asarray(fixed)
         self.values = values
-        order = _band_order(nel, n) if len(nel) == 2 else np.arange(n)
-        self.free = order[np.isin(order, self.fixed, invert=True)]
-        new = np.full(n, -1, dtype=np.int32)
-        new[self.free] = np.arange(self.free.size, dtype=np.int32)
-        # every entry of the free rows, row by row in solver order
-        starts, lengths = indptr[self.free], np.diff(indptr)[self.free]
-        ends = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
-        entries = np.arange(ends[-1], dtype=np.int32)
-        entries += np.repeat(starts - ends[:-1], lengths)
-        cols = np.take(new, np.take(indices, entries))
-        kept = np.flatnonzero(cols >= 0)
-        self.gather, self.indices = np.take(entries, kept), np.take(cols, kept)
-        self.indptr = np.searchsorted(kept, ends).astype(np.int32)
-        self.band_map = self.prolongations = self.restrictions = None
-        if len(nel) == 2:
-            self.band_map = BandMap(self.indptr, self.indices, places=self.gather)
-        else:
-            self.prolongations = _prolongations(nel, n, self.free)
+        order = _band_order(grid.nel_axis, n) if grid.dim == 2 else np.arange(n)
+        is_free = np.isin(order, self.fixed, invert=True)
+        self.free = order[is_free]
+        self.gather, self.indices, self.indptr = _block(op.indptr, op.indices, self.free, n)
+        self.levels, self.prolongations, self.restrictions, self.diagonal = [], None, None, None
+        if grid.dim == 3:  # DOFs in their own order: each element's free DOFs as bits
+            self.prolongations = _prolongations(grid.nel_axis, n, self.free)
             self.restrictions = [p.T.tocsr() for p in self.prolongations]
+            self.diagonal = self.gather[_diagonal(self.indptr, self.indices)]
+            edof = grid.conn if n == grid.nnodes else grid.edof_u
+            masks = np.take(is_free, edof) @ (1 << np.arange(edof.shape[1], dtype=np.int64))
+            self.levels = [GalerkinLevel(grid, op.templates, masks, level)
+                           for level in range(1, len(self.prolongations) + 1)]
+        self.band_map = (BandMap(self.levels[-1].indptr, self.levels[-1].indices) if self.levels
+                         else BandMap(self.indptr, self.indices, places=self.gather))
 
-    def solve(self, a, f, context: str):
-        """Solve ``A x = f`` with ``x[fixed] = values``, for ``a`` (CSR) with
-        this reduction's pattern. Returns ``(x, system)``; ``system`` solves
-        the free block again, on ``free``, for adjoints and spring sweeps."""
+    def solve(self, a, f, coef, context: str):
+        """Solve ``A x = f`` with ``x[fixed] = values``, for ``a`` (CSR) on
+        this reduction's pattern, assembled from the coefficients ``coef``;
+        what was added to ``a`` (the springs) stays off the coarse levels.
+        Returns ``(x, system)``; ``system`` solves the free block again, on
+        ``free``, for adjoints and spring sweeps."""
         indptr, indices = self.pattern
         if not (np.array_equal(a.indptr, indptr) and np.array_equal(a.indices, indices)):
             raise ValueError(f"{context}: matrix pattern differs from the reduction's")
@@ -415,19 +405,98 @@ class DirichletReduction:
             (a.data[self.gather], self.indices.copy(), self.indptr.copy()),
             shape=(self.free.size,) * 2,
         )
-        if self.band_map is not None:
+        if self.prolongations is None:
             def inverse(system):  # the band filled from the full data
                 return BandedCholesky(self.band_map.band(a.data), context)
         else:
-            def inverse(system):  # the hierarchy on the reduction's transfer operators
-                v_cycle = VCycle(system.a, self.prolongations, self.restrictions, context)
-                return MultigridCG(system, v_cycle)
-            # CG's matvecs and the Galerkin products cost what is stored:
-            # drop the exact zeros that a uniform modulus cancels to.
+            def inverse(system):
+                levels = [system.a] + [level.matrix(coef) for level in self.levels]
+                diagonals = [a.data[self.diagonal]] + [
+                    a_l.data[level.diagonal] for a_l, level in zip(levels[1:], self.levels)]
+                band = self.band_map.band(levels[-1].data if self.levels else a.data)
+                coarse = BandedCholesky(band, f"{context} (coarsest level)")
+                return MultigridCG(system, VCycle(levels, diagonals[:-1], coarse,
+                                                  self.prolongations, self.restrictions))
+            # CG's matvecs cost what is stored: drop the exact zeros that a
+            # uniform modulus cancels to.
             a_ff.eliminate_zeros()
         system = FactorizedSystem(a_ff, context=context, inverse=inverse)
         x[self.free] = system.solve(b)
         return x, system
+
+
+class GalerkinLevel:
+    """Level ``level`` (1 or more) of a 3-D multigrid hierarchy, ``Pᵀ A P``
+    for A the free block of ``Σ_k Σ_e c[k, e] G_eᵀ K_k G_e`` (``templates``
+    K_k), as a linear map of c. Each fine element e lies in one element E of
+    the level, so it is ``Σ_k Σ_e c[k, e] Q_eᵀ K_k Q_e`` on E's DOFs, Q_e
+    interpolating e's free DOFs (the bits of ``masks[e]``) from E's corners.
+    ``templates`` holds ``Q_eᵀ K_k Q_e`` per k and distinct (place in E,
+    mask), ``index`` the place of c[k, e] in W (E x template) and ``slots``
+    that of each entry of ``W @ templates`` in the data, past its end for a
+    DOF no free fine DOF interpolates from (``_prolongations`` drops it)."""
+
+    def __init__(self, grid, templates, masks, level: int):
+        s, n_dofs = 2**level, templates.shape[1]
+        dofs, nel = n_dofs // grid.nen, tuple(-(-m // s) for m in grid.nel_axis)
+        coarse = build_grid(GridSpec(3, nel, s * grid.h))
+        elem = (grid.elem_ijk // s) @ np.cumprod((1,) + nel[:-1])
+        place = (grid.elem_ijk % s) @ s ** np.arange(3)
+        keys, which = np.unique((place << n_dofs) | masks, return_inverse=True)
+        # Q per key: E's corner weights at e's corners, zero at e's fixed DOFs
+        corners, places = CORNER_OFFSETS[3], lattice((s,) * 3)
+        t = ((places[:, None, :] + corners) / s)[:, :, None, :]  # e's corners in E, 0 to 1
+        w = np.take(np.where(corners == 1, t, 1.0 - t).prod(axis=-1), keys >> n_dofs, axis=0)
+        q = (w[:, :, None, :, None] * np.eye(dofs)[:, None, :]).reshape(len(keys), n_dofs, n_dofs)
+        q *= ((keys[:, None] >> np.arange(n_dofs)) & 1)[:, :, None]
+        self.templates = (np.swapaxes(q, 1, 2) @ (templates[:, None] @ q)).reshape(-1, n_dofs**2)
+        self.shape_w = (coarse.nelem, len(self.templates))
+        index = elem * len(self.templates) + which + len(keys) * np.arange(len(templates))[:, None]
+        self.index = index.astype(np.int32).ravel()
+
+        coarse_dofs = (dofs * coarse.conn[:, :, None] + np.arange(dofs)).reshape(-1, n_dofs)
+        reached = np.zeros(dofs * coarse.nnodes, dtype=bool)
+        reached[np.take(coarse_dofs, elem, axis=0)[np.take(q.any(axis=1), which, axis=0)]] = True
+        keep = np.flatnonzero(reached)
+        indptr, self.indices, slot = element_pattern(coarse, dofs, dofs)
+        self.n, self.indptr = keep.size, indptr
+        if keep.size < reached.size:
+            gather, self.indices, self.indptr = _block(indptr, self.indices, keep, reached.size)
+            to_kept = np.full(indptr[-1], gather.size, dtype=np.int32)
+            to_kept[gather] = np.arange(gather.size, dtype=np.int32)
+            slot = np.take(to_kept, slot)
+        self.nnz, self.slots = self.indices.size, slot.ravel()
+        self.diagonal = _diagonal(self.indptr, self.indices).astype(np.int32)
+
+    def matrix(self, coef: np.ndarray) -> sparse.csr_matrix:
+        """The level of the coefficients ``coef`` (template-major, as the
+        operator's): one sum per coarse element and template, one product
+        with the templates and one scatter."""
+        w = np.bincount(self.index, weights=coef, minlength=np.prod(self.shape_w))
+        entries = w.reshape(self.shape_w) @ self.templates
+        data = np.bincount(self.slots, weights=entries.ravel(), minlength=self.nnz + 1)
+        return sparse.csr_matrix((data[:-1], self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def _block(indptr, indices, rows, n: int):
+    """``(places, indices, indptr)`` of the block on ``rows`` (and columns)
+    of a CSR pattern of ``n`` rows: each entry's place in the data, row by
+    row, and the block's pattern."""
+    new = np.full(n, -1, dtype=np.int32)
+    new[rows] = np.arange(rows.size, dtype=np.int32)
+    starts, lengths = indptr[rows], np.diff(indptr)[rows]
+    ends = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    entries = np.arange(ends[-1], dtype=np.int32)  # every entry of the rows
+    entries += np.repeat(starts - ends[:-1], lengths)
+    cols = np.take(new, np.take(indices, entries))
+    kept = np.flatnonzero(cols >= 0)
+    return np.take(entries, kept), np.take(cols, kept), np.searchsorted(kept, ends).astype(np.int32)
+
+
+def _diagonal(indptr, indices) -> np.ndarray:
+    """The place of each row's diagonal in a pattern that stores each once."""
+    rows = np.repeat(np.arange(len(indptr) - 1, dtype=indices.dtype), np.diff(indptr))
+    return np.flatnonzero(indices == rows)
 
 
 def _prolongation_1d(n: int) -> sparse.csr_matrix:

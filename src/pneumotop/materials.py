@@ -119,12 +119,13 @@ def interpolate_modulus(rho: np.ndarray, mats: MaterialSet):
     m, dm = mats.E[-1], np.zeros_like(rho)
     # Innermost selector first: channel k picks between floors[k] and the
     # modulus m that the channels past it select.
-    for k in reversed(range(mats.n_channels)):
-        r = rho[k]
-        rp = r**p
-        dm[k + 1:] *= rp
-        dm[k] = p * np.where(r > 0, r ** (p - 1.0), 0.0) * (m - floors[k])
-        m = (1.0 - rp) * floors[k] + rp * m
+    with np.errstate(over="ignore"):  # the solve rejects an inf modulus (exit 4)
+        for k in reversed(range(mats.n_channels)):
+            r = rho[k]
+            rp = r**p
+            dm[k + 1:] *= rp
+            dm[k] = p * np.where(r > 0, r ** (p - 1.0), 0.0) * (m - floors[k])
+            m = (1.0 - rp) * floors[k] + rp * m
     return m, dm
 
 

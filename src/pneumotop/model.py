@@ -119,10 +119,11 @@ class Model:
         op = self.elastic.op
         self.spring_slots = pattern_slots(op.indptr, op.indices, springs.row, springs.col)
         self.spring_data = springs.data
+        self.grid.release_patterns()  # every operator is built
 
     # Both operators keep one pattern for every design, so each physics has
     # one reduction, built at its first solve: its fixed DOFs, the values
-    # they hold and the gather map to its free DOFs.
+    # they hold, the gather map to its free DOFs and its coarse levels (3-D).
 
     @cached_property
     def flow_reduction(self) -> DirichletReduction:
@@ -141,8 +142,7 @@ class Model:
 
     @cached_property
     def elastic_reduction(self) -> DirichletReduction:
-        op = self.elastic.op
-        return DirichletReduction(op.indptr, op.indices, self.fixed_u_dofs, self.grid.nel_axis)
+        return DirichletReduction(self.elastic.op, self.fixed_u_dofs, self.grid)
 
     def _build_mask(self, spec: ProblemSpec) -> np.ndarray:
         mask = np.full(self.grid.nelem, TAG_DESIGN, dtype=np.int64)
@@ -210,7 +210,7 @@ class Model:
             k_total = sparse.csr_matrix(
                 (data, k_struct.indices, k_struct.indptr), shape=k_struct.shape
             )
-        disp = elasticity.solve_displacement(k_total, force, self.elastic_reduction)
+        disp = elasticity.solve_displacement(k_total, force, self.elastic_reduction, e_field)
         m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t)
         return State(
             rho_bar=rho_bar,

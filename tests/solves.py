@@ -14,8 +14,13 @@ def flow_solve(grid, rho1, params, inlet, drain):
     return system, darcy.solve_pressure(system, reduction)
 
 
-def elastic_solve(k, f, fixed, nel):
-    """``K u = F`` with the DOFs ``fixed`` pinned, as a Model's elastic
-    reduction pins its supports, on a grid with ``nel`` elements per axis."""
-    reduction = DirichletReduction(k.indptr, k.indices, fixed, nel)
-    return elasticity.solve_displacement(k, f, reduction)
+def elastic_solve(grid, e, f, fixed, springs=None):
+    """``K u = F`` for the stiffness (Poisson ratio 0.3) of the moduli ``e``
+    on ``grid``, plus ``springs`` if given, with the DOFs ``fixed`` pinned,
+    as a Model's elastic reduction pins its supports."""
+    assembler = elasticity.ElasticAssembler(grid, 0.3)
+    k = assembler.assemble(e)
+    if springs is not None:
+        k = k + springs
+    reduction = DirichletReduction(assembler.op, fixed, grid)
+    return elasticity.solve_displacement(k, f, reduction, e)
