@@ -96,8 +96,8 @@ def pressure_reduction(
 
 def solve_pressure(system: FlowSystem, reduction: DirichletReduction) -> PressureField:
     """Solve for equilibrium pressure with the Dirichlet values ``reduction``
-    holds (see ``pressure_reduction``), its multigrid levels in 3-D built
-    from the coefficients ``[k; d]``; the solver of the reduced symmetric
+    holds (see ``pressure_reduction``), its multigrid levels, if it has any,
+    built from the coefficients ``[k; d]``; the solver of the reduced symmetric
     system is kept for adjoint reuse."""
     coef = np.concatenate([system.k_elem, system.d_elem])
     p, solver = reduction.solve(system.A, np.zeros(system.A.shape[0]), coef, "pressure solve")

@@ -66,6 +66,10 @@ class GridSpec:
             raise ConfigError(f"element counts must be >= 1, got {self.nel}")
         if not self.h > 0:
             raise ConfigError(f"element size h must be > 0, got {self.h}")
+        # the element matrices (shapefn) scale by (2/h)^2 and (h/2)^dim
+        log_half_h = math.log(self.h) - math.log(2.0)
+        if max(-2.0 * log_half_h, self.dim * log_half_h) >= np.log(np.finfo(float).max):
+            raise ConfigError(f"element size h = {self.h} m overflows the element matrices")
         # The stiffness's scatter (stencil_operator) has one int32-indexed
         # column per element and entry of the (dim 2^dim)^2 element matrix.
         # It bounds the DOF indices too: dim * nnodes <= dim 2^dim nelem.
@@ -77,8 +81,8 @@ class GridSpec:
             )
 
 
-# Corner offsets in element-local (i,j[,k]) coordinates; must match the
-# shape-function corner ordering in shapefn.
+# Corner offsets in element-local (i,j[,k]) coordinates, the element node
+# order: counter-clockwise in 2-D, bottom face then top face in 3-D.
 CORNER_OFFSETS = {
     2: np.array([[0, 0], [1, 0], [1, 1], [0, 1]]),
     3: np.array(

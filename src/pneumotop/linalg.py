@@ -14,26 +14,29 @@ grid system of one pattern to its free DOFs, by a gather map built once.
 The free block is a ``FactorizedSystem``, the one system class, which holds
 the contract and solves through one of three inverse operators:
 
-- ``BandedCholesky`` in 2-D, its band filled from the full matrix's data
-  by one scatter through a map the reduction builds once, and factored in
-  place by LAPACK (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3).
-  The band is in LAPACK's lower storage: ``dpbtrf`` factors the pneunet2d
-  elastic band (half-bandwidth 73) in about 0.6x the time of the upper.
-- ``WoodburyUpdate`` for a 2-D spring sweep, which solves ``A + c U Uᵀ``
+- ``BandedCholesky`` wherever the reduction has no coarse level, its band
+  filled from the full matrix's data by one scatter through a map the
+  reduction builds once, and factored in place by LAPACK (Anderson et al.
+  1999, "LAPACK Users' Guide", §5.3.3). The band is in LAPACK's lower
+  storage: ``dpbtrf`` factors the pneunet2d elastic band (half-bandwidth
+  73) in about 0.6x the time of the upper.
+- ``WoodburyUpdate`` for a spring sweep on it, which solves ``A + c U Uᵀ``
   (U: the r output DOFs) for several c through the one factor ``A = L Lᵀ``
   and its two triangular halves (``dtbtrs``), with ``W = L⁻¹ U``:
   ``(A + c U Uᵀ)⁻¹ = L⁻ᵀ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) L⁻¹``. ``W`` is zero
-  above the first row U touches, and the output DOFs come last in band
+  above the first row U touches, and the 2-D output DOFs come last in band
   order, so it costs a half-solve on the last rows only (70 of 10,080 on
   pneunet2d), and each point costs what one band solve does.
   ``A + c U Uᵀ`` is ``L (I + c W Wᵀ) Lᵀ``, so it is SPD exactly when the
   r x r capacitance ``I + c Wᵀ W`` is, and that is factored by Cholesky too.
-- ``MultigridCG`` in 3-D: conjugate gradients preconditioned with a
+- ``MultigridCG`` wherever it has coarse levels (a 3-D free block of more
+  than COARSEST_DOFS DOFs): conjugate gradients preconditioned with a
   geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG
   for efficient topology optimization", SMO 49:815) that smooths by one
-  damped-Jacobi sweep on each side of every coarse correction. Its coarse
-  levels, the Galerkin products ``Pᵀ A P``, are linear maps of the element
-  coefficients built once (``GalerkinLevel``), so no sparse product is formed.
+  damped-Jacobi sweep on each side of every coarse correction. Each coarse
+  level (``GalerkinLevel``) holds its kept DOFs, its transfers and its
+  Galerkin product ``Pᵀ A P`` as a linear map of the element coefficients,
+  built once, so no sparse product is formed.
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
@@ -280,34 +283,35 @@ class WoodburyUpdate:
 
 
 class VCycle:
-    """The geometric-multigrid V-cycle over the given ``levels`` (CSR, level
-    0 the finest). ``prolongations[l]`` maps level l + 1 to level l,
-    ``restrictions[l]`` is its transpose, and ``coarse`` is the
-    ``BandedCholesky`` factor of the coarsest level (at most COARSEST_DOFS
-    rows). Every other level l is smoothed by one damped-Jacobi sweep on
-    ``diagonals[l]`` before and one after its coarse correction, which keeps
-    the V-cycle symmetric."""
+    """The geometric-multigrid V-cycle under the free block ``a`` (level 0),
+    whose diagonal is ``diagonal``, over the coarse ``levels``
+    (``GalerkinLevel``, finest first) built from the coefficients ``coef``.
+    The coarsest level is factored by banded Cholesky; every other level is
+    smoothed by one damped-Jacobi sweep before and one after its coarse
+    correction, which keeps the V-cycle symmetric."""
 
-    def __init__(self, levels, diagonals, coarse, prolongations, restrictions):
-        self.levels, self.coarse = levels, coarse
-        self.prolongations, self.restrictions = prolongations, restrictions
-        self.jacobi = [JACOBI_OMEGA / d for d in diagonals]
+    def __init__(self, a, diagonal, levels, coef, context: str):
+        self.levels = levels
+        self.matrices = [a] + [level.matrix(coef) for level in levels]
+        self.jacobi = [JACOBI_OMEGA / d for d in [diagonal] + [
+            a_l.data[level.diagonal] for a_l, level in zip(self.matrices[1:-1], levels)]]
+        band = levels[-1].band_map.band(self.matrices[-1].data)
+        self.coarse = BandedCholesky(band, f"{context} (coarsest level)")
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
-        if level == len(self.jacobi):
+        if level == len(self.levels):
             return self.coarse.solve(r)
-        a, w = self.levels[level], self.jacobi[level]
+        a, w, coarser = self.matrices[level], self.jacobi[level], self.levels[level]
         x = w * r  # pre-smoothing: one Jacobi sweep from x = 0
-        coarse_r = self.restrictions[level] @ (r - a @ x)
-        x += self.prolongations[level] @ self(coarse_r, level + 1)
+        coarse_r = coarser.restriction @ (r - a @ x)
+        x += coarser.prolongation @ self(coarse_r, level + 1)
         x += w * (r - a @ x)  # post-smoothing
         return x
 
 
 class MultigridCG:
     """CG over the matrix of ``system`` (held with its 1-norm, not the system)
-    preconditioned by ``v_cycle``, which may be another matrix's. With no
-    prolongations the V-cycle is a direct solve, and CG takes one step."""
+    preconditioned by ``v_cycle``, which may be another matrix's."""
 
     def __init__(self, system, v_cycle: VCycle):
         self.a, self.norm1, self.v_cycle = system.a, system.norm1, v_cycle
@@ -359,11 +363,11 @@ class DirichletReduction:
     ``StencilOperator`` ``op`` on ``grid``, for the Dirichlet set of the DOFs
     ``fixed`` and the ``values`` they hold (one per DOF, or one for all).
     Built once: the free DOFs in solver order (ascending in 3-D, band order
-    in 2-D), the place in the full data of every free x free entry with the
-    block's CSR pattern (columns unsorted in 2-D), and the ``BandMap`` of
-    what banded Cholesky factors (the free block in 2-D, the coarsest level
-    in 3-D); in 3-D also the prolongations, their transposes, the coarse
-    ``levels`` and the places of the free block's diagonal."""
+    in 2-D) and the place in the full data of every free x free entry with
+    the block's CSR pattern (columns unsorted in 2-D). A 3-D block of more
+    than COARSEST_DOFS DOFs gets multigrid ``levels``, halving until one
+    keeps at most that many, and its diagonal's places; any other block a
+    ``band_map``."""
 
     def __init__(self, op, fixed, grid, values=0.0):
         n = op.shape[0]
@@ -374,17 +378,18 @@ class DirichletReduction:
         is_free = np.isin(order, self.fixed, invert=True)
         self.free = order[is_free]
         self.gather, self.indices, self.indptr = _block(op.indptr, op.indices, self.free, n)
-        self.levels, self.prolongations, self.restrictions, self.diagonal = [], None, None, None
+        self.levels, keep = [], self.free
         if grid.dim == 3:  # DOFs in their own order: each element's free DOFs as bits
-            self.prolongations = _prolongations(grid.nel_axis, n, self.free)
-            self.restrictions = [p.T.tocsr() for p in self.prolongations]
-            self.diagonal = self.gather[_diagonal(self.indptr, self.indices)]
             edof = grid.conn if n == grid.nnodes else grid.edof_u
             masks = np.take(is_free, edof) @ (1 << np.arange(edof.shape[1], dtype=np.int64))
-            self.levels = [GalerkinLevel(grid, op.templates, masks, level)
-                           for level in range(1, len(self.prolongations) + 1)]
-        self.band_map = (BandMap(self.levels[-1].indptr, self.levels[-1].indices) if self.levels
-                         else BandMap(self.indptr, self.indices, places=self.gather))
+            while keep.size > COARSEST_DOFS:
+                self.levels.append(GalerkinLevel(grid, op.templates, masks, keep,
+                                                 len(self.levels) + 1))
+                keep = self.levels[-1].keep
+        if self.levels:
+            self.diagonal = self.gather[_diagonal(self.indptr, self.indices)]
+        else:
+            self.band_map = BandMap(self.indptr, self.indices, places=self.gather)
 
     def solve(self, a, f, coef, context: str):
         """Solve ``A x = f`` with ``x[fixed] = values``, for ``a`` (CSR) on
@@ -405,21 +410,16 @@ class DirichletReduction:
             (a.data[self.gather], self.indices.copy(), self.indptr.copy()),
             shape=(self.free.size,) * 2,
         )
-        if self.prolongations is None:
-            def inverse(system):  # the band filled from the full data
-                return BandedCholesky(self.band_map.band(a.data), context)
-        else:
+        if self.levels:
             def inverse(system):
-                levels = [system.a] + [level.matrix(coef) for level in self.levels]
-                diagonals = [a.data[self.diagonal]] + [
-                    a_l.data[level.diagonal] for a_l, level in zip(levels[1:], self.levels)]
-                band = self.band_map.band(levels[-1].data if self.levels else a.data)
-                coarse = BandedCholesky(band, f"{context} (coarsest level)")
-                return MultigridCG(system, VCycle(levels, diagonals[:-1], coarse,
-                                                  self.prolongations, self.restrictions))
+                v_cycle = VCycle(system.a, a.data[self.diagonal], self.levels, coef, context)
+                return MultigridCG(system, v_cycle)
             # CG's matvecs cost what is stored: drop the exact zeros that a
             # uniform modulus cancels to.
             a_ff.eliminate_zeros()
+        else:
+            def inverse(system):  # the band filled from the full data
+                return BandedCholesky(self.band_map.band(a.data), context)
         system = FactorizedSystem(a_ff, context=context, inverse=inverse)
         x[self.free] = system.solve(b)
         return x, system
@@ -434,9 +434,12 @@ class GalerkinLevel:
     ``templates`` holds ``Q_eᵀ K_k Q_e`` per k and distinct (place in E,
     mask), ``index`` the place of c[k, e] in W (E x template) and ``slots``
     that of each entry of ``W @ templates`` in the data, past its end for a
-    DOF no free fine DOF interpolates from (``_prolongations`` drops it)."""
+    DOF no free fine DOF interpolates from. ``keep`` lists the others, and
+    ``prolongation`` interpolates them onto the finer level's ``finer_keep``
+    (``restriction`` is its transpose). The coarsest level, the first to keep
+    at most COARSEST_DOFS DOFs, holds its ``band_map``."""
 
-    def __init__(self, grid, templates, masks, level: int):
+    def __init__(self, grid, templates, masks, finer_keep, level: int):
         s, n_dofs = 2**level, templates.shape[1]
         dofs, nel = n_dofs // grid.nen, tuple(-(-m // s) for m in grid.nel_axis)
         coarse = build_grid(GridSpec(3, nel, s * grid.h))
@@ -457,16 +460,21 @@ class GalerkinLevel:
         coarse_dofs = (dofs * coarse.conn[:, :, None] + np.arange(dofs)).reshape(-1, n_dofs)
         reached = np.zeros(dofs * coarse.nnodes, dtype=bool)
         reached[np.take(coarse_dofs, elem, axis=0)[np.take(q.any(axis=1), which, axis=0)]] = True
-        keep = np.flatnonzero(reached)
-        indptr, self.indices, slot = element_pattern(coarse, dofs, dofs)
-        self.n, self.indptr = keep.size, indptr
-        if keep.size < reached.size:
-            gather, self.indices, self.indptr = _block(indptr, self.indices, keep, reached.size)
-            to_kept = np.full(indptr[-1], gather.size, dtype=np.int32)
-            to_kept[gather] = np.arange(gather.size, dtype=np.int32)
-            slot = np.take(to_kept, slot)
-        self.nnz, self.slots = self.indices.size, slot.ravel()
-        self.diagonal = _diagonal(self.indptr, self.indices).astype(np.int32)
+        self.keep = keep = np.flatnonzero(reached)
+        p = sparse.identity(dofs, format="csr")
+        for m in (-(-n // (s // 2)) for n in grid.nel_axis):  # finer level; x innermost
+            p = sparse.kron(_prolongation_1d(m), p, format="csr")
+        self.prolongation = p[finer_keep][:, keep].tocsr()
+        self.restriction = self.prolongation.T.tocsr()
+        indptr, indices, slot = element_pattern(coarse, dofs, dofs)
+        gather, self.indices, self.indptr = _block(indptr, indices, keep, reached.size)
+        to_kept = np.full(indptr[-1], gather.size, dtype=np.int32)
+        to_kept[gather] = np.arange(gather.size, dtype=np.int32)
+        self.nnz, self.slots = self.indices.size, np.take(to_kept, slot).ravel()
+        if keep.size > COARSEST_DOFS:  # smoothed by Jacobi on its diagonal
+            self.diagonal = _diagonal(self.indptr, self.indices).astype(np.int32)
+        else:  # the coarsest level, factored
+            self.band_map = BandMap(self.indptr, self.indices)
 
     def matrix(self, coef: np.ndarray) -> sparse.csr_matrix:
         """The level of the coefficients ``coef`` (template-major, as the
@@ -475,7 +483,8 @@ class GalerkinLevel:
         w = np.bincount(self.index, weights=coef, minlength=np.prod(self.shape_w))
         entries = w.reshape(self.shape_w) @ self.templates
         data = np.bincount(self.slots, weights=entries.ravel(), minlength=self.nnz + 1)
-        return sparse.csr_matrix((data[:-1], self.indices, self.indptr), shape=(self.n, self.n))
+        n = self.keep.size
+        return sparse.csr_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
 
 
 def _block(indptr, indices, rows, n: int):
@@ -510,25 +519,3 @@ def _prolongation_1d(n: int) -> sparse.csr_matrix:
     cols = np.concatenate([even // 2, odd // 2, odd // 2 + 1])
     vals = np.concatenate([np.ones(even.size), np.full(2 * odd.size, 0.5)])
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, (n + 1) // 2 + 1))
-
-
-def _prolongations(nel, n_dofs: int, free: np.ndarray) -> list:
-    """Trilinear prolongations of node-major DOFs, one per halving of every
-    axis of ``nel`` (rounding up; an axis of one element stays one, twice as
-    long) while the level keeps more than COARSEST_DOFS DOFs, which ends at
-    the latest at one element per axis. Each interpolates the kept DOFs of
-    the next coarser level onto the kept DOFs of its level; the finest level
-    keeps ``free``, a coarser one every DOF that some kept finer DOF
-    interpolates from."""
-    nel = list(nel)
-    dofs_per_node = n_dofs // int(np.prod([m + 1 for m in nel]))
-    keep, out = free, []
-    while keep.size > COARSEST_DOFS:
-        p = sparse.identity(dofs_per_node, format="csr")
-        for m in nel:  # x varies fastest, so it is the innermost factor
-            p = sparse.kron(_prolongation_1d(m), p, format="csr")
-        nel = [(m + 1) // 2 for m in nel]
-        p = p[keep]
-        keep = np.flatnonzero(p.getnnz(axis=0))
-        out.append(p[:, keep].tocsr())
-    return out

@@ -123,7 +123,7 @@ class Model:
 
     # Both operators keep one pattern for every design, so each physics has
     # one reduction, built at its first solve: its fixed DOFs, the values
-    # they hold, the gather map to its free DOFs and its coarse levels (3-D).
+    # they hold, the gather map to its free DOFs and its coarse levels, if any.
 
     @cached_property
     def flow_reduction(self) -> DirichletReduction:
@@ -230,8 +230,8 @@ class Model:
         forward solve at the softest k_1, then for every other k that solve's
         system with the rank-r update ``(k - k_1) / r * D_f D_f^T`` (r output
         nodes, D_f the rows of D at the free DOFs), through the one banded
-        Cholesky factorization in 2-D and by CG preconditioned with the one
-        multigrid hierarchy in 3-D."""
+        Cholesky factorization, or by CG preconditioned with the one
+        multigrid hierarchy where the reduction has coarse levels."""
         state = self.forward(rho_bar, k_out=k_values[0])
         free, n_out = self.elastic_reduction.free, self.output_op.shape[1]
         coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]

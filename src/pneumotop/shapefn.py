@@ -2,34 +2,18 @@
 
 All element matrices are evaluated with 2-point Gauss quadrature per axis,
 which integrates the (at most quadratic per axis) shape-function products
-exactly. Node ordering matches the grid connectivity: counter-clockwise in
-2-D, bottom face then top face in 3-D.
+exactly. Nodes come in the grid's corner order, ``grid.CORNER_OFFSETS``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-_CORNERS_2D = np.array(
-    [[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float
-)
-_CORNERS_3D = np.array(
-    [
-        [-1, -1, -1],
-        [1, -1, -1],
-        [1, 1, -1],
-        [-1, 1, -1],
-        [-1, -1, 1],
-        [1, -1, 1],
-        [1, 1, 1],
-        [-1, 1, 1],
-    ],
-    dtype=float,
-)
+from .grid import CORNER_OFFSETS
 
 
 def corner_signs(dim: int) -> np.ndarray:
     """Reference-corner sign pattern, shape (nen, dim)."""
-    return _CORNERS_2D if dim == 2 else _CORNERS_3D
+    return 2.0 * CORNER_OFFSETS[dim] - 1.0
 
 
 def gauss_points(dim: int) -> np.ndarray:

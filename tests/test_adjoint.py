@@ -13,6 +13,8 @@ from pneumotop.elasticity import PerformanceMetrics
 from pneumotop.errors import SolveError
 from pneumotop.model import Model
 
+from tinyproblem import block_problem_dict
+
 FD_STEP = 1e-5
 N_SAMPLES = 20
 
@@ -89,31 +91,14 @@ def _fd_assert(model, design, beta, spec, rng):
 
 def _instance_3d(nel):
     """A block of ``nel`` 1 mm elements, clamped at x = 0 and drained at the
-    far end; its solves take the multigrid path."""
-    length, width, height = (n * 0.001 for n in nel)
-    raw = {
-        "name": "fd" + "x".join(map(str, nel)),
-        "grid": {"dim": 3, "nel": list(nel), "h_m": 0.001},
-        "regions": [
-            {"role": "fixed_support", "box_m": [[0, 0, 0], [0, width, height]]},
-            {"role": "pressure_inlet", "box_m": [[0, 0.002, 0.001], [0, 0.0035, 0.003]]},
-            {"role": "pressure_drain", "box_m": [[length, 0, 0], [length, width, height]]},
-            {
-                "role": "output",
-                "box_m": [[length, 0.001, 0.001], [length, 0.003, 0.003]],
-                "direction": [0, -1, 0],
-                "k_out_n_per_m": 10.0,
-            },
-        ],
-        "materials": {"E_pa": [1e6, 1e7, 1e8]},
-        "flow": {"P_in_pa": 5e4},
-        "volume_fractions": [0.3, 0.2, 0.2],
-    }
-    return Model(problem.parse_problem(raw))
+    far end; its elastic solves take the multigrid path, and its flow solves
+    too once they have more than COARSEST_DOFS free DOFs (12x6x6)."""
+    return Model(problem.parse_problem(block_problem_dict(nel)))
 
 
 # The last entry is the 3-D grid, or None for the 2-D 8x8 instance; 9x5x4
-# has odd axes, which coarsen past the end of the grid.
+# has odd axes, which coarsen past the end of the grid, and 12x6x6 is the
+# one whose flow solves run on multigrid too.
 FD_CASES = [
     ("baseline", True, True, None),
     ("baseline", False, True, None),
@@ -124,8 +109,9 @@ FD_CASES = [
     ("baseline", True, True, (8, 4, 4)),
     ("energy_penalty", True, True, (8, 4, 4)),
     ("baseline", True, True, (9, 5, 4)),
+    ("baseline", True, True, (12, 6, 6)),
 ]
-_3D_IDS = {None: "", (8, 4, 4): "-3d", (9, 5, 4): "-3d-odd"}
+_3D_IDS = {None: "", (8, 4, 4): "-3d", (9, 5, 4): "-3d-odd", (12, 6, 6): "-3d-flow-multigrid"}
 
 
 @pytest.mark.parametrize(
@@ -139,6 +125,9 @@ def test_gradients_match_finite_differences(variant, drainage, springs, nel):
     design = _random_design(model, rng)
     spec = ObjectiveSpec(variant=variant, n=8.0, s=1.0)
     _fd_assert(model, design, beta=2.0, spec=spec, rng=rng)
+    if nel is not None:
+        assert model.elastic_reduction.levels
+        assert bool(model.flow_reduction.levels) == (nel == (12, 6, 6))
 
 
 def test_objective_value_examples():

@@ -331,8 +331,9 @@ def test_operators_keep_one_pattern_across_designs(tiny_model):
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     """After the first forward solve, assembly and reduction are gathers,
-    scatters and products on the patterns, maps and prolongations built for
-    it: in 3-D the coarse levels and the coarsest level's band map too."""
+    scatters and products on the patterns and maps built for it: in 3-D the
+    coarse levels, with their transfers and the coarsest level's band map,
+    too."""
     spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
     model = Model(spec)
     first, second = _designs(model, 1)
@@ -351,7 +352,6 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     spy(Grid, "node_pattern")  # every stencil_operator starts here
     spy(linalg.DirichletReduction, "__init__")
     spy(linalg.GalerkinLevel, "__init__")
-    spy(linalg, "_prolongations")
     spy(linalg.BandMap, "__init__")
     spy(darcy, "pressure_reduction")  # the flow set and its values
     state = model.forward(second)
@@ -365,15 +365,16 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
         assert np.shares_memory(mat.indices, op.indices)
     assert isinstance(state.disp.system.lu, linalg.MultigridCG) == (name == "gripper3d")
     if name == "gripper3d":
-        # the V-cycles run on the reductions' own transfers, levels and band maps
+        # the V-cycles run on the reductions' own levels, with their
+        # transfers, patterns and band maps
         for system, reduction in zip([state.disp.system, state.pressure.system], reductions):
             v_cycle = system.lu.v_cycle
-            assert v_cycle.prolongations is reduction.prolongations
-            assert v_cycle.restrictions is reduction.restrictions
-            assert len(v_cycle.restrictions) == len(reduction.levels) == len(v_cycle.levels) - 1 > 0
-            for a_l, level in zip(v_cycle.levels[1:], reduction.levels):
+            assert v_cycle.levels is reduction.levels
+            assert len(reduction.levels) == len(v_cycle.matrices) - 1 > 0
+            for a_l, level in zip(v_cycle.matrices[1:], reduction.levels):
                 assert np.shares_memory(a_l.indices, level.indices)
-            assert v_cycle.coarse.factor.shape[1] == reduction.band_map.n <= linalg.COARSEST_DOFS
+            coarsest = reduction.levels[-1]
+            assert v_cycle.coarse.factor.shape[1] == coarsest.band_map.n <= linalg.COARSEST_DOFS
 
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])

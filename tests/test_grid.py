@@ -66,6 +66,11 @@ def test_invalid_spec_rejected():
         GridSpec(2, (2, 2), 0.0)
     with pytest.raises(ConfigError):
         GridSpec(4, (2, 2, 2, 2), 1.0)
+    # sizes whose element matrices' (2/h)^2 or (h/2)^dim overflows
+    for dim, h in ((2, 1e-155), (3, 5e-324), (3, 2e103), (2, 10**400)):
+        with pytest.raises(ConfigError, match="overflows the element matrices"):
+            GridSpec(dim, (2,) * dim, h)
+    GridSpec(3, (2, 2, 2), 1e102)  # (h/2)^3 is still finite
 
 
 def test_dof_numbering_bijection():

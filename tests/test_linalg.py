@@ -12,6 +12,8 @@ from pneumotop.errors import SingularSystemError, SolveError
 from pneumotop.grid import GridSpec, build_grid, stencil_operator
 from pneumotop.model import Model
 
+from tinyproblem import block_problem_dict
+
 
 def _solve_dirichlet(g, op, coef, fixed, f, k=None):
     """``k x = f`` with ``x[fixed] = 0``, for ``k`` the matrix that ``op``
@@ -328,8 +330,8 @@ def test_multigrid_solve_meets_the_contract():
         g, op, coef, fixed, f = _elastic_3d(nel)
         u, free, system = _solve_dirichlet(g, op, coef, fixed, f)
         assert isinstance(system.lu, linalg.MultigridCG)
-        assert len(system.lu.v_cycle.prolongations) == n_levels
-        assert system.lu.v_cycle.levels[-1].shape[0] <= linalg.COARSEST_DOFS
+        assert len(system.lu.v_cycle.levels) == n_levels
+        assert system.lu.v_cycle.matrices[-1].shape[0] <= linalg.COARSEST_DOFS
         a_ff, b, free_ref = _reduced(op.assemble(coef), fixed, f)
         assert np.array_equal(free, free_ref) and np.all(u[fixed] == 0.0)
         assert _backward_error(a_ff, u[free], b) <= linalg.RESIDUAL_TOL
@@ -358,7 +360,7 @@ def test_v_cycle_is_a_symmetric_positive_definite_preconditioner():
     # and one after each coarse correction keeps the V-cycle symmetric
     _, free, system = _solve_dirichlet(*_elastic_3d())
     n = free.size
-    assert n == 600 and len(system.lu.v_cycle.prolongations) == 1
+    assert n == 600 and len(system.lu.v_cycle.levels) == 1
     m = np.column_stack([system.lu.v_cycle(e) for e in np.eye(n)])
     r1, r2 = np.random.default_rng(3).normal(size=(2, n))
     assert abs((m @ r1) @ r2 - r1 @ (m @ r2)) <= 1e-12 * np.linalg.norm(m @ r1) * np.linalg.norm(r2)
@@ -367,13 +369,15 @@ def test_v_cycle_is_a_symmetric_positive_definite_preconditioner():
 
 @pytest.mark.parametrize("nel,multigrid", [
     ((8, 4), False),
-    ((8, 4, 3), True),
-    ((7, 4, 4), True),
-    ((8, 4, 4), True),
-    ((2, 2, 2), True),
+    ((8, 4, 3), False),  # 405 free DOFs
+    ((7, 4, 4), False),  # 480
+    ((8, 4, 4), True),  # 540
+    ((2, 2, 2), False),
     ((32, 32, 2), True),
 ], ids=["2d", "3d-odd-z", "3d-odd-x", "3d-even", "3d-2x2x2", "3d-thin"])
 def test_grid_selects_the_solver(nel, multigrid):
+    # multigrid wherever the reduction has a coarse level: a 3-D free block
+    # of more than COARSEST_DOFS DOFs; banded Cholesky everywhere else
     g = build_grid(GridSpec(len(nel), nel, 1.0))
     fixed = np.arange(g.dim * np.prod(g.nnod_axis[:-1]))  # the first layer of nodes
     f = np.ones(g.n_disp_dofs)
@@ -382,12 +386,35 @@ def test_grid_selects_the_solver(nel, multigrid):
     assert isinstance(system.lu, linalg.MultigridCG) == multigrid
     assert isinstance(system.lu, linalg.BandedCholesky) != multigrid
     assert isinstance(system, linalg.FactorizedSystem)
+    assert multigrid == (g.dim == 3 and system.a.shape[0] > linalg.COARSEST_DOFS)
     if multigrid:
-        # coarsened, whatever the grid's shape, until the coarsest level is
-        # small; a system already that small is solved by its Cholesky alone
+        # coarsened, whatever the grid's shape, until the coarsest level is small
         v_cycle = system.lu.v_cycle
-        assert v_cycle.levels[-1].shape[0] <= linalg.COARSEST_DOFS
-        assert bool(v_cycle.prolongations) == (system.a.shape[0] > linalg.COARSEST_DOFS)
+        assert v_cycle.levels and v_cycle.matrices[-1].shape[0] <= linalg.COARSEST_DOFS
+
+
+def test_small_3d_reduction_sweeps_through_its_cholesky_factor():
+    # a 3-D free block of at most COARSEST_DOFS DOFs has no coarse level: it
+    # is factored by banded Cholesky, and a spring sweep runs on its rank
+    # update, as in 2-D
+    model = Model(problem.parse_problem(block_problem_dict((4, 4, 3))))
+    for reduction in (model.elastic_reduction, model.flow_reduction):
+        assert not reduction.levels and reduction.free.size <= linalg.COARSEST_DOFS
+    x = np.random.default_rng(8).uniform(0.0, 1.0, (3, model.grid.nelem))
+    rho = model.physical_fields(x, 8.0)[1]
+    state = model.forward(rho, k_out=10.0)
+    assert isinstance(state.pressure.system.lu, linalg.BandedCholesky)
+    assert isinstance(state.disp.system.lu, linalg.BandedCholesky)
+    free = model.elastic_reduction.free
+    (updated,) = state.disp.system.rank_updates(model.output_op[free], [1.0])
+    assert isinstance(updated.lu, linalg.WoodburyUpdate)
+    assert updated.lu.factor is state.disp.system.lu
+    del updated
+    sweep = [10.0, 1e2, 1e4, 1e6]
+    for k, row in zip(sweep, model.sweep(rho, sweep)):
+        ref = model.forward(rho, k_out=k).metrics
+        for name in ("u_out", "SE", "W"):
+            assert getattr(row, name) == pytest.approx(getattr(ref, name), rel=5e-8, abs=0)
 
 
 def test_multigrid_rank_updates_solve_updated_matrix():
@@ -411,20 +438,40 @@ def test_multigrid_rank_updates_solve_updated_matrix():
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
-def explicit_levels(a, reduction):
-    """``Pᵀ A P`` at every coarse level of ``reduction``, formed by sparse
-    products from the free block of ``a``."""
-    level, out = sparse.csr_matrix(a)[reduction.free][:, reduction.free], []
-    for p in reduction.prolongations:
-        level = (p.T @ level @ p).tocsr()
-        out.append(level)
+def _interpolation(nel, dofs_per_node):
+    """Trilinear interpolation onto the nodes of ``nel`` elements per axis
+    from those of twice as long ones, node-major with x fastest: each
+    fine node i of an axis takes coarse node j by the hat 1 - |i - 2j| / 2."""
+    p = sparse.identity(dofs_per_node, format="csr")
+    for n in nel:
+        fine, coarse = np.arange(n + 1), np.arange((n + 1) // 2 + 1)
+        hat = np.clip(1.0 - np.abs(fine[:, None] - 2 * coarse) / 2.0, 0.0, None)
+        p = sparse.kron(hat, p, format="csr")
+    return p
+
+
+def explicit_levels(a, reduction, nel):
+    """``Pᵀ A P`` at every coarse level of ``reduction`` on a grid of ``nel``
+    elements, formed by sparse products from the free block of ``a``. Each
+    level keeps the DOFs that its finer level's kept DOFs interpolate from,
+    and its prolongation is that interpolation on those rows and columns."""
+    matrix, finer = sparse.csr_matrix(a)[reduction.free][:, reduction.free], reduction.free
+    dofs_per_node, out = a.shape[0] // np.prod([m + 1 for m in nel]), []
+    for level in reduction.levels:
+        p = _interpolation(nel, dofs_per_node)[finer]
+        assert np.array_equal(level.keep, np.flatnonzero(p.getnnz(axis=0)))
+        p = p[:, level.keep]
+        assert (level.prolongation != p).nnz == 0 and (level.restriction != p.T).nnz == 0
+        matrix = (p.T @ matrix @ p).tocsr()
+        out.append(matrix)
+        finer, nel = level.keep, [(m + 1) // 2 for m in nel]
     return out
 
 
-def assert_levels_match(levels, a, reduction):
+def assert_levels_match(levels, a, reduction, nel):
     """Each of ``levels`` equals the explicit product of its level, to 1e-13
     of its largest entry."""
-    explicit = explicit_levels(a, reduction)
+    explicit = explicit_levels(a, reduction, nel)
     assert len(levels) == len(explicit) > 0
     for built, ref in zip(levels, explicit):
         assert built.shape == ref.shape
@@ -449,9 +496,9 @@ def test_galerkin_levels_match_explicit_products(nel, dirichlet, n_levels):
     reduction = linalg.DirichletReduction(op, fixed, g)
     assert len(reduction.levels) == n_levels
     coarse_nodes = np.prod([(m + 1) // 2 + 1 for m in nel])
-    assert (reduction.levels[0].n < 3 * coarse_nodes) == (dirichlet == "thick-clamp")
+    assert (reduction.levels[0].keep.size < 3 * coarse_nodes) == (dirichlet == "thick-clamp")
     assert_levels_match([level.matrix(coef) for level in reduction.levels],
-                        op.assemble(coef), reduction)
+                        op.assemble(coef), reduction, g.nel_axis)
 
 
 def test_flow_galerkin_levels_match_explicit_products():
@@ -463,7 +510,7 @@ def test_flow_galerkin_levels_match_explicit_products():
     drain = np.flatnonzero((g.coords[:, 0] == 12.0) & (g.coords[:, 1] <= 2.0))
     reduction = linalg.DirichletReduction(op, np.concatenate([inlet, drain]), g, 1.0)
     assert_levels_match([level.matrix(coef) for level in reduction.levels],
-                        op.assemble(coef), reduction)
+                        op.assemble(coef), reduction, g.nel_axis)
 
 
 def _gripper3d_design():
@@ -482,7 +529,7 @@ def test_gripper3d_v_cycles_run_on_the_explicit_products():
         (state.disp.system, state.k_struct, model.elastic_reduction),
         (state.pressure.system, state.flow.A, model.flow_reduction),
     ]:
-        assert_levels_match(system.lu.v_cycle.levels[1:], a, reduction)
+        assert_levels_match(system.lu.v_cycle.matrices[1:], a, reduction, model.grid.nel_axis)
 
 
 def test_3d_systems_form_no_sparse_product(monkeypatch):
@@ -513,7 +560,8 @@ def test_prolongations_reproduce_linear_fields(dofs_per_node):
                             ((64, 4, 1), (32, 2, 1)), ((48, 2, 3), (24, 1, 2))):
         fine, coarse = (build_grid(GridSpec(3, m, h)) for m, h in ((nel, 1.0), (coarse_nel, 2.0)))
         n = dofs_per_node * fine.nnodes
-        p = linalg._prolongations(nel, n, np.arange(n))[0]
+        op = (darcy.FlowAssembler(fine) if dofs_per_node == 1 else ElasticAssembler(fine, 0.3)).op
+        p = linalg.DirichletReduction(op, np.array([], dtype=int), fine).levels[0].prolongation
         assert p.shape == (n, dofs_per_node * coarse.nnodes)
         assert np.allclose(p @ linear(coarse.coords), linear(fine.coords), rtol=0, atol=1e-12)
 
@@ -532,7 +580,7 @@ def test_reduction_gathers_the_free_block_in_solver_order(nel):
     _, system = reduction.solve(k, np.ones(k.shape[0]), coef, "test system")
     ref = k.tocsc()[reduction.free][:, reduction.free]
     assert abs(system.a - ref).max() == 0.0
-    if g.dim == 3:  # the exact zeros are pruned before CG
+    if reduction.levels:  # the exact zeros are pruned before CG
         assert system.a.nnz < ref.nnz and np.all(system.a.data != 0.0)
 
 

@@ -219,7 +219,7 @@ def test_refined_gripper3d_smoke(tmp_path):
     model = Model(spec)
     assert model.grid.n_disp_dofs == 91_875
     state = model.forward(io.load_design(tmp_path / "design.json")[1])
-    assert len(state.disp.system.lu.v_cycle.prolongations) == 3
+    assert len(state.disp.system.lu.v_cycle.levels) == 3
 
     p, flow = state.pressure.p, model.flow_reduction
     a_f = sparse.csr_matrix(state.flow.A)[flow.free]
@@ -250,7 +250,7 @@ def test_odd_gripper3d_runs_on_multigrid(tmp_path):
     state = model.forward(io.load_design(tmp_path / "design.json")[1])
     assert isinstance(state.pressure.system.lu, linalg.MultigridCG)
     assert isinstance(state.disp.system.lu, linalg.MultigridCG)
-    assert len(state.disp.system.lu.v_cycle.prolongations) == 2
+    assert len(state.disp.system.lu.v_cycle.levels) == 2
     free = model.elastic_reduction.free
     k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
     band = linalg.BandMap(k.indptr, k.indices).band(k.data)

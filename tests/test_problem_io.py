@@ -487,6 +487,21 @@ def test_non_finite_problem_numbers_are_config_errors(tmp_path, path, value):
     assert cli.main(["optimize", str(prob), "--out-dir", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("h", [1e-300, 1e300])
+def test_element_size_that_overflows_the_templates_exit_3(tmp_path, h, capsys):
+    # the tiny problem scaled to h: (2/h)^2 or (h/2)^2 overflows shapefn's
+    # element matrices, which once ended in an OverflowError traceback
+    raw = tiny_problem_dict()
+    scale = h / raw["grid"]["h_m"]
+    raw["grid"]["h_m"] = h
+    for region in raw["regions"]:
+        region["box_m"] = [[v * scale for v in corner] for corner in region["box_m"]]
+    prob = tmp_path / "scaled.json"
+    prob.write_text(json.dumps(raw))
+    assert cli.main(["optimize", str(prob), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "overflows the element matrices" in capsys.readouterr().err
+
+
 def test_cli_optimize_bad_problem_exit_3(tmp_path):
     prob = tmp_path / "bad.json"
     raw = tiny_problem_dict()
