@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .grid import TAG_DESIGN, Grid, lattice_neighbours
 from .materials import FlowParams
 
-DEFAULT_VOID_THRESHOLD = 0.5
+VOID_THRESHOLD = 0.5  # topology density below which an element is void
 
 
 @dataclass(frozen=True)
@@ -51,25 +51,19 @@ def heuristic_skin(
     level = params.p_atm + 0.5 * (params.P_in - params.p_atm)
     pe = np.asarray(p, dtype=float)[grid.conn]
     straddles = (pe.min(axis=1) <= level) & (pe.max(axis=1) >= level)
-    target = straddles & (rho_bar[0] < DEFAULT_VOID_THRESHOLD)
+    target = straddles & (rho_bar[0] < VOID_THRESHOLD)
     rho_bar[:, target] = np.asarray(skin_pattern, dtype=float)[:, None]
     return rho_bar, int(target.sum())
 
 
-def check_sealed(
-    rho_bar1: np.ndarray,
-    grid: Grid,
-    inlet_faces,
-    drain_faces,
-    threshold: float = DEFAULT_VOID_THRESHOLD,
-) -> SealReport:
+def check_sealed(rho_bar1: np.ndarray, grid: Grid, inlet_faces, drain_faces) -> SealReport:
     """Breadth-first flood fill through void from inlet toward drain.
 
-    Elements with topology density below ``threshold`` conduct; adjacency is
-    face-based (corner contact does not pass fluid). The report includes a
-    shortest inlet-to-drain element path when the domain leaks.
+    Elements with topology density below ``VOID_THRESHOLD`` conduct;
+    adjacency is face-based (corner contact does not pass fluid). The report
+    includes a shortest inlet-to-drain element path when the domain leaks.
     """
-    void = np.asarray(rho_bar1) < threshold
+    void = np.asarray(rho_bar1) < VOID_THRESHOLD
     seeds = [f[0] for f in inlet_faces if void[f[0]]]
     drain_elems = {f[0] for f in drain_faces}
     # face-adjacent element ids in (axis, side) order, -1 past the boundary
@@ -78,13 +72,8 @@ def check_sealed(
     nbrs = np.where(inside, ids, -1)
 
     pred: dict[int, int] = {s: -1 for s in seeds}
-    queue = deque(seeds)
-    hit = None
-    for s in seeds:
-        if s in drain_elems:
-            hit = s
-            queue.clear()
-            break
+    hit = next((s for s in seeds if s in drain_elems), None)  # an inlet that drains
+    queue = deque(seeds if hit is None else ())
     while queue:
         e = queue.popleft()
         for nb in nbrs[e]:

@@ -17,7 +17,7 @@ from scipy import sparse
 
 from . import shapefn
 from .errors import ConfigError, SingularSystemError
-from .grid import Grid, RegionSelection, stencil_operator
+from .grid import Grid, RegionSelection, node_dofs, stencil_operator
 from .linalg import DirichletReduction, FactorizedSystem
 
 
@@ -73,7 +73,7 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
     r nodes along any unit direction."""
     d = np.asarray(sel.region.direction, dtype=float)
     r = sel.nodes.size
-    rows = (grid.dim * sel.nodes[:, None] + np.arange(grid.dim)).ravel()
+    rows = node_dofs(sel.nodes, grid.dim).ravel()
     cols = np.repeat(np.arange(r), grid.dim)
     return sparse.csr_matrix(
         (np.tile(d, r), (rows, cols)), shape=(grid.n_disp_dofs, r)

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy import sparse
+
 from .errors import ConfigError
-from .grid import Neighborhoods
 from .materials import smoothed_heaviside
 
 
@@ -28,9 +29,10 @@ class ProjectionParams:
             raise ConfigError(f"projection eta must be in (0,1), got {self.eta}")
 
 
-def filter_densities(rho: np.ndarray, neigh: Neighborhoods) -> np.ndarray:
-    """Weighted neighbor average; accepts (nel,) or (nch, nel) arrays."""
-    return (neigh.normalized @ np.asarray(rho, dtype=float).T).T
+def filter_densities(rho: np.ndarray, kernel: sparse.csr_matrix) -> np.ndarray:
+    """Weighted neighbor average by the row-normalized ``kernel``
+    (``grid.filter_matrix``); accepts (nel,) or (nch, nel) arrays."""
+    return (kernel @ np.asarray(rho, dtype=float).T).T
 
 
 def project(rho_tilde: np.ndarray, params: ProjectionParams):
@@ -47,7 +49,7 @@ def invert_projection(target, params: ProjectionParams):
 
 
 def chain_sensitivities(
-    df_drho_bar: np.ndarray, dproj: np.ndarray, neigh: Neighborhoods
+    df_drho_bar: np.ndarray, dproj: np.ndarray, kernel: sparse.csr_matrix
 ) -> np.ndarray:
     """Pull a gradient w.r.t. physical densities back to design variables.
 
@@ -55,7 +57,7 @@ def chain_sensitivities(
     row-normalized filter; accepts (nel,) or (nch, nel) arrays.
     """
     scaled = np.asarray(df_drho_bar, dtype=float) * dproj
-    return (neigh.normalized.T @ scaled.T).T
+    return (kernel.T @ scaled.T).T
 
 
 def grayness(rho_bar1: np.ndarray) -> float:

@@ -1,9 +1,9 @@
-"""Structured quad/hex grids: DOF numbering, region selection, filter
-neighborhoods, and the fixed-pattern stencil operators assembly uses.
+"""Structured quad/hex grids: DOF numbering, region selection, the density
+filter, and the fixed-pattern stencil operators assembly uses.
 
 Elements are uniform squares (2-D) or cubes (3-D), numbered lexicographically
 with x fastest. Each node carries one pressure DOF (equal to the node index)
-and ``dim`` displacement DOFs (``dim * node + component``).
+and ``dim`` displacement DOFs (``dim * node + component``, ``node_dofs``).
 """
 from __future__ import annotations
 
@@ -122,6 +122,18 @@ def lattice_neighbours(ijk: np.ndarray, shape: tuple[int, ...], offsets: np.ndar
     return inside, ids
 
 
+def node_dofs(nodes: np.ndarray, comps: int) -> np.ndarray:
+    """The DOFs ``comps * node + c`` of ``nodes``, one component c per entry
+    of a new last axis, in the nodes' index dtype; written one component at
+    a time (numpy loops slowly over a short last axis)."""
+    nodes = np.asarray(nodes)
+    base = nodes * nodes.dtype.type(comps)
+    out = np.empty(nodes.shape + (comps,), dtype=nodes.dtype)
+    for c in range(comps):
+        np.add(base, nodes.dtype.type(c), out=out[..., c])
+    return out
+
+
 def in_box(points: np.ndarray, box, h: float) -> np.ndarray:
     """Which ``points`` (n x d, in m) lie in the axis-aligned ``box``
     ((lo...), (hi...)), its faces included and widened by h BOX_TOL_FACTOR
@@ -157,10 +169,7 @@ class Grid:
         # every corner is a node
         self.conn = lattice_neighbours(self.elem_ijk, self.nnod_axis, offsets)[1]
 
-        comps = np.arange(self.dim, dtype=np.int32)
-        self.edof_u = (
-            self.dim * self.conn[:, :, None] + comps[None, None, :]
-        ).reshape(self.nelem, self.dim * self.nen)
+        self.edof_u = node_dofs(self.conn, self.dim).reshape(self.nelem, -1)
 
         # Local corner ids per (axis, side) element face.
         self._face_corners = {
@@ -205,8 +214,8 @@ class Grid:
                 src -= np.repeat(indptr[:-1] - np.repeat(node_ptr, row_comps), lens)
                 indices = np.take(neighbours, src)
             # an entry's place: its row's start plus its column node's rank
-            row_dofs = row_comps * self.conn[:, :, None] + np.arange(row_comps, dtype=np.int32)
-            slot = np.take(indptr, row_dofs)[:, :, :, None] + corner_rank[:, :, None, :]
+            row_start = np.take(indptr, node_dofs(self.conn, row_comps))
+            slot = row_start[:, :, :, None] + corner_rank[:, :, None, :]
             self._node_patterns[row_comps] = indptr, indices, slot
         return self._node_patterns[row_comps]
 
@@ -349,17 +358,6 @@ def pattern_slots(indptr, indices, rows, cols) -> np.ndarray:
     return start + hit.argmax(axis=1)
 
 
-def _widen(nodes: np.ndarray, comps: int) -> np.ndarray:
-    """``comps * nodes + c`` for each component c along a new last axis,
-    written one component at a time (numpy loops slowly over a short last
-    axis)."""
-    base = np.int32(comps) * nodes
-    out = np.empty(nodes.shape + (comps,), dtype=np.int32)
-    for c in range(comps):
-        np.add(base, np.int32(c), out=out[..., c])
-    return out
-
-
 def element_pattern(grid: Grid, row_comps: int = 1, col_comps: int = 1):
     """``(indptr, indices, slot)`` of an operator mapping ``col_comps`` DOFs
     per node to ``row_comps``: its CSR pattern, and the place in its data of
@@ -373,8 +371,8 @@ def element_pattern(grid: Grid, row_comps: int = 1, col_comps: int = 1):
     indptr, indices, slot = grid.node_pattern(row_comps)
     if col_comps > 1:
         indptr = np.int32(col_comps) * indptr
-        indices = _widen(indices, col_comps).ravel()
-        slot = _widen(slot, col_comps)
+        indices = node_dofs(indices, col_comps).ravel()
+        slot = node_dofs(slot, col_comps)
     return indptr, indices, slot.reshape(grid.nelem, -1)
 
 
@@ -400,22 +398,12 @@ def stencil_operator(grid: Grid, templates, row_comps: int = 1, col_comps: int =
     return StencilOperator(indptr, indices, shape, scatter, templates)
 
 
-@dataclass(frozen=True)
-class Neighborhoods:
-    """Cone-weighted filter neighborhoods over element centroids.
-
-    ``weights`` holds w_ij = max(0, r_min - |c_i - c_j|); ``normalized`` is
-    the same matrix with rows scaled to sum to one.
-    """
-
-    weights: sparse.csr_matrix
-    normalized: sparse.csr_matrix = field(repr=False)
-
-
-def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
-    """Precompute the linear distance-weighted neighbor matrix, in one pass
-    over the (element, offset) table: with x fastest, the column ids of a row
-    grow with the offset, so the table read row by row is the CSR."""
+def filter_matrix(grid: Grid, r_min: float) -> sparse.csr_matrix:
+    """The density filter: the cone weights w_ij = max(0, r_min - |c_i -
+    c_j|) between element centroids, each row scaled to sum to one. Built in
+    one pass over the (element, offset) table: with x fastest, the column
+    ids of a row grow with the offset, so the table read row by row is the
+    CSR."""
     if not r_min > 0:
         raise ConfigError(f"filter radius must be > 0, got {r_min}")
     reach = int(np.ceil(r_min / grid.h))
@@ -428,11 +416,9 @@ def filter_neighborhoods(grid: Grid, r_min: float) -> Neighborhoods:
     counts = valid.sum(axis=1)
     indptr = np.zeros(grid.nelem + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    shape = (grid.nelem, grid.nelem)
-    weights = sparse.csr_matrix(
-        (np.broadcast_to(wvals, valid.shape)[valid], cols[valid], indptr), shape=shape
+    kernel = sparse.csr_matrix(
+        (np.broadcast_to(wvals, valid.shape)[valid], cols[valid], indptr),
+        shape=(grid.nelem, grid.nelem),
     )
-    row_sums = np.asarray(weights.sum(axis=1)).ravel()
-    scaled = weights.data * np.repeat(1.0 / row_sums, counts)
-    normalized = sparse.csr_matrix((scaled, weights.indices, weights.indptr), shape=shape)
-    return Neighborhoods(weights, normalized)
+    kernel.data *= np.repeat(1.0 / np.asarray(kernel.sum(axis=1)).ravel(), counts)
+    return kernel

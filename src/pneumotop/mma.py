@@ -79,17 +79,13 @@ def _convex_terms(grad, rho, sub: _Subproblem):
 
 class MMA:
     """Stateful MMA driver; the problem size is that of the first update's
-    arrays.
+    arrays. It keeps what the next update needs: the asymptotes, the last
+    two points and the last subproblem. The caller passes each update's
+    move limit: the optimizer's continuation shrinks it as the projection
+    sharpens, to ``move_limit * sqrt(beta_p_initial / beta)`` and no less
+    than ``min(0.05, move_limit)``."""
 
-    Parameters
-    ----------
-    move : float
-        Move limit as a fraction of the box width per update.
-    """
-
-    def __init__(self, move: float = 0.2):
-        self.move = move
-        self.iteration = 0
+    def __init__(self):
         self.low = None
         self.upp = None
         self.xold1 = None
@@ -102,16 +98,16 @@ class MMA:
         df0dx: np.ndarray,
         g: np.ndarray,
         dgdx: np.ndarray,
-        move: float | None = None,
+        move: float,
     ) -> np.ndarray:
-        """One MMA step; returns the new design within move limits and [0, 1]."""
+        """One MMA step; returns the new design within ``move`` (a fraction
+        of the box width) of ``x`` and within [0, 1]."""
         x = np.asarray(x, dtype=float)
         df0dx = np.asarray(df0dx, dtype=float)
         g = np.atleast_1d(np.asarray(g, dtype=float))
         dgdx = np.atleast_2d(np.asarray(dgdx, dtype=float))
         if not (np.all(np.isfinite(df0dx)) and np.all(np.isfinite(dgdx))):
             raise SolveError("MMA received non-finite gradients")
-        move = self.move if move is None else min(move, self.move)
 
         if not np.any(df0dx) and not np.any(dgdx):
             self._sub = None
@@ -122,7 +118,6 @@ class MMA:
         # normalizing makes the step independent of the objective's units.
         scale = max(np.abs(df0dx).max(), 1.0)
 
-        self.iteration += 1
         self.low, self.upp = self._asymptotes(x)
         sub = _Subproblem(
             x=x.copy(), df0dx=df0dx / scale, g=g, dgdx=dgdx, low=self.low,
@@ -166,7 +161,7 @@ class MMA:
         return self._solve(sub)
 
     def _asymptotes(self, x):
-        if self.iteration <= 2 or self.xold2 is None:
+        if self.xold2 is None:  # the first two updates
             return x - ASYINIT, x + ASYINIT
         zzz = (x - self.xold1) * (self.xold1 - self.xold2)
         factor = np.ones_like(x)

@@ -23,8 +23,9 @@ from .grid import (
     TAG_PASSIVE_VOID,
     Grid,
     build_grid,
-    filter_neighborhoods,
+    filter_matrix,
     in_box,
+    node_dofs,
     pattern_slots,
     select_region,
 )
@@ -62,9 +63,7 @@ class Model:
         self.grid: Grid = build_grid(spec.grid)
         self.mats = spec.materials
         self.flow_params = spec.flow
-        self.kernel = filter_neighborhoods(
-            self.grid, spec.filter.r_min_elems * self.grid.h
-        )
+        self.kernel = filter_matrix(self.grid, spec.filter.r_min_elems * self.grid.h)
         self.proj_eta = spec.filter.eta_p
 
         self.selections = [select_region(self.grid, r) for r in spec.regions]
@@ -88,12 +87,10 @@ class Model:
         self.inlet_faces = tuple(f for s in inlets for f in s.faces)
         self.drain_faces = tuple(f for s in drains for f in s.faces)
 
-        fixed = []
-        for sel in by_role["fixed_support"]:
-            for c in range(self.grid.dim):
-                fixed.append(self.grid.dim * sel.nodes + c)
+        dim = self.grid.dim
+        fixed = [node_dofs(sel.nodes, dim).ravel() for sel in by_role["fixed_support"]]
         for sel in by_role.get("symmetry", []):
-            fixed.append(self.grid.dim * sel.nodes + sel.normal_axis)
+            fixed.append(node_dofs(sel.nodes, dim)[:, sel.normal_axis])
         self.fixed_u_dofs = np.unique(np.concatenate(fixed))
 
         (self.output_sel,) = by_role["output"]

@@ -2,9 +2,16 @@
 
 Each iteration maps design to physical densities, solves both physics,
 evaluates the objective and the per-channel volume constraints, and asks MMA
-for the next design. The projection sharpness follows a doubling
-continuation schedule; convergence requires a small design change, satisfied
-constraints, and a fully sharpened projection.
+for the next design, with a move limit that shrinks as beta grows.
+Convergence requires a small design change, satisfied constraints, and a
+fully sharpened projection.
+
+The projection sharpness beta follows one continuation rule: an iteration
+with zero design change doubles beta, up to ``beta_p_max``, and restarts the
+stall count. That is a stall (the previous change below ``change_tol``),
+which takes no gradient or MMA step, or an MMA step that did not move. Every
+``beta_p_double_every``-th iteration also doubles beta but leaves the stall
+count alone.
 
 At a fixed projection sharpness the accepted iterates never raise the
 objective: a step whose forward solve gives a higher f is rejected and
@@ -131,15 +138,13 @@ def run(model: Model, sink=None) -> RunResult:
     subproblem solve, no adjoint, and produces no IterationRecord. If
     ``MAX_TRIALS`` trials in a row are rejected, the design is kept.
 
-    Every record carries the beta its f was evaluated at. A record with a
-    zero design change (a stall, or no step taken) is followed by a
-    doubling of beta, as is every ``beta_p_double_every``-th iteration,
-    until ``beta_p_max``.
+    Every record carries the beta its f was evaluated at; beta follows the
+    continuation rule of the module docstring.
     """
     settings = model.spec.optimizer
     fspec = model.spec.filter
     packer = _DesignPacker(model)
-    mma = MMA(move=settings.move_limit)
+    mma = MMA()
 
     design = initialize(model)
     beta = fspec.beta_p_initial
@@ -169,46 +174,41 @@ def run(model: Model, sink=None) -> RunResult:
         g = constraint_values(rho_bar, model)
         feasible = bool(np.all(g <= FEASIBILITY_TOL))
         stalled = prev_change < settings.change_tol
+        sharpenable = beta < fspec.beta_p_max
+        scheduled = sharpenable and it % fspec.beta_p_double_every == 0
 
-        if stalled and feasible and beta >= fspec.beta_p_max:
+        if stalled and feasible and not sharpenable:
             record(_record(it, f, g, prev_change, state, beta))
             converged = True
             break
-        if stalled and beta < fspec.beta_p_max:
-            record(_record(it, f, g, 0.0, state, beta))
-            beta = min(beta * 2.0, fspec.beta_p_max)
-            log.info("iter %d: stalled, sharpening projection to beta=%g", it, beta)
-            prev_change = np.inf
-            evaluated = None
-            continue
 
-        try:
-            # f stays objective_value's, the function trial steps are
-            # compared with, so that recorded f never rises at one beta
-            _, df_drho = adjoint.total_gradient(
-                model, state, model.spec.objective, s, dproj
-            )
-        except SolveError as exc:
-            raise SolveError(f"iteration {it}, adjoint solve: {exc}") from exc
+        x = x_new = packer.pack(design)
+        if not (stalled and sharpenable):  # a stall takes no step
+            try:
+                # f stays objective_value's, the function trial steps are
+                # compared with, so that recorded f never rises at one beta
+                _, df_drho = adjoint.total_gradient(
+                    model, state, model.spec.objective, s, dproj
+                )
+            except SolveError as exc:
+                raise SolveError(f"iteration {it}, adjoint solve: {exc}") from exc
 
-        x = packer.pack(design)
-        df_x = packer.pack(df_drho)
-        dg_x = np.stack([packer.pack(dg) for dg in constraint_gradients(model, dproj)])
+            df_x = packer.pack(df_drho)
+            dg_x = np.stack([packer.pack(dg) for dg in constraint_gradients(model, dproj)])
 
-        # Shrink steps as the projection sharpens: full moves across the
-        # steep transition band alias into 2-cycles that never settle.
-        move = settings.move_limit * (fspec.beta_p_initial / beta) ** 0.5
-        move = max(move, min(0.05, settings.move_limit))
-        try:
-            x_new = mma.update(x, df_x, g + FEASIBILITY_SHIFT, dg_x, move=move)
-        except SolveError as exc:
-            raise SolveError(f"iteration {it}, MMA update: {exc}") from exc
+            # Shrink steps as the projection sharpens: full moves across the
+            # steep transition band alias into 2-cycles that never settle.
+            move = settings.move_limit * (fspec.beta_p_initial / beta) ** 0.5
+            move = max(move, min(0.05, settings.move_limit))
+            try:
+                x_new = mma.update(x, df_x, g + FEASIBILITY_SHIFT, dg_x, move=move)
+            except SolveError as exc:
+                raise SolveError(f"iteration {it}, MMA update: {exc}") from exc
 
-        sharpen = it % fspec.beta_p_double_every == 0 and beta < fspec.beta_p_max
-        if not sharpen and np.any(x_new != x):
-            x_new, evaluated = _descend(
-                model, mma, packer, design, x, x_new, f, s, beta, it, evaluated
-            )
+            if not scheduled and np.any(x_new != x):
+                x_new, evaluated = _descend(
+                    model, mma, packer, design, x, x_new, f, s, beta, it, evaluated
+                )
 
         change = float(np.max(np.abs(x_new - x))) if x.size else 0.0
         record(_record(it, f, g, change, state, beta))
@@ -217,17 +217,15 @@ def run(model: Model, sink=None) -> RunResult:
             it, f, np.array2string(g, precision=3), change,
             history[-1].grayness, beta,
         )
-
         design = packer.unpack(x_new, design)
-        prev_change = change
-        if change == 0.0 and beta < fspec.beta_p_max:
+
+        # The continuation rule: a zero design change below beta_p_max doubles
+        # beta and restarts the stall count; a scheduled doubling leaves it.
+        prev_change = np.inf if change == 0.0 and sharpenable else change
+        if sharpenable and (change == 0.0 or scheduled):
+            reason = "stalled" if stalled else "no step taken" if change == 0.0 else "scheduled"
             beta = min(beta * 2.0, fspec.beta_p_max)
-            log.info("iter %d: no step taken, sharpening projection to beta=%g", it, beta)
-            prev_change = np.inf
-            evaluated = None
-        elif sharpen:
-            beta = min(beta * 2.0, fspec.beta_p_max)
-            log.info("iter %d: scheduled projection sharpening to beta=%g", it, beta)
+            log.info("iter %d: %s, sharpening projection to beta=%g", it, reason, beta)
             evaluated = None
 
     if evaluated is None:

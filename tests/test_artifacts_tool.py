@@ -1,0 +1,36 @@
+"""The artifact comparison of ``tools/artifacts.py``."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "artifacts.py"
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    spec = importlib.util.spec_from_file_location("artifacts", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_run(root: Path, summary: dict, history: str):
+    (root / "case").mkdir(parents=True)
+    (root / "case" / "summary.json").write_text(json.dumps(summary))
+    (root / "case" / "history.csv").write_text(history)
+
+
+def test_compare_ignores_wall_time_and_paths_only(artifacts, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write_run(a, {"iterations": 3, "wall_time_s": 1.0, "design": "a/design.json"}, "1,2\n")
+    _write_run(b, {"iterations": 3, "wall_time_s": 2.0, "design": "b/design.json"}, "1,2\n")
+    assert artifacts.main(["compare", str(a), str(b)]) == 0
+    (b / "case" / "history.csv").write_text("1,3\n")
+    (b / "case" / "extra.vtk").write_text("")
+    assert artifacts.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "differs: case/history.csv" in out and "only in" in out and "extra.vtk" in out
+    with pytest.raises(SystemExit):
+        artifacts.main(["compare", str(a), str(tmp_path / "missing")])

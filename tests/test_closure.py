@@ -12,6 +12,8 @@ from pneumotop.grid import (
     select_region,
 )
 from pneumotop.materials import FlowParams, drainage_for_wall
+from pneumotop.model import Model
+from pneumotop.problem import load_problem
 
 from gridindex import elem_index
 from solves import flow_solve
@@ -45,6 +47,14 @@ def test_flood_fill_open_column_path_length():
     assert not rep.sealed
     assert len(rep.leak_path) == 10
     assert list(rep.leak_path) == list(range(10))
+
+
+def test_flood_fill_inlet_element_that_drains():
+    # one element whose left face is the inlet and right face the drain:
+    # void, it leaks on its own; solid, nothing enters
+    g, inlet, drain = _column(1)
+    assert check_sealed(np.zeros(1), g, inlet, drain).leak_path == (0,)
+    assert check_sealed(np.ones(1), g, inlet, drain).sealed
 
 
 def test_flood_fill_pinhole_detected():
@@ -147,6 +157,18 @@ def test_non_design_skin_counts_and_exemptions():
     x0_layer = g.elem_ijk[:, 0] == 0
     inner_yz = np.all((g.elem_ijk[:, 1:] >= 1) & (g.elem_ijk[:, 1:] <= 2), axis=1)
     assert np.all(out2[x0_layer & inner_yz] == TAG_DESIGN)
+
+
+def test_skin_closure_leaves_gripper3d_inlet_and_symmetry_planes_open():
+    # the inlet lies on x = 0 and the symmetry planes are y = 0 and z = 0:
+    # the skin covers the three far faces only
+    spec = load_problem("gripper3d", closure="skin")
+    model = Model(spec)
+    assert model.exempt_faces() == {(0, 0), (1, 0), (2, 0)}
+    t, ijk = spec.closure.skin_thickness_elems, model.grid.elem_ijk
+    far = np.any(ijk >= np.array(model.grid.nel_axis) - t, axis=1)
+    assert np.array_equal(model.mask == 1, far)
+    assert np.all(model.mask[~far] == TAG_DESIGN)
 
 
 def test_non_design_skin_errors():

@@ -10,7 +10,7 @@ from pneumotop.filtering import (
     invert_projection,
     project,
 )
-from pneumotop.grid import GridSpec, build_grid, filter_neighborhoods
+from pneumotop.grid import GridSpec, build_grid, filter_matrix
 
 from gridindex import elem_index
 
@@ -21,29 +21,33 @@ def grid6():
 
 
 def test_uniform_field_is_fixed_point(grid6):
-    neigh = filter_neighborhoods(grid6, 1.5)
+    kernel = filter_matrix(grid6, 1.5)
     rho = np.full(grid6.nelem, 0.37)
-    assert np.allclose(filter_densities(rho, neigh), 0.37, atol=1e-14)
+    assert np.allclose(filter_densities(rho, kernel), 0.37, atol=1e-14)
 
 
 def test_self_only_filter_is_identity(grid6):
-    neigh = filter_neighborhoods(grid6, 0.5)
+    kernel = filter_matrix(grid6, 0.5)
     rho = np.zeros(grid6.nelem)
     rho[elem_index(grid6, (3, 3))] = 1.0
-    assert np.array_equal(filter_densities(rho, neigh), rho)
+    assert np.array_equal(filter_densities(rho, kernel), rho)
 
 
 def test_checkerboard_blurs_to_interior_value(grid6):
-    neigh = filter_neighborhoods(grid6, 1.5)
+    kernel = filter_matrix(grid6, 1.5)
     ij = grid6.elem_ijk
     rho = ((ij[:, 0] + ij[:, 1]) % 2).astype(float)
-    out = filter_densities(rho, neigh)
+    out = filter_densities(rho, kernel)
     center = elem_index(grid6, (3, 3))
     assert 0.0 < out[center] < 1.0
-    # oracle: direct weighted average over the 3x3 patch
-    row = neigh.weights.getrow(center)
-    expected = float((row @ rho)[0]) / row.sum()
-    assert out[center] == pytest.approx(expected, rel=1e-13)
+    # oracle: direct cone-weighted average over the 3x3 patch
+    num = den = 0.0
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            w = 1.5 - np.hypot(di, dj)
+            num += w * rho[elem_index(grid6, (3 + di, 3 + dj))]
+            den += w
+    assert out[center] == pytest.approx(num / den, rel=1e-13)
 
 
 def test_projection_endpoints_and_midpoint():
@@ -73,31 +77,31 @@ def test_invert_projection_round_trip():
 def test_chain_is_exact_adjoint(grid6):
     # <a, J b> == <J^T a, b> for the linearization J of filter + project
     rng = np.random.default_rng(1)
-    neigh = filter_neighborhoods(grid6, 1.5)
+    kernel = filter_matrix(grid6, 1.5)
     params = ProjectionParams(beta=4.0, eta=0.5)
     rho = rng.uniform(0.1, 0.9, grid6.nelem)
-    _, dproj = project(filter_densities(rho, neigh), params)
+    _, dproj = project(filter_densities(rho, kernel), params)
     for _ in range(10):
         a = rng.normal(size=grid6.nelem)
         b = rng.normal(size=grid6.nelem)
-        jb = dproj * filter_densities(b, neigh)
-        jta = chain_sensitivities(a, dproj, neigh)
+        jb = dproj * filter_densities(b, kernel)
+        jta = chain_sensitivities(a, dproj, kernel)
         assert abs(a @ jb - jta @ b) <= 1e-10 * max(1.0, abs(a @ jb))
 
 
 def test_chain_matches_finite_difference(grid6):
     rng = np.random.default_rng(2)
-    neigh = filter_neighborhoods(grid6, 1.5)
+    kernel = filter_matrix(grid6, 1.5)
     params = ProjectionParams(beta=4.0, eta=0.5)
     rho = rng.uniform(0.2, 0.8, grid6.nelem)
     w = rng.normal(size=grid6.nelem)  # downstream gradient
 
     def scalar(r):
-        v, _ = project(filter_densities(r, neigh), params)
+        v, _ = project(filter_densities(r, kernel), params)
         return w @ v
 
-    _, dproj = project(filter_densities(rho, neigh), params)
-    grad = chain_sensitivities(w, dproj, neigh)
+    _, dproj = project(filter_densities(rho, kernel), params)
+    grad = chain_sensitivities(w, dproj, kernel)
     step = 1e-6
     idx = rng.choice(grid6.nelem, size=12, replace=False)
     for j in idx:
@@ -110,36 +114,36 @@ def test_chain_matches_finite_difference(grid6):
 
 
 def test_chain_zero_gradient(grid6):
-    neigh = filter_neighborhoods(grid6, 1.5)
+    kernel = filter_matrix(grid6, 1.5)
     out = chain_sensitivities(
-        np.zeros(grid6.nelem), np.ones(grid6.nelem), neigh
+        np.zeros(grid6.nelem), np.ones(grid6.nelem), kernel
     )
     assert np.all(out == 0.0)
 
 
 def test_near_identity_composition(grid6):
     # self-only filter and a gentle projection give back the input gradient
-    neigh = filter_neighborhoods(grid6, 0.5)
+    kernel = filter_matrix(grid6, 0.5)
     rng = np.random.default_rng(3)
     g = rng.normal(size=grid6.nelem)
-    out = chain_sensitivities(g, np.ones(grid6.nelem), neigh)
+    out = chain_sensitivities(g, np.ones(grid6.nelem), kernel)
     assert np.allclose(out, g, atol=1e-12)
 
 
 def test_forward_map_stays_in_unit_cube(grid6):
     rng = np.random.default_rng(4)
-    neigh = filter_neighborhoods(grid6, 2.5)
+    kernel = filter_matrix(grid6, 2.5)
     params = ProjectionParams(beta=16.0, eta=0.5)
     rho = rng.uniform(0, 1, size=(3, grid6.nelem))
-    v, _ = project(filter_densities(rho, neigh), params)
+    v, _ = project(filter_densities(rho, kernel), params)
     assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
 
 def test_grayness_decreases_under_continuation(grid6):
     rng = np.random.default_rng(5)
-    neigh = filter_neighborhoods(grid6, 1.5)
+    kernel = filter_matrix(grid6, 1.5)
     rho = rng.uniform(0, 1, grid6.nelem)
-    tilde = filter_densities(rho, neigh)
+    tilde = filter_densities(rho, kernel)
     levels = []
     for beta in (1.0, 2.0, 4.0, 8.0, 16.0):
         v, _ = project(tilde, ProjectionParams(beta=beta, eta=0.5))

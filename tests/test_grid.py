@@ -1,4 +1,4 @@
-"""Grid construction, region selection, filter-neighborhood and stencil
+"""Grid construction, region selection, density filter and stencil
 operator tests."""
 import tracemalloc
 
@@ -14,7 +14,7 @@ from pneumotop.grid import (
     BoundaryRegion,
     GridSpec,
     build_grid,
-    filter_neighborhoods,
+    filter_matrix,
     pattern_slots,
     select_region,
 )
@@ -138,39 +138,45 @@ def test_output_region_validation():
 def test_filter_interior_neighbor_count():
     # r_min = 1.5h: self + 4 edge neighbors + 4 diagonals (sqrt2 h < 1.5h)
     g = build_grid(GridSpec(2, (5, 5), 1.0))
-    neigh = filter_neighborhoods(g, 1.5)
+    kernel = filter_matrix(g, 1.5)
     center = elem_index(g, (2, 2))
-    row = neigh.weights.getrow(center)
+    row = kernel.getrow(center)
     assert row.nnz == 9
-    assert row[0, center] == pytest.approx(1.5)  # self weight = r_min
-    # edge neighbor weight r_min - h, diagonal r_min - sqrt(2) h
+    # cone weights: self r_min, edge neighbor r_min - h, diagonal
+    # r_min - sqrt(2) h, each divided by the row's total
+    total = 1.5 + 4 * 0.5 + 4 * (1.5 - np.sqrt(2.0))
+    assert row[0, center] * total == pytest.approx(1.5)
     east = elem_index(g, (3, 2))
     diag = elem_index(g, (3, 3))
-    assert row[0, east] == pytest.approx(0.5)
-    assert row[0, diag] == pytest.approx(1.5 - np.sqrt(2.0))
+    assert row[0, east] * total == pytest.approx(0.5)
+    assert row[0, diag] * total == pytest.approx(1.5 - np.sqrt(2.0))
 
 
 def test_filter_self_only_at_half_h():
     g = build_grid(GridSpec(2, (4, 4), 1.0))
-    neigh = filter_neighborhoods(g, 0.5)
-    assert neigh.weights.nnz == g.nelem
+    kernel = filter_matrix(g, 0.5)
+    assert kernel.nnz == g.nelem
 
 
 def test_filter_corner_has_fewer_neighbors():
     g = build_grid(GridSpec(2, (5, 5), 1.0))
-    neigh = filter_neighborhoods(g, 1.5)
+    kernel = filter_matrix(g, 1.5)
     corner = elem_index(g, (0, 0))
     center = elem_index(g, (2, 2))
-    assert neigh.weights.getrow(corner).nnz == 4  # self + 2 edges + 1 diagonal
-    assert neigh.weights.getrow(corner).nnz < neigh.weights.getrow(center).nnz
+    assert kernel.getrow(corner).nnz == 4  # self + 2 edges + 1 diagonal
+    assert kernel.getrow(corner).nnz < kernel.getrow(center).nnz
 
 
 def test_filter_rows_normalized_and_symmetric():
     g = build_grid(GridSpec(3, (4, 3, 2), 0.7))
-    neigh = filter_neighborhoods(g, 1.6 * 0.7)
-    rows = np.asarray(neigh.normalized.sum(axis=1)).ravel()
+    kernel = filter_matrix(g, 1.6 * 0.7)
+    rows = np.asarray(kernel.sum(axis=1)).ravel()
     assert np.abs(rows - 1.0).max() < 1e-12
-    asym = (neigh.weights - neigh.weights.T)
+    # scaled back by the rows' weight totals, the filter is the symmetric
+    # matrix of cone weights
+    totals = np.asarray(_loop_filter_weights(g, 1.6 * 0.7).sum(axis=1)).ravel()
+    weights = sparse.diags(totals) @ kernel
+    asym = (weights - weights.T)
     assert abs(asym).max() < 1e-14
 
 
@@ -201,13 +207,14 @@ def _loop_filter_weights(g, r_min):
 ])
 def test_filter_weights_equal_the_per_offset_construction(nel, h, r_min):
     g = build_grid(GridSpec(len(nel), nel, h))
-    neigh = filter_neighborhoods(g, r_min)
+    kernel = filter_matrix(g, r_min)
     ref = _loop_filter_weights(g, r_min)
-    assert np.array_equal(neigh.weights.indptr, ref.indptr)
-    assert np.array_equal(neigh.weights.indices, ref.indices)
-    assert np.array_equal(neigh.weights.data, ref.data)
-    norm_ref = sparse.diags(1.0 / np.asarray(ref.sum(axis=1)).ravel()) @ ref
-    assert abs(neigh.normalized - norm_ref).max() == 0.0
+    assert np.array_equal(kernel.indptr, ref.indptr)
+    assert np.array_equal(kernel.indices, ref.indices)
+    inv_totals = 1.0 / np.asarray(ref.sum(axis=1)).ravel()
+    assert np.array_equal(kernel.data, ref.data * np.repeat(inv_totals, np.diff(ref.indptr)))
+    norm_ref = sparse.diags(inv_totals) @ ref
+    assert abs(kernel - norm_ref).max() == 0.0
 
 
 def _triplet_assembly(g, templates, coef, row_dofs, col_dofs):

@@ -278,6 +278,14 @@ def test_collapsed_pivot_is_singular():
         _factorized(-np.eye(2))
 
 
+def test_overflowing_solution_is_singular():
+    # factored with a pivot ratio of one, yet x = b / 1e-300 overflows
+    system = _factorized(sparse.diags([1e-300, 1e-300]))
+    assert np.array_equal(system.solve(np.array([1e-10, 1e-10])), [1e290, 1e290])
+    with pytest.raises(SingularSystemError, match="test system: produced non-finite solution"):
+        system.solve(np.array([1e10, 1.0]))
+
+
 def test_pure_neumann_laplacian_is_singular():
     # the constant lies in its null space, whatever roundoff leaves of the last pivot
     n = 400

@@ -9,20 +9,20 @@ from pneumotop.mma import ALBEFA, C_PENALTY, MMA, RAA0, _convex_terms, _Subprobl
 
 def test_active_constraint_toy():
     # minimize -x subject to x <= 0.5 on [0, 1], start 0.25, move 0.5
-    mma = MMA(move=0.5)
+    mma = MMA()
     x = np.array([0.25])
     for _ in range(30):
         g = np.array([x[0] / 0.5 - 1.0])
         dg = np.array([[2.0]])
-        x = mma.update(x, np.array([-1.0]), g, dg)
+        x = mma.update(x, np.array([-1.0]), g, dg, move=0.5)
     assert x[0] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_zero_gradient_leaves_design_unchanged():
-    mma = MMA(move=0.2)
+    mma = MMA()
     x = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     x_new = mma.update(
-        x, np.zeros(5), np.array([-0.5]), np.zeros((1, 5))
+        x, np.zeros(5), np.array([-0.5]), np.zeros((1, 5)), move=0.2
     )
     assert np.allclose(x_new, x, atol=1e-9)
 
@@ -33,38 +33,38 @@ def test_two_variable_kkt_point():
     # (-2, -2): lambda balances both; true optimum of the QP on the triangle
     # is x = (1, 0)? minimize distance to (2,1) over {x1+x2<=1, box}:
     # closest point is (1, 0) on the corner of box and constraint.
-    mma = MMA(move=0.3)
+    mma = MMA()
     x = np.array([0.2, 0.2])
     for _ in range(50):
         df = 2 * (x - np.array([2.0, 1.0]))
         g = np.array([x.sum() - 1.0])
         dg = np.ones((1, 2))
-        x = mma.update(x, df, g, dg)
+        x = mma.update(x, df, g, dg, move=0.3)
     assert np.allclose(x, [1.0, 0.0], atol=1e-4)
 
 
 def test_quadratic_active_constraint_kkt():
     # minimize (x1-1)^2 + (x2-1)^2 s.t. x1 + x2 <= 1 on [0,1]^2
     # KKT point x* = (0.5, 0.5) with multiplier 1 (constraint active)
-    mma = MMA(move=0.3)
+    mma = MMA()
     x = np.array([0.15, 0.35])
     for _ in range(50):
         df = 2 * (x - 1.0)
         g = np.array([x.sum() - 1.0])
         dg = np.ones((1, 2))
-        x = mma.update(x, df, g, dg)
+        x = mma.update(x, df, g, dg, move=0.3)
     assert np.allclose(x, [0.5, 0.5], atol=1e-4)
 
 
 def test_move_limit_respected_every_step():
     rng = np.random.default_rng(0)
-    mma = MMA(move=0.1)
+    mma = MMA()
     x = rng.uniform(0.2, 0.8, 20)
     for _ in range(10):
         df = rng.normal(size=20) * 10
         g = rng.uniform(-0.5, 0.0, 2)
         dg = rng.normal(size=(2, 20))
-        x_new = mma.update(x, df, g, dg)
+        x_new = mma.update(x, df, g, dg, move=0.1)
         assert np.max(np.abs(x_new - x)) <= 0.1 + 1e-12
         assert np.all(x_new >= -1e-12) and np.all(x_new <= 1 + 1e-12)
         x = x_new
@@ -72,13 +72,13 @@ def test_move_limit_respected_every_step():
 
 def test_recovers_feasibility_from_infeasible_start():
     # start violating x1 + x2 <= 0.6
-    mma = MMA(move=0.2)
+    mma = MMA()
     x = np.array([0.9, 0.9])
     for _ in range(40):
         df = np.array([-1.0, -1.0])  # objective pushes further infeasible
         g = np.array([x.sum() / 0.6 - 1.0])
         dg = np.array([[1 / 0.6, 1 / 0.6]])
-        x = mma.update(x, df, g, dg)
+        x = mma.update(x, df, g, dg, move=0.2)
     assert x.sum() <= 0.6 + 1e-6
 
 
@@ -90,17 +90,19 @@ def test_nonfinite_gradients_rejected():
             np.array([np.nan, 0.0]),
             np.array([-1.0]),
             np.zeros((1, 2)),
+            move=0.2,
         )
 
 
 def test_huge_gradient_scales_are_handled():
-    mma = MMA(move=0.2)
+    mma = MMA()
     x = np.array([0.5, 0.5, 0.5])
     x_new = mma.update(
         x,
         np.array([-1e9, 2e8, -5e7]),
         np.array([-0.2]),
         np.array([[1e-3, 1e-3, 1e-3]]),
+        move=0.2,
     )
     assert np.all(np.isfinite(x_new))
     assert np.max(np.abs(x_new - x)) <= 0.2 + 1e-12
@@ -113,8 +115,9 @@ def test_conservative_step_shortens_step_and_covers_observed_f():
         return float(100.0 * np.sum((x - 0.55) ** 2))
 
     x0 = np.array([0.5, 0.6, 0.45])
-    mma = MMA(move=0.2)
-    trial = mma.update(x0, 200.0 * (x0 - 0.55), np.array([-1.0]), np.zeros((1, 3)))
+    mma = MMA()
+    trial = mma.update(x0, 200.0 * (x0 - 0.55), np.array([-1.0]), np.zeros((1, 3)),
+                       move=0.2)
     assert f(trial) > f(x0)
     assert f(x0) + mma._sub.objective_change(trial) < f(trial)
 
@@ -127,11 +130,12 @@ def test_conservative_step_shortens_step_and_covers_observed_f():
 
 def test_conservative_step_keeps_asymptotes_and_history():
     rng = np.random.default_rng(1)
-    mma = MMA(move=0.2)
+    mma = MMA()
     x = rng.uniform(0.2, 0.8, 10)
     for _ in range(3):
         x_prev = x
-        x = mma.update(x, rng.normal(size=10), np.array([-0.5]), rng.normal(size=(1, 10)))
+        x = mma.update(x, rng.normal(size=10), np.array([-0.5]), rng.normal(size=(1, 10)),
+                       move=0.2)
     low, upp, xold1, xold2 = mma.low.copy(), mma.upp.copy(), mma.xold1, mma.xold2
     resolved = mma.conservative_step(x, 1.0)
     assert np.array_equal(mma.low, low) and np.array_equal(mma.upp, upp)
@@ -192,3 +196,20 @@ def test_subsolve_out_of_iterations_raises(monkeypatch):
     monkeypatch.setattr(mma_module, "DUAL_MAX_ITERS", 1)
     with pytest.raises(SolveError, match="did not converge"):
         _subsolve(*_flat_subproblem())
+
+
+def test_update_takes_its_move_limit_from_the_caller():
+    # MMA keeps no move limit or iteration count of its own: each update
+    # moves by the limit it is given, the first two from the initial
+    # asymptotes, and the third widens them after two steps the same way
+    mma = MMA()
+    assert not hasattr(mma, "move") and not hasattr(mma, "iteration")
+    x, df, g, dg = np.full(4, 0.3), -np.ones(4), np.array([-1.0]), np.zeros((1, 4))
+    with pytest.raises(TypeError):
+        mma.update(x, df, g, dg)
+    widths = (1.0, 1.0, mma_module.ASYINCR)
+    for move, width in zip((0.05, 0.1, 0.2), widths):
+        x_new = mma.update(x, df, g, dg, move=move)
+        assert np.allclose(x_new - x, move, rtol=1e-12)
+        assert np.allclose(mma.upp - mma.low, 2 * mma_module.ASYINIT * width, rtol=1e-12)
+        x = x_new

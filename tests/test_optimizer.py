@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 
 from pneumotop import io, linalg, optimizer, problem, runner
-from pneumotop.errors import ConfigError
+from pneumotop.errors import ConfigError, SolveError
 from pneumotop.model import Model
 from pneumotop.optimizer import (
     constraint_values,
@@ -182,6 +182,73 @@ def test_design_kept_when_no_trial_is_accepted(tiny_model, monkeypatch):
     assert len(recs) == tiny_model.spec.optimizer.max_iters
     assert not result.converged
     assert result.beta_final == tiny_model.spec.filter.beta_p_max
+
+
+def test_stalls_double_beta_without_a_step(monkeypatch):
+    # with no scheduled doubling in reach, a loose change_tol makes every
+    # doubling a stall's: the iteration after a small change records zero
+    # change, computes no gradient and no MMA step, and doubles beta
+    raw = tiny_problem_dict(optimizer={"max_iters": 150, "change_tol": 0.15},
+                            filter={"beta_p_double_every": 1000})
+    model = Model(problem.parse_problem(raw))
+    calls = {"gradient": 0, "update": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(optimizer.adjoint, "total_gradient",
+                        counted("gradient", optimizer.adjoint.total_gradient))
+    monkeypatch.setattr(optimizer.MMA, "update", counted("update", optimizer.MMA.update))
+    result = run(model)
+    recs = result.history
+    assert result.converged and result.beta_final == model.spec.filter.beta_p_max
+    stalls = [i for i, r in enumerate(recs[:-1]) if r.change == 0.0]
+    assert [recs[i].beta for i in stalls] == [1.0, 2.0, 4.0, 8.0]
+    for i in stalls:
+        assert 0.0 < recs[i - 1].change < 0.15
+        assert recs[i + 1].beta == 2.0 * recs[i].beta
+    # every record but the stalls and the converged last one took a step
+    assert calls["gradient"] == calls["update"] == len(recs) - len(stalls) - 1
+
+
+@pytest.mark.parametrize("phase", [
+    "forward solve", "adjoint solve", "MMA update", "MMA conservative re-solve",
+])
+def test_solver_failure_names_its_iteration_and_phase(tiny_model, monkeypatch, phase):
+    def fail(*args, **kwargs):
+        raise SolveError("injected")
+
+    target = {
+        "forward solve": (Model, "forward"),
+        "adjoint solve": (optimizer.adjoint, "total_gradient"),
+        "MMA update": (optimizer.MMA, "update"),
+        "MMA conservative re-solve": (optimizer.MMA, "conservative_step"),
+    }[phase]
+    monkeypatch.setattr(*target, fail)
+    if phase == "MMA conservative re-solve":
+        # each evaluation of f is far above the last, so the first trial
+        # step is rejected
+        real, evaluations = optimizer.adjoint.objective_value, iter(range(1000))
+        monkeypatch.setattr(optimizer.adjoint, "objective_value",
+                            lambda *a, **k: real(*a, **k) + 1e6 * next(evaluations))
+    with pytest.raises(SolveError, match=f"^iteration 1, {phase}: injected$"):
+        run(tiny_model)
+
+
+def test_auto_objective_scale_sets_the_first_f_to_minus_ten():
+    # "auto" is the default: s = 10 / |f| at the first design with s = 1
+    raw = tiny_problem_dict(objective={"s": "auto"}, optimizer={"max_iters": 1})
+    spec = problem.parse_problem(raw)
+    assert spec.objective == problem.parse_problem(tiny_problem_dict()).objective
+    assert spec.objective.s is None
+    result = run(Model(spec))
+    assert result.history[0].f == pytest.approx(-10.0, rel=1e-12)
+    # the calibrated s, given as a number, reproduces that first f
+    raw["objective"] = {"s": result.s}
+    assert run(Model(problem.parse_problem(raw))).history[0].f == result.history[0].f
 
 
 def test_full_convergence_exit_state(tiny_spec):

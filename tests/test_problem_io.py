@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pneumotop
-from pneumotop import cli, io, linalg, problem, runner
+from pneumotop import cli, darcy, io, linalg, problem, runner
 from pneumotop.errors import ConfigError, SolveError
 from pneumotop.fixtures import make_pneunet2d_design
 from pneumotop.grid import GridSpec, build_grid
@@ -44,6 +44,15 @@ def test_missing_inlet_is_named_error():
     raw = tiny_problem_dict()
     raw["regions"] = [r for r in raw["regions"] if r["role"] != "pressure_inlet"]
     with pytest.raises(ConfigError, match="pressure_inlet"):
+        problem.parse_problem(raw)
+
+
+@pytest.mark.parametrize("n_outputs", [0, 2])
+def test_exactly_one_output_region(n_outputs):
+    raw = tiny_problem_dict()
+    (output,) = [r for r in raw["regions"] if r["role"] == "output"]
+    raw["regions"] = [r for r in raw["regions"] if r is not output] + [output] * n_outputs
+    with pytest.raises(ConfigError, match=f"exactly one output region required, found {n_outputs}"):
         problem.parse_problem(raw)
 
 
@@ -322,6 +331,37 @@ def _write_history(path, recs):
     for rec in recs:
         writer(rec)
     writer.close()
+
+
+def test_failed_atomic_write_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "summary.json"
+    io.atomic_write_text(path, "old")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(io.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        io.atomic_write_text(path, "new")
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "old"
+
+
+def test_pressure_outside_its_bounds_exit_4(tmp_path, monkeypatch, capsys):
+    # the maximum principle bounds the pressure by p_atm and P_in; a field
+    # past them is a solver failure, reported with its iteration
+    solve = darcy.solve_pressure
+
+    def shifted(*args):
+        field = solve(*args)
+        return dataclasses.replace(field, p=field.p + 1.0)
+
+    monkeypatch.setattr(darcy, "solve_pressure", shifted)
+    prob = tmp_path / "tiny.json"
+    prob.write_text(json.dumps(tiny_problem_dict()))
+    assert cli.main(["optimize", str(prob), "--out-dir", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "iteration 1, forward solve: pressure field violates its physical bounds" in err
 
 
 def test_run_that_raises_leaves_no_history(tmp_path, tiny_spec, monkeypatch):

@@ -1,0 +1,115 @@
+"""Write the artifact set of a fixed list of runs, or compare two such sets.
+
+A change that claims to leave the numerics alone must leave every file of
+this set byte-identical::
+
+    python tools/artifacts.py write OUT     # every case into OUT/<case>/
+    python tools/artifacts.py compare A B   # name every file that differs
+
+``write`` imports ``pneumotop`` from the ``src/`` beside this script, so a
+second checkout writes its own set. ``compare`` reads ``summary.json`` as
+JSON and leaves out its wall time and output paths; every other file is
+compared byte for byte. It exits 1 when a file differs or is missing on
+one side.
+
+The optimize cases cover a short and a converged finger2d run, a short
+gripper3d run, and runs whose projection is sharpened only by stalls (a
+loose ``change_tol`` and no scheduled doubling in reach). The last case is
+the packaged pneunet design's default spring sweep.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from pneumotop import io, problem, runner  # noqa: E402
+from pneumotop.fixtures import make_pneunet2d_design  # noqa: E402
+
+STALLS = {"filter": {"beta_p_double_every": 1000}}
+# case -> (fixture, {section: {key: value}} replacing the fixture's values)
+CASES = {
+    "finger2d-20": ("finger2d", {"optimizer": {"max_iters": 20},
+                                 "closure": {"mode": "heuristic"}}),
+    "gripper3d-5": ("gripper3d", {"optimizer": {"max_iters": 5}}),
+    "finger2d-converged": ("finger2d", {"closure": {"mode": "heuristic"}}),
+    "finger2d-stalls-heuristic": ("finger2d", {
+        **STALLS, "optimizer": {"change_tol": 0.15, "max_iters": 150},
+        "closure": {"mode": "heuristic"}}),
+    "finger2d-stalls-none": ("finger2d", {
+        **STALLS, "optimizer": {"change_tol": 0.15, "max_iters": 150},
+        "closure": {"mode": "none"}}),
+    "gripper3d-stalls": ("gripper3d", {
+        **STALLS, "optimizer": {"change_tol": 0.25, "max_iters": 12}}),
+}
+SWEEP_CASE = "pneunet2d-sweep"
+# summary.json entries that differ between two runs of the same code
+VOLATILE = ("wall_time_s", "design", "design_sealed", "history_csv")
+
+
+def write(out: Path):
+    for case, (fixture, overrides) in CASES.items():
+        raw = json.loads(problem.fixture_path(fixture).read_text())
+        for section, values in overrides.items():
+            raw.setdefault(section, {}).update(values)
+        t0 = time.perf_counter()
+        summary = runner.optimize_problem(problem.parse_problem(raw, fixture), out / case)
+        status = "converged" if summary["converged"] else "iteration limit"
+        print(f"{case}: {status} after {summary['iterations']} iterations "
+              f"({time.perf_counter() - t0:.1f} s)")
+    sweep_dir = out / SWEEP_CASE
+    grid_spec, rho = make_pneunet2d_design()
+    io.save_design(sweep_dir / "design.json", grid_spec, rho, note="pneunet2d")
+    rows = runner.evaluate_design(sweep_dir / "design.json", problem.fixture_path("pneunet2d"))
+    io.write_metrics_csv(sweep_dir / "evaluation.csv", rows)
+    print(f"{SWEEP_CASE}: {len(rows)} sweep points")
+
+
+def _content(path: Path):
+    if path.name == "summary.json":
+        summary = json.loads(path.read_text())
+        return {k: v for k, v in summary.items() if k not in VOLATILE}
+    return path.read_bytes()
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print every file that differs or exists on one side only; the count."""
+    files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    bad = 0
+    for rel in sorted(files):
+        pa, pb = a / rel, b / rel
+        if not (pa.is_file() and pb.is_file()):
+            print(f"only in {a if pa.is_file() else b}: {rel}")
+        elif _content(pa) != _content(pb):
+            print(f"differs: {rel}")
+        else:
+            continue
+        bad += 1
+    print(f"{len(files) - bad} of {len(files)} files identical")
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("write").add_argument("out", type=Path)
+    p_cmp = sub.add_parser("compare")
+    p_cmp.add_argument("a", type=Path)
+    p_cmp.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "write":
+        write(args.out)
+        return 0
+    for d in (args.a, args.b):
+        if not d.is_dir():
+            parser.error(f"{d} is not a directory")
+    return 1 if compare(args.a, args.b) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
