@@ -81,12 +81,14 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
 
 
 def solve_displacement(
-    k: sparse.csr_matrix, f: np.ndarray, reduction: DirichletReduction, e_field: np.ndarray
+    k: sparse.csr_matrix, f: np.ndarray, reduction: DirichletReduction, e_field: np.ndarray,
+    springs=None,
 ) -> DisplacementField:
-    """Solve K u = F, ``k`` the stiffness of the moduli ``e_field`` plus any
-    springs, with the supports ``reduction`` holds (for ``k``'s pattern) at zero."""
+    """Solve K u = F, ``k`` the stiffness of the moduli ``e_field`` plus the
+    ``springs`` ``(c, D)``, ``c D Dᵀ``, if given, with the supports
+    ``reduction`` holds (for ``k``'s pattern) at zero."""
     try:
-        u, system = reduction.solve(k, f, e_field, context="displacement solve")
+        u, system = reduction.solve(k, f, e_field, "displacement solve", springs)
     except SingularSystemError as exc:
         raise ConfigError(
             f"displacement system is singular; check supports ({exc})"

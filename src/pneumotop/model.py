@@ -200,14 +200,17 @@ class Model:
 
         e_field, de = interpolate_modulus(rho_bar, self.mats)
         k_struct = self.elastic.assemble(e_field)
-        k_total = k_struct
+        k_total, springs = k_struct, None
         if k_out > 0:  # the springs, on their slots of the fixed pattern
             data = k_struct.data.copy()
             data[self.spring_slots] += k_out * self.spring_data
             k_total = sparse.csr_matrix(
                 (data, k_struct.indices, k_struct.indptr), shape=k_struct.shape
             )
-        disp = elasticity.solve_displacement(k_total, force, self.elastic_reduction, e_field)
+            springs = (k_out / self.output_op.shape[1], self.output_op)
+        disp = elasticity.solve_displacement(
+            k_total, force, self.elastic_reduction, e_field, springs
+        )
         m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t)
         return State(
             rho_bar=rho_bar,

@@ -34,3 +34,18 @@ def test_compare_ignores_wall_time_and_paths_only(artifacts, tmp_path, capsys):
     assert "differs: case/history.csv" in out and "only in" in out and "extra.vtk" in out
     with pytest.raises(SystemExit):
         artifacts.main(["compare", str(a), str(tmp_path / "missing")])
+
+
+def test_compare_sizes_each_differing_column(artifacts, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write_run(a, {"objective": -2.0, "constraints": [1.0, 4.0], "name": "x"},
+               "iter,f,u_out\n1,10.0,2.0\n2,8.0,4.0\n")
+    _write_run(b, {"objective": -2.0, "constraints": [1.0, 5.0], "name": "x"},
+               "iter,f,u_out\n1,10.0,2.0\n2,8.0,3.0\n")
+    assert artifacts.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "largest relative difference: u_out: 2.5e-01\n" in out  # f and iter agree
+    assert "largest relative difference: constraints.1: 2.0e-01\n" in out
+    (b / "case" / "history.csv").write_text("iter,f,u_out\n1,10.0,2.0\n")
+    assert artifacts.differences(a / "case" / "history.csv", b / "case" / "history.csv") == [
+        "iter: differs", "f: differs", "u_out: differs"]

@@ -10,7 +10,10 @@ this set byte-identical::
 second checkout writes its own set. ``compare`` reads ``summary.json`` as
 JSON and leaves out its wall time and output paths; every other file is
 compared byte for byte. It exits 1 when a file differs or is missing on
-one side.
+one side. For a differing CSV it prints the largest relative difference
+``|a - b| / max(|a|, |b|)`` of each column that differs, and for a
+differing ``summary.json`` that of each numeric field, so a change that
+moves the numerics by roundoff shows how far.
 
 The optimize cases cover a short and a converged finger2d run, a short
 gripper3d run, and runs whose projection is sharpened only by stalls (a
@@ -20,6 +23,7 @@ the packaged pneunet design's default spring sweep.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -77,6 +81,57 @@ def _content(path: Path):
     return path.read_bytes()
 
 
+def _number(text):
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return None
+
+
+def _leaves(value, key=""):
+    """``{path: value}`` of every leaf of a JSON value, ``.``-joined."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {key: value}
+    return {k: v for i, item in items for k, v in _leaves(item, f"{key}.{i}".lstrip(".")).items()}
+
+
+def _columns(path: Path):
+    """``{column: values}`` of a CSV with a header row, or of ``summary.json``
+    (each numeric leaf a column of one value)."""
+    if path.suffix == ".json":
+        return {k: [v] for k, v in _leaves(_content(path)).items()}
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: [row[i] if i < len(row) else None for row in rows]
+            for i, name in enumerate(header)}
+
+
+def _relative(x, y) -> float:
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+
+
+def differences(pa: Path, pb: Path) -> list[str]:
+    """``column: largest relative difference`` of every column of two CSVs
+    (or numeric field of two ``summary.json``) that differs; a column whose
+    values are not all numbers, or whose length differs, is named alone."""
+    ca, cb = _columns(pa), _columns(pb)
+    out = []
+    for name in dict.fromkeys([*ca, *cb]):
+        va, vb = ca.get(name), cb.get(name)
+        if va == vb:
+            continue
+        pairs = [(_number(x), _number(y)) for x, y in zip(va or [], vb or [])]
+        if va is None or vb is None or len(va) != len(vb) or any(None in p for p in pairs):
+            out.append(f"{name}: differs")
+        else:
+            out.append(f"{name}: {max(_relative(x, y) for x, y in pairs):.1e}")
+    return out
+
+
 def compare(a: Path, b: Path) -> int:
     """Print every file that differs or exists on one side only; the count."""
     files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
@@ -87,6 +142,8 @@ def compare(a: Path, b: Path) -> int:
             print(f"only in {a if pa.is_file() else b}: {rel}")
         elif _content(pa) != _content(pb):
             print(f"differs: {rel}")
+            if pa.suffix == ".csv" or pa.name == "summary.json":
+                print("  largest relative difference: " + ", ".join(differences(pa, pb)))
         else:
             continue
         bad += 1
