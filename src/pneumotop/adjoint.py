@@ -74,8 +74,7 @@ def objective_partials(model, state, spec: ObjectiveSpec, s: float):
         pref /= m.E_t
     f = -pref * m.u_out
 
-    ku = state.k_struct @ state.disp.u
-    df_du = -pref * model.l_out + (pref * m.u_out / (n * m.SE)) * ku
+    df_du = -pref * model.l_out + (pref * m.u_out / (n * m.SE)) * state.ku
     c_se = -f / (n * m.SE)
     if spec.variant == "energy_penalty":
         c_et = -f / m.E_t

@@ -82,13 +82,14 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
 
 def solve_displacement(
     k: sparse.csr_matrix, f: np.ndarray, reduction: DirichletReduction, e_field: np.ndarray,
-    springs=None,
+    k_out: float = 0.0,
 ) -> DisplacementField:
-    """Solve K u = F, ``k`` the stiffness of the moduli ``e_field`` plus the
-    ``springs`` ``(c, D)``, ``c D Dᵀ``, if given, with the supports
-    ``reduction`` holds (for ``k``'s pattern) at zero."""
+    """Solve ``(K + k_out S) u = F``, ``k`` the stiffness K of the moduli
+    ``e_field`` and ``k_out S`` the output springs ``reduction`` holds (for
+    ``k``'s pattern), added to its free block, with the supports it holds at
+    zero. No copy of ``k`` is made for the springs."""
     try:
-        u, system = reduction.solve(k, f, e_field, "displacement solve", springs)
+        u, system = reduction.solve(k, f, e_field, "displacement solve", k_out)
     except SingularSystemError as exc:
         raise ConfigError(
             f"displacement system is singular; check supports ({exc})"
@@ -102,11 +103,13 @@ def metrics(
     l_out: np.ndarray,
     k_out: float,
     E_t: float = 0.0,
+    ku: np.ndarray | None = None,
 ) -> PerformanceMetrics:
     """Output displacement ``l_out . u``, structural strain energy, and the
-    work of an output spring of stiffness ``k_out``."""
+    work of an output spring of stiffness ``k_out``; ``ku`` is
+    ``k_struct @ u`` where the caller has formed it."""
     u = np.asarray(u, dtype=float)
     u_out = float(l_out @ u)
-    se = 0.5 * float(u @ (k_struct @ u))
+    se = 0.5 * float(u @ (k_struct @ u if ku is None else ku))
     w = 0.5 * k_out * u_out**2
     return PerformanceMetrics(u_out=u_out, SE=se, W=w, E_t=E_t)

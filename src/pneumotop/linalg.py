@@ -15,9 +15,9 @@ The free block is a ``FactorizedSystem``, the one system class, which holds
 the contract and solves through one of three inverse operators:
 
 - ``BandedCholesky`` wherever the reduction has no coarse level, its band
-  filled from the full matrix's data by one scatter through a map the
-  reduction builds once, and factored in place by LAPACK (Anderson et al.
-  1999, "LAPACK Users' Guide", §5.3.3). The band is in LAPACK's lower
+  filled from the free block's data, springs included, by one scatter
+  through a map the reduction builds once, and factored in place by LAPACK
+  (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3). The band is in LAPACK's lower
   storage: ``dpbtrf`` factors the pneunet2d elastic band (half-bandwidth
   73) in about 0.6x the time of the upper.
 - ``WoodburyUpdate`` for a spring sweep on it, which solves ``A + c U Uᵀ``
@@ -181,14 +181,12 @@ class BandMap:
 
     ``width`` is the half-bandwidth. The band is read from the upper
     triangle, each entry ``a[j, i]`` (i >= j) standing for its mirror
-    ``a[i, j]``: ``src`` is its place in the data the band is read from (the
-    pattern's own data, or through ``places`` the data those entries were
-    gathered from) and ``pos`` its flat place in the Fortran-ordered
-    (width + 1) x n band, ``ab[i - j, j] = a[i, j]``, which ``dpbtrf``
-    factors in place. Row j of the upper triangle fills column j of the
-    band."""
+    ``a[i, j]``: ``src`` is its place in the pattern's data and ``pos`` its
+    flat place in the Fortran-ordered (width + 1) x n band,
+    ``ab[i - j, j] = a[i, j]``, which ``dpbtrf`` factors in place. Row j of
+    the upper triangle fills column j of the band."""
 
-    def __init__(self, indptr, indices, places=None):
+    def __init__(self, indptr, indices):
         self.n = len(indptr) - 1
         rows = np.repeat(np.arange(self.n, dtype=indices.dtype), np.diff(indptr))
         upper = np.flatnonzero(rows <= indices)
@@ -198,11 +196,11 @@ class BandMap:
         dtype = np.int32 if (self.width + 1) * self.n < 2**31 else np.int64
         # a[i, j] (i = cols, j = rows) lies i - j into column j, which starts at (width + 1) j
         self.pos = cols.astype(dtype) + self.width * rows.astype(dtype)
-        self.src = upper if places is None else places[upper]
+        self.src = upper.astype(indices.dtype)  # int32 wherever the pattern's indices are
 
     def band(self, data: np.ndarray) -> np.ndarray:
         flat = np.zeros((self.width + 1) * self.n)
-        flat[self.pos] = data[self.src]
+        flat[self.pos] = _take(data, self.src)
         return flat.reshape(self.width + 1, self.n, order="F")
 
 
@@ -447,17 +445,21 @@ def _band_order(nel, n_dofs: int) -> np.ndarray:
 class DirichletReduction:
     """The free block of every matrix on the pattern of the
     ``StencilOperator`` ``op`` on ``grid``, for the Dirichlet set of the DOFs
-    ``fixed`` and the ``values`` they hold (one per DOF, or one for all).
-    Built once: the free DOFs in solver order (ascending in 3-D, band order
-    in 2-D) and the place in the full data of every free x free entry with
-    the block's CSR pattern (columns unsorted in 2-D). A 3-D block of more
-    than COARSEST_DOFS DOFs gets multigrid ``levels``, halving until one
-    keeps at most that many, its diagonal's places and, if its CSR stores
-    more than ELEMENT_PRODUCT_RATIO times what that gathers, an
-    ``element_product`` (None otherwise); any other block a ``band_map``.
-    A 3-D block's index arrays are read-only and shared by every block."""
+    ``fixed`` and the ``values`` they hold (one per DOF, or one for all),
+    and of the ``springs`` ``(D, S)`` (D: n x r, sparse; S = (1/r) D Dᵀ,
+    CSR on the pattern) a solve may add. Built once: the free DOFs in solver
+    order (ascending in 3-D, band order in 2-D), the place in the full data
+    of every free x free entry with the block's CSR pattern (columns
+    unsorted in 2-D) and, given springs, ``springs``: D's free rows, and the
+    place in the block and value of each free x free entry of S. A 3-D
+    block of more than COARSEST_DOFS DOFs gets multigrid ``levels``, halving
+    until one keeps at most that many, its diagonal's places in the block
+    and, if its CSR stores more than ELEMENT_PRODUCT_RATIO times what that
+    gathers, an ``element_product`` (None otherwise); any other block a
+    ``band_map`` of its own pattern. A 3-D block's index arrays are
+    read-only and shared by every block."""
 
-    def __init__(self, op, fixed, grid, values=0.0):
+    def __init__(self, op, fixed, grid, values=0.0, springs=None):
         n = op.shape[0]
         self.pattern = (op.indptr, op.indices)
         self.fixed = np.asarray(fixed)
@@ -466,6 +468,14 @@ class DirichletReduction:
         is_free = np.isin(order, self.fixed, invert=True)
         self.free = order[is_free]
         self.gather, self.indices, self.indptr = _block(op.indptr, op.indices, self.free, n)
+        to_free = np.full(n + 1, self.free.size, dtype=np.int32)  # n: a fixed DOF
+        to_free[self.free] = np.arange(self.free.size, dtype=np.int32)
+        if springs is not None:
+            d, unit = springs[0], springs[1].tocoo()
+            rows, cols = np.take(to_free, unit.row), np.take(to_free, unit.col)
+            kept = np.flatnonzero((rows < self.free.size) & (cols < self.free.size))
+            places = pattern_slots(self.indptr, self.indices, rows[kept], cols[kept])
+            self.springs = (d[self.free], places, unit.data[kept])
         self.levels, keep, self.element_product = [], self.free, None
         if grid.dim == 3:  # DOFs in their own order: each element's free DOFs as bits
             edof = grid.conn if n == grid.nnodes else grid.edof_u
@@ -477,23 +487,24 @@ class DirichletReduction:
             # the pattern's ascending columns stay ascending: no one sorts them
             self.indices.flags.writeable = self.indptr.flags.writeable = False
         if self.levels:
-            self.diagonal = self.gather[_diagonal(self.indptr, self.indices)]
-            to_free = np.full(n + 1, self.free.size, dtype=np.int32)  # n: a fixed DOF
-            to_free[self.free] = np.arange(self.free.size, dtype=np.int32)
+            self.diagonal = _diagonal(self.indptr, self.indices)
             edof_free = np.take(to_free, edof)
             gathered = len(op.templates) * np.count_nonzero(edof_free < self.free.size)
             if self.gather.size > ELEMENT_PRODUCT_RATIO * gathered:
                 self.element_product = ElementProduct(op.templates, edof_free, self.free.size)
         else:
-            self.band_map = BandMap(self.indptr, self.indices, places=self.gather)
+            self.band_map = BandMap(self.indptr, self.indices)
 
-    def solve(self, a, f, coef, context: str, springs=None):
-        """Solve ``A x = f`` with ``x[fixed] = values``, for ``a`` (CSR) on
-        this reduction's pattern, assembled from the coefficients ``coef``
-        plus, for ``springs`` ``(c, U)`` (U: n x r, sparse), ``c U Uᵀ``; the
-        springs stay off the coarse levels. Returns ``(x, system)``;
-        ``system`` solves the free block again, on ``free``, for adjoints and
-        spring sweeps."""
+    def solve(self, a, f, coef, context: str, k: float = 0.0):
+        """Solve ``(A + k S) x = f`` with ``x[fixed] = values``, for ``a``
+        (CSR) on this reduction's pattern, assembled from the coefficients
+        ``coef``. For ``k`` > 0 the springs ``k S`` are added to the gathered
+        free block (their entries on fixed DOFs, which must hold zero, are
+        left out), and to an element product as the rank-r term
+        ``(k / r) D_f D_fᵀ``; they stay off the coarse levels. ``a`` may
+        hold its springs itself, with ``k`` 0. Returns ``(x, system)``;
+        ``system`` solves the free block, springs included, again, on
+        ``free``, for adjoints and spring sweeps."""
         if not (_same_array(a.indptr, self.pattern[0]) and _same_array(a.indices, self.pattern[1])):
             raise ValueError(f"{context}: matrix pattern differs from the reduction's")
         x = np.zeros(a.shape[0])
@@ -507,19 +518,22 @@ class DirichletReduction:
         a_ff = sparse.csr_matrix(
             (_take(a.data, self.gather), indices, indptr), shape=(self.free.size,) * 2
         )
+        if k > 0:
+            d_free, places, unit = self.springs
+            a_ff.data[places] += k * unit
         if self.levels:
             def inverse(system):
                 product = system.a
                 if self.element_product is not None:
                     product = self.element_product.bind(coef)
-                    if springs is not None:
-                        product = product.plus(springs[0], springs[1][self.free])
-                diagonal = _take(a.data, self.diagonal)
+                    if k > 0:
+                        product = product.plus(k / d_free.shape[1], d_free)
+                diagonal = _take(system.a.data, self.diagonal)
                 v_cycle = VCycle(product, diagonal, self.levels, coef, context)
                 return MultigridCG(system, v_cycle, product)
         else:
-            def inverse(system):  # the band filled from the full data
-                return BandedCholesky(self.band_map.band(a.data), context)
+            def inverse(system):  # the band filled from the block, before anything sorts it
+                return BandedCholesky(self.band_map.band(system.a.data), context)
         system = FactorizedSystem(a_ff, context=context, inverse=inverse)
         x[self.free] = system.solve(b)
         return x, system

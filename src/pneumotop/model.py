@@ -26,7 +26,6 @@ from .grid import (
     filter_matrix,
     in_box,
     node_dofs,
-    pattern_slots,
     select_region,
 )
 from .linalg import DirichletReduction
@@ -48,6 +47,7 @@ class State:
     force: np.ndarray
     k_struct: sparse.csr_matrix
     disp: DisplacementField
+    ku: np.ndarray  # k_struct @ disp.u, for SE and its partials
     metrics: PerformanceMetrics
     k_out: float = 0.0
 
@@ -112,10 +112,6 @@ class Model:
         self.flow = FlowAssembler(self.grid)
         self.elastic = ElasticAssembler(self.grid, self.mats.nu)
         self.t_matrix = darcy.coupling_matrix(self.grid)
-        springs = self.spring_unit.tocoo()
-        op = self.elastic.op
-        self.spring_slots = pattern_slots(op.indptr, op.indices, springs.row, springs.col)
-        self.spring_data = springs.data
         self.grid.release_patterns()  # every operator is built
 
     # Both operators keep one pattern for every design, so each physics has
@@ -139,7 +135,8 @@ class Model:
 
     @cached_property
     def elastic_reduction(self) -> DirichletReduction:
-        return DirichletReduction(self.elastic.op, self.fixed_u_dofs, self.grid)
+        return DirichletReduction(self.elastic.op, self.fixed_u_dofs, self.grid,
+                                  springs=(self.output_op, self.spring_unit))
 
     def _build_mask(self, spec: ProblemSpec) -> np.ndarray:
         mask = np.full(self.grid.nelem, TAG_DESIGN, dtype=np.int64)
@@ -188,7 +185,9 @@ class Model:
     # ---- forward physics ---------------------------------------------------------
 
     def forward(self, rho_bar: np.ndarray, k_out: float | None = None) -> State:
-        """Darcy solve, force transfer, elastic solve, and metrics."""
+        """Darcy solve, force transfer, elastic solve, and metrics. The
+        elastic reduction adds the springs ``k_out * spring_unit`` to its
+        free block, so the one stiffness held is ``k_struct``."""
         rho_bar = np.asarray(rho_bar, dtype=float)
         k_out = self.output_sel.region.k_out if k_out is None else float(k_out)
 
@@ -200,18 +199,11 @@ class Model:
 
         e_field, de = interpolate_modulus(rho_bar, self.mats)
         k_struct = self.elastic.assemble(e_field)
-        k_total, springs = k_struct, None
-        if k_out > 0:  # the springs, on their slots of the fixed pattern
-            data = k_struct.data.copy()
-            data[self.spring_slots] += k_out * self.spring_data
-            k_total = sparse.csr_matrix(
-                (data, k_struct.indices, k_struct.indptr), shape=k_struct.shape
-            )
-            springs = (k_out / self.output_op.shape[1], self.output_op)
         disp = elasticity.solve_displacement(
-            k_total, force, self.elastic_reduction, e_field, springs
+            k_struct, force, self.elastic_reduction, e_field, k_out
         )
-        m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t)
+        ku = k_struct @ disp.u
+        m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t, ku=ku)
         return State(
             rho_bar=rho_bar,
             e_field=e_field,
@@ -221,6 +213,7 @@ class Model:
             force=force,
             k_struct=k_struct,
             disp=disp,
+            ku=ku,
             metrics=m,
             k_out=k_out,
         )
@@ -235,7 +228,7 @@ class Model:
         state = self.forward(rho_bar, k_out=k_values[0])
         free, n_out = self.elastic_reduction.free, self.output_op.shape[1]
         coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]
-        systems = state.disp.system.rank_updates(self.output_op[free], coefficients)
+        systems = state.disp.system.rank_updates(self.elastic_reduction.springs[0], coefficients)
         out = [state.metrics]
         # Each updated system holds its own matrix: drop it before the next
         # is built (a loop variable would keep it alive through next()).

@@ -17,6 +17,8 @@ At a fixed projection sharpness the accepted iterates never raise the
 objective: a step whose forward solve gives a higher f is rejected and
 re-solved from the same point with a more conservative MMA approximation,
 the inner loop of GCMMA (Svanberg 2002). Rejected steps leave no record.
+The loop holds one forward solve at a time: it drops an iteration's solve
+before its trials, so a design kept after rejected trials is solved again.
 """
 from __future__ import annotations
 
@@ -136,7 +138,9 @@ def run(model: Model, sink=None) -> RunResult:
     rejected and re-solved more conservatively (``MMA.conservative_step``)
     until f does not rise. A rejected trial costs one forward solve and one
     subproblem solve, no adjoint, and produces no IterationRecord. If
-    ``MAX_TRIALS`` trials in a row are rejected, the design is kept.
+    ``MAX_TRIALS`` trials in a row are rejected, the design is kept and
+    solved again at the next iteration (the same solve, bit for bit): no
+    forward solve starts while another is held.
 
     Every record carries the beta its f was evaluated at; beta follows the
     continuation rule of the module docstring.
@@ -170,15 +174,16 @@ def run(model: Model, sink=None) -> RunResult:
             raw = adjoint.objective_value(state.metrics, model.spec.objective, s=1.0)
             s = 10.0 / max(abs(raw), 1e-300)
         f = adjoint.objective_value(state.metrics, model.spec.objective, s=s)
-
         g = constraint_values(rho_bar, model)
+        record_of = _record(it, f, g, state, beta)  # a function of the change
+        del state  # ``evaluated`` alone holds the solve, so dropping it frees it
         feasible = bool(np.all(g <= FEASIBILITY_TOL))
         stalled = prev_change < settings.change_tol
         sharpenable = beta < fspec.beta_p_max
         scheduled = sharpenable and it % fspec.beta_p_double_every == 0
 
         if stalled and feasible and not sharpenable:
-            record(_record(it, f, g, prev_change, state, beta))
+            record(record_of(prev_change))
             converged = True
             break
 
@@ -188,7 +193,7 @@ def run(model: Model, sink=None) -> RunResult:
                 # f stays objective_value's, the function trial steps are
                 # compared with, so that recorded f never rises at one beta
                 _, df_drho = adjoint.total_gradient(
-                    model, state, model.spec.objective, s, dproj
+                    model, evaluated[2], model.spec.objective, s, dproj
                 )
             except SolveError as exc:
                 raise SolveError(f"iteration {it}, adjoint solve: {exc}") from exc
@@ -206,12 +211,11 @@ def run(model: Model, sink=None) -> RunResult:
                 raise SolveError(f"iteration {it}, MMA update: {exc}") from exc
 
             if not scheduled and np.any(x_new != x):
-                x_new, evaluated = _descend(
-                    model, mma, packer, design, x, x_new, f, s, beta, it, evaluated
-                )
+                evaluated = None  # a trial's solve starts with none alive
+                x_new, evaluated = _descend(model, mma, packer, design, x, x_new, f, s, beta, it)
 
         change = float(np.max(np.abs(x_new - x))) if x.size else 0.0
-        record(_record(it, f, g, change, state, beta))
+        record(record_of(change))
         log.info(
             "iter %d: f=%.5g g=%s change=%.4f gray=%.3f beta=%g",
             it, f, np.array2string(g, precision=3), change,
@@ -250,11 +254,11 @@ def _evaluate(model: Model, design, beta, it):
         raise SolveError(f"iteration {it}, forward solve: {exc}") from exc
 
 
-def _descend(model, mma, packer, design, x, x_new, f, s, beta, it, evaluated):
+def _descend(model, mma, packer, design, x, x_new, f, s, beta, it):
     """The first trial step from ``x`` that does not raise f at ``beta``.
 
     Returns the accepted point and its evaluation; after ``MAX_TRIALS``
-    rejected trials, ``x`` itself and ``evaluated``, its evaluation.
+    rejected trials, ``x`` itself and None: the kept design is solved again.
     """
     for trial in range(1, MAX_TRIALS + 1):
         candidate = _evaluate(model, packer.unpack(x_new, design), beta, it)
@@ -269,18 +273,20 @@ def _descend(model, mma, packer, design, x, x_new, f, s, beta, it, evaluated):
         except SolveError as exc:
             raise SolveError(f"iteration {it}, MMA conservative re-solve: {exc}") from exc
     log.warning("iter %d: no step of %d lowered f; keeping the design", it, MAX_TRIALS)
-    return x, evaluated
+    return x, None
 
 
-def _record(it, f, g, change, state: State, beta) -> IterationRecord:
-    return IterationRecord(
+def _record(it, f, g, state: State, beta):
+    """The IterationRecord of ``state`` as a function of the iteration's
+    design change, holding what it needs of the state but not the state."""
+    fields = dict(
         iteration=it,
         f=float(f),
         g=tuple(float(v) for v in g),
-        change=float(change),
         grayness=filtering.grayness(state.rho_bar[0]),
         u_out=state.metrics.u_out,
         SE=state.metrics.SE,
         E_t=state.metrics.E_t,
         beta=float(beta),
     )
+    return lambda change: IterationRecord(change=float(change), **fields)

@@ -11,7 +11,9 @@ from pneumotop import cli, darcy, io, linalg, problem
 from pneumotop.darcy import coupling_matrix
 from pneumotop.elasticity import ElasticAssembler, metrics, output_operator
 from pneumotop.errors import ConfigError
-from pneumotop.grid import BoundaryRegion, Grid, GridSpec, build_grid, select_region
+from pneumotop.grid import (
+    BoundaryRegion, Grid, GridSpec, build_grid, pattern_slots, select_region,
+)
 from pneumotop.model import Model
 
 from solves import elastic_solve
@@ -446,3 +448,39 @@ def test_2d_sweep_makes_no_band_solve_of_several_right_hand_sides(tiny_model, mo
     rows = tiny_model.sweep(_designs(tiny_model, 3)[0], [0.1, 1.0, 10.0, 100.0])
     assert len(rows) == 4
     assert widths and max(widths) == 1
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_springs_reach_the_block_as_from_the_spring_loaded_matrix(name, tiny_spec, monkeypatch):
+    """The reduction adds the springs to the free block it gathers from
+    ``k_struct``: the block, the 2-D band and the 3-D V-cycle diagonal equal,
+    bit for bit, those read from the full matrix with the springs on its
+    slots."""
+    spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
+    model = Model(spec)
+    bands, real = [], linalg.dpbtrf
+
+    def recording(band, **kwargs):
+        bands.append(band.copy())
+        return real(band, **kwargs)
+
+    monkeypatch.setattr(linalg, "dpbtrf", recording)
+    state = model.forward(_designs(model, 5)[0])
+    assert state.k_out > 0
+    k, spring, reduction = state.k_struct, model.spring_unit.tocoo(), model.elastic_reduction
+    full = k.copy()
+    full.data[pattern_slots(k.indptr, k.indices, spring.row, spring.col)] += state.k_out * spring.data
+    block = full.data[reduction.gather]
+    system = state.disp.system
+    assert np.array_equal(system.a.data, block)
+    if name == "tiny":
+        elastic = linalg.BandMap(reduction.indptr, reduction.indices).band(block)
+        assert np.array_equal(bands[-1], elastic)
+        # the spring-loaded matrix, without springs of the reduction's own
+        u, _ = reduction.solve(full, state.force, state.e_field, "test system")
+        assert np.array_equal(u, state.disp.u)
+    else:
+        jacobi = linalg.JACOBI_OMEGA / full.diagonal()[reduction.free]
+        assert np.array_equal(system.lu.v_cycle.jacobi[0], jacobi)
+        (c, _, _), = system.lu.product.terms
+        assert c == state.k_out / model.output_op.shape[1]

@@ -1,6 +1,7 @@
 """Outer-loop behavior on small problems: initialization, constraints, runs."""
 import csv
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,29 @@ def test_design_kept_when_no_trial_is_accepted(tiny_model, monkeypatch):
     assert len(recs) == tiny_model.spec.optimizer.max_iters
     assert not result.converged
     assert result.beta_final == tiny_model.spec.filter.beta_p_max
+
+
+@pytest.mark.parametrize("case", ["tiny", "tiny-kept", "finger2d"])
+def test_one_forward_solve_alive_at_a_time(case, tiny_model, monkeypatch):
+    # no forward starts while an earlier one's displacement system is alive:
+    # not a trial, not the solve after a beta doubling, not the re-solve of
+    # a kept design ("tiny-kept": every step given up). The systems hold no
+    # reference cycles, so each dies with its last reference.
+    model = Model(problem.load_problem("finger2d", max_iters=42)) if case == "finger2d" else tiny_model
+    if case == "tiny-kept":
+        monkeypatch.setattr(optimizer, "MAX_TRIALS", 0)
+    systems, late, real = [], [], Model.forward
+
+    def forward(self, *args, **kwargs):
+        late.append(any(ref() is not None for ref in systems))
+        state = real(self, *args, **kwargs)
+        systems.append(weakref.ref(state.disp.system))
+        return state
+
+    monkeypatch.setattr(Model, "forward", forward)
+    result = run(model)
+    assert len(late) > len(result.history) / 2 and not any(late)
+    assert result.beta_final > model.spec.filter.beta_p_initial  # past a doubling
 
 
 def test_stalls_double_beta_without_a_step(monkeypatch):

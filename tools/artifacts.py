@@ -17,8 +17,10 @@ moves the numerics by roundoff shows how far.
 
 The optimize cases cover a short and a converged finger2d run, a short
 gripper3d run, and runs whose projection is sharpened only by stalls (a
-loose ``change_tol`` and no scheduled doubling in reach). The last case is
-the packaged pneunet design's default spring sweep.
+loose ``change_tol`` and no scheduled doubling in reach). The sweep cases
+are the default spring sweeps of the packaged pneunet design and of the
+``gripper3d-5`` design on the gripper3d fixture (multigrid CG on
+rank-updated systems).
 """
 from __future__ import annotations
 
@@ -72,6 +74,10 @@ def write(out: Path):
     rows = runner.evaluate_design(sweep_dir / "design.json", problem.fixture_path("pneunet2d"))
     io.write_metrics_csv(sweep_dir / "evaluation.csv", rows)
     print(f"{SWEEP_CASE}: {len(rows)} sweep points")
+    rows = runner.evaluate_design(out / "gripper3d-5" / "design.json",
+                                  problem.fixture_path("gripper3d"))
+    io.write_metrics_csv(out / "gripper3d-sweep" / "evaluation.csv", rows)
+    print(f"gripper3d-sweep: {len(rows)} sweep points")
 
 
 def _content(path: Path):
