@@ -8,11 +8,12 @@ floor accumulate displacements orders of magnitude above the structural
 ones, which raises the attainable residual floor to eps * ||A|| * ||x||
 regardless of solver quality.
 
-``DirichletReduction.solve`` is the one entry point: a reduction holds one
-Dirichlet set, its fixed DOFs and the values they hold, and reduces every
-grid system of one pattern to its free DOFs, by a gather map built once.
-The free block is a ``FactorizedSystem``, the one system class, which holds
-the contract and solves through one of three inverse operators:
+``DirichletReduction.solve`` is the one entry point, and builds every system
+solved, a spring sweep's points included: a reduction holds one Dirichlet
+set, its fixed DOFs and the values they hold, and reduces every grid system
+of one pattern to its free DOFs, by a gather map built once. The free block
+is a ``FactorizedSystem``, the one system class, which holds the contract
+and solves through one of three inverse operators:
 
 - ``BandedCholesky`` wherever the reduction has no coarse level, its band
   filled from the free block's data, springs included, by one scatter
@@ -20,13 +21,13 @@ the contract and solves through one of three inverse operators:
   (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3). The band is in LAPACK's lower
   storage: ``dpbtrf`` factors the pneunet2d elastic band (half-bandwidth
   73) in about 0.6x the time of the upper.
-- ``WoodburyUpdate`` for a spring sweep on it, which solves ``A + c U Uᵀ``
-  (U: the r output DOFs) for several c through the one factor ``A = L Lᵀ``
+- ``WoodburyUpdate`` for a spring sweep's point on it, which solves
+  ``A + c U Uᵀ`` (U: the r output DOFs) through the one factor ``A = L Lᵀ``
   and its two triangular halves (``dtbtrs``), with ``W = L⁻¹ U``:
   ``(A + c U Uᵀ)⁻¹ = L⁻ᵀ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) L⁻¹``. ``W`` is zero
   above the first row U touches, and the 2-D output DOFs come last in band
   order, so it costs a half-solve on the last rows only (70 of 10,080 on
-  pneunet2d), and each point costs what one band solve does.
+  pneunet2d) once per factor, and each point costs what one band solve does.
   ``A + c U Uᵀ`` is ``L (I + c W Wᵀ) Lᵀ``, so it is SPD exactly when the
   r x r capacitance ``I + c Wᵀ W`` is, and that is factored by Cholesky too.
 - ``MultigridCG`` wherever it has coarse levels (a 3-D free block of more
@@ -56,8 +57,6 @@ multigrid coarsens until the coarsest level is small enough for the same
 banded Cholesky, whatever the grid's shape.
 """
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 from scipy import linalg, sparse
@@ -96,6 +95,10 @@ COARSEST_DOFS = 500
 ELEMENT_PRODUCT_RATIO = 4
 # Places taken at once by ``_take``.
 TAKE_CHUNK = 1 << 16
+# Rows ``_norm1`` sums at once. A |data| temporary of the whole block, taken
+# afresh at each point of a spring sweep, made the pneunet2d sweep's eight
+# points take 21-25 ms, against 11-16 ms by rows (medians of 300 sweeps).
+NORM_ROWS = 1024
 # A pivot this small against the largest marks a numerically singular matrix.
 # It lies 970x above a rigid rotation left free (finger2d pinned at one node
 # reads 2.0e-14, 1.0e-13 at twice the resolution) and 670x below random 0/1
@@ -103,32 +106,32 @@ TAKE_CHUNK = 1 << 16
 PIVOT_RATIO_TOL = 1e-10
 
 
-def _row_sums(a) -> np.ndarray:
-    """The absolute row sums of ``a`` (CSR). ``reduceat`` sums each row
-    correctly only because none is empty (an SPD matrix stores its
-    diagonal)."""
-    with np.errstate(over="ignore"):  # an overflowed sum is caught as non-finite
-        return np.add.reduceat(np.abs(a.data), a.indptr[:-1])
-
-
 def _norm1(a) -> float:
     """The 1-norm of ``a`` (CSR), taken as its largest absolute row sum,
     which equals the largest column sum because every matrix solved here is
-    symmetric. It is NaN or inf when an entry is (or the sum overflows)."""
-    return float(_row_sums(a).max(initial=0.0))
+    symmetric; NaN or inf when an entry is, or the sum overflows. It sums
+    NORM_ROWS rows at a time by ``reduceat``, which is right only because no
+    row is empty (an SPD matrix stores its diagonal)."""
+    norm, ptr = 0.0, a.indptr
+    with np.errstate(over="ignore"):  # an overflowed sum is caught as non-finite
+        for lo in range(0, len(ptr) - 1, NORM_ROWS):
+            rows = ptr[lo:lo + NORM_ROWS + 1]
+            sums = np.add.reduceat(np.abs(a.data[rows[0]:rows[-1]]), rows[:-1] - rows[0])
+            norm = np.maximum(norm, sums.max())  # NaN stays NaN
+    return float(norm)
 
 
 class FactorizedSystem:
     """An SPD system ``a`` (CSR), solved to the backward-error contract through
     the inverse operator ``lu = inverse(self)``, built once ``a``, ``context``
-    and ``norm1`` (given, or taken from ``a``) are set. An operator that held
-    the system would make a cycle, which outlives its last use until the
-    garbage collector runs."""
+    and ``norm1`` (taken from ``a``) are set. An operator that held the
+    system would make a cycle, which outlives its last use until the garbage
+    collector runs."""
 
-    def __init__(self, a, *, context: str, inverse, norm1: float | None = None):
+    def __init__(self, a, *, context: str, inverse):
         self.a = a.tocsr()
         self.context = context
-        self.norm1 = _norm1(self.a) if norm1 is None else norm1
+        self.norm1 = _norm1(self.a)
         if not np.isfinite(self.norm1):
             raise SolveError(f"{context}: matrix has a non-finite 1-norm ({self.norm1})")
         self.lu = inverse(self)
@@ -161,18 +164,6 @@ class FactorizedSystem:
                 f"{RESIDUAL_TOL:.0e} after refinement"
             )
         return x
-
-    def rank_updates(self, u, coefficients):
-        """Yield the system ``a + c U Uᵀ`` (U sparse, n × r) for each c, its
-        matrix and inverse given by this system's operator. Only the rows U
-        touches change, so each 1-norm sums those rows alone."""
-        u = sparse.csr_matrix(u)
-        rows = np.flatnonzero(np.diff(u.indptr))
-        rest = np.delete(_row_sums(self.a), rows).max(initial=0.0)
-        for a_c, inverse in self.lu.rank_updates(self, u, coefficients):
-            norm1 = float(np.maximum(rest, _norm1(a_c[rows])))  # NaN stays NaN
-            yield FactorizedSystem(a_c, context=self.context, inverse=inverse, norm1=norm1)
-            del a_c, inverse  # a dropped system is freed before the next is built
 
 
 class BandMap:
@@ -224,6 +215,7 @@ class BandedCholesky:
                 f"(pivot ratio {pivots.min() / pivots.max():.2e})"
             )
         self.nnz = self.factor.size
+        self._woodbury = None  # what every update shares, from the first
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return dpbtrs(self.factor, b, lower=1)[0]
@@ -248,28 +240,17 @@ class BandedCholesky:
             )
         return x
 
-    def rank_updates(self, system, u, coefficients):
-        """Yield ``(a + c U Uᵀ, inverse)`` for each c, ``a`` the matrix of
-        ``system``, on ``a``'s pattern with ``c U Uᵀ`` added to the slots of
-        ``U Uᵀ`` (``ValueError`` if one is not in it), and the inverse a
-        ``WoodburyUpdate`` of this factor. The slots and ``W = L⁻¹ U``, on
-        the rows from the first that U touches, are computed once, and so is
-        the forward half-solve of the first load, which a sweep solves at
-        every point."""
-        a, u = system.a, sparse.csr_matrix(u)
-        uu = (u @ u.T).tocoo()
-        slots = pattern_slots(a.indptr, a.indices, uu.row, uu.col)
-        start = int(np.argmax(np.diff(u.indptr) > 0))  # the first row U touches
-        w = self.forward(u[start:].toarray(), start)
-        gram = w.T @ w
-        first = []  # (b, L⁻¹ b) of the first load solved
-        for c in coefficients:
-            a_c = a.copy()  # its own data and index arrays, as the reduction gives each free block
-            a_c.data[slots] += c * uu.data
-            yield a_c, partial(
-                WoodburyUpdate, factor=self, c=c, start=start, w=w, gram=gram, first=first
-            )
-            del a_c
+    def update(self, system, c: float, u) -> "WoodburyUpdate":
+        """The inverse of ``system``, this factor's matrix plus ``c U Uᵀ``: a
+        ``WoodburyUpdate``. Every caller passes the reduction's own
+        ``springs[0]`` as ``u``, so ``W = L⁻¹ U``, ``Wᵀ W`` and the forward
+        half-solve of the first load are computed once per factor."""
+        if self._woodbury is None:
+            u = sparse.csr_matrix(u)
+            start = int(np.argmax(np.diff(u.indptr) > 0))  # the first row U touches
+            w = self.forward(u[start:].toarray(), start)
+            self._woodbury = dict(start=start, w=w, gram=w.T @ w, first=[])
+        return WoodburyUpdate(system, factor=self, c=c, **self._woodbury)
 
 
 class WoodburyUpdate:
@@ -277,7 +258,7 @@ class WoodburyUpdate:
     ``A = L Lᵀ``: ``w`` holds the rows from ``start`` on of ``W = L⁻¹ U``
     and ``gram`` is ``Wᵀ W`` (see the module docstring). ``first`` holds
     ``(b, L⁻¹ b)`` of the first ``b`` the sweep solved, for any ``b`` equal to
-    it. A sweep updates its base system only, so this has no ``rank_updates``."""
+    it. A sweep updates its base system only, so this has no ``update``."""
 
     def __init__(self, system, *, factor: BandedCholesky, c: float, start: int, w, gram, first):
         self.factor, self.nnz = factor, factor.nnz
@@ -358,19 +339,13 @@ class MultigridCG:
             p = z + (rz / rz_old) * p
         return x
 
-    def rank_updates(self, system, u, coefficients):
-        """Yield ``(a + c U Uᵀ, inverse)`` for each c, ``a`` the matrix of
-        ``system``: CG over the sum, preconditioned by this V-cycle. A rank-r
-        change adds at most r CG iterations in exact arithmetic, and no hierarchy
-        is rebuilt (Woodbury's ``Z = A⁻¹ U`` would cost r preconditioned solves).
-        An element-by-element product multiplies by ``c U Uᵀ`` as its own term;
-        the sum is still formed for the contract."""
-        uu = u @ u.T
+    def update(self, system, c: float, u) -> "MultigridCG":
+        """CG over ``system``, this matrix plus ``c U Uᵀ``, preconditioned by this
+        V-cycle: a rank-r change adds at most r CG iterations in exact
+        arithmetic (Woodbury's ``Z = A⁻¹ U`` would cost r preconditioned
+        solves). An element product takes ``c U Uᵀ`` as a term of its own."""
         elementwise = isinstance(self.product, ElementOperator)
-        for c in coefficients:
-            product = self.product.plus(c, u) if elementwise else None
-            yield (system.a + c * uu).tocsr(), partial(
-                MultigridCG, v_cycle=self.v_cycle, product=product)
+        return MultigridCG(system, self.v_cycle, self.product.plus(c, u) if elementwise else None)
 
 
 class ElementProduct:
@@ -456,8 +431,8 @@ class DirichletReduction:
     until one keeps at most that many, its diagonal's places in the block
     and, if its CSR stores more than ELEMENT_PRODUCT_RATIO times what that
     gathers, an ``element_product`` (None otherwise); any other block a
-    ``band_map`` of its own pattern. A 3-D block's index arrays are
-    read-only and shared by every block."""
+    ``band_map`` of its own pattern. The block's index arrays are read-only
+    and shared by every block, so nothing sorts the 2-D columns in place."""
 
     def __init__(self, op, fixed, grid, values=0.0, springs=None):
         n = op.shape[0]
@@ -484,8 +459,7 @@ class DirichletReduction:
                 self.levels.append(GalerkinLevel(grid, op.templates, masks, keep,
                                                  len(self.levels) + 1))
                 keep = self.levels[-1].keep
-            # the pattern's ascending columns stay ascending: no one sorts them
-            self.indices.flags.writeable = self.indptr.flags.writeable = False
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
         if self.levels:
             self.diagonal = _diagonal(self.indptr, self.indices)
             edof_free = np.take(to_free, edof)
@@ -495,16 +469,18 @@ class DirichletReduction:
         else:
             self.band_map = BandMap(self.indptr, self.indices)
 
-    def solve(self, a, f, coef, context: str, k: float = 0.0):
+    def solve(self, a, f, coef, context: str, k: float = 0.0, base=None):
         """Solve ``(A + k S) x = f`` with ``x[fixed] = values``, for ``a``
         (CSR) on this reduction's pattern, assembled from the coefficients
         ``coef``. For ``k`` > 0 the springs ``k S`` are added to the gathered
         free block (their entries on fixed DOFs, which must hold zero, are
         left out), and to an element product as the rank-r term
         ``(k / r) D_f D_fᵀ``; they stay off the coarse levels. ``a`` may
-        hold its springs itself, with ``k`` 0. Returns ``(x, system)``;
-        ``system`` solves the free block, springs included, again, on
-        ``free``, for adjoints and spring sweeps."""
+        hold its springs itself, with ``k`` 0. Given ``base = (system,
+        k_base)`` of an earlier solve of this ``a``, the block is a copy of its
+        data plus ``(k - k_base) S``, solved through the base's operator updated
+        by ``((k - k_base) / r) D_f D_fᵀ``: a spring sweep's point. Returns
+        ``(x, system)``; ``system`` solves the block again, for adjoints."""
         if not (_same_array(a.indptr, self.pattern[0]) and _same_array(a.indices, self.pattern[1])):
             raise ValueError(f"{context}: matrix pattern differs from the reduction's")
         x = np.zeros(a.shape[0])
@@ -512,16 +488,19 @@ class DirichletReduction:
         b = np.asarray(f, dtype=float)[self.free]
         if np.any(x):
             b -= (a @ x)[self.free]
-        indices, indptr = self.indices, self.indptr
-        if indices.flags.writeable:  # a 2-D block, whose columns scipy may sort in place
-            indices, indptr = indices.copy(), indptr.copy()
-        a_ff = sparse.csr_matrix(
-            (_take(a.data, self.gather), indices, indptr), shape=(self.free.size,) * 2
-        )
-        if k > 0:
+        if base is None:
+            data, springs = _take(a.data, self.gather), k if k > 0 else 0.0
+        else:
+            base, k_base = base
+            data, springs = base.a.data.copy(), k - k_base  # its index arrays are ours
+        if springs != 0.0:  # NaN too, which the 1-norm reports
             d_free, places, unit = self.springs
-            a_ff.data[places] += k * unit
-        if self.levels:
+            data[places] += springs * unit
+        a_ff = sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.free.size,) * 2)
+        if base is not None:
+            def inverse(system, u=self.springs[0]):
+                return base.lu.update(system, c=springs / u.shape[1], u=u)
+        elif self.levels:
             def inverse(system):
                 product = system.a
                 if self.element_product is not None:
@@ -532,7 +511,7 @@ class DirichletReduction:
                 v_cycle = VCycle(product, diagonal, self.levels, coef, context)
                 return MultigridCG(system, v_cycle, product)
         else:
-            def inverse(system):  # the band filled from the block, before anything sorts it
+            def inverse(system):  # the band filled from the block
                 return BandedCholesky(self.band_map.band(system.a.data), context)
         system = FactorizedSystem(a_ff, context=context, inverse=inverse)
         x[self.free] = system.solve(b)

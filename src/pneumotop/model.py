@@ -220,21 +220,17 @@ class Model:
 
     def sweep(self, rho_bar: np.ndarray, k_values) -> list[PerformanceMetrics]:
         """Metrics at increasing spring stiffnesses from one flow solve: a
-        forward solve at the softest k_1, then for every other k that solve's
-        system with the rank-r update ``(k - k_1) / r * D_f D_f^T`` (r output
-        nodes, D_f the rows of D at the free DOFs), through the one banded
-        Cholesky factorization, or by CG preconditioned with the one
-        multigrid hierarchy where the reduction has coarse levels."""
+        forward solve at the softest k_1, then the elastic reduction's solve
+        at every other k with that solve's system as its ``base``, through the
+        one factorization or multigrid hierarchy. An indefinite update ends
+        as a solver failure, not as a missing support."""
         state = self.forward(rho_bar, k_out=k_values[0])
-        free, n_out = self.elastic_reduction.free, self.output_op.shape[1]
-        coefficients = [(k - k_values[0]) / n_out for k in k_values[1:]]
-        systems = state.disp.system.rank_updates(self.elastic_reduction.springs[0], coefficients)
+        base = (state.disp.system, state.k_out)
         out = [state.metrics]
-        # Each updated system holds its own matrix: drop it before the next
-        # is built (a loop variable would keep it alive through next()).
         for k in k_values[1:]:
-            u = np.zeros_like(state.disp.u)
-            u[free] = next(systems).solve(state.force[free])
+            # [0]: the point's system is dropped before the next is built
+            u = self.elastic_reduction.solve(state.k_struct, state.force, state.e_field,
+                                             "displacement solve", k, base=base)[0]
             out.append(elasticity.metrics(u, state.k_struct, self.l_out, k, state.metrics.E_t))
         return out
 

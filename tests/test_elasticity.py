@@ -361,10 +361,15 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     reductions = [model.elastic_reduction, model.flow_reduction]
     for reduction in reductions:
         assert bool(reduction.levels) == (name == "gripper3d")
-    # the assembled operators share the model's pattern arrays, not copies
+    # the assembled operators share the model's pattern arrays, and every
+    # free block its reduction's read-only index arrays, not copies
     for mat, op in [(state.k_struct, model.elastic.op), (state.flow.A, model.flow.op)]:
         assert np.shares_memory(mat.indptr, op.indptr)
         assert np.shares_memory(mat.indices, op.indices)
+    for system, reduction in zip([state.disp.system, state.pressure.system], reductions):
+        for mine, ours in [(system.a.indices, reduction.indices),
+                           (system.a.indptr, reduction.indptr)]:
+            assert np.shares_memory(mine, ours) and not ours.flags.writeable
     assert isinstance(state.disp.system.lu, linalg.MultigridCG) == (name == "gripper3d")
     if name == "gripper3d":
         # the V-cycles run on the reductions' own levels, with their
@@ -381,40 +386,25 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_sweep_holds_one_updated_system_at_a_time(name, tiny_spec, monkeypatch):
-    """Each rank-updated system owns its matrix, so the sweep drops it before
-    the next one is built."""
+    """Each sweep point's system owns its block, so the sweep drops it
+    before the next one is built."""
     spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
     model = Model(spec)
     rho = _designs(model, 2)[0]
     refs, live_at_build = [], []
+    real = linalg.FactorizedSystem.__init__
 
-    class Recording:
-        def __init__(self, systems):
-            self.systems = systems
+    def recording(self, a, **kwargs):
+        live_at_build.append([ref() is not None for ref in refs])
+        real(self, a, **kwargs)
+        refs.append(weakref.ref(self))
 
-        def __iter__(self):
-            return self
-
-        def __next__(self):
-            system = next(self.systems)
-            refs.append(weakref.ref(system))
-            return system
-
-    real = linalg.FactorizedSystem.rank_updates
-    monkeypatch.setattr(
-        linalg.FactorizedSystem, "rank_updates", lambda self, u, cs: Recording(real(self, u, cs))
-    )
-    real_norm1 = linalg._norm1
-
-    def norm1(a):  # every updated system takes the norm of its new matrix
-        live_at_build.append(sum(ref() is not None for ref in refs))
-        return real_norm1(a)
-
-    monkeypatch.setattr(linalg, "_norm1", norm1)
+    monkeypatch.setattr(linalg.FactorizedSystem, "__init__", recording)
     k_values = [0.1, 1.0, 10.0, 100.0]
     model.sweep(rho, k_values)
-    assert len(refs) == len(k_values) - 1
-    assert live_at_build[-len(refs):] == [0] * len(refs)
+    # the forward solve's pressure and displacement systems, then a system per point
+    assert len(refs) == 2 + len(k_values) - 1
+    assert [sum(live[2:]) for live in live_at_build[2:]] == [0] * (len(k_values) - 1)
 
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])

@@ -1,6 +1,6 @@
 """Backward-error contract of the banded-Cholesky and multigrid solves and
-their rank updates, the 2-D band order and band map, the 1-norm, and the
-grid's choice between them."""
+of a spring sweep's updates of them, the 2-D band order and band map, the
+1-norm, and the grid's choice between them."""
 import numpy as np
 import pytest
 from scipy import sparse
@@ -35,12 +35,46 @@ def _factorized(a):
     )
 
 
-def _spd_and_basis(n=30, r=4, seed=0):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n, n))
-    a = sparse.csc_matrix(m @ m.T + n * np.eye(n))
-    u = sparse.random(n, r, density=0.3, random_state=seed, format="csr")
-    return a, u, rng.normal(size=n)
+# The spring stiffness of a 2-D sweep's base solve.
+K0 = 10.0
+
+
+def _spring_sweep(columns, k_base=K0):
+    """A spring sweep on the gray 2-D stiffness K of ``_gray_2d`` (x = 0 edge
+    fixed), its reduction holding the springs ``S = (1/r) D Dᵀ`` of
+    ``D = columns(free, n)``, for ``free`` its free DOFs in band order:
+    ``(base, point, dense)``. ``base`` is the system of the solve at
+    ``k_base``, ``point(k)`` the ``(x, system)`` of the sweep's point at k
+    on it, and ``dense(k)`` the free block of ``K + k S`` (dense, in band
+    order) with the free load."""
+    g, op, coef, fixed, f = _gray_2d((12, 4), 2)
+    order = linalg._band_order(g.nel_axis, op.shape[0])
+    d = columns(order[np.isin(order, fixed, invert=True)], op.shape[0])
+    s = (d @ d.T / d.shape[1]).tocsr()
+    reduction = linalg.DirichletReduction(op, fixed, g, springs=(d, s))
+    k = op.assemble(coef)
+    _, base = reduction.solve(k, f, coef, "test system", k_base)
+
+    def point(k_point):
+        return reduction.solve(k, f, coef, "test system", k_point, base=(base, k_base))
+
+    def dense(k_point):
+        free = reduction.free
+        return (k + k_point * s).toarray()[np.ix_(free, free)], f[free]
+
+    return base, point, dense
+
+
+def _node_columns(where):
+    """``columns`` for ``_spring_sweep``: D with one column for each of the
+    three nodes whose DOFs come first or last among the free DOFs (2 per
+    node, together in band order), random weights on both of its DOFs, so
+    that D Dᵀ couples them."""
+    def columns(free, n):
+        rows = free[:6] if where == "first-rows" else free[-6:]
+        weights = np.random.default_rng(5).uniform(0.5, 1.5, rows.size)
+        return sparse.csr_matrix((weights, (rows, np.repeat(np.arange(3), 2))), shape=(n, 3))
+    return columns
 
 
 def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
@@ -51,28 +85,23 @@ def test_rank_updates_solve_updated_matrix_with_one_factorization(monkeypatch):
         return real_dpbtrf(band, **kwargs)
 
     monkeypatch.setattr(linalg, "dpbtrf", counting_dpbtrf)
-    a, u, b = _spd_and_basis()
-    base = _factorized(a)
-    coefficients = [0.5, 10.0, 1e4]
-    for c, system in zip(coefficients, base.rank_updates(u, coefficients)):
+    base, point, dense = _spring_sweep(_node_columns("last-rows"))
+    for k in [0.5, 1e2, 1e4]:  # softer and stiffer than the base
+        _, system = point(k)
         # through the base factor's halves, not a factor of its own
         assert isinstance(system.lu, linalg.WoodburyUpdate) and system.lu.factor is base.lu
+        a_k, b = dense(k)
         x = system.solve(b)
-        a_c = a.toarray() + c * (u @ u.T).toarray()
-        err = np.linalg.norm(b - a_c @ x) / (
-            np.abs(a_c).sum(axis=0).max() * np.linalg.norm(x) + np.linalg.norm(b)
-        )
-        assert err <= linalg.RESIDUAL_TOL
-        assert np.allclose(x, np.linalg.solve(a_c, b), rtol=1e-10, atol=0)
-    assert calls == [a.shape[0]]
+        assert _backward_error(a_k, x, b) <= linalg.RESIDUAL_TOL
+        assert np.allclose(x, np.linalg.solve(a_k, b), rtol=1e-10, atol=0)
+    assert calls == [base.a.shape[0]]
 
 
 def test_rank_update_missing_the_contract_raises(monkeypatch):
-    a, u, b = _spd_and_basis()
-    (system,) = _factorized(a).rank_updates(u, [3.0])
+    _, point, _ = _spring_sweep(_node_columns("last-rows"))
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolveError, match="test system: backward error"):
-        system.solve(b)
+        point(1e3)
 
 
 def _band_system(nel=(12, 4)):
@@ -110,47 +139,36 @@ def test_failed_half_solve_is_singular():
         system.lu.forward(b)
 
 
-def _node_columns(system, nodes):
-    """U with one column per node (2 DOFs, together in band order): random
-    weights on both of its DOFs, so that U Uᵀ couples them."""
-    rows = (2 * np.asarray(nodes)[:, None] + np.arange(2)).ravel()
-    weights = np.random.default_rng(5).uniform(0.5, 1.5, rows.size)
-    return sparse.csr_matrix(
-        (weights, (rows, np.repeat(np.arange(len(nodes)), 2))),
-        shape=(system.a.shape[0], len(nodes)),
-    )
-
-
 @pytest.mark.parametrize("where", ["first-rows", "last-rows"])
 def test_rank_updates_match_a_dense_solve(where):
-    system, b, _ = _band_system()
-    n_nodes = system.a.shape[0] // 2
-    nodes = [0, 1, 5] if where == "first-rows" else [n_nodes - 3, n_nodes - 2, n_nodes - 1]
-    u = _node_columns(system, nodes)
-    coefficients = [1e2, 1e5, 1e7]
-    for c, updated in zip(coefficients, system.rank_updates(u, coefficients)):
-        a_c = system.a.toarray() + c * (u @ u.T).toarray()
-        assert np.array_equal(updated.a.toarray(), a_c)
-        x = updated.solve(b)
-        assert np.allclose(x, np.linalg.solve(a_c, b), rtol=1e-10, atol=0)
+    _, point, dense = _spring_sweep(_node_columns(where))
+    for k in [1e2, 1e5, 1e7]:
+        _, system = point(k)
+        a_k, b = dense(k)
+        # the base's block plus (k - K0) S, against K + k S
+        assert np.abs(system.a.toarray() - a_k).max() <= 1e-15 * np.abs(a_k).max()
+        x = system.solve(b)
+        assert np.allclose(x, np.linalg.solve(a_k, b), rtol=1e-10, atol=0)
 
 
 def test_rank_update_outside_the_pattern_raises():
-    system, _, _ = _band_system()
-    u = _node_columns(system, [0])
-    u = sparse.csr_matrix(u + _node_columns(system, [system.a.shape[0] // 2 - 1]))
+    # one column on the first and the last free DOF: D Dᵀ couples them
+    def columns(free, n):
+        return sparse.csr_matrix(([1.0, 1.0], (free[[0, -1]], [0, 0])), shape=(n, 1))
+
     with pytest.raises(ValueError, match="entries lie outside the sparsity pattern"):
-        next(system.rank_updates(u, [1.0]))
+        _spring_sweep(columns)  # at the reduction's build
 
 
 def test_indefinite_rank_update_is_singular():
     # a_kk - 2 a_kk < 0 on the diagonal: A + c e_k e_kᵀ is indefinite
-    system, b, _ = _band_system()
-    k = system.a.shape[0] - 1
-    u = sparse.csr_matrix(([1.0], ([k], [0])), shape=(k + 1, 1))
-    c = -2.0 * system.a[k, k]
+    def columns(free, n):
+        return sparse.csr_matrix(([1.0], ([free[-1]], [0])), shape=(n, 1))
+
+    _, point, dense = _spring_sweep(columns, k_base=0.0)
+    a_kk = dense(0.0)[0][-1, -1]
     with pytest.raises(SingularSystemError, match="test system: rank-updated matrix is not positive definite"):
-        next(system.rank_updates(u, [c])).solve(b)
+        point(-2.0 * a_kk)
 
 
 def _gray_2d(nel, dofs_per_node, seed=2):
@@ -227,44 +245,37 @@ def test_band_map_fills_the_band_in_place(nel, dofs_per_node, dirichlet, monkeyp
 
 
 def test_norm1_is_the_largest_column_sum():
-    _, free, system_2d = _solve_dirichlet(*_gray_2d((12, 4), 2))
-    u = sparse.csr_matrix(np.eye(free.size)[:, -3:])
-    (updated,) = system_2d.rank_updates(u, [1e5])
+    _, _, system_2d = _solve_dirichlet(*_gray_2d((12, 4), 2))
+    _, updated = _spring_sweep(_node_columns("last-rows"))[1](1e5)
     _, _, system_3d = _solve_dirichlet(*_elastic_3d())
     for a in (system_2d.a, system_3d.a, updated.a):
-        # abs() of a CSR with unsorted columns sorts them in place: take a copy
+        # abs() of a CSR with unsorted columns sorts them in place, and a
+        # block's index arrays are read-only: take a copy
         column_sum = abs(a.copy()).sum(axis=0).max()
         assert abs(linalg._norm1(a) - column_sum) <= 1e-14 * column_sum
 
 
 @pytest.mark.parametrize("where", ["first-rows", "last-rows"])
-def test_updated_norm_matches_the_full_one(where):
-    system, _, _ = _band_system()
-    n_nodes = system.a.shape[0] // 2
-    # at 1e9 the rows U touches hold the largest sum, at 1e2 the others do
-    nodes = [0, 1] if where == "first-rows" else [n_nodes - 2, n_nodes - 1]
-    u = _node_columns(system, nodes)
-    coefficients = [1e2, 1e9]
-    for updated in system.rank_updates(u, coefficients):
-        assert updated.norm1 == linalg._norm1(updated.a)
+def test_nan_sweep_stiffness_is_a_solve_error(where):
+    _, point, _ = _spring_sweep(_node_columns(where))
     with pytest.raises(SolveError, match="test system: matrix has a non-finite 1-norm"):
-        next(system.rank_updates(u, [np.nan]))  # the touched rows turn NaN
+        point(np.nan)  # the rows the springs touch turn NaN
 
 
 def test_sweep_takes_the_loads_forward_half_solve_once(monkeypatch):
-    system, b, _ = _band_system()
-    u = _node_columns(system, [system.a.shape[0] // 2 - 1])
+    _, point, dense = _spring_sweep(_node_columns("last-rows"))
+    b = dense(0.0)[1]
     calls, real = [], linalg.BandedCholesky.forward
 
     def counting(self, rhs, start=0):
         calls.append(np.ndim(rhs) == 1 and np.array_equal(rhs, b))
         return real(self, rhs, start)
 
-    coefficients = [1e2, 1e5, 1e7]
-    expected = [updated.solve(b) for updated in system.rank_updates(u, coefficients)]
     monkeypatch.setattr(linalg.BandedCholesky, "forward", counting)
-    for updated, x in zip(system.rank_updates(u, coefficients), expected):
-        assert np.array_equal(updated.solve(b.copy()), x)  # equal in value, not the same array
+    for k in [1e2, 1e5, 1e7]:
+        _, system = point(k)  # each point gathers its own load, equal in value
+        a_k, _ = dense(k)
+        assert np.allclose(system.solve(b), np.linalg.solve(a_k, b), rtol=1e-10, atol=0)
     assert calls.count(True) == 1
 
 
@@ -413,8 +424,8 @@ def test_small_3d_reduction_sweeps_through_its_cholesky_factor():
     state = model.forward(rho, k_out=10.0)
     assert isinstance(state.pressure.system.lu, linalg.BandedCholesky)
     assert isinstance(state.disp.system.lu, linalg.BandedCholesky)
-    free = model.elastic_reduction.free
-    (updated,) = state.disp.system.rank_updates(model.output_op[free], [1.0])
+    _, updated = model.elastic_reduction.solve(state.k_struct, state.force, state.e_field,
+                                               "test system", 1e2, base=(state.disp.system, 10.0))
     assert isinstance(updated.lu, linalg.WoodburyUpdate)
     assert updated.lu.factor is state.disp.system.lu
     del updated
@@ -427,25 +438,31 @@ def test_small_3d_reduction_sweeps_through_its_cholesky_factor():
 
 def test_multigrid_rank_updates_solve_updated_matrix():
     g, op, coef, fixed, f = _elastic_3d()
-    u_full, free, base = _solve_dirichlet(g, op, coef, fixed, f)
     tip = np.flatnonzero(g.coords[:, 0] == g.coords[:, 0].max())
-    rows = 3 * tip + 1
-    u = sparse.csr_matrix(
-        (np.ones(tip.size), (rows, np.arange(tip.size))), shape=(op.shape[0], tip.size)
-    )[free]
-    coefficients = [1e2, 1e4, 1e6]
+    d = sparse.csr_matrix(
+        (np.ones(tip.size), (3 * tip + 1, np.arange(tip.size))), shape=(op.shape[0], tip.size)
+    )
+    s = (d @ d.T / tip.size).tocsr()
+    reduction = linalg.DirichletReduction(op, fixed, g, springs=(d, s))
+    k = op.assemble(coef)
+    _, base = reduction.solve(k, f, coef, "test system", 1.0)
+    free = reduction.free
     b = f[free]
-    for c, system in zip(coefficients, base.rank_updates(u, coefficients)):
+    for k_point in [1e2, 1e4, 1e6]:
+        _, system = reduction.solve(k, f, coef, "test system", k_point, base=(base, 1.0))
         assert isinstance(system, linalg.FactorizedSystem)
         assert isinstance(system.lu, linalg.MultigridCG)
         assert system.lu.v_cycle is base.lu.v_cycle  # the base V-cycle, not a new hierarchy
-        # the base's element product plus its own rank term; the sum is formed for the contract
+        # the base's element product plus a rank term of its own; the block holds the sum
         assert system.lu.product.scatter is base.lu.product.scatter
+        terms = system.lu.product.terms
+        assert [c for c, _, _ in terms] == [1.0 / tip.size, (k_point - 1.0) / tip.size]
+        a_k = (k + k_point * s).tocsr()[free][:, free]
+        assert abs(system.a - a_k).max() <= 1e-15 * abs(a_k).max()
+        assert _relative_gap(system.lu.product, a_k) <= 1e-14
         x = system.solve(b)
-        a_c = base.a + c * (u @ u.T)
-        assert abs(system.a - a_c).max() == 0.0
-        assert _backward_error(a_c, x, b) <= linalg.RESIDUAL_TOL
-        exact = spsolve(a_c.tocsc(), b)
+        assert _backward_error(a_k, x, b) <= linalg.RESIDUAL_TOL
+        exact = spsolve(a_k.tocsc(), b)
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
 
 
@@ -586,11 +603,33 @@ def test_element_product_matches_the_free_block(case):
 
 def test_updated_sweep_system_multiplies_element_by_element():
     model, rho = _gripper3d_design()
-    base = model.forward(rho, k_out=10.0).disp.system
-    free, n_out = model.elastic_reduction.free, model.output_op.shape[1]
-    for c, updated in zip([1.0, 1e3], base.rank_updates(model.output_op[free], [1.0, 1e3])):
-        assert updated.lu.product.terms[0][0] == 10.0 / n_out and updated.lu.product.terms[1][0] == c
+    state = model.forward(rho, k_out=10.0)
+    n_out = model.output_op.shape[1]
+    for k in [1e2, 1e4]:
+        _, updated = model.elastic_reduction.solve(
+            state.k_struct, state.force, state.e_field, "test system", k,
+            base=(state.disp.system, 10.0))
+        (c_base, _, _), (c, _, _) = updated.lu.product.terms
+        assert c_base == 10.0 / n_out and c == (k - 10.0) / n_out
         assert _relative_gap(updated.lu.product, updated.a) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_sweep_point_block_is_the_forward_block(name, tiny_spec):
+    # a copy of the base block's data plus (k - k_base) S at the reduction's
+    # spring places, on the reduction's own index arrays
+    model = Model(tiny_spec if name == "tiny" else problem.load_problem("gripper3d"))
+    x = np.random.default_rng(7).uniform(0.0, 1.0, (3, model.grid.nelem))
+    rho = model.physical_fields(x, 8.0)[1]
+    reduction = model.elastic_reduction
+    state = model.forward(rho, k_out=0.1)
+    for k in [1.0, 1e3]:
+        _, point = reduction.solve(state.k_struct, state.force, state.e_field, "test system", k,
+                                   base=(state.disp.system, 0.1))
+        block = model.forward(rho, k_out=k).disp.system.a
+        assert np.abs(point.a.data - block.data).max() <= 1e-15 * np.abs(block.data).max()
+        for mine, ours in [(point.a.indices, reduction.indices), (point.a.indptr, reduction.indptr)]:
+            assert np.shares_memory(mine, ours)
 
 
 def test_cg_multiplies_the_elastic_block_element_by_element_only(monkeypatch):

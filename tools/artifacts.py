@@ -18,9 +18,10 @@ moves the numerics by roundoff shows how far.
 The optimize cases cover a short and a converged finger2d run, a short
 gripper3d run, and runs whose projection is sharpened only by stalls (a
 loose ``change_tol`` and no scheduled doubling in reach). The sweep cases
-are the default spring sweeps of the packaged pneunet design and of the
-``gripper3d-5`` design on the gripper3d fixture (multigrid CG on
-rank-updated systems).
+are the default spring sweeps of the packaged pneunet design, of the
+``gripper3d-5`` design on the gripper3d fixture (multigrid CG on updated
+systems) and of the sealed ``finger2d-converged`` design on the finger2d
+fixture.
 """
 from __future__ import annotations
 
@@ -53,7 +54,13 @@ CASES = {
     "gripper3d-stalls": ("gripper3d", {
         **STALLS, "optimizer": {"change_tol": 0.25, "max_iters": 12}}),
 }
-SWEEP_CASE = "pneunet2d-sweep"
+# sweep case -> (design, relative to the output directory, and fixture); the
+# pneunet design is written into its case, the others come from cases above
+SWEEPS = {
+    "pneunet2d-sweep": ("pneunet2d-sweep/design.json", "pneunet2d"),
+    "gripper3d-sweep": ("gripper3d-5/design.json", "gripper3d"),
+    "finger2d-sweep": ("finger2d-converged/design_sealed.json", "finger2d"),
+}
 # summary.json entries that differ between two runs of the same code
 VOLATILE = ("wall_time_s", "design", "design_sealed", "history_csv")
 
@@ -68,16 +75,11 @@ def write(out: Path):
         status = "converged" if summary["converged"] else "iteration limit"
         print(f"{case}: {status} after {summary['iterations']} iterations "
               f"({time.perf_counter() - t0:.1f} s)")
-    sweep_dir = out / SWEEP_CASE
-    grid_spec, rho = make_pneunet2d_design()
-    io.save_design(sweep_dir / "design.json", grid_spec, rho, note="pneunet2d")
-    rows = runner.evaluate_design(sweep_dir / "design.json", problem.fixture_path("pneunet2d"))
-    io.write_metrics_csv(sweep_dir / "evaluation.csv", rows)
-    print(f"{SWEEP_CASE}: {len(rows)} sweep points")
-    rows = runner.evaluate_design(out / "gripper3d-5" / "design.json",
-                                  problem.fixture_path("gripper3d"))
-    io.write_metrics_csv(out / "gripper3d-sweep" / "evaluation.csv", rows)
-    print(f"gripper3d-sweep: {len(rows)} sweep points")
+    io.save_design(out / SWEEPS["pneunet2d-sweep"][0], *make_pneunet2d_design(), note="pneunet2d")
+    for case, (design, fixture) in SWEEPS.items():
+        rows = runner.evaluate_design(out / design, problem.fixture_path(fixture))
+        io.write_metrics_csv(out / case / "evaluation.csv", rows)
+        print(f"{case}: {len(rows)} sweep points")
 
 
 def _content(path: Path):
