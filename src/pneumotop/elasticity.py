@@ -98,18 +98,13 @@ def solve_displacement(
 
 
 def metrics(
-    u: np.ndarray,
-    k_struct: sparse.csr_matrix,
-    l_out: np.ndarray,
-    k_out: float,
-    E_t: float = 0.0,
-    ku: np.ndarray | None = None,
+    u: np.ndarray, ku: np.ndarray, l_out: np.ndarray, k_out: float, E_t: float = 0.0
 ) -> PerformanceMetrics:
-    """Output displacement ``l_out . u``, structural strain energy, and the
-    work of an output spring of stiffness ``k_out``; ``ku`` is
-    ``k_struct @ u`` where the caller has formed it."""
+    """Output displacement ``l_out . u``, structural strain energy
+    ``u . ku / 2`` from ``ku = K u`` (the stiffness without springs), and the
+    work of an output spring of stiffness ``k_out``."""
     u = np.asarray(u, dtype=float)
     u_out = float(l_out @ u)
-    se = 0.5 * float(u @ (k_struct @ u if ku is None else ku))
+    se = 0.5 * float(u @ ku)
     w = 0.5 * k_out * u_out**2
     return PerformanceMetrics(u_out=u_out, SE=se, W=w, E_t=E_t)

@@ -225,11 +225,6 @@ class Grid:
         self.__dict__.pop("stencil", None)
 
 
-def build_grid(spec: GridSpec) -> Grid:
-    """Construct the grid with deterministic lexicographic numbering."""
-    return Grid(spec)
-
-
 @dataclass(frozen=True)
 class BoundaryRegion:
     """Axis-aligned box selector with a physical role.

@@ -65,7 +65,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import SingularSystemError, SolveError
 from .grid import (
-    CORNER_OFFSETS, GridSpec, build_grid, element_pattern, lattice, node_dofs, pattern_slots,
+    CORNER_OFFSETS, Grid, GridSpec, element_pattern, lattice, node_dofs, pattern_slots,
 )
 
 RESIDUAL_TOL = 1e-9
@@ -472,7 +472,7 @@ class DirichletReduction:
     def solve(self, a, f, coef, context: str, k: float = 0.0, base=None):
         """Solve ``(A + k S) x = f`` with ``x[fixed] = values``, for ``a``
         (CSR) on this reduction's pattern, assembled from the coefficients
-        ``coef``. For ``k`` > 0 the springs ``k S`` are added to the gathered
+        ``coef``. For ``k`` != 0 the springs ``k S`` are added to the gathered
         free block (their entries on fixed DOFs, which must hold zero, are
         left out), and to an element product as the rank-r term
         ``(k / r) D_f D_fᵀ``; they stay off the coarse levels. ``a`` may
@@ -489,13 +489,15 @@ class DirichletReduction:
         if np.any(x):
             b -= (a @ x)[self.free]
         if base is None:
-            data, springs = _take(a.data, self.gather), k if k > 0 else 0.0
+            data, springs = _take(a.data, self.gather), k
         else:
             base, k_base = base
             data, springs = base.a.data.copy(), k - k_base  # its index arrays are ours
+        rank = ()  # the springs as rank terms (c, D_f), for an element product
         if springs != 0.0:  # NaN too, which the 1-norm reports
             d_free, places, unit = self.springs
             data[places] += springs * unit
+            rank = ((springs / d_free.shape[1], d_free),)
         a_ff = sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.free.size,) * 2)
         if base is not None:
             def inverse(system, u=self.springs[0]):
@@ -505,8 +507,8 @@ class DirichletReduction:
                 product = system.a
                 if self.element_product is not None:
                     product = self.element_product.bind(coef)
-                    if k > 0:
-                        product = product.plus(k / d_free.shape[1], d_free)
+                    for c, u in rank:
+                        product = product.plus(c, u)
                 diagonal = _take(system.a.data, self.diagonal)
                 v_cycle = VCycle(product, diagonal, self.levels, coef, context)
                 return MultigridCG(system, v_cycle, product)
@@ -535,7 +537,7 @@ class GalerkinLevel:
     def __init__(self, grid, templates, masks, finer_keep, level: int):
         s, n_dofs = 2**level, templates.shape[1]
         dofs, nel = n_dofs // grid.nen, tuple(-(-m // s) for m in grid.nel_axis)
-        coarse = build_grid(GridSpec(3, nel, s * grid.h))
+        coarse = Grid(GridSpec(3, nel, s * grid.h))
         elem = (grid.elem_ijk // s) @ np.cumprod((1,) + nel[:-1])
         place = (grid.elem_ijk % s) @ s ** np.arange(3)
         keys, which = np.unique((place << n_dofs) | masks, return_inverse=True)

@@ -22,7 +22,6 @@ from .grid import (
     TAG_DESIGN,
     TAG_PASSIVE_VOID,
     Grid,
-    build_grid,
     filter_matrix,
     in_box,
     node_dofs,
@@ -52,6 +51,14 @@ class State:
     k_out: float = 0.0
 
 
+def _spring_stiffness(k) -> float:
+    """``k`` as a float, if it is a stiffness an output spring can have."""
+    k = float(k)
+    if not 0.0 <= k < np.inf:  # NaN fails both
+        raise ConfigError(f"output spring stiffness must be finite and >= 0, got {k!r}")
+    return k
+
+
 class Model:
     """Operators and boundary data resolved from a ProblemSpec."""
 
@@ -60,7 +67,7 @@ class Model:
         # Upper volume fraction per constrained channel; the topology
         # channel holds every material, so it is bounded by their sum.
         self.volume_bounds = (sum(spec.volume_fractions),) + spec.volume_fractions[1:]
-        self.grid: Grid = build_grid(spec.grid)
+        self.grid = Grid(spec.grid)
         self.mats = spec.materials
         self.flow_params = spec.flow
         self.kernel = filter_matrix(self.grid, spec.filter.r_min_elems * self.grid.h)
@@ -187,9 +194,11 @@ class Model:
     def forward(self, rho_bar: np.ndarray, k_out: float | None = None) -> State:
         """Darcy solve, force transfer, elastic solve, and metrics. The
         elastic reduction adds the springs ``k_out * spring_unit`` to its
-        free block, so the one stiffness held is ``k_struct``."""
+        free block, so the one stiffness held is ``k_struct``. ``k_out``
+        (the output region's by default) must be finite and >= 0, as in a
+        problem file; any other is a ConfigError."""
         rho_bar = np.asarray(rho_bar, dtype=float)
-        k_out = self.output_sel.region.k_out if k_out is None else float(k_out)
+        k_out = _spring_stiffness(self.output_sel.region.k_out if k_out is None else k_out)
 
         flow_sys = self.flow.assemble(rho_bar[0], self.flow_params)
         pressure = darcy.solve_pressure(flow_sys, self.flow_reduction)
@@ -203,7 +212,7 @@ class Model:
             k_struct, force, self.elastic_reduction, e_field, k_out
         )
         ku = k_struct @ disp.u
-        m = elasticity.metrics(disp.u, k_struct, self.l_out, k_out, E_t=e_t, ku=ku)
+        m = elasticity.metrics(disp.u, ku, self.l_out, k_out, E_t=e_t)
         return State(
             rho_bar=rho_bar,
             e_field=e_field,
@@ -223,7 +232,9 @@ class Model:
         forward solve at the softest k_1, then the elastic reduction's solve
         at every other k with that solve's system as its ``base``, through the
         one factorization or multigrid hierarchy. An indefinite update ends
-        as a solver failure, not as a missing support."""
+        as a solver failure, not as a missing support. Every k is held to
+        ``forward``'s rule before the first solve."""
+        k_values = [_spring_stiffness(k) for k in k_values]
         state = self.forward(rho_bar, k_out=k_values[0])
         base = (state.disp.system, state.k_out)
         out = [state.metrics]
@@ -231,7 +242,7 @@ class Model:
             # [0]: the point's system is dropped before the next is built
             u = self.elastic_reduction.solve(state.k_struct, state.force, state.e_field,
                                              "displacement solve", k, base=base)[0]
-            out.append(elasticity.metrics(u, state.k_struct, self.l_out, k, state.metrics.E_t))
+            out.append(elasticity.metrics(u, state.k_struct @ u, self.l_out, k, state.metrics.E_t))
         return out
 
     def _check_pressure_bounds(self, p: np.ndarray):

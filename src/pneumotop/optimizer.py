@@ -59,8 +59,9 @@ class IterationRecord:
 
 @dataclass
 class RunResult:
+    """Where a run ended; its IterationRecords went to the run's sink."""
+
     design: np.ndarray  # raw design variables, (3, nelem)
-    history: list  # of IterationRecord
     converged: bool
     iterations: int
     s: float
@@ -126,10 +127,11 @@ class _DesignPacker:
         return design
 
 
-def run(model: Model, sink=None) -> RunResult:
+def run(model: Model, sink) -> RunResult:
     """Drive the optimization to convergence or the iteration limit.
 
-    ``sink``, when given, receives each IterationRecord as it is produced.
+    ``sink`` receives each IterationRecord as it is produced; the run keeps
+    none of them.
 
     Accepted iterates never raise the objective at a fixed projection
     sharpness: when the MMA step of an iteration ends at a design whose
@@ -153,16 +155,10 @@ def run(model: Model, sink=None) -> RunResult:
     design = initialize(model)
     beta = fspec.beta_p_initial
     s = model.spec.objective.s
-    history = []
     converged = False
     prev_change = np.inf
     it = 0
     evaluated = None  # (rho_bar, dproj, state) of ``design`` at ``beta``, once solved
-
-    def record(rec: IterationRecord):
-        history.append(rec)
-        if sink:
-            sink(rec)
 
     while it < settings.max_iters:
         it += 1
@@ -183,7 +179,7 @@ def run(model: Model, sink=None) -> RunResult:
         scheduled = sharpenable and it % fspec.beta_p_double_every == 0
 
         if stalled and feasible and not sharpenable:
-            record(record_of(prev_change))
+            sink(record_of(prev_change))
             converged = True
             break
 
@@ -215,12 +211,9 @@ def run(model: Model, sink=None) -> RunResult:
                 x_new, evaluated = _descend(model, mma, packer, design, x, x_new, f, s, beta, it)
 
         change = float(np.max(np.abs(x_new - x))) if x.size else 0.0
-        record(record_of(change))
-        log.info(
-            "iter %d: f=%.5g g=%s change=%.4f gray=%.3f beta=%g",
-            it, f, np.array2string(g, precision=3), change,
-            history[-1].grayness, beta,
-        )
+        sink(rec := record_of(change))
+        log.info("iter %d: f=%.5g g=%s change=%.4f gray=%.3f beta=%g",
+                 it, f, np.array2string(g, precision=3), change, rec.grayness, beta)
         design = packer.unpack(x_new, design)
 
         # The continuation rule: a zero design change below beta_p_max doubles
@@ -236,7 +229,6 @@ def run(model: Model, sink=None) -> RunResult:
         evaluated = _evaluate(model, design, beta, it)
     return RunResult(
         design=design,
-        history=history,
         converged=converged,
         iterations=it,
         s=s if s is not None else float("nan"),

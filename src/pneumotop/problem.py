@@ -374,6 +374,8 @@ def parse_problem(raw: dict, default_name: str = "problem") -> ProblemSpec:
     for i, p in enumerate(raw.get("passive", [])):
         if "material" in p and p["tag"] == "void":
             raise ConfigError(f"$.passive[{i}].material: a void box holds no material")
+    if "drain_ratio" in raw["flow"] and "D_s" in raw["flow"]:
+        raise ConfigError("$.flow.drain_ratio: only derives D_s, which the file gives")
 
     grid = GridSpec(**_fields(raw["grid"]))
     filt = FilterSpec(**{"r_min_elems": 1.5 if dim == 2 else 2.5,

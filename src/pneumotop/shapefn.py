@@ -1,14 +1,19 @@
 """Bilinear/trilinear element integrals on axis-aligned squares and cubes.
 
-All element matrices are evaluated with 2-point Gauss quadrature per axis,
-which integrates the (at most quadratic per axis) shape-function products
-exactly. Nodes come in the grid's corner order, ``grid.CORNER_OFFSETS``.
+Every element matrix is one sum over ``_quadrature``, the 2-point Gauss rule
+per axis, which integrates the (at most quadratic per axis) shape-function
+products exactly. Strains are in Voigt order, ``VOIGT``: the normal
+components, then the engineering shears. Nodes come in the grid's corner
+order, ``grid.CORNER_OFFSETS``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .grid import CORNER_OFFSETS
+
+# (i, j) of each Voigt strain row: eps_ij, doubled off the diagonal
+VOIGT = {2: ((0, 0), (1, 1), (0, 1)), 3: ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))}
 
 
 def corner_signs(dim: int) -> np.ndarray:
@@ -24,43 +29,29 @@ def gauss_points(dim: int) -> np.ndarray:
     return pts
 
 
-def shape_values(xi: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Shape functions N_a(xi), shape (nen,)."""
-    return np.prod((1.0 + signs * xi) / 2.0, axis=1)
-
-
-def shape_gradients(xi: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Reference-coordinate gradients dN_a/dxi_c, shape (nen, dim)."""
-    nen, dim = signs.shape
-    terms = (1.0 + signs * xi) / 2.0
-    grads = np.empty((nen, dim))
-    for c in range(dim):
-        others = np.prod(np.delete(terms, c, axis=1), axis=1)
-        grads[:, c] = (signs[:, c] / 2.0) * others
-    return grads
+def _quadrature(dim: int, h: float):
+    """``(det J, N, dN/dxi)`` at each Gauss point of an element of side
+    ``h``: the shape functions, shape (nen,), and their reference gradients,
+    (nen, dim). Physical gradients are ``dN/dxi * (2 / h)``."""
+    signs = corner_signs(dim)
+    det_j = (h / 2.0) ** dim
+    # terms[p, a]: the 1-D factors of N_a at point p, all points at once
+    terms = (1.0 + signs * gauss_points(dim)[:, None, :]) / 2.0
+    grads = [(signs[:, c] / 2.0) * np.prod(np.delete(terms, c, axis=2), axis=2)
+             for c in range(dim)]
+    for n, g in zip(np.prod(terms, axis=2), np.stack(grads, axis=2)):
+        yield det_j, n, g
 
 
 def conduction_matrix(dim: int, h: float) -> np.ndarray:
     """Scalar-Laplacian element matrix for unit conductivity, shape (nen, nen)."""
-    signs = corner_signs(dim)
-    det_j = (h / 2.0) ** dim
     scale = (2.0 / h) ** 2
-    ke = np.zeros((signs.shape[0],) * 2)
-    for xi in gauss_points(dim):
-        g = shape_gradients(xi, signs)
-        ke += det_j * scale * (g @ g.T)
-    return ke
+    return sum(det_j * scale * (g @ g.T) for det_j, _, g in _quadrature(dim, h))
 
 
 def mass_matrix(dim: int, h: float) -> np.ndarray:
     """Element integral of N_a N_b, shape (nen, nen)."""
-    signs = corner_signs(dim)
-    det_j = (h / 2.0) ** dim
-    me = np.zeros((signs.shape[0],) * 2)
-    for xi in gauss_points(dim):
-        n = shape_values(xi, signs)
-        me += det_j * np.outer(n, n)
-    return me
+    return sum(det_j * np.outer(n, n) for det_j, n, _ in _quadrature(dim, h))
 
 
 def coupling_matrix(dim: int, h: float) -> np.ndarray:
@@ -69,16 +60,9 @@ def coupling_matrix(dim: int, h: float) -> np.ndarray:
     Row index is the displacement slot dim*a + c, column index is the
     pressure node b; shape (dim*nen, nen).
     """
-    signs = corner_signs(dim)
-    nen = signs.shape[0]
-    det_j = (h / 2.0) ** dim
-    te = np.zeros((dim * nen, nen))
-    for xi in gauss_points(dim):
-        n = shape_values(xi, signs)
-        g = shape_gradients(xi, signs) * (2.0 / h)
-        for c in range(dim):
-            te[c::dim, :] += det_j * np.outer(n, g[:, c])
-    return te
+    # entry (a, c, b) is N_a dN_b/dx_c: the outer product of N and column c
+    return sum(det_j * (n[:, None, None] * (g * (2.0 / h)).T).reshape(-1, n.size)
+               for det_j, n, g in _quadrature(dim, h))
 
 
 def elastic_moduli(nu: float, dim: int) -> np.ndarray:
@@ -101,38 +85,22 @@ def elastic_moduli(nu: float, dim: int) -> np.ndarray:
     return cm
 
 
-def strain_matrix(dndx: np.ndarray, dim: int) -> np.ndarray:
-    """Strain-displacement matrix B from physical gradients (nen, dim)."""
-    nen = dndx.shape[0]
-    if dim == 2:
-        b = np.zeros((3, 2 * nen))
-        b[0, 0::2] = dndx[:, 0]
-        b[1, 1::2] = dndx[:, 1]
-        b[2, 0::2] = dndx[:, 1]
-        b[2, 1::2] = dndx[:, 0]
-        return b
-    b = np.zeros((6, 3 * nen))
-    b[0, 0::3] = dndx[:, 0]
-    b[1, 1::3] = dndx[:, 1]
-    b[2, 2::3] = dndx[:, 2]
-    b[3, 1::3] = dndx[:, 2]
-    b[3, 2::3] = dndx[:, 1]
-    b[4, 0::3] = dndx[:, 2]
-    b[4, 2::3] = dndx[:, 0]
-    b[5, 0::3] = dndx[:, 1]
-    b[5, 1::3] = dndx[:, 0]
+def strain_matrix(dndx: np.ndarray) -> np.ndarray:
+    """Strain-displacement matrix B from physical gradients (nen, dim): row
+    (i, j) of ``VOIGT`` is du_i/dx_j + du_j/dx_i, halved on the diagonal."""
+    nen, dim = dndx.shape
+    b = np.zeros((len(VOIGT[dim]), dim * nen))
+    for row, (i, j) in enumerate(VOIGT[dim]):
+        b[row, i::dim] = dndx[:, j]
+        b[row, j::dim] = dndx[:, i]
     return b
 
 
 def stiffness_matrix(dim: int, h: float, nu: float) -> np.ndarray:
     """Unit-modulus element stiffness, shape (dim*nen, dim*nen)."""
-    signs = corner_signs(dim)
     cm = elastic_moduli(nu, dim)
-    det_j = (h / 2.0) ** dim
-    nen = signs.shape[0]
-    ke = np.zeros((dim * nen,) * 2)
-    for xi in gauss_points(dim):
-        g = shape_gradients(xi, signs) * (2.0 / h)
-        b = strain_matrix(g, dim)
-        ke += det_j * (b.T @ cm @ b)
+    ke = 0.0
+    for det_j, _, g in _quadrature(dim, h):
+        b = strain_matrix(g * (2.0 / h))
+        ke = ke + det_j * (b.T @ cm @ b)
     return ke

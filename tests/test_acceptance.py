@@ -12,7 +12,7 @@ import pytest
 
 from pneumotop import adjoint, bench, closure, io, optimizer, problem, runner
 from pneumotop.darcy import coupling_matrix
-from pneumotop.grid import BoundaryRegion, GridSpec, build_grid, select_region
+from pneumotop.grid import BoundaryRegion, Grid, GridSpec, select_region
 from pneumotop.materials import FlowParams, MaterialSet, interpolate_modulus
 from pneumotop.model import Model
 
@@ -50,7 +50,7 @@ def test_criterion_01_interpolation_corners():
 
 def test_criterion_02_darcy_one_d_analytic():
     t0 = time.perf_counter()
-    g = build_grid(GridSpec(2, (10, 1), 1.0))
+    g = Grid(GridSpec(2, (10, 1), 1.0))
     inlet = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 1)))).nodes
     drain = select_region(g, BoundaryRegion("pressure_drain", ((10, 0), (10, 1)))).nodes
     fp = FlowParams(P_in=5e4, D_s=0.0)
@@ -59,7 +59,7 @@ def test_criterion_02_darcy_one_d_analytic():
     rel = np.abs(pf.p - exact) / 5e4
     assert rel.max() <= 1e-6
 
-    g11 = build_grid(GridSpec(2, (11, 1), 1.0))
+    g11 = Grid(GridSpec(2, (11, 1), 1.0))
     inlet11 = select_region(g11, BoundaryRegion("pressure_inlet", ((0, 0), (0, 1)))).nodes
     drain11 = select_region(g11, BoundaryRegion("pressure_drain", ((11, 0), (11, 1)))).nodes
     rho = np.zeros(g11.nelem)
@@ -73,12 +73,12 @@ def test_criterion_02_darcy_one_d_analytic():
 
 
 def test_criterion_03_force_consistency():
-    g = build_grid(GridSpec(2, (4, 4), 0.25))
+    g = Grid(GridSpec(2, (4, 4), 0.25))
     p_u = np.full(g.nnodes, 3.3e4)
     f_u = -(coupling_matrix(g) @ p_u)
     assert np.abs(f_u).max() <= 1e-12 * 3.3e4
 
-    g1 = build_grid(GridSpec(2, (1, 1), 1.0))
+    g1 = Grid(GridSpec(2, (1, 1), 1.0))
     slope = 4.1e3
     f_l = -(coupling_matrix(g1) @ (slope * g1.coords[:, 0]))
     assert abs(f_l[0::2].sum() + slope * g1.element_volume) <= 1e-10 * slope
@@ -179,7 +179,7 @@ def test_criterion_06_sealing(finger2d_run):
     assert seal["added_volume_fraction"] <= 0.10
 
     # flood fill detects a one-element pinhole
-    g = build_grid(GridSpec(2, (10, 10), 1.0))
+    g = Grid(GridSpec(2, (10, 10), 1.0))
     inlet = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 10)))).faces
     drain = select_region(g, BoundaryRegion("pressure_drain", ((10, 0), (10, 10)))).faces
     rho1 = np.zeros(g.nelem)

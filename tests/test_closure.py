@@ -7,8 +7,8 @@ from pneumotop.errors import ConfigError
 from pneumotop.grid import (
     TAG_DESIGN,
     BoundaryRegion,
+    Grid,
     GridSpec,
-    build_grid,
     select_region,
 )
 from pneumotop.materials import FlowParams, drainage_for_wall
@@ -26,7 +26,7 @@ def _faces(grid, role, box):
 
 
 def _column(n=10):
-    g = build_grid(GridSpec(2, (n, 1), 1.0))
+    g = Grid(GridSpec(2, (n, 1), 1.0))
     inlet = _faces(g, "pressure_inlet", ((0, 0), (0, 1)))
     drain = _faces(g, "pressure_drain", ((n, 0), (n, 1)))
     return g, inlet, drain
@@ -58,7 +58,7 @@ def test_flood_fill_inlet_element_that_drains():
 
 
 def test_flood_fill_pinhole_detected():
-    g = build_grid(GridSpec(2, (10, 10), 1.0))
+    g = Grid(GridSpec(2, (10, 10), 1.0))
     inlet = _faces(g, "pressure_inlet", ((0, 0), (0, 10)))
     drain = _faces(g, "pressure_drain", ((10, 0), (10, 10)))
     rho1 = np.zeros(g.nelem)
@@ -73,7 +73,7 @@ def test_flood_fill_pinhole_detected():
 
 def test_flood_fill_monotone_in_density():
     # raising any element's density never turns a sealed domain leaky
-    g = build_grid(GridSpec(2, (8, 6), 1.0))
+    g = Grid(GridSpec(2, (8, 6), 1.0))
     inlet = _faces(g, "pressure_inlet", ((0, 0), (0, 6)))
     drain = _faces(g, "pressure_drain", ((8, 0), (8, 6)))
     rng = np.random.default_rng(2)
@@ -119,7 +119,7 @@ def test_heuristic_skin_already_sealed_unchanged():
 
 
 def test_heuristic_skin_all_void_produces_sealed_cut():
-    g = build_grid(GridSpec(2, (12, 6), 1.0))
+    g = Grid(GridSpec(2, (12, 6), 1.0))
     inlet_sel = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 6))))
     drain_sel = select_region(g, BoundaryRegion("pressure_drain", ((12, 0), (12, 6))))
     fp = FlowParams(P_in=5e4, D_s=0.0)
@@ -132,7 +132,7 @@ def test_heuristic_skin_all_void_produces_sealed_cut():
 
 
 def test_heuristic_skin_idempotent():
-    g = build_grid(GridSpec(2, (12, 6), 1.0))
+    g = Grid(GridSpec(2, (12, 6), 1.0))
     inlet = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 6)))).nodes
     drain = select_region(g, BoundaryRegion("pressure_drain", ((12, 0), (12, 6)))).nodes
     rng = np.random.default_rng(4)
@@ -147,7 +147,7 @@ def test_heuristic_skin_idempotent():
 
 
 def test_non_design_skin_counts_and_exemptions():
-    g = build_grid(GridSpec(3, (4, 4, 4), 1.0))
+    g = Grid(GridSpec(3, (4, 4, 4), 1.0))
     mask = np.full(g.nelem, TAG_DESIGN, dtype=np.int64)
     out = non_design_skin(g, mask, 1, material=1, exempt_faces=())
     assert (out == 1).sum() == 4**3 - 2**3
@@ -172,7 +172,7 @@ def test_skin_closure_leaves_gripper3d_inlet_and_symmetry_planes_open():
 
 
 def test_non_design_skin_errors():
-    g = build_grid(GridSpec(2, (4, 4), 1.0))
+    g = Grid(GridSpec(2, (4, 4), 1.0))
     mask = np.full(g.nelem, TAG_DESIGN, dtype=np.int64)
     with pytest.raises(ConfigError, match="thickness"):
         non_design_skin(g, mask, 0, material=1)
@@ -181,7 +181,7 @@ def test_non_design_skin_errors():
 
 
 def test_non_design_skin_preserves_explicit_passive():
-    g = build_grid(GridSpec(2, (6, 4), 1.0))
+    g = Grid(GridSpec(2, (6, 4), 1.0))
     mask = np.full(g.nelem, TAG_DESIGN, dtype=np.int64)
     channel = g.elem_ijk[:, 1] == 0
     mask[channel] = -1  # explicit void channel on the bottom face

@@ -4,7 +4,7 @@ import pytest
 
 from pneumotop.darcy import FlowAssembler, coupling_matrix, energy_loss, pressure_reduction
 from pneumotop.errors import ConfigError
-from pneumotop.grid import BoundaryRegion, GridSpec, build_grid, select_region
+from pneumotop.grid import BoundaryRegion, Grid, GridSpec, select_region
 from pneumotop.materials import FlowParams, drainage_for_wall
 
 from gridindex import node_index
@@ -14,7 +14,7 @@ FLOW = FlowParams(P_in=5e4)
 
 
 def _column_grid(n=10, h=1.0):
-    return build_grid(GridSpec(2, (n, 1), h))
+    return Grid(GridSpec(2, (n, 1), h))
 
 
 def _column_bcs(grid):
@@ -30,7 +30,7 @@ def _column_bcs(grid):
 
 
 def test_single_element_conduction_is_bilinear_laplacian():
-    g = build_grid(GridSpec(2, (1, 1), 1.0))
+    g = Grid(GridSpec(2, (1, 1), 1.0))
     fp = FlowParams(P_in=1.0, K_v=1.0, K_s=1e-7, D_s=0.0)
     sys = FlowAssembler(g).assemble(np.zeros(1), fp)
     exact = (1.0 / 6.0) * np.array(
@@ -44,7 +44,7 @@ def test_single_element_conduction_is_bilinear_laplacian():
 
 
 def test_all_solid_with_drainage_is_positive_definite():
-    g = build_grid(GridSpec(2, (3, 3), 1.0))
+    g = Grid(GridSpec(2, (3, 3), 1.0))
     fp = FlowParams(P_in=1.0, D_s=0.5)
     sys = FlowAssembler(g).assemble(np.ones(g.nelem), fp)
     eig = np.linalg.eigvalsh(sys.A.toarray())
@@ -52,7 +52,7 @@ def test_all_solid_with_drainage_is_positive_definite():
 
 
 def test_no_coupling_without_shared_nodes():
-    g = build_grid(GridSpec(2, (5, 1), 1.0))
+    g = Grid(GridSpec(2, (5, 1), 1.0))
     sys = FlowAssembler(g).assemble(np.zeros(g.nelem), FLOW)
     a = sys.A.toarray()
     n_left = node_index(g, (0, 0))
@@ -86,7 +86,7 @@ def test_one_d_rhs_relative_residual_contract():
 
 
 def test_all_dirichlet_at_inlet_gives_uniform_field():
-    g = build_grid(GridSpec(2, (3, 3), 1.0))
+    g = Grid(GridSpec(2, (3, 3), 1.0))
     boundary = select_region(
         g, BoundaryRegion("pressure_inlet", ((0, 0), (3, 3)))
     )
@@ -122,14 +122,14 @@ def test_no_dirichlet_is_config_error():
 
 
 def test_uniform_pressure_gives_zero_force():
-    g = build_grid(GridSpec(2, (4, 3), 0.5))
+    g = Grid(GridSpec(2, (4, 3), 0.5))
     p = np.full(g.nnodes, 1.2e4)
     f = -(coupling_matrix(g) @ p)
     assert np.abs(f).max() <= 1e-12 * 1.2e4 * g.h
 
 
 def test_linear_pressure_force_closed_form():
-    g = build_grid(GridSpec(2, (1, 1), 1.0))
+    g = Grid(GridSpec(2, (1, 1), 1.0))
     slope = 3.7e3
     p = slope * g.coords[:, 0]
     f = -(coupling_matrix(g) @ p)
@@ -142,7 +142,7 @@ def test_linear_pressure_force_closed_form():
 
 
 def test_zero_gauge_pressure_zero_force():
-    g = build_grid(GridSpec(3, (2, 2, 2), 0.3))
+    g = Grid(GridSpec(3, (2, 2, 2), 0.3))
     f = -(coupling_matrix(g) @ np.zeros(g.nnodes))
     assert np.all(f == 0.0)
 
@@ -160,7 +160,7 @@ def test_energy_loss_analytic_channel():
 
 
 def test_energy_loss_sealed_wall_much_smaller():
-    g = build_grid(GridSpec(2, (10, 10), 1.0))
+    g = Grid(GridSpec(2, (10, 10), 1.0))
     left = select_region(
         g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 10)))
     ).nodes
@@ -179,7 +179,7 @@ def test_energy_loss_sealed_wall_much_smaller():
 
 
 def test_linearity_in_boundary_pressure():
-    g = build_grid(GridSpec(2, (6, 4), 1.0))
+    g = Grid(GridSpec(2, (6, 4), 1.0))
     left = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 4)))).nodes
     right = select_region(g, BoundaryRegion("pressure_drain", ((6, 0), (6, 4)))).nodes
     rng = np.random.default_rng(8)
@@ -200,7 +200,7 @@ def test_linearity_in_boundary_pressure():
 
 def test_energy_bookkeeping_identity():
     # inlet-reaction accounting equals total dissipation p^T A p at zero gauge
-    g = build_grid(GridSpec(2, (8, 5), 1.0))
+    g = Grid(GridSpec(2, (8, 5), 1.0))
     left = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 5)))).nodes
     right = select_region(g, BoundaryRegion("pressure_drain", ((8, 0), (8, 5)))).nodes
     rng = np.random.default_rng(12)
@@ -213,7 +213,7 @@ def test_energy_bookkeeping_identity():
 
 
 def test_force_symmetric_for_symmetric_design():
-    g = build_grid(GridSpec(2, (8, 8), 1.0))
+    g = Grid(GridSpec(2, (8, 8), 1.0))
     left = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 8)))).nodes
     right = select_region(g, BoundaryRegion("pressure_drain", ((8, 0), (8, 8)))).nodes
     rng = np.random.default_rng(3)
@@ -231,7 +231,7 @@ def test_force_symmetric_for_symmetric_design():
 
 
 def test_maximum_principle_with_drainage():
-    g = build_grid(GridSpec(2, (12, 8), 1.0))
+    g = Grid(GridSpec(2, (12, 8), 1.0))
     left = select_region(g, BoundaryRegion("pressure_inlet", ((0, 0), (0, 8)))).nodes
     right = select_region(g, BoundaryRegion("pressure_drain", ((12, 0), (12, 8)))).nodes
     rng = np.random.default_rng(21)
@@ -244,7 +244,7 @@ def test_maximum_principle_with_drainage():
 
 
 def test_coupling_matrix_is_geometry_only():
-    g = build_grid(GridSpec(2, (3, 2), 0.5))
+    g = Grid(GridSpec(2, (3, 2), 0.5))
     t1 = coupling_matrix(g).toarray()
     t2 = coupling_matrix(g).toarray()
     assert np.array_equal(t1, t2)

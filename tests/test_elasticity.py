@@ -12,7 +12,7 @@ from pneumotop.darcy import coupling_matrix
 from pneumotop.elasticity import ElasticAssembler, metrics, output_operator
 from pneumotop.errors import ConfigError
 from pneumotop.grid import (
-    BoundaryRegion, Grid, GridSpec, build_grid, pattern_slots, select_region,
+    BoundaryRegion, Grid, GridSpec, pattern_slots, select_region,
 )
 from pneumotop.model import Model
 
@@ -21,7 +21,7 @@ from tinyproblem import tiny_problem_dict
 
 
 def _cantilever(nx=8, ny=4, h=1.0):
-    g = build_grid(GridSpec(2, (nx, ny), h))
+    g = Grid(GridSpec(2, (nx, ny), h))
     fixed_sel = select_region(
         g, BoundaryRegion("fixed_support", ((0, 0), (0, ny * h)))
     )
@@ -42,14 +42,14 @@ def _projector(g, sel):
 
 
 def test_row_sums_zero_rigid_translation():
-    g = build_grid(GridSpec(2, (1, 1), 1.0))
+    g = Grid(GridSpec(2, (1, 1), 1.0))
     k = ElasticAssembler(g, 0.3).assemble(np.ones(1)).toarray()
     assert np.abs(k.sum(axis=1)).max() < 1e-12
     assert np.allclose(k, k.T, atol=1e-14)
 
 
 def test_rigid_rotation_in_null_space():
-    g = build_grid(GridSpec(2, (5, 3), 0.5))
+    g = Grid(GridSpec(2, (5, 3), 0.5))
     k = ElasticAssembler(g, 0.3).assemble(np.full(g.nelem, 2.3e6))
     omega = 1e-3
     u = np.zeros(g.n_disp_dofs)
@@ -61,7 +61,7 @@ def test_rigid_rotation_in_null_space():
 
 
 def test_stiffness_linear_in_modulus():
-    g = build_grid(GridSpec(2, (3, 2), 1.0))
+    g = Grid(GridSpec(2, (3, 2), 1.0))
     rng = np.random.default_rng(0)
     e = rng.uniform(1e5, 1e6, g.nelem)
     k1 = ElasticAssembler(g, 0.3).assemble(e)
@@ -70,13 +70,13 @@ def test_stiffness_linear_in_modulus():
 
 
 def test_nonpositive_modulus_rejected():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    g = Grid(GridSpec(2, (2, 2), 1.0))
     with pytest.raises(ConfigError, match="positive"):
         ElasticAssembler(g, 0.3).assemble(np.zeros(g.nelem))
 
 
 def test_zero_spring_is_identity():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    g = Grid(GridSpec(2, (2, 2), 1.0))
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
     sel = select_region(
         g,
@@ -88,7 +88,7 @@ def test_zero_spring_is_identity():
 
 
 def test_single_node_axis_aligned_spring():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    g = Grid(GridSpec(2, (2, 2), 1.0))
     sel = select_region(
         g,
         BoundaryRegion(
@@ -104,7 +104,7 @@ def test_single_node_axis_aligned_spring():
 
 
 def test_output_operator_columns_carry_direction_per_node():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    g = Grid(GridSpec(2, (2, 2), 1.0))
     sel = select_region(
         g, BoundaryRegion("output", ((2, 0), (2, 2)), direction=(0.6, 0.8), k_out=3.0)
     )
@@ -140,7 +140,7 @@ def test_model_output_operators_equal_per_node_blocks(direction):
 def test_spring_oracle_force_over_k():
     # free-floating element: only the spring resists motion along x, so a
     # force along the spring direction gives u_out = f / k_out exactly
-    g = build_grid(GridSpec(2, (1, 1), 1.0))
+    g = Grid(GridSpec(2, (1, 1), 1.0))
     k_out = 40.0
     e = np.full(1, 1e6)
     k = ElasticAssembler(g, 0.3).assemble(e)
@@ -153,7 +153,7 @@ def test_spring_oracle_force_over_k():
     f = np.zeros(g.n_disp_dofs)
     f[2 * sel.nodes] = f_total / sel.nodes.size
     disp = elastic_solve(g, e, f, fixed, _springs(g, sel))
-    m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
+    m = metrics(disp.u, k @ disp.u, _projector(g, sel), sel.region.k_out)
     assert m.u_out == pytest.approx(f_total / k_out, rel=1e-9)
 
 
@@ -195,7 +195,7 @@ def test_cantilever_matches_dense_oracle():
 def test_insufficient_supports_is_config_error(nel):
     # the 3-D grid is too small for coarse levels, so its multigrid V-cycle
     # is the coarsest level's Cholesky of the whole singular system
-    g = build_grid(GridSpec(len(nel), nel, 1.0))
+    g = Grid(GridSpec(len(nel), nel, 1.0))
     f = np.zeros(g.n_disp_dofs)
     f[0] = 1.0
     with pytest.raises(ConfigError, match="support"):
@@ -237,24 +237,25 @@ def test_overflowing_stiffness_is_a_solver_failure(tmp_path, capsys):
 
 
 def test_metrics_zero_displacement():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    g = Grid(GridSpec(2, (2, 2), 1.0))
     k = ElasticAssembler(g, 0.3).assemble(np.ones(g.nelem))
     sel = select_region(
         g, BoundaryRegion("output", ((2, 0), (2, 2)), direction=(0.0, -1.0), k_out=5.0)
     )
-    m = metrics(np.zeros(g.n_disp_dofs), k, _projector(g, sel), sel.region.k_out)
+    u = np.zeros(g.n_disp_dofs)
+    m = metrics(u, k @ u, _projector(g, sel), sel.region.k_out)
     assert (m.u_out, m.SE, m.W) == (0.0, 0.0, 0.0)
 
 
 def test_metrics_spring_work_definition():
-    g = build_grid(GridSpec(2, (1, 1), 1.0))
+    g = Grid(GridSpec(2, (1, 1), 1.0))
     sel = select_region(
         g, BoundaryRegion("output", ((1, 0), (1, 1)), direction=(0.0, -1.0), k_out=3.0)
     )
     u = np.zeros(g.n_disp_dofs)
     u[2 * sel.nodes + 1] = -2.0  # both output nodes move -y by 2
     k0 = sparse.csr_matrix((g.n_disp_dofs,) * 2)
-    m = metrics(u, k0, _projector(g, sel), sel.region.k_out)
+    m = metrics(u, k0 @ u, _projector(g, sel), sel.region.k_out)
     assert m.u_out == pytest.approx(2.0)
     assert m.W == pytest.approx(0.5 * 3.0 * 4.0)  # 1-DOF analogy: 0.5 k u^2 = 6
 
@@ -270,7 +271,7 @@ def test_strain_energy_equals_external_work():
     f = rng.normal(size=g.n_disp_dofs)
     f[fixed] = 0.0
     disp = elastic_solve(g, e, f, fixed, _springs(g, sel))
-    m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
+    m = metrics(disp.u, k @ disp.u, _projector(g, sel), sel.region.k_out)
     spring = _springs(g, sel)
     spring_energy = 0.5 * float(disp.u @ (spring @ disp.u))
     external = 0.5 * float(f @ disp.u)
@@ -305,7 +306,7 @@ def test_stiffer_spring_never_raises_u_out():
             ),
         )
         disp = elastic_solve(g, e, f, fixed, _springs(g, sel))
-        m = metrics(disp.u, k, _projector(g, sel), sel.region.k_out)
+        m = metrics(disp.u, k @ disp.u, _projector(g, sel), sel.region.k_out)
         if u_prev is not None:
             assert abs(m.u_out) <= abs(u_prev) + 1e-12
         u_prev = m.u_out
@@ -474,3 +475,33 @@ def test_springs_reach_the_block_as_from_the_spring_loaded_matrix(name, tiny_spe
         assert np.array_equal(system.lu.v_cycle.jacobi[0], jacobi)
         (c, _, _), = system.lu.product.terms
         assert c == state.k_out / model.output_op.shape[1]
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_negative_or_non_finite_spring_stiffness_is_a_config_error(name, tiny_spec):
+    """A stiffness a problem file could not give is rejected, not dropped
+    or solved with: a negative one would solve an indefinite system."""
+    spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
+    model = Model(spec)
+    rho = _designs(model, 6)[0]
+    for k_out in (np.nan, -1.0, np.inf):
+        with pytest.raises(ConfigError, match="finite and >= 0, got"):
+            model.forward(rho, k_out=k_out)
+    with pytest.raises(ConfigError, match=r"finite and >= 0, got -1\.0"):
+        model.sweep(rho, [0.1, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_zero_spring_stiffness_solves_without_springs(name, tiny_spec):
+    """At k_out = 0 the forward solve is, bit for bit, that of a reduction
+    that holds no springs, and the spring does no work."""
+    spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
+    model = Model(spec)
+    state = model.forward(_designs(model, 7)[0], k_out=0.0)
+    bare = linalg.DirichletReduction(model.elastic.op, model.fixed_u_dofs, model.grid)
+    u, system = bare.solve(state.k_struct, state.force, state.e_field, "displacement solve")
+    assert np.array_equal(u, state.disp.u)
+    assert np.array_equal(system.a.data, state.disp.system.a.data)
+    assert state.metrics.W == 0.0 and state.metrics.SE > 0.0
+    if name == "gripper3d":
+        assert state.disp.system.lu.product.terms == ()

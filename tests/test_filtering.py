@@ -10,14 +10,14 @@ from pneumotop.filtering import (
     invert_projection,
     project,
 )
-from pneumotop.grid import GridSpec, build_grid, filter_matrix
+from pneumotop.grid import Grid, GridSpec, filter_matrix
 
 from gridindex import elem_index
 
 
 @pytest.fixture()
 def grid6():
-    return build_grid(GridSpec(2, (6, 6), 1.0))
+    return Grid(GridSpec(2, (6, 6), 1.0))
 
 
 def test_uniform_field_is_fixed_point(grid6):

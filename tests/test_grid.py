@@ -12,8 +12,8 @@ from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import ConfigError
 from pneumotop.grid import (
     BoundaryRegion,
+    Grid,
     GridSpec,
-    build_grid,
     filter_matrix,
     pattern_slots,
     select_region,
@@ -24,19 +24,19 @@ from gridindex import elem_index, node_index
 
 
 def test_3d_counts():
-    g = build_grid(GridSpec(3, (2, 2, 2), 1.0))
+    g = Grid(GridSpec(3, (2, 2, 2), 1.0))
     assert g.nnodes == 27
     assert g.nelem == 8
 
 
 def test_2d_counts():
-    g = build_grid(GridSpec(2, (3, 2), 1.0))
+    g = Grid(GridSpec(2, (3, 2), 1.0))
     assert g.nnodes == 12
     assert g.nelem == 6
 
 
 def test_unit_element_volume():
-    g = build_grid(GridSpec(2, (1, 1), 1.0))
+    g = Grid(GridSpec(2, (1, 1), 1.0))
     assert g.element_volume == 1.0
 
 
@@ -74,7 +74,7 @@ def test_invalid_spec_rejected():
 
 
 def test_dof_numbering_bijection():
-    g = build_grid(GridSpec(3, (3, 2, 4), 0.5))
+    g = Grid(GridSpec(3, (3, 2, 4), 0.5))
     # node -> ijk -> node round trip is the identity
     for node in range(g.nnodes):
         assert node_index(g, g.node_ijk[node]) == node
@@ -86,7 +86,7 @@ def test_dof_numbering_bijection():
 
 
 def test_connectivity_coords():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    g = Grid(GridSpec(2, (2, 2), 1.0))
     # first element corners: (0,0), (1,0), (1,1), (0,1)
     assert np.allclose(
         g.coords[g.conn[0]], [[0, 0], [1, 0], [1, 1], [0, 1]]
@@ -94,7 +94,7 @@ def test_connectivity_coords():
 
 
 def test_select_x0_plane_of_2x2x2():
-    g = build_grid(GridSpec(3, (2, 2, 2), 1.0))
+    g = Grid(GridSpec(3, (2, 2, 2), 1.0))
     sel = select_region(
         g, BoundaryRegion("fixed_support", ((0, 0, 0), (0, 2, 2)))
     )
@@ -104,7 +104,7 @@ def test_select_x0_plane_of_2x2x2():
 
 
 def test_select_full_domain():
-    g = build_grid(GridSpec(3, (2, 2, 2), 1.0))
+    g = Grid(GridSpec(3, (2, 2, 2), 1.0))
     sel = select_region(
         g, BoundaryRegion("pressure_drain", ((0, 0, 0), (2, 2, 2)))
     )
@@ -112,7 +112,7 @@ def test_select_full_domain():
 
 
 def test_select_empty_is_error():
-    g = build_grid(GridSpec(2, (2, 2), 1.0))
+    g = Grid(GridSpec(2, (2, 2), 1.0))
     with pytest.raises(ConfigError, match="offside"):
         select_region(
             g,
@@ -121,7 +121,7 @@ def test_select_empty_is_error():
 
 
 def test_symmetry_region_infers_normal():
-    g = build_grid(GridSpec(2, (4, 4), 1.0))
+    g = Grid(GridSpec(2, (4, 4), 1.0))
     sel = select_region(g, BoundaryRegion("symmetry", ((0, 0), (4, 0))))
     assert sel.normal_axis == 1
     with pytest.raises(ConfigError, match="plane"):
@@ -137,7 +137,7 @@ def test_output_region_validation():
 
 def test_filter_interior_neighbor_count():
     # r_min = 1.5h: self + 4 edge neighbors + 4 diagonals (sqrt2 h < 1.5h)
-    g = build_grid(GridSpec(2, (5, 5), 1.0))
+    g = Grid(GridSpec(2, (5, 5), 1.0))
     kernel = filter_matrix(g, 1.5)
     center = elem_index(g, (2, 2))
     row = kernel.getrow(center)
@@ -153,13 +153,13 @@ def test_filter_interior_neighbor_count():
 
 
 def test_filter_self_only_at_half_h():
-    g = build_grid(GridSpec(2, (4, 4), 1.0))
+    g = Grid(GridSpec(2, (4, 4), 1.0))
     kernel = filter_matrix(g, 0.5)
     assert kernel.nnz == g.nelem
 
 
 def test_filter_corner_has_fewer_neighbors():
-    g = build_grid(GridSpec(2, (5, 5), 1.0))
+    g = Grid(GridSpec(2, (5, 5), 1.0))
     kernel = filter_matrix(g, 1.5)
     corner = elem_index(g, (0, 0))
     center = elem_index(g, (2, 2))
@@ -168,7 +168,7 @@ def test_filter_corner_has_fewer_neighbors():
 
 
 def test_filter_rows_normalized_and_symmetric():
-    g = build_grid(GridSpec(3, (4, 3, 2), 0.7))
+    g = Grid(GridSpec(3, (4, 3, 2), 0.7))
     kernel = filter_matrix(g, 1.6 * 0.7)
     rows = np.asarray(kernel.sum(axis=1)).ravel()
     assert np.abs(rows - 1.0).max() < 1e-12
@@ -206,7 +206,7 @@ def _loop_filter_weights(g, r_min):
     ((7, 5), 1.0, 2.5), ((5, 3, 4), 0.7, 1.6 * 0.7), ((7, 5, 4), 1.0, 2.0),
 ])
 def test_filter_weights_equal_the_per_offset_construction(nel, h, r_min):
-    g = build_grid(GridSpec(len(nel), nel, h))
+    g = Grid(GridSpec(len(nel), nel, h))
     kernel = filter_matrix(g, r_min)
     ref = _loop_filter_weights(g, r_min)
     assert np.array_equal(kernel.indptr, ref.indptr)
@@ -238,7 +238,7 @@ def _assert_same_operator(a, ref):
 
 @pytest.mark.parametrize("nel", [(1, 1), (6, 3), (3, 7), (2, 2, 2), (5, 3, 3), (7, 5, 4)])
 def test_assemblers_equal_triplet_assembly(nel):
-    g = build_grid(GridSpec(len(nel), nel, 0.5))
+    g = Grid(GridSpec(len(nel), nel, 0.5))
     rng = np.random.default_rng(len(nel))
     e_field = rng.uniform(1e2, 1e6, g.nelem)
     elastic = ElasticAssembler(g, 0.3)
@@ -260,7 +260,7 @@ def test_assemblers_equal_triplet_assembly(nel):
 
 
 def test_stencil_slots_locate_entries():
-    g = build_grid(GridSpec(3, (3, 2, 2), 1.0))
+    g = Grid(GridSpec(3, (3, 2, 2), 1.0))
     op = ElasticAssembler(g, 0.3).op
     k = op.assemble(np.arange(1.0, g.nelem + 1))
     coo = k.tocoo()

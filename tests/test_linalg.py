@@ -9,7 +9,7 @@ from scipy.sparse.linalg import spsolve
 from pneumotop import darcy, linalg, problem, shapefn
 from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import SingularSystemError, SolveError
-from pneumotop.grid import GridSpec, build_grid, stencil_operator
+from pneumotop.grid import Grid, GridSpec, stencil_operator
 from pneumotop.model import Model
 
 from tinyproblem import block_problem_dict
@@ -175,7 +175,7 @@ def _gray_2d(nel, dofs_per_node, seed=2):
     """The operator of a stiffness (2 DOFs per node) or conduction matrix
     (1) on a 2-D grid, random gray element coefficients, the DOFs on the
     x = 0 edge fixed, and a random load: ``(g, op, coef, fixed, f)``."""
-    g = build_grid(GridSpec(2, nel, 1.0))
+    g = Grid(GridSpec(2, nel, 1.0))
     rng = np.random.default_rng(seed)
     coef = rng.uniform(1e2, 1e6, g.nelem)
     if dofs_per_node == 2:
@@ -322,7 +322,7 @@ def _elastic_3d(nel=(8, 4, 4), seed=1):
     """A clamped-at-x=0 hexahedral block with gray random moduli: the grid,
     the stiffness's operator, the moduli, the clamped DOFs and a random
     load, as ``_solve_dirichlet`` takes them."""
-    g = build_grid(GridSpec(3, nel, 1.0))
+    g = Grid(GridSpec(3, nel, 1.0))
     rng = np.random.default_rng(seed)
     coef = rng.uniform(1e2, 1e6, g.nelem)
     clamped = np.flatnonzero(g.coords[:, 0] == 0.0)
@@ -397,7 +397,7 @@ def test_v_cycle_is_a_symmetric_positive_definite_preconditioner():
 def test_grid_selects_the_solver(nel, multigrid):
     # multigrid wherever the reduction has a coarse level: a 3-D free block
     # of more than COARSEST_DOFS DOFs; banded Cholesky everywhere else
-    g = build_grid(GridSpec(len(nel), nel, 1.0))
+    g = Grid(GridSpec(len(nel), nel, 1.0))
     fixed = np.arange(g.dim * np.prod(g.nnod_axis[:-1]))  # the first layer of nodes
     f = np.ones(g.n_disp_dofs)
     op = ElasticAssembler(g, 0.3).op
@@ -531,7 +531,7 @@ def test_galerkin_levels_match_explicit_products(nel, dirichlet, n_levels):
 
 def test_flow_galerkin_levels_match_explicit_products():
     # conduction and lumped drainage, each with its own gray coefficients
-    g = build_grid(GridSpec(3, (12, 8, 6), 1.0))
+    g = Grid(GridSpec(3, (12, 8, 6), 1.0))
     op = darcy.FlowAssembler(g).op
     coef = np.random.default_rng(6).uniform(1e-3, 1.0, 2 * g.nelem)
     inlet = np.flatnonzero(g.coords[:, 0] == 0.0)
@@ -670,7 +670,7 @@ def test_prolongations_reproduce_linear_fields(dofs_per_node):
     # so an axis of one element stays one, twice as long
     for nel, coarse_nel in (((16, 8, 8), (8, 4, 4)), ((15, 9, 8), (8, 5, 4)),
                             ((64, 4, 1), (32, 2, 1)), ((48, 2, 3), (24, 1, 2))):
-        fine, coarse = (build_grid(GridSpec(3, m, h)) for m, h in ((nel, 1.0), (coarse_nel, 2.0)))
+        fine, coarse = (Grid(GridSpec(3, m, h)) for m, h in ((nel, 1.0), (coarse_nel, 2.0)))
         n = dofs_per_node * fine.nnodes
         op = (darcy.FlowAssembler(fine) if dofs_per_node == 1 else ElasticAssembler(fine, 0.3)).op
         p = linalg.DirichletReduction(op, np.array([], dtype=int), fine).levels[0].prolongation
@@ -680,7 +680,7 @@ def test_prolongations_reproduce_linear_fields(dofs_per_node):
 
 @pytest.mark.parametrize("nel", [(6, 3), (3, 7), (5, 3, 3), (7, 5, 4)])
 def test_reduction_gathers_the_free_block_in_solver_order(nel):
-    g = build_grid(GridSpec(len(nel), nel, 1.0))
+    g = Grid(GridSpec(len(nel), nel, 1.0))
     # a uniform modulus, whose stiffness stores exact zeros
     op, coef = ElasticAssembler(g, 0.3).op, np.ones(g.nelem)
     k = op.assemble(coef)
@@ -695,7 +695,7 @@ def test_reduction_gathers_the_free_block_in_solver_order(nel):
 
 
 def test_reduction_rejects_another_pattern():
-    g = build_grid(GridSpec(2, (4, 3), 1.0))
+    g = Grid(GridSpec(2, (4, 3), 1.0))
     op, coef = ElasticAssembler(g, 0.3).op, np.ones(g.nelem)
     k = op.assemble(coef)
     fixed = np.arange(2 * g.nnod_axis[0])
@@ -711,7 +711,7 @@ def test_reduction_rejects_another_pattern():
 def test_reduction_accepts_an_equal_copy_of_its_pattern():
     # the pattern is compared entry by entry when the arrays are not the
     # operator's own
-    g = build_grid(GridSpec(2, (4, 3), 1.0))
+    g = Grid(GridSpec(2, (4, 3), 1.0))
     op, coef = ElasticAssembler(g, 0.3).op, np.ones(g.nelem)
     k = op.assemble(coef)
     reduction = linalg.DirichletReduction(op, np.arange(2 * g.nnod_axis[0]), g)

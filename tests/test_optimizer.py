@@ -20,6 +20,12 @@ from pneumotop.optimizer import (
 from tinyproblem import tiny_problem_dict
 
 
+def _run(model):
+    """``run(model)`` with its records collected: ``(result, records)``."""
+    records = []
+    return run(model, records.append), records
+
+
 def test_initialize_levels_and_active_constraints(tiny_model):
     design = initialize(tiny_model)
     # design is uniform per channel; physical values hit the volume targets
@@ -83,16 +89,15 @@ def test_zero_max_iters_returns_initialization(tiny_spec):
         optimizer=type(tiny_spec.optimizer)(max_iters=0, move_limit=0.2, change_tol=0.01)
     )
     model = Model(spec)
-    result = run(model)
+    result, recs = _run(model)
     assert not result.converged
     assert result.iterations == 0
-    assert len(result.history) == 0
+    assert len(recs) == 0
     assert np.array_equal(result.design, initialize(model))
 
 
 def test_move_limit_respected_in_history(tiny_model):
-    result = run(tiny_model)
-    for rec in result.history:
+    for rec in _run(tiny_model)[1]:
         assert rec.change <= tiny_model.spec.optimizer.move_limit + 1e-12
 
 
@@ -101,11 +106,11 @@ def test_run_is_deterministic(tiny_spec):
         tiny_spec,
         optimizer=type(tiny_spec.optimizer)(max_iters=25, move_limit=0.2, change_tol=0.01)
     )
-    r1 = run(Model(spec))
-    r2 = run(Model(spec))
+    r1, recs1 = _run(Model(spec))
+    r2, recs2 = _run(Model(spec))
     assert np.array_equal(r1.design, r2.design)
-    assert len(r1.history) == len(r2.history)
-    for a, b in zip(r1.history, r2.history):
+    assert len(recs1) == len(recs2)
+    for a, b in zip(recs1, recs2):
         assert (a.f, a.g, a.change, a.grayness, a.u_out, a.SE, a.E_t) == (
             b.f, b.g, b.change, b.grayness, b.u_out, b.SE, b.E_t
         )
@@ -117,8 +122,7 @@ def test_single_material_reduction_runs(tiny_spec):
     raw["volume_fractions"] = [0.3]
     raw["optimizer"] = {"max_iters": 40}
     model = Model(problem.parse_problem(raw))
-    result = run(model)
-    recs = result.history
+    recs = _run(model)[1]
     assert len(recs) >= 10
     # classic single-channel pressure optimization still improves
     assert recs[-1].f < recs[0].f
@@ -133,8 +137,7 @@ def test_single_material_finger2d_improves_tenfold():
         volume_fractions=(0.3,),
         optimizer=type(spec.optimizer)(max_iters=60, move_limit=0.2, change_tol=0.01),
     )
-    result = run(Model(spec))
-    recs = result.history
+    recs = _run(Model(spec))[1]
     assert recs[-1].f < recs[0].f
     assert abs(recs[-1].f) >= 10 * abs(recs[0].f)
 
@@ -144,7 +147,7 @@ def test_objective_monotone_modulo_continuation(tiny_spec):
         tiny_spec,
         optimizer=type(tiny_spec.optimizer)(max_iters=250, move_limit=0.2, change_tol=0.01)
     )
-    recs = run(Model(spec)).history
+    recs = _run(Model(spec))[1]
     for i in range(len(recs) - 10):
         window = recs[i : i + 11]
         if any(r.beta != window[0].beta for r in window):
@@ -158,7 +161,7 @@ def test_accepted_iterates_never_raise_objective_at_fixed_beta(tiny_spec):
         optimizer=type(tiny_spec.optimizer)(max_iters=250, move_limit=0.2, change_tol=0.01)
     )
     fspec = spec.filter
-    recs = run(Model(spec)).history
+    recs = _run(Model(spec))[1]
     assert recs[0].beta == fspec.beta_p_initial
     for prev, rec in zip(recs, recs[1:]):
         # each record carries the beta its f was evaluated at: beta doubles
@@ -175,8 +178,7 @@ def test_design_kept_when_no_trial_is_accepted(tiny_model, monkeypatch):
     # its start and each zero-change record doubles beta, up to beta_max;
     # sharpening moves the start off the volume bounds, so it never converges
     monkeypatch.setattr(optimizer, "MAX_TRIALS", 0)
-    result = run(tiny_model)
-    recs = result.history
+    result, recs = _run(tiny_model)
     assert np.array_equal(result.design, initialize(tiny_model))
     assert all(r.change == 0.0 for r in recs)
     assert [r.beta for r in recs[:6]] == [1.0, 2.0, 4.0, 8.0, 16.0, 16.0]
@@ -203,8 +205,8 @@ def test_one_forward_solve_alive_at_a_time(case, tiny_model, monkeypatch):
         return state
 
     monkeypatch.setattr(Model, "forward", forward)
-    result = run(model)
-    assert len(late) > len(result.history) / 2 and not any(late)
+    result, recs = _run(model)
+    assert len(late) > len(recs) / 2 and not any(late)
     assert result.beta_final > model.spec.filter.beta_p_initial  # past a doubling
 
 
@@ -226,8 +228,7 @@ def test_stalls_double_beta_without_a_step(monkeypatch):
     monkeypatch.setattr(optimizer.adjoint, "total_gradient",
                         counted("gradient", optimizer.adjoint.total_gradient))
     monkeypatch.setattr(optimizer.MMA, "update", counted("update", optimizer.MMA.update))
-    result = run(model)
-    recs = result.history
+    result, recs = _run(model)
     assert result.converged and result.beta_final == model.spec.filter.beta_p_max
     stalls = [i for i, r in enumerate(recs[:-1]) if r.change == 0.0]
     assert [recs[i].beta for i in stalls] == [1.0, 2.0, 4.0, 8.0]
@@ -259,7 +260,7 @@ def test_solver_failure_names_its_iteration_and_phase(tiny_model, monkeypatch, p
         monkeypatch.setattr(optimizer.adjoint, "objective_value",
                             lambda *a, **k: real(*a, **k) + 1e6 * next(evaluations))
     with pytest.raises(SolveError, match=f"^iteration 1, {phase}: injected$"):
-        run(tiny_model)
+        _run(tiny_model)
 
 
 def test_auto_objective_scale_sets_the_first_f_to_minus_ten():
@@ -268,11 +269,11 @@ def test_auto_objective_scale_sets_the_first_f_to_minus_ten():
     spec = problem.parse_problem(raw)
     assert spec.objective == problem.parse_problem(tiny_problem_dict()).objective
     assert spec.objective.s is None
-    result = run(Model(spec))
-    assert result.history[0].f == pytest.approx(-10.0, rel=1e-12)
+    result, recs = _run(Model(spec))
+    assert recs[0].f == pytest.approx(-10.0, rel=1e-12)
     # the calibrated s, given as a number, reproduces that first f
     raw["objective"] = {"s": result.s}
-    assert run(Model(problem.parse_problem(raw))).history[0].f == result.history[0].f
+    assert _run(Model(problem.parse_problem(raw)))[1][0].f == recs[0].f
 
 
 def test_full_convergence_exit_state(tiny_spec):
@@ -281,9 +282,9 @@ def test_full_convergence_exit_state(tiny_spec):
         optimizer=type(tiny_spec.optimizer)(max_iters=250, move_limit=0.2, change_tol=0.01)
     )
     model = Model(spec)
-    result = run(model)
+    result, recs = _run(model)
     assert result.converged
-    last = result.history[-1]
+    last = recs[-1]
     assert max(last.g) <= 1e-6
     assert last.change < 0.01
     assert result.beta_final == spec.filter.beta_p_max

@@ -17,7 +17,7 @@ import pneumotop
 from pneumotop import cli, darcy, io, linalg, problem, runner
 from pneumotop.errors import ConfigError, SolveError
 from pneumotop.fixtures import make_pneunet2d_design
-from pneumotop.grid import GridSpec, build_grid
+from pneumotop.grid import Grid, GridSpec
 from pneumotop.materials import drainage_for_wall
 from pneumotop.model import Model
 
@@ -128,6 +128,17 @@ def test_keys_that_do_nothing_are_rejected(where, entry, message):
     raw.setdefault(where, []).append(entry)
     with pytest.raises(ConfigError, match=message):
         problem.parse_problem(raw)
+
+
+def test_drain_ratio_beside_d_s_is_rejected():
+    raw = tiny_problem_dict()
+    raw["flow"].update(D_s=1e-3)
+    given = problem.parse_problem(raw).flow.D_s
+    raw["flow"].update(drain_ratio=0.5)
+    with pytest.raises(ConfigError, match=r"\$\.flow\.drain_ratio"):
+        problem.parse_problem(raw)
+    del raw["flow"]["D_s"]
+    assert given == 1e-3 != problem.parse_problem(raw).flow.D_s  # alone, it derives D_s
 
 
 def test_nel_of_the_wrong_length_is_named_error():
@@ -443,7 +454,7 @@ def test_sweep_matches_per_point_forward(case, request, monkeypatch):
 
 
 def test_vtk_export_header_and_round_trip(tmp_path):
-    g = build_grid(GridSpec(3, (2, 2, 2), 0.01))
+    g = Grid(GridSpec(3, (2, 2, 2), 0.01))
     rng = np.random.default_rng(1)
     p = rng.uniform(0, 5e4, g.nnodes)
     u = rng.normal(size=(g.nnodes, 3)) * 1e-4
@@ -463,7 +474,7 @@ def test_vtk_export_header_and_round_trip(tmp_path):
 
 
 def test_vtk_2d_exports_unit_thickness_slab(tmp_path):
-    g = build_grid(GridSpec(2, (3, 2), 1.0))
+    g = Grid(GridSpec(2, (3, 2), 1.0))
     path = tmp_path / "f2.vtk"
     io.export_vtk(path, g, cell_data={"rho1": np.zeros(g.nelem)})
     assert "DIMENSIONS 4 3 1" in path.read_text()

@@ -86,6 +86,11 @@ def test_stiffness_affine_patch_energy(dim, h, nu):
         exact = 0.5 * (voigt @ cm @ voigt) * h**dim
         fem = 0.5 * (u @ ke @ u)
         assert fem == pytest.approx(exact, rel=1e-12, abs=1e-18)
+        # the energy alone cannot tell two 3-D shear rows apart (C's shear
+        # block is mu I): B u is the Voigt strain row by row at every point
+        for _, _, dn_dxi in shapefn._quadrature(dim, h):
+            b = shapefn.strain_matrix(dn_dxi * (2.0 / h))
+            np.testing.assert_allclose(b @ u, voigt, rtol=0, atol=1e-12 * np.abs(voigt).max())
 
 
 @pytest.mark.parametrize("dim,h", [(2, 0.5), (3, 0.25)])
