@@ -25,7 +25,7 @@ from scipy import sparse
 
 from . import shapefn
 from .errors import ConfigError
-from .grid import Grid, stencil_operator
+from .grid import Grid, StencilOperator
 from .linalg import DirichletReduction, FactorizedSystem
 from .materials import FlowParams, drainage_coefficient, flow_coefficient
 
@@ -59,7 +59,7 @@ class FlowAssembler:
         self.ke = shapefn.conduction_matrix(grid.dim, grid.h)
         # Lumped drainage keeps the flow matrix an M-matrix (see module doc).
         self.me = np.diag(shapefn.mass_matrix(grid.dim, grid.h).sum(axis=1))
-        self.op = stencil_operator(grid, [self.ke, self.me])
+        self.op = StencilOperator(grid, [self.ke, self.me])
 
     def assemble(self, rho_bar1: np.ndarray, params: FlowParams) -> FlowSystem:
         """Global flow matrix for the given topology-channel densities."""
@@ -107,7 +107,7 @@ def solve_pressure(system: FlowSystem, reduction: DirichletReduction) -> Pressur
 def coupling_matrix(grid: Grid) -> sparse.csr_matrix:
     """Global pressure-to-force map T (geometry only): F = -T p."""
     te = shapefn.coupling_matrix(grid.dim, grid.h)
-    return stencil_operator(grid, te, row_comps=grid.dim).assemble(np.ones(grid.nelem))
+    return StencilOperator(grid, te, row_comps=grid.dim).assemble(np.ones(grid.nelem))
 
 
 def energy_loss(system: FlowSystem, p: np.ndarray, inlet_nodes: np.ndarray) -> float:

@@ -2,11 +2,15 @@
 
 2-D analysis is plane strain with unit thickness; 3-D uses full trilinear
 hexahedra. The element stiffness for unit modulus is precomputed once, and
-so are the stiffness's CSR pattern (each node's DOFs coupled to those of its
-3^d stencil) and the scatter matrix S from element moduli to the CSR data:
-assembly is ``K.data = S @ E``, and every design gives the same pattern.
-``solve_displacement`` solves through a ``DirichletReduction`` of that
-pattern whose fixed DOFs, the supports, hold zero.
+the stiffness K is the ``StencilOperator`` of the element moduli E on it. A
+band solve reads K assembled, ``K.data = S @ E`` by the CSR pattern (each
+node's DOFs coupled to those of its 3^d stencil) and the scatter matrix S
+built once, so every design gives the same pattern. A multigrid solve (a 3-D
+block of more than ``linalg.COARSEST_DOFS`` free DOFs) reads it element by
+element (``element_sum``), so in 3-D the pattern and S are built only where a
+band solve or an assembly asks for them. ``solve_displacement`` solves
+through a ``DirichletReduction`` of that operator whose fixed DOFs, the
+supports, hold zero.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from scipy import sparse
 
 from . import shapefn
 from .errors import ConfigError, SingularSystemError
-from .grid import Grid, RegionSelection, node_dofs, stencil_operator
+from .grid import ElementSum, Grid, RegionSelection, StencilOperator, node_dofs
 from .linalg import DirichletReduction, FactorizedSystem
 
 
@@ -45,16 +49,17 @@ class PerformanceMetrics:
 
 
 class ElasticAssembler:
-    """Unit-modulus element stiffness, and the stiffness's pattern and
-    scatter (``op``), for one grid."""
+    """Unit-modulus element stiffness, and the stiffness's operator ``op``,
+    for one grid: matrix-free in 3-D (see the module docstring), while every
+    2-D solve is a band solve and builds the pattern with the model."""
 
     def __init__(self, grid: Grid, nu: float):
         self.grid = grid
         self.nu = nu
         self.ke = shapefn.stiffness_matrix(grid.dim, grid.h, nu)
-        self.op = stencil_operator(grid, self.ke, grid.dim, grid.dim)
+        self.op = StencilOperator(grid, self.ke, grid.dim, grid.dim, matrix_free=grid.dim == 3)
 
-    def assemble(self, e_field: np.ndarray) -> sparse.csr_matrix:
+    def _moduli(self, e_field: np.ndarray) -> np.ndarray:
         e_field = np.asarray(e_field, dtype=float)
         if e_field.shape != (self.grid.nelem,):
             raise ConfigError(
@@ -63,7 +68,15 @@ class ElasticAssembler:
             )
         if np.any(e_field <= 0):
             raise ConfigError("modulus field must be strictly positive")
-        return self.op.assemble(e_field)
+        return e_field
+
+    def assemble(self, e_field: np.ndarray) -> sparse.csr_matrix:
+        """K of the moduli ``e_field``, assembled."""
+        return self.op.assemble(self._moduli(e_field))
+
+    def element_sum(self, e_field: np.ndarray) -> ElementSum:
+        """K of the moduli ``e_field``, as an element sum: not assembled."""
+        return ElementSum(self.op, self._moduli(e_field))
 
 
 def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
@@ -81,13 +94,14 @@ def output_operator(grid: Grid, sel: RegionSelection) -> sparse.csr_matrix:
 
 
 def solve_displacement(
-    k: sparse.csr_matrix, f: np.ndarray, reduction: DirichletReduction, e_field: np.ndarray,
+    k, f: np.ndarray, reduction: DirichletReduction, e_field: np.ndarray,
     k_out: float = 0.0,
 ) -> DisplacementField:
     """Solve ``(K + k_out S) u = F``, ``k`` the stiffness K of the moduli
-    ``e_field`` and ``k_out S`` the output springs ``reduction`` holds (for
-    ``k``'s pattern), added to its free block, with the supports it holds at
-    zero. No copy of ``k`` is made for the springs."""
+    ``e_field`` as ``reduction`` reads it (assembled, or an element sum where
+    it multiplies element by element) and ``k_out S`` the output springs
+    ``reduction`` holds, added to its free block, with the supports it holds
+    at zero. No copy of ``k`` is made for the springs."""
     try:
         u, system = reduction.solve(k, f, e_field, "displacement solve", k_out)
     except SingularSystemError as exc:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -70,7 +69,7 @@ class GridSpec:
         log_half_h = math.log(self.h) - math.log(2.0)
         if max(-2.0 * log_half_h, self.dim * log_half_h) >= np.log(np.finfo(float).max):
             raise ConfigError(f"element size h = {self.h} m overflows the element matrices")
-        # The stiffness's scatter (stencil_operator) has one int32-indexed
+        # The stiffness's scatter (StencilOperator) has one int32-indexed
         # column per element and entry of the (dim 2^dim)^2 element matrix.
         # It bounds the DOF indices too: dim * nnodes <= dim 2^dim nelem.
         entries = (self.dim * 2**self.dim) ** 2 * math.prod(self.nel)
@@ -177,15 +176,29 @@ class Grid:
             for ax in range(self.dim)
             for side in (0, 1)
         }
-        self._node_patterns = {}
+        # the stencil and node patterns the model's operators share; None
+        # once released
+        self._patterns = {}
 
-    @cached_property
+    def _shared(self, key, build):
+        """``build()``, kept under ``key`` until ``release_patterns``; built
+        afresh, and kept nowhere, for an operator built after that."""
+        if self._patterns is None:
+            return build()
+        if key not in self._patterns:
+            self._patterns[key] = build()
+        return self._patterns[key]
+
+    @property
     def stencil(self):
         """The node stencil every operator on this grid shares, as
         ``(count, neighbours, corner_rank)``: each node's number of nodes in
         its 3^d neighbourhood; those nodes, node by node in ascending order;
         and, per element corner pair (i, j), the place of corner j's node
         among corner i's node's neighbours."""
+        return self._shared("stencil", self._stencil)
+
+    def _stencil(self):
         offsets = lattice((3,) * self.dim) - 1
         valid, ids = lattice_neighbours(self.node_ijk, self.nnod_axis, offsets)
         rank = np.cumsum(valid, axis=1, dtype=np.int32) - 1
@@ -199,30 +212,31 @@ class Grid:
         """``(indptr, indices, slot)`` of an operator with ``row_comps`` rows
         per node and one column per node of its stencil: its CSR pattern,
         and the place in its data of every element entry (corner i, row DOF
-        a; corner j), shape (nelem, nen, row_comps, nen). Kept for the
-        operators that share it."""
-        if row_comps not in self._node_patterns:
-            count, neighbours, corner_rank = self.stencil
-            lens = np.repeat(count, row_comps)
-            indptr = np.zeros(lens.size + 1, dtype=np.int32)
-            np.cumsum(lens, out=indptr[1:])
-            indices = neighbours
-            if row_comps > 1:  # each node's neighbours once per row DOF
-                node_ptr = np.zeros(self.nnodes, dtype=np.int32)
-                np.cumsum(count[:-1], out=node_ptr[1:])
-                src = np.arange(indptr[-1], dtype=np.int32)
-                src -= np.repeat(indptr[:-1] - np.repeat(node_ptr, row_comps), lens)
-                indices = np.take(neighbours, src)
-            # an entry's place: its row's start plus its column node's rank
-            row_start = np.take(indptr, node_dofs(self.conn, row_comps))
-            slot = row_start[:, :, :, None] + corner_rank[:, :, None, :]
-            self._node_patterns[row_comps] = indptr, indices, slot
-        return self._node_patterns[row_comps]
+        a; corner j), shape (nelem, nen, row_comps, nen). Shared as the
+        stencil is."""
+        return self._shared(row_comps, lambda: self._node_pattern(row_comps))
+
+    def _node_pattern(self, row_comps: int):
+        count, neighbours, corner_rank = self.stencil
+        lens = np.repeat(count, row_comps)
+        indptr = np.zeros(lens.size + 1, dtype=np.int32)
+        np.cumsum(lens, out=indptr[1:])
+        indices = neighbours
+        if row_comps > 1:  # each node's neighbours once per row DOF
+            node_ptr = np.zeros(self.nnodes, dtype=np.int32)
+            np.cumsum(count[:-1], out=node_ptr[1:])
+            src = np.arange(indptr[-1], dtype=np.int32)
+            src -= np.repeat(indptr[:-1] - np.repeat(node_ptr, row_comps), lens)
+            indices = np.take(neighbours, src)
+        # an entry's place: its row's start plus its column node's rank
+        row_start = np.take(indptr, node_dofs(self.conn, row_comps))
+        slot = row_start[:, :, :, None] + corner_rank[:, :, None, :]
+        return indptr, indices, slot
 
     def release_patterns(self):
-        """Drop the node patterns and stencil once every operator is built."""
-        self._node_patterns.clear()
-        self.__dict__.pop("stencil", None)
+        """Drop the stencil and node patterns once the model's operators are
+        built, and keep none from then on."""
+        self._patterns = None
 
 
 @dataclass(frozen=True)
@@ -311,34 +325,6 @@ def select_region(grid: Grid, region: BoundaryRegion) -> RegionSelection:
     return RegionSelection(region, nodes, tuple(faces), normal_axis)
 
 
-@dataclass(frozen=True, eq=False)
-class StencilOperator:
-    """A global operator assembled from element templates on a structured
-    grid, by a pattern and a scatter built once.
-
-    The CSR pattern ``(indptr, indices)`` holds, for each node's
-    ``row_comps`` DOFs, the ``col_comps`` DOFs of every node of its 3^d
-    stencil, with sorted columns; it is the pattern that ``coo -> csr`` of
-    all element triplets gives, exact zeros included, so it is the same for
-    every coefficient field. ``scatter`` (nnz x t·nelem) maps the
-    coefficients of the t ``templates``, template-major, to the CSR data.
-    Every assembled matrix shares the pattern arrays (not to be modified).
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    shape: tuple
-    scatter: sparse.csc_matrix = field(repr=False)
-    templates: np.ndarray = field(repr=False)
-
-    def assemble(self, coef: np.ndarray) -> sparse.csr_matrix:
-        """sum over elements e and templates t of ``coef[t·nelem + e]`` times
-        template t, placed on the DOFs of e."""
-        return sparse.csr_matrix(
-            (self.scatter @ coef, self.indices, self.indptr), shape=self.shape
-        )
-
-
 def pattern_slots(indptr, indices, rows, cols) -> np.ndarray:
     """Positions in the data of a CSR pattern (no duplicates, its columns
     in any order) of the entries ``(rows, cols)``; ``ValueError`` if one is
@@ -371,26 +357,97 @@ def element_pattern(grid: Grid, row_comps: int = 1, col_comps: int = 1):
     return indptr, indices, slot.reshape(grid.nelem, -1)
 
 
-def stencil_operator(grid: Grid, templates, row_comps: int = 1, col_comps: int = 1):
-    """The StencilOperator of ``templates`` (t x nen·row_comps x
-    nen·col_comps element matrices, local DOFs corner-major) on the
-    ``element_pattern`` from ``col_comps`` to ``row_comps`` DOFs per node.
-    Exact zeros of the templates are left out of the scatter."""
-    nen, nnodes, nelem = grid.nen, grid.nnodes, grid.nelem
-    templates = np.asarray(templates, dtype=float).reshape(-1, nen * row_comps, nen * col_comps)
-    indptr, indices, slot = element_pattern(grid, row_comps, col_comps)
+class StencilOperator:
+    """A global operator ``Σ_t Σ_e coef[t·nelem + e] G_eᵀ K_t G_e`` of the t
+    element ``templates`` K_t (nen·row_comps x nen·col_comps, local DOFs
+    corner-major) on a structured grid, from ``col_comps`` to ``row_comps``
+    DOFs per node.
 
-    kept = [np.flatnonzero(t) for t in templates]
-    col_ptr = np.zeros(len(kept) * nelem + 1, dtype=np.int32)
-    np.cumsum(np.repeat([k.size for k in kept], nelem), out=col_ptr[1:])
-    rows, vals = np.empty(col_ptr[-1], dtype=np.int32), np.empty(col_ptr[-1])
-    for t, k in enumerate(kept):
-        block = slice(col_ptr[t * nelem], col_ptr[(t + 1) * nelem])
-        np.take(slot, k, axis=1, out=rows[block].reshape(nelem, k.size), mode="clip")
-        vals[block].reshape(nelem, k.size)[:] = templates[t].flat[k]
-    scatter = sparse.csc_matrix((vals, rows, col_ptr), shape=(indices.size, col_ptr.size - 1))
-    shape = (row_comps * nnodes, col_comps * nnodes)
-    return StencilOperator(indptr, indices, shape, scatter, templates)
+    ``assemble`` forms it by a pattern and a scatter built once. The CSR
+    pattern ``(indptr, indices)`` is the ``element_pattern``: for each
+    node's row DOFs, the column DOFs of every node of its 3^d stencil, with
+    sorted columns; it is the pattern that ``coo -> csr`` of all element
+    triplets gives, exact zeros included, so it is the same for every
+    coefficient field. ``scatter`` (nnz x t·nelem) maps the coefficients,
+    template-major, to the CSR data; exact zeros of the templates are left
+    out of it. Every assembled matrix shares the pattern arrays (not to be
+    modified). The three are built with the operator or, for a
+    ``matrix_free`` one, at their first use: a multigrid solve multiplies
+    such an operator element by element (see ``linalg.DirichletReduction``),
+    so only a band solve or an assembly builds them.
+    """
+
+    def __init__(self, grid: Grid, templates, row_comps: int = 1, col_comps: int = 1,
+                 matrix_free: bool = False):
+        self.grid, self.comps, self.matrix_free = grid, (row_comps, col_comps), matrix_free
+        self.templates = np.asarray(templates, dtype=float).reshape(
+            -1, grid.nen * row_comps, grid.nen * col_comps)
+        self.shape = (row_comps * grid.nnodes, col_comps * grid.nnodes)
+        self._pattern = None if matrix_free else self._build()
+
+    def _build(self):
+        grid, templates, nelem = self.grid, self.templates, self.grid.nelem
+        indptr, indices, slot = element_pattern(grid, *self.comps)
+        kept = [np.flatnonzero(t) for t in templates]
+        col_ptr = np.zeros(len(kept) * nelem + 1, dtype=np.int32)
+        np.cumsum(np.repeat([k.size for k in kept], nelem), out=col_ptr[1:])
+        rows, vals = np.empty(col_ptr[-1], dtype=np.int32), np.empty(col_ptr[-1])
+        for t, k in enumerate(kept):
+            block = slice(col_ptr[t * nelem], col_ptr[(t + 1) * nelem])
+            np.take(slot, k, axis=1, out=rows[block].reshape(nelem, k.size), mode="clip")
+            vals[block].reshape(nelem, k.size)[:] = templates[t].flat[k]
+        scatter = sparse.csc_matrix((vals, rows, col_ptr), shape=(indices.size, col_ptr.size - 1))
+        return indptr, indices, scatter
+
+    @property
+    def pattern(self):
+        """``(indptr, indices, scatter)``, built here at the first use of a
+        ``matrix_free`` operator's."""
+        if self._pattern is None:
+            self._pattern = self._build()
+        return self._pattern
+
+    indptr = property(lambda self: self.pattern[0])
+    indices = property(lambda self: self.pattern[1])
+    scatter = property(lambda self: self.pattern[2])
+
+    @property
+    def edof(self) -> np.ndarray:
+        """Each element's DOFs, in the templates' local order, for a square
+        operator of one or ``dim`` DOFs per node."""
+        return self.grid.conn if self.comps[1] == 1 else self.grid.edof_u
+
+    def assemble(self, coef: np.ndarray) -> sparse.csr_matrix:
+        """The operator of ``coef``, assembled on the pattern."""
+        return sparse.csr_matrix(
+            (self.scatter @ coef, self.indices, self.indptr), shape=self.shape
+        )
+
+    def product(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``A x`` for the (square) operator A of ``coef``, element by
+        element, with no pattern: every element's entries of ``x``, one
+        product with each template, and one weighted ``bincount`` onto the
+        rows."""
+        edof = self.edof
+        xe = np.take(x, edof)
+        coef = np.reshape(coef, (len(self.templates), -1))
+        terms = sum(c[:, None] * (xe @ k.T) for c, k in zip(coef, self.templates))
+        return np.bincount(edof.ravel(), weights=terms.ravel(), minlength=self.shape[0])
+
+
+class ElementSum:
+    """The operator of ``op`` (a square ``StencilOperator``) for the
+    coefficients ``coef``, not assembled: ``@`` multiplies element by
+    element, and ``assemble`` forms the CSR."""
+
+    def __init__(self, op: StencilOperator, coef: np.ndarray):
+        self.op, self.coef, self.shape = op, coef, op.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.op.product(self.coef, x)
+
+    def assemble(self) -> sparse.csr_matrix:
+        return self.op.assemble(self.coef)
 
 
 def filter_matrix(grid: Grid, r_min: float) -> sparse.csr_matrix:

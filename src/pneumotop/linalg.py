@@ -2,25 +2,31 @@
 inverse operators.
 
 Solutions are accepted when the normwise backward error
-``||b - A x|| / (||A||_1 ||x|| + ||b||)`` drops below the tolerance. Plain
+``||b - A x|| / (||A|| ||x|| + ||b||)`` drops below the tolerance. Plain
 ``||r|| / ||b||`` is the wrong yardstick here: void regions at the stiffness
 floor accumulate displacements orders of magnitude above the structural
 ones, which raises the attainable residual floor to eps * ||A|| * ||x||
-regardless of solver quality.
+regardless of solver quality. ``||A||`` is the 1-norm of an assembled block
+(``_norm1``) and a lower bound of it for a matrix-free one
+(``_norm1_estimate``). The backward error is defined in any norm (Higham
+2002, "Accuracy and Stability of Numerical Algorithms", Thm 7.1), and a
+smaller norm only makes the computed error larger, so every solution the
+lower bound accepts also passes the 1-norm check; CG's stopping test reads
+the same norm.
 
 ``DirichletReduction.solve`` is the one entry point, and builds every system
 solved, a spring sweep's points included: a reduction holds one Dirichlet
-set, its fixed DOFs and the values they hold, and reduces every grid system
-of one pattern to its free DOFs, by a gather map built once. The free block
+set, its fixed DOFs and the values they hold, and reduces every operator of
+one ``StencilOperator`` to its free DOFs, by maps built once. The free block
 is a ``FactorizedSystem``, the one system class, which holds the contract
 and solves through one of three inverse operators:
 
 - ``BandedCholesky`` wherever the reduction has no coarse level, its band
-  filled from the free block's data, springs included, by one scatter
-  through a map the reduction builds once, and factored in place by LAPACK
-  (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3). The band is in LAPACK's lower
-  storage: ``dpbtrf`` factors the pneunet2d elastic band (half-bandwidth
-  73) in about 0.6x the time of the upper.
+  filled from the gathered free block's data, springs included, by one
+  scatter through a map the reduction builds once, and factored in place by
+  LAPACK (Anderson et al. 1999, "LAPACK Users' Guide", §5.3.3). The band is
+  in LAPACK's lower storage: ``dpbtrf`` factors the pneunet2d elastic band
+  (half-bandwidth 73) in about 0.6x the time of the upper.
 - ``WoodburyUpdate`` for a spring sweep's point on it, which solves
   ``A + c U Uᵀ`` (U: the r output DOFs) through the one factor ``A = L Lᵀ``
   and its two triangular halves (``dtbtrs``), with ``W = L⁻¹ U``:
@@ -37,15 +43,20 @@ and solves through one of three inverse operators:
   damped-Jacobi sweep on each side of every coarse correction. Each coarse
   level (``GalerkinLevel``) holds its kept DOFs, its transfers and its
   Galerkin product ``Pᵀ A P`` as a linear map of the element coefficients,
-  built once, so no sparse product is formed. CG and the finest level's
-  residuals multiply by the free block element by element
-  (``ElementProduct``: a gather, one GEMM with the templates and a scatter
-  whose values are the element coefficients, plus the springs as a rank-r
-  term) where its CSR stores more than ELEMENT_PRODUCT_RATIO times the
-  entries that gathers, as the 3-D elastic block does (10x on gripper3d),
-  and by its CSR elsewhere (the flow block, 1.6x). The system keeps the
-  assembled block, so the contract is checked against a matrix built apart
-  from that product.
+  built once, so no sparse product is formed. The flow block is gathered
+  and multiplied by its CSR (which stores 1.6x the entries an element
+  product gathers). The elastic block, whose operator is matrix-free, is
+  never assembled (Schmidt & Schulz 2011, "A matrix-free multigrid CG",
+  Comput. Vis. Sci. 14:249; Aage et al. 2017, Nature 550:84): CG, the
+  finest level's residuals and the contract's residuals multiply by it
+  element by element (``ElementProduct``: a gather, one GEMM with the
+  templates and a scatter whose values are the element coefficients, plus
+  the springs as a rank-r term; 78,960 entries read on gripper3d against
+  the 806,050 the assembled block would store), its Jacobi diagonal is one
+  ``bincount`` of the templates' diagonals, bit for bit an assembly's, and
+  its norm is the lower bound ``_norm1_estimate``: Hager's estimate (4 to 6
+  products on gripper3d designs) or the largest diagonal entry, whichever
+  is larger, 0.77 to 0.95 of the 1-norm there.
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
@@ -86,13 +97,9 @@ JACOBI_OMEGA = 0.6
 # cheap to factor by banded Cholesky. Any value in [384, 637) keeps the
 # hierarchies of gripper3d, 25x12x12 and 48x24x24.
 COARSEST_DOFS = 500
-# CG multiplies a multigrid block element by element (``ElementProduct``)
-# when its CSR stores more than this many times the entries the element
-# product gathers. Medians of 1,000 products on a gripper3d design, one BLAS
-# thread: elastic (806,050 stored against 78,960 gathered) 0.57 ms element by
-# element against 0.93 ms by CSR; flow (77,452 against 48,668) 0.20 ms
-# against 0.09 ms.
-ELEMENT_PRODUCT_RATIO = 4
+# Steps of Hager's estimate of a matrix-free block's 1-norm, at most, as in
+# LAPACK's dlacon.
+NORM_STEPS = 5
 # Places taken at once by ``_take``.
 TAKE_CHUNK = 1 << 16
 # Rows ``_norm1`` sums at once. A |data| temporary of the whole block, taken
@@ -121,23 +128,48 @@ def _norm1(a) -> float:
     return float(norm)
 
 
-class FactorizedSystem:
-    """An SPD system ``a`` (CSR), solved to the backward-error contract through
-    the inverse operator ``lu = inverse(self)``, built once ``a``, ``context``
-    and ``norm1`` (taken from ``a``) are set. An operator that held the
-    system would make a cycle, which outlives its last use until the garbage
-    collector runs."""
+def _norm1_estimate(a, diagonal: np.ndarray) -> float:
+    """A lower bound of the 1-norm of the symmetric ``a`` (``@``), whose
+    diagonal is ``diagonal``: the larger of its largest diagonal entry and
+    Hager's estimate (Higham 1988, ACM TOMS 14:381, Algorithm 2.1), which
+    starts from the constant vector and takes at most NORM_STEPS steps. Each
+    step's ``||a x||_1`` (``||x||_1 = 1``) and ``||a s||_inf`` (``|s| = 1``)
+    is at most ``||a||_1 = ||a||_inf``. Their rounding, a few ulps of the
+    sums of n terms (Higham 2002, §3.1), is taken off by a factor
+    ``1 - 4 n eps``, so the bound holds against ``_norm1`` of the assembled
+    block too. NaN or inf when an entry is, or a product overflows."""
+    n = diagonal.size
+    x, hager = np.full(n, 1.0 / n), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NORM_STEPS):
+            y = a @ x
+            z = a @ np.where(y < 0.0, -1.0, 1.0)  # aᵀ = a
+            j = np.argmax(np.abs(z))
+            hager = np.max([hager, np.abs(y).sum(), abs(z[j])])  # NaN stays NaN
+            if not abs(z[j]) > z @ x:  # a local maximum of ||a x||_1 (or NaN)
+                break
+            x = np.zeros(n)
+            x[j] = 1.0
+        hager *= 1.0 - 4 * n * np.finfo(float).eps
+        return float(np.max([hager, diagonal.max()]))
 
-    def __init__(self, a, *, context: str, inverse):
-        self.a = a.tocsr()
-        self.context = context
-        self.norm1 = _norm1(self.a)
-        if not np.isfinite(self.norm1):
-            raise SolveError(f"{context}: matrix has a non-finite 1-norm ({self.norm1})")
+
+class FactorizedSystem:
+    """An SPD system ``a`` (``@`` and ``shape``: its CSR, or an
+    ``ElementOperator``), solved to the backward-error contract with ``norm``
+    for its 1-norm (``_norm1``, or a lower bound of it) through the inverse
+    operator ``lu = inverse(self)``, built once ``a``, ``context`` and
+    ``norm`` are set. An operator that held the system would make a cycle,
+    which outlives its last use until the garbage collector runs."""
+
+    def __init__(self, a, *, context: str, inverse, norm: float):
+        self.a, self.context, self.norm = a, context, float(norm)
+        if not np.isfinite(self.norm):
+            raise SolveError(f"{context}: matrix has a non-finite 1-norm ({self.norm})")
         self.lu = inverse(self)
 
     def _backward_error(self, x, b, resid):
-        return resid / (self.norm1 * np.linalg.norm(x) + np.linalg.norm(b))
+        return resid / (self.norm * np.linalg.norm(x) + np.linalg.norm(b))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -282,7 +314,7 @@ class WoodburyUpdate:
 
 class VCycle:
     """The geometric-multigrid V-cycle under the free block ``a`` (level 0:
-    its CSR or an ``ElementOperator``), whose diagonal is ``diagonal``, over
+    its CSR or its ``ElementOperator``), whose diagonal is ``diagonal``, over
     the coarse ``levels`` (``GalerkinLevel``, finest first) built from the
     coefficients ``coef``.
     The coarsest level is factored by banded Cholesky; every other level is
@@ -309,14 +341,12 @@ class VCycle:
 
 
 class MultigridCG:
-    """CG over the matrix of ``system`` (held with its 1-norm, not the system)
-    preconditioned by ``v_cycle``, which may be another matrix's, and
-    multiplied by ``product`` (``@``): an ``ElementOperator`` of that matrix,
-    or its CSR if none is given."""
+    """CG over the block of ``system``, multiplied by its ``a`` (``product``:
+    a CSR or an ``ElementOperator``) and held with its norm, not the system,
+    preconditioned by ``v_cycle``, which may be another block's."""
 
-    def __init__(self, system, v_cycle: VCycle, product=None):
-        self.product = system.a if product is None else product
-        self.norm1, self.v_cycle = system.norm1, v_cycle
+    def __init__(self, system, v_cycle: VCycle):
+        self.product, self.norm, self.v_cycle = system.a, system.norm, v_cycle
         self.nnz = v_cycle.coarse.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -332,7 +362,7 @@ class MultigridCG:
             alpha = rz / (p @ q)
             x += alpha * p
             r -= alpha * q
-            if np.linalg.norm(r) <= CG_TOL * (self.norm1 * np.linalg.norm(x) + b_norm):
+            if np.linalg.norm(r) <= CG_TOL * (self.norm * np.linalg.norm(x) + b_norm):
                 break
             z = self.v_cycle(r)
             rz, rz_old = r @ z, rz
@@ -340,12 +370,11 @@ class MultigridCG:
         return x
 
     def update(self, system, c: float, u) -> "MultigridCG":
-        """CG over ``system``, this matrix plus ``c U Uᵀ``, preconditioned by this
-        V-cycle: a rank-r change adds at most r CG iterations in exact
-        arithmetic (Woodbury's ``Z = A⁻¹ U`` would cost r preconditioned
-        solves). An element product takes ``c U Uᵀ`` as a term of its own."""
-        elementwise = isinstance(self.product, ElementOperator)
-        return MultigridCG(system, self.v_cycle, self.product.plus(c, u) if elementwise else None)
+        """CG over ``system``, whose block is this one plus ``c U Uᵀ``,
+        preconditioned by this V-cycle: a rank-r change adds at most r CG
+        iterations in exact arithmetic (Woodbury's ``Z = A⁻¹ U`` would cost r
+        preconditioned solves)."""
+        return MultigridCG(system, self.v_cycle)
 
 
 class ElementProduct:
@@ -357,15 +386,16 @@ class ElementProduct:
     into a preallocated (nelem x m) buffer, one GEMM with ``[K_1ᵀ .. K_tᵀ]``,
     and one sparse scatter of the (nelem x t·m) results onto the n free DOFs
     whose values are the coefficients, so it reads the entries it gathers,
-    not the ones the assembled block stores. The scatter's pattern and the
-    place in c of each of its values (``coef_index``) are built here, its
-    values by ``bind``."""
+    not the ones an assembled block would store. The scatter's pattern and
+    the place in c of each of its values (``coef_index``) are built here, its
+    values by ``bind``; the templates' diagonals, for ``diagonal``, too."""
 
     def __init__(self, templates, edof, n: int):
         t, m, _ = templates.shape
         nelem = edof.shape[0]
         self.edof, self.n = edof.astype(np.intp), n  # np.take casts int32 places per call
         self.templates = np.concatenate(np.swapaxes(templates, 1, 2), axis=1)
+        self.diagonals = np.diagonal(templates, axis1=1, axis2=2)
         rows = np.broadcast_to(edof[:, None, :], (nelem, t, m)).ravel()
         kept = np.flatnonzero(rows < n)
         order = kept[np.argsort(rows[kept], kind="stable")]  # by row, columns ascending
@@ -383,6 +413,17 @@ class ElementProduct:
                                     shape=(self.n, self.products.size))
         return ElementOperator(self, scatter)
 
+    def diagonal(self, coef) -> np.ndarray:
+        """The diagonal of the block of the coefficients ``coef``: one
+        ``bincount`` of ``c[k, e] diag(K_k)`` over every element's free DOFs,
+        template-major and element by element, the order in which an
+        assembly's scatter sums them, so it equals an assembled block's
+        diagonal bit for bit."""
+        t, (nelem, m) = len(self.diagonals), self.edof.shape
+        weights = np.reshape(coef, (t, nelem))[:, :, None] * self.diagonals[:, None, :]
+        rows = np.broadcast_to(self.edof, (t, nelem, m))
+        return np.bincount(rows.ravel(), weights=weights.ravel(), minlength=self.n + 1)[:-1]
+
 
 class ElementOperator:
     """``q = A p`` (``@``) for one design's free block through the
@@ -391,6 +432,7 @@ class ElementOperator:
 
     def __init__(self, block: ElementProduct, scatter, terms=()):
         self.block, self.scatter, self.terms = block, scatter, terms
+        self.shape = (block.n, block.n)
 
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
         e = self.block
@@ -418,104 +460,121 @@ def _band_order(nel, n_dofs: int) -> np.ndarray:
 
 
 class DirichletReduction:
-    """The free block of every matrix on the pattern of the
-    ``StencilOperator`` ``op`` on ``grid``, for the Dirichlet set of the DOFs
-    ``fixed`` and the ``values`` they hold (one per DOF, or one for all),
-    and of the ``springs`` ``(D, S)`` (D: n x r, sparse; S = (1/r) D Dᵀ,
-    CSR on the pattern) a solve may add. Built once: the free DOFs in solver
-    order (ascending in 3-D, band order in 2-D), the place in the full data
-    of every free x free entry with the block's CSR pattern (columns
-    unsorted in 2-D) and, given springs, ``springs``: D's free rows, and the
-    place in the block and value of each free x free entry of S. A 3-D
-    block of more than COARSEST_DOFS DOFs gets multigrid ``levels``, halving
-    until one keeps at most that many, its diagonal's places in the block
-    and, if its CSR stores more than ELEMENT_PRODUCT_RATIO times what that
-    gathers, an ``element_product`` (None otherwise); any other block a
-    ``band_map`` of its own pattern. The block's index arrays are read-only
-    and shared by every block, so nothing sorts the 2-D columns in place."""
+    """The free block of every operator of the ``StencilOperator`` ``op`` on
+    ``grid``, for the Dirichlet set of the DOFs ``fixed`` and the ``values``
+    they hold (one per DOF, or one for all), and of the ``springs`` ``(D,
+    S)`` (D: n x r, sparse; S = (1/r) D Dᵀ, sparse) a solve may add. Built
+    once: the free DOFs in solver order (ascending in 3-D, band order in
+    2-D) and, given springs, D's free rows ``springs``. A 3-D block of more
+    than COARSEST_DOFS DOFs gets multigrid ``levels``, halving until one
+    keeps at most that many.
+
+    Where it has levels and ``op`` is matrix-free, the block is never
+    assembled: its ``element_product`` multiplies it, its diagonal comes
+    from the same product's ``diagonal`` plus S's free diagonal
+    ``spring_diagonal``, and its norm is ``_norm1_estimate``. Every other
+    block (``element_product`` None) is gathered from the assembled
+    operator, its norm is ``_norm1``, and the reduction holds the place in
+    the operator's data of every free x free entry (``gather``), the block's
+    CSR pattern (columns unsorted in 2-D; read-only and shared by every
+    block, so nothing sorts them in place), the place in the block and
+    value of each free x free entry of S (``spring_entries``), and either
+    its diagonal's places (``diagonal``, with levels) or a ``band_map``."""
 
     def __init__(self, op, fixed, grid, values=0.0, springs=None):
         n = op.shape[0]
-        self.pattern = (op.indptr, op.indices)
+        self.op = op
         self.fixed = np.asarray(fixed)
         self.values = values
         order = _band_order(grid.nel_axis, n) if grid.dim == 2 else np.arange(n)
         is_free = np.isin(order, self.fixed, invert=True)
         self.free = order[is_free]
-        self.gather, self.indices, self.indptr = _block(op.indptr, op.indices, self.free, n)
-        to_free = np.full(n + 1, self.free.size, dtype=np.int32)  # n: a fixed DOF
-        to_free[self.free] = np.arange(self.free.size, dtype=np.int32)
-        if springs is not None:
-            d, unit = springs[0], springs[1].tocoo()
-            rows, cols = np.take(to_free, unit.row), np.take(to_free, unit.col)
-            kept = np.flatnonzero((rows < self.free.size) & (cols < self.free.size))
-            places = pattern_slots(self.indptr, self.indices, rows[kept], cols[kept])
-            self.springs = (d[self.free], places, unit.data[kept])
         self.levels, keep, self.element_product = [], self.free, None
         if grid.dim == 3:  # DOFs in their own order: each element's free DOFs as bits
-            edof = grid.conn if n == grid.nnodes else grid.edof_u
-            masks = np.take(is_free, edof) @ (1 << np.arange(edof.shape[1], dtype=np.int64))
+            masks = np.take(is_free, op.edof) @ (1 << np.arange(op.edof.shape[1], dtype=np.int64))
             while keep.size > COARSEST_DOFS:
                 self.levels.append(GalerkinLevel(grid, op.templates, masks, keep,
                                                  len(self.levels) + 1))
                 keep = self.levels[-1].keep
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
-        if self.levels:
-            self.diagonal = _diagonal(self.indptr, self.indices)
-            edof_free = np.take(to_free, edof)
-            gathered = len(op.templates) * np.count_nonzero(edof_free < self.free.size)
-            if self.gather.size > ELEMENT_PRODUCT_RATIO * gathered:
-                self.element_product = ElementProduct(op.templates, edof_free, self.free.size)
+        to_free = np.full(n + 1, self.free.size, dtype=np.int32)  # n: a fixed DOF
+        to_free[self.free] = np.arange(self.free.size, dtype=np.int32)
+        if self.levels and op.matrix_free:
+            edof_free = np.take(to_free, op.edof)
+            self.element_product = ElementProduct(op.templates, edof_free, self.free.size)
         else:
-            self.band_map = BandMap(self.indptr, self.indices)
+            self.gather, self.indices, self.indptr = _block(op.indptr, op.indices, self.free, n)
+            self.indices.flags.writeable = self.indptr.flags.writeable = False
+            if self.levels:
+                self.diagonal = _diagonal(self.indptr, self.indices)
+            else:
+                self.band_map = BandMap(self.indptr, self.indices)
+        if springs is not None:
+            d, unit = springs
+            self.springs = d[self.free]
+            if self.element_product is not None:
+                self.spring_diagonal = unit.diagonal()[self.free]
+            else:
+                unit = unit.tocoo()
+                rows, cols = np.take(to_free, unit.row), np.take(to_free, unit.col)
+                kept = np.flatnonzero((rows < self.free.size) & (cols < self.free.size))
+                places = pattern_slots(self.indptr, self.indices, rows[kept], cols[kept])
+                self.spring_entries = (places, unit.data[kept])
 
     def solve(self, a, f, coef, context: str, k: float = 0.0, base=None):
-        """Solve ``(A + k S) x = f`` with ``x[fixed] = values``, for ``a``
-        (CSR) on this reduction's pattern, assembled from the coefficients
-        ``coef``. For ``k`` != 0 the springs ``k S`` are added to the gathered
-        free block (their entries on fixed DOFs, which must hold zero, are
-        left out), and to an element product as the rank-r term
-        ``(k / r) D_f D_fᵀ``; they stay off the coarse levels. ``a`` may
-        hold its springs itself, with ``k`` 0. Given ``base = (system,
-        k_base)`` of an earlier solve of this ``a``, the block is a copy of its
-        data plus ``(k - k_base) S``, solved through the base's operator updated
-        by ``((k - k_base) / r) D_f D_fᵀ``: a spring sweep's point. Returns
-        ``(x, system)``; ``system`` solves the block again, for adjoints."""
-        if not (_same_array(a.indptr, self.pattern[0]) and _same_array(a.indices, self.pattern[1])):
-            raise ValueError(f"{context}: matrix pattern differs from the reduction's")
+        """Solve ``(A + k S) x = f`` with ``x[fixed] = values``, for ``a`` the
+        operator A of the coefficients ``coef`` as this reduction reads it:
+        assembled, on ``op``'s pattern, where it gathers its block, and
+        otherwise (``element_product``) anything with ``@``, an
+        ``ElementSum``. For ``k`` != 0 the springs ``k S`` are added to the
+        gathered free block (their entries on fixed DOFs, which must hold
+        zero, are left out), and to an element product as the rank-r term
+        ``(k / r) D_f D_fᵀ``; they stay off the coarse levels. An assembled
+        ``a`` may hold its springs itself, with ``k`` 0. Given ``base =
+        (system, k_base)`` of an earlier solve of this ``a``, the block is
+        that system's plus ``(k - k_base) S`` (a copy of its data plus those
+        entries, or its product plus that rank term), solved through the
+        base's operator updated by ``((k - k_base) / r) D_f D_fᵀ``: a spring
+        sweep's point. Returns ``(x, system)``; ``system`` solves the block
+        again, for adjoints."""
         x = np.zeros(a.shape[0])
         x[self.fixed] = self.values
         b = np.asarray(f, dtype=float)[self.free]
         if np.any(x):
             b -= (a @ x)[self.free]
-        if base is None:
-            data, springs = _take(a.data, self.gather), k
+        springs = k if base is None else k - base[1]
+        if self.element_product is None:
+            if not (sparse.issparse(a) and _same_array(a.indptr, self.op.indptr)
+                    and _same_array(a.indices, self.op.indices)):
+                raise ValueError(f"{context}: matrix pattern differs from the reduction's")
+            # the base's index arrays are ours
+            data = _take(a.data, self.gather) if base is None else base[0].a.data.copy()
+            if springs != 0.0:  # NaN too, which the 1-norm reports
+                places, unit = self.spring_entries
+                data[places] += springs * unit
+            block = sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.free.size,) * 2)
+            norm = _norm1(block)
+            diagonal = _take(data, self.diagonal) if self.levels and base is None else None
         else:
-            base, k_base = base
-            data, springs = base.a.data.copy(), k - k_base  # its index arrays are ours
-        rank = ()  # the springs as rank terms (c, D_f), for an element product
-        if springs != 0.0:  # NaN too, which the 1-norm reports
-            d_free, places, unit = self.springs
-            data[places] += springs * unit
-            rank = ((springs / d_free.shape[1], d_free),)
-        a_ff = sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.free.size,) * 2)
+            if sparse.issparse(a):
+                raise ValueError(f"{context}: the reduction multiplies element by element; "
+                                 "pass the operator's element sum")
+            block = self.element_product.bind(coef) if base is None else base[0].a
+            if springs != 0.0:  # NaN too, which the norm reports
+                block = block.plus(springs / self.springs.shape[1], self.springs)
+            diagonal = self.element_product.diagonal(coef)
+            if k != 0.0:
+                diagonal += k * self.spring_diagonal
+            norm = _norm1_estimate(block, diagonal)
         if base is not None:
-            def inverse(system, u=self.springs[0]):
-                return base.lu.update(system, c=springs / u.shape[1], u=u)
+            def inverse(system, u=self.springs):
+                return base[0].lu.update(system, c=springs / u.shape[1], u=u)
         elif self.levels:
             def inverse(system):
-                product = system.a
-                if self.element_product is not None:
-                    product = self.element_product.bind(coef)
-                    for c, u in rank:
-                        product = product.plus(c, u)
-                diagonal = _take(system.a.data, self.diagonal)
-                v_cycle = VCycle(product, diagonal, self.levels, coef, context)
-                return MultigridCG(system, v_cycle, product)
+                return MultigridCG(system, VCycle(block, diagonal, self.levels, coef, context))
         else:
             def inverse(system):  # the band filled from the block
-                return BandedCholesky(self.band_map.band(system.a.data), context)
-        system = FactorizedSystem(a_ff, context=context, inverse=inverse)
+                return BandedCholesky(self.band_map.band(block.data), context)
+        system = FactorizedSystem(block, context=context, inverse=inverse, norm=norm)
         x[self.free] = system.solve(b)
         return x, system
 

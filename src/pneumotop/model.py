@@ -44,11 +44,19 @@ class State:
     flow: FlowSystem
     pressure: PressureField
     force: np.ndarray
-    k_struct: sparse.csr_matrix
+    stiffness: object  # K of e_field as the solve read it: its CSR, or an ElementSum
     disp: DisplacementField
-    ku: np.ndarray  # k_struct @ disp.u, for SE and its partials
+    ku: np.ndarray  # stiffness @ disp.u, for SE and its partials
     metrics: PerformanceMetrics
     k_out: float = 0.0
+
+    @property
+    def k_struct(self) -> sparse.csr_matrix:
+        """K of ``e_field``, assembled: the solve's own CSR, or, where the
+        solve multiplied element by element, assembled here on demand (and
+        read by no solve)."""
+        k = self.stiffness
+        return k if sparse.issparse(k) else k.assemble()
 
 
 def _spring_stiffness(k) -> float:
@@ -119,11 +127,12 @@ class Model:
         self.flow = FlowAssembler(self.grid)
         self.elastic = ElasticAssembler(self.grid, self.mats.nu)
         self.t_matrix = darcy.coupling_matrix(self.grid)
-        self.grid.release_patterns()  # every operator is built
+        self.grid.release_patterns()  # every operator built with the model is
 
     # Both operators keep one pattern for every design, so each physics has
     # one reduction, built at its first solve: its fixed DOFs, the values
-    # they hold, the gather map to its free DOFs and its coarse levels, if any.
+    # they hold, its coarse levels, if any, and the gather map to its free
+    # DOFs, or (the 3-D stiffness, with coarse levels) its element product.
 
     @cached_property
     def flow_reduction(self) -> DirichletReduction:
@@ -193,8 +202,11 @@ class Model:
 
     def forward(self, rho_bar: np.ndarray, k_out: float | None = None) -> State:
         """Darcy solve, force transfer, elastic solve, and metrics. The
-        elastic reduction adds the springs ``k_out * spring_unit`` to its
-        free block, so the one stiffness held is ``k_struct``. ``k_out``
+        stiffness is assembled only where the elastic reduction gathers its
+        free block; where it multiplies element by element (a 3-D block with
+        coarse levels) it stays an element sum. The reduction adds the
+        springs ``k_out * spring_unit`` to the free block, so the one
+        stiffness held is ``stiffness``. ``k_out``
         (the output region's by default) must be finite and >= 0, as in a
         problem file; any other is a ConfigError."""
         rho_bar = np.asarray(rho_bar, dtype=float)
@@ -207,11 +219,13 @@ class Model:
         e_t = darcy.energy_loss(flow_sys, pressure.p, self.inlet_nodes)
 
         e_field, de = interpolate_modulus(rho_bar, self.mats)
-        k_struct = self.elastic.assemble(e_field)
-        disp = elasticity.solve_displacement(
-            k_struct, force, self.elastic_reduction, e_field, k_out
-        )
-        ku = k_struct @ disp.u
+        reduction = self.elastic_reduction
+        if reduction.element_product is None:
+            stiffness = self.elastic.assemble(e_field)
+        else:
+            stiffness = self.elastic.element_sum(e_field)
+        disp = elasticity.solve_displacement(stiffness, force, reduction, e_field, k_out)
+        ku = stiffness @ disp.u
         m = elasticity.metrics(disp.u, ku, self.l_out, k_out, E_t=e_t)
         return State(
             rho_bar=rho_bar,
@@ -220,7 +234,7 @@ class Model:
             flow=flow_sys,
             pressure=pressure,
             force=force,
-            k_struct=k_struct,
+            stiffness=stiffness,
             disp=disp,
             ku=ku,
             metrics=m,
@@ -233,16 +247,19 @@ class Model:
         at every other k with that solve's system as its ``base``, through the
         one factorization or multigrid hierarchy. An indefinite update ends
         as a solver failure, not as a missing support. Every k is held to
-        ``forward``'s rule before the first solve."""
+        ``forward``'s rule before the first solve, and an empty sweep is a
+        ConfigError."""
         k_values = [_spring_stiffness(k) for k in k_values]
+        if not k_values:
+            raise ConfigError("a sweep needs at least one output spring stiffness")
         state = self.forward(rho_bar, k_out=k_values[0])
         base = (state.disp.system, state.k_out)
         out = [state.metrics]
         for k in k_values[1:]:
             # [0]: the point's system is dropped before the next is built
-            u = self.elastic_reduction.solve(state.k_struct, state.force, state.e_field,
+            u = self.elastic_reduction.solve(state.stiffness, state.force, state.e_field,
                                              "displacement solve", k, base=base)[0]
-            out.append(elasticity.metrics(u, state.k_struct @ u, self.l_out, k, state.metrics.E_t))
+            out.append(elasticity.metrics(u, state.stiffness @ u, self.l_out, k, state.metrics.E_t))
         return out
 
     def _check_pressure_bounds(self, p: np.ndarray):

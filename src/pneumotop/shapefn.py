@@ -66,23 +66,17 @@ def coupling_matrix(dim: int, h: float) -> np.ndarray:
 
 
 def elastic_moduli(nu: float, dim: int) -> np.ndarray:
-    """Unit-modulus constitutive matrix: plane strain in 2-D, full 3-D otherwise."""
-    if dim == 2:
-        c = 1.0 / ((1.0 + nu) * (1.0 - 2.0 * nu))
-        return c * np.array(
-            [
-                [1.0 - nu, nu, 0.0],
-                [nu, 1.0 - nu, 0.0],
-                [0.0, 0.0, (1.0 - 2.0 * nu) / 2.0],
-            ]
-        )
+    """Unit-modulus constitutive matrix in Lamé form, in ``VOIGT[dim]``
+    order: the full 3-D matrix, and in 2-D (plane strain, eps_zz = 0) its
+    rows and columns xx, yy and xy."""
     lam = nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     mu = 1.0 / (2.0 * (1.0 + nu))
     cm = np.zeros((6, 6))
     cm[:3, :3] = lam
     cm[np.diag_indices(3)] = lam + 2.0 * mu
     cm[3, 3] = cm[4, 4] = cm[5, 5] = mu
-    return cm
+    keep = [VOIGT[3].index(ij) for ij in VOIGT[dim]]
+    return cm[np.ix_(keep, keep)]
 
 
 def strain_matrix(dndx: np.ndarray) -> np.ndarray:

@@ -352,7 +352,7 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
 
         monkeypatch.setattr(owner, attr, counted)
 
-    spy(Grid, "node_pattern")  # every stencil_operator starts here
+    spy(Grid, "node_pattern")  # every StencilOperator pattern starts here
     spy(linalg.DirichletReduction, "__init__")
     spy(linalg.GalerkinLevel, "__init__")
     spy(linalg.BandMap, "__init__")
@@ -363,14 +363,20 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
     for reduction in reductions:
         assert bool(reduction.levels) == (name == "gripper3d")
     # the assembled operators share the model's pattern arrays, and every
-    # free block its reduction's read-only index arrays, not copies
+    # gathered free block its reduction's read-only index arrays, not copies;
+    # the 3-D elastic block multiplies through its reduction's element
+    # product, with no CSR of its own
     for mat, op in [(state.k_struct, model.elastic.op), (state.flow.A, model.flow.op)]:
         assert np.shares_memory(mat.indptr, op.indptr)
         assert np.shares_memory(mat.indices, op.indices)
     for system, reduction in zip([state.disp.system, state.pressure.system], reductions):
+        if reduction.element_product is not None:
+            assert system.a.block is reduction.element_product
+            continue
         for mine, ours in [(system.a.indices, reduction.indices),
                            (system.a.indptr, reduction.indptr)]:
             assert np.shares_memory(mine, ours) and not ours.flags.writeable
+    assert (model.elastic_reduction.element_product is not None) == (name == "gripper3d")
     assert isinstance(state.disp.system.lu, linalg.MultigridCG) == (name == "gripper3d")
     if name == "gripper3d":
         # the V-cycles run on the reductions' own levels, with their
@@ -443,10 +449,11 @@ def test_2d_sweep_makes_no_band_solve_of_several_right_hand_sides(tiny_model, mo
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_springs_reach_the_block_as_from_the_spring_loaded_matrix(name, tiny_spec, monkeypatch):
-    """The reduction adds the springs to the free block it gathers from
-    ``k_struct``: the block, the 2-D band and the 3-D V-cycle diagonal equal,
-    bit for bit, those read from the full matrix with the springs on its
-    slots."""
+    """The reduction adds the springs to the free block: the 2-D block it
+    gathers from ``k_struct`` and its band, and the 3-D V-cycle diagonal,
+    equal, bit for bit, those read from the full matrix with the springs on
+    its slots; the 3-D block, an element sum plus the springs' rank term,
+    multiplies as that matrix's free block does, to 1e-14."""
     spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
     model = Model(spec)
     bands, real = [], linalg.dpbtrf
@@ -461,16 +468,19 @@ def test_springs_reach_the_block_as_from_the_spring_loaded_matrix(name, tiny_spe
     k, spring, reduction = state.k_struct, model.spring_unit.tocoo(), model.elastic_reduction
     full = k.copy()
     full.data[pattern_slots(k.indptr, k.indices, spring.row, spring.col)] += state.k_out * spring.data
-    block = full.data[reduction.gather]
     system = state.disp.system
-    assert np.array_equal(system.a.data, block)
     if name == "tiny":
+        block = full.data[reduction.gather]
+        assert np.array_equal(system.a.data, block)
         elastic = linalg.BandMap(reduction.indptr, reduction.indices).band(block)
         assert np.array_equal(bands[-1], elastic)
         # the spring-loaded matrix, without springs of the reduction's own
         u, _ = reduction.solve(full, state.force, state.e_field, "test system")
         assert np.array_equal(u, state.disp.u)
     else:
+        block = full[reduction.free][:, reduction.free]
+        p = np.random.default_rng(4).normal(size=block.shape[0])
+        assert np.linalg.norm(system.a @ p - block @ p) <= 1e-14 * np.linalg.norm(block @ p)
         jacobi = linalg.JACOBI_OMEGA / full.diagonal()[reduction.free]
         assert np.array_equal(system.lu.v_cycle.jacobi[0], jacobi)
         (c, _, _), = system.lu.product.terms
@@ -492,6 +502,15 @@ def test_negative_or_non_finite_spring_stiffness_is_a_config_error(name, tiny_sp
 
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
+def test_empty_sweep_is_a_config_error(name, tiny_spec):
+    """A sweep of no stiffness is rejected, not a bare IndexError."""
+    spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
+    model = Model(spec)
+    with pytest.raises(ConfigError, match="at least one output spring stiffness"):
+        model.sweep(_designs(model, 6)[0], [])
+
+
+@pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_zero_spring_stiffness_solves_without_springs(name, tiny_spec):
     """At k_out = 0 the forward solve is, bit for bit, that of a reduction
     that holds no springs, and the spring does no work."""
@@ -499,9 +518,11 @@ def test_zero_spring_stiffness_solves_without_springs(name, tiny_spec):
     model = Model(spec)
     state = model.forward(_designs(model, 7)[0], k_out=0.0)
     bare = linalg.DirichletReduction(model.elastic.op, model.fixed_u_dofs, model.grid)
-    u, system = bare.solve(state.k_struct, state.force, state.e_field, "displacement solve")
+    u, system = bare.solve(state.stiffness, state.force, state.e_field, "displacement solve")
     assert np.array_equal(u, state.disp.u)
-    assert np.array_equal(system.a.data, state.disp.system.a.data)
+    # the gathered block's data, or the element sum's scatter values
+    data = [s.a.data if name == "tiny" else s.a.scatter.data for s in (system, state.disp.system)]
+    assert np.array_equal(*data)
     assert state.metrics.W == 0.0 and state.metrics.SE > 0.0
     if name == "gripper3d":
         assert state.disp.system.lu.product.terms == ()

@@ -6,32 +6,42 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from pneumotop import darcy, linalg, problem, shapefn
+from pneumotop import adjoint, darcy, elasticity, linalg, optimizer, problem, shapefn
+from pneumotop.adjoint import ObjectiveSpec
 from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import SingularSystemError, SolveError
-from pneumotop.grid import Grid, GridSpec, stencil_operator
+from pneumotop.grid import ElementSum, Grid, GridSpec, StencilOperator
+from pneumotop.materials import interpolate_modulus
 from pneumotop.model import Model
 
 from tinyproblem import block_problem_dict
 
 
+def _operator(reduction, op, coef):
+    """The operator of ``coef`` as ``reduction`` reads it: assembled on
+    ``op``'s pattern, or its element sum where it multiplies element by
+    element."""
+    return op.assemble(coef) if reduction.element_product is None else ElementSum(op, coef)
+
+
 def _solve_dirichlet(g, op, coef, fixed, f, k=None):
-    """``k x = f`` with ``x[fixed] = 0``, for ``k`` the matrix that ``op``
-    assembles from ``coef`` unless given (on ``op``'s pattern), through a
-    reduction built for ``op`` on the grid ``g``: ``(x, free, system)``."""
+    """``k x = f`` with ``x[fixed] = 0``, for ``k`` the operator of ``coef``
+    as the reduction built for ``op`` on the grid ``g`` reads it, unless
+    given: ``(x, free, system)``."""
     reduction = linalg.DirichletReduction(op, fixed, g)
-    k = op.assemble(coef) if k is None else k
+    k = _operator(reduction, op, coef) if k is None else k
     x, system = reduction.solve(k, f, coef, context="test system")
     return x, reduction.free, system
 
 
 def _factorized(a):
     """``a``'s FactorizedSystem, its band filled through the map of its own
-    pattern."""
+    pattern, checked against its 1-norm."""
     a = sparse.csr_matrix(a)
     band = linalg.BandMap(a.indptr, a.indices).band(a.data)
     return linalg.FactorizedSystem(
-        a, context="test system", inverse=lambda s: linalg.BandedCholesky(band, s.context)
+        a, context="test system", inverse=lambda s: linalg.BandedCholesky(band, s.context),
+        norm=linalg._norm1(a),
     )
 
 
@@ -181,7 +191,7 @@ def _gray_2d(nel, dofs_per_node, seed=2):
     if dofs_per_node == 2:
         op = ElasticAssembler(g, 0.3).op
     else:
-        op = stencil_operator(g, shapefn.conduction_matrix(2, g.h))
+        op = StencilOperator(g, shapefn.conduction_matrix(2, g.h))
     edge = np.flatnonzero(g.coords[:, 0] == 0.0)
     fixed = (dofs_per_node * edge[:, None] + np.arange(dofs_per_node)).ravel()
     return g, op, coef, fixed, rng.normal(size=op.shape[0])
@@ -247,8 +257,9 @@ def test_band_map_fills_the_band_in_place(nel, dofs_per_node, dirichlet, monkeyp
 def test_norm1_is_the_largest_column_sum():
     _, _, system_2d = _solve_dirichlet(*_gray_2d((12, 4), 2))
     _, updated = _spring_sweep(_node_columns("last-rows"))[1](1e5)
-    _, _, system_3d = _solve_dirichlet(*_elastic_3d())
-    for a in (system_2d.a, system_3d.a, updated.a):
+    g, op, coef, fixed, f = _elastic_3d()
+    block_3d = _reduced(op.assemble(coef), fixed, f)[0]  # the 3-D block, assembled here
+    for a in (system_2d.a, block_3d, updated.a):
         # abs() of a CSR with unsorted columns sorts them in place, and a
         # block's index arrays are read-only: take a copy
         column_sum = abs(a.copy()).sum(axis=0).max()
@@ -306,13 +317,21 @@ def test_pure_neumann_laplacian_is_singular():
         _factorized(a)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_non_finite_entry_is_a_solve_error(dim, value):
-    # a solver failure, not the "check supports" of a singular system
+    # a solver failure, not the "check supports" of a singular system. The
+    # 3-D block is matrix-free: its last element's modulus carries a NaN or
+    # inf, and every modulus at 1e308 overflows the diagonal's sums
     g, op, coef, fixed, f = _gray_2d((12, 4), 2) if dim == 2 else _elastic_3d()
-    k = op.assemble(coef)
-    k.data[k.indptr[-2]:] = value  # the last row, which is free
+    k = None
+    if dim == 2:
+        k = op.assemble(coef)
+        k.data[k.indptr[-2]:] = value  # the last row, which is free
+    elif np.isfinite(value):
+        coef[:] = value
+    else:
+        coef[-1] = value
     with pytest.raises(SolveError, match="test system: matrix has a non-finite 1-norm") as err:
         _solve_dirichlet(g, op, coef, fixed, f, k)
     assert not isinstance(err.value, SingularSystemError)
@@ -370,7 +389,7 @@ def test_multigrid_missing_the_contract_raises_and_terminates(monkeypatch):
     monkeypatch.setattr(linalg.MultigridCG, "solve", counting)
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolveError, match="test system: backward error"):
-        reduction.solve(op.assemble(coef), f, coef, "test system")
+        reduction.solve(ElementSum(op, coef), f, coef, "test system")
     assert len(calls) == 1 + linalg.MAX_REFINEMENTS
 
 
@@ -424,7 +443,7 @@ def test_small_3d_reduction_sweeps_through_its_cholesky_factor():
     state = model.forward(rho, k_out=10.0)
     assert isinstance(state.pressure.system.lu, linalg.BandedCholesky)
     assert isinstance(state.disp.system.lu, linalg.BandedCholesky)
-    _, updated = model.elastic_reduction.solve(state.k_struct, state.force, state.e_field,
+    _, updated = model.elastic_reduction.solve(state.stiffness, state.force, state.e_field,
                                                "test system", 1e2, base=(state.disp.system, 10.0))
     assert isinstance(updated.lu, linalg.WoodburyUpdate)
     assert updated.lu.factor is state.disp.system.lu
@@ -444,22 +463,23 @@ def test_multigrid_rank_updates_solve_updated_matrix():
     )
     s = (d @ d.T / tip.size).tocsr()
     reduction = linalg.DirichletReduction(op, fixed, g, springs=(d, s))
-    k = op.assemble(coef)
-    _, base = reduction.solve(k, f, coef, "test system", 1.0)
+    _, base = reduction.solve(ElementSum(op, coef), f, coef, "test system", 1.0)
     free = reduction.free
     b = f[free]
+    k = op.assemble(coef)
     for k_point in [1e2, 1e4, 1e6]:
-        _, system = reduction.solve(k, f, coef, "test system", k_point, base=(base, 1.0))
+        _, system = reduction.solve(ElementSum(op, coef), f, coef, "test system", k_point,
+                                    base=(base, 1.0))
         assert isinstance(system, linalg.FactorizedSystem)
         assert isinstance(system.lu, linalg.MultigridCG)
         assert system.lu.v_cycle is base.lu.v_cycle  # the base V-cycle, not a new hierarchy
-        # the base's element product plus a rank term of its own; the block holds the sum
+        # the base's element product plus a rank term of its own is the block
+        assert system.a is system.lu.product
         assert system.lu.product.scatter is base.lu.product.scatter
         terms = system.lu.product.terms
         assert [c for c, _, _ in terms] == [1.0 / tip.size, (k_point - 1.0) / tip.size]
-        a_k = (k + k_point * s).tocsr()[free][:, free]
-        assert abs(system.a - a_k).max() <= 1e-15 * abs(a_k).max()
-        assert _relative_gap(system.lu.product, a_k) <= 1e-14
+        a_k = (k + k_point * s).tocsr()[free][:, free]  # the block, assembled here
+        assert _relative_gap(system.a, a_k) <= 1e-14
         x = system.solve(b)
         assert _backward_error(a_k, x, b) <= linalg.RESIDUAL_TOL
         exact = spsolve(a_k.tocsc(), b)
@@ -576,29 +596,108 @@ def test_3d_systems_form_no_sparse_product(monkeypatch):
     assert len(products) == 1
 
 
+def test_3d_elastic_solves_assemble_no_stiffness(monkeypatch):
+    # a forward solve, its gradient and a sweep multiply the gripper3d
+    # stiffness element by element: neither assembled nor given a pattern
+    # and scatter, which are built only when ``k_struct`` is read
+    model, rho = _gripper3d_design()
+    calls = []
+
+    def spy(owner, attr):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    spy(ElasticAssembler, "assemble")
+    spy(StencilOperator, "_build")  # the pattern and scatter of any operator
+    x = np.random.default_rng(7).uniform(0.0, 1.0, (3, model.grid.nelem))
+    _, rho, dproj = model.physical_fields(x, 8.0)
+    state = model.forward(rho)
+    adjoint.total_gradient(model, state, ObjectiveSpec(s=1.0), 1.0, dproj)
+    assert len(model.sweep(rho, [1.0, 10.0, 100.0])) == 3
+    assert calls == []
+    assert isinstance(state.stiffness, ElementSum)
+    k_struct = state.k_struct
+    assert calls == ["_build"]  # the stiffness's own, on demand
+    reference = model.elastic.assemble(state.e_field)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(k_struct, name), getattr(reference, name))
+    # K u on every DOF, element by element, as the assembled K gives it
+    ku = k_struct @ state.disp.u
+    assert np.linalg.norm(state.ku - ku) <= 1e-14 * np.linalg.norm(ku)
+
+
+@pytest.mark.parametrize("design", ["initial", "beta16", "rough"])
+def test_matrix_free_norm_is_a_lower_bound_of_the_1_norm(design):
+    # the 3-D elastic contract's norm lies between the largest diagonal entry
+    # and the 1-norm of the free block assembled here, so every solution it
+    # accepts passes the 1-norm check too
+    model = Model(problem.load_problem("gripper3d"))
+    n, rng = model.grid.nelem, np.random.default_rng(11)
+    if design == "initial":
+        rho = model.physical_fields(optimizer.initialize(model),
+                                    model.spec.filter.beta_p_initial)[1]
+    elif design == "beta16":
+        rho = model.physical_fields(rng.uniform(0.0, 1.0, (3, n)), 16.0)[1]
+    else:  # topology uniform in [0.05, 1], both selectors 0.5, no filter
+        rho = np.vstack([rng.uniform(0.05, 1.0, n), np.full((2, n), 0.5)])
+    state = model.forward(rho)
+    block = _spring_loaded_block(model, state, state.k_out)
+    norm = state.disp.system.norm
+    assert block.diagonal().max() <= norm <= linalg._norm1(block)
+    free = model.elastic_reduction.free
+    b = state.force[free]
+    assert _backward_error(block, state.disp.u[free], b) <= linalg.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_matrix_free_non_finite_norm_is_a_solve_error(value):
+    # a NaN or infinite modulus makes the norm estimate non-finite: a
+    # solver failure (exit 4), not "check supports"
+    model, rho = _gripper3d_design()
+    e = interpolate_modulus(rho, model.mats)[0]
+    e[-1] = value
+    with pytest.raises(SolveError, match="displacement solve: matrix has a non-finite 1-norm") as err:
+        elasticity.solve_displacement(model.elastic.element_sum(e), np.ones(model.grid.n_disp_dofs),
+                                      model.elastic_reduction, e, 1.0)
+    assert not isinstance(err.value, SingularSystemError)
+
+
 def _relative_gap(product, a, seed=4):
     p = np.random.default_rng(seed).normal(size=a.shape[0])
     ref = a @ p
     return np.linalg.norm(product @ p - ref) / np.linalg.norm(ref)
 
 
+def _spring_loaded_block(model, state, k):
+    """The free block of ``K + k S`` of a forward solve, assembled here."""
+    free = model.elastic_reduction.free
+    return sparse.csr_matrix(state.k_struct + k * model.spring_unit)[free][:, free]
+
+
 @pytest.mark.parametrize("case", ["gripper3d-springs", "symmetry-plane", "odd-9x5x4"])
 def test_element_product_matches_the_free_block(case):
-    # CG multiplies by the element sum plus the springs' rank term; the
-    # system keeps the assembled free block for the contract
+    # the block is the element sum plus the springs' rank term, checked
+    # against the free block assembled here
     if case == "gripper3d-springs":
         model, rho = _gripper3d_design()
-        system = model.forward(rho).disp.system
+        state = model.forward(rho)
+        system, block = state.disp.system, _spring_loaded_block(model, state, state.k_out)
         assert model.output_sel.region.k_out > 0 and len(system.lu.product.terms) == 1
     else:
         g, op, coef, fixed, f = _elastic_3d((8, 4, 4) if case == "symmetry-plane" else (9, 5, 4))
         if case == "symmetry-plane":  # the plane z = 0 fixes u_z alone
             fixed = np.union1d(fixed, 3 * np.flatnonzero(g.coords[:, 2] == 0.0) + 2)
         _, _, system = _solve_dirichlet(g, op, coef, fixed, f)
+        block = _reduced(op.assemble(coef), fixed, f)[0]
         assert system.lu.product.terms == ()
     assert isinstance(system.lu.product, linalg.ElementOperator)
-    assert system.lu.v_cycle.matrices[0] is system.lu.product
-    assert _relative_gap(system.lu.product, system.a) <= 1e-14
+    assert system.lu.v_cycle.matrices[0] is system.lu.product is system.a
+    assert _relative_gap(system.a, block) <= 1e-14
 
 
 def test_updated_sweep_system_multiplies_element_by_element():
@@ -607,34 +706,41 @@ def test_updated_sweep_system_multiplies_element_by_element():
     n_out = model.output_op.shape[1]
     for k in [1e2, 1e4]:
         _, updated = model.elastic_reduction.solve(
-            state.k_struct, state.force, state.e_field, "test system", k,
+            state.stiffness, state.force, state.e_field, "test system", k,
             base=(state.disp.system, 10.0))
         (c_base, _, _), (c, _, _) = updated.lu.product.terms
         assert c_base == 10.0 / n_out and c == (k - 10.0) / n_out
-        assert _relative_gap(updated.lu.product, updated.a) <= 1e-14
+        assert _relative_gap(updated.a, _spring_loaded_block(model, state, k)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_sweep_point_block_is_the_forward_block(name, tiny_spec):
-    # a copy of the base block's data plus (k - k_base) S at the reduction's
-    # spring places, on the reduction's own index arrays
+    # 2-D: a copy of the base block's data plus (k - k_base) S at the
+    # reduction's spring places, on the reduction's own index arrays; 3-D:
+    # the base block's element sum plus (k - k_base) S as a rank term, which
+    # multiplies as the spring-loaded block assembled here does
     model = Model(tiny_spec if name == "tiny" else problem.load_problem("gripper3d"))
     x = np.random.default_rng(7).uniform(0.0, 1.0, (3, model.grid.nelem))
     rho = model.physical_fields(x, 8.0)[1]
     reduction = model.elastic_reduction
     state = model.forward(rho, k_out=0.1)
     for k in [1.0, 1e3]:
-        _, point = reduction.solve(state.k_struct, state.force, state.e_field, "test system", k,
+        _, point = reduction.solve(state.stiffness, state.force, state.e_field, "test system", k,
                                    base=(state.disp.system, 0.1))
-        block = model.forward(rho, k_out=k).disp.system.a
-        assert np.abs(point.a.data - block.data).max() <= 1e-15 * np.abs(block.data).max()
-        for mine, ours in [(point.a.indices, reduction.indices), (point.a.indptr, reduction.indptr)]:
-            assert np.shares_memory(mine, ours)
+        if name == "tiny":
+            block = model.forward(rho, k_out=k).disp.system.a
+            assert np.abs(point.a.data - block.data).max() <= 1e-15 * np.abs(block.data).max()
+            for mine, ours in [(point.a.indices, reduction.indices),
+                               (point.a.indptr, reduction.indptr)]:
+                assert np.shares_memory(mine, ours)
+        else:
+            assert point.a.scatter is state.disp.system.a.scatter
+            assert _relative_gap(point.a, _spring_loaded_block(model, state, k)) <= 1e-14
 
 
 def test_cg_multiplies_the_elastic_block_element_by_element_only(monkeypatch):
-    # by the rule on stored against gathered entries: the elastic block
-    # multiplies element by element, the flow block by its CSR
+    # the elastic block, whose operator is matrix-free, multiplies element
+    # by element, the flow block by its CSR
     model, rho = _gripper3d_design()
     assert model.elastic_reduction.element_product is not None
     assert model.flow_reduction.element_product is None
@@ -689,9 +795,13 @@ def test_reduction_gathers_the_free_block_in_solver_order(nel):
     reduction = linalg.DirichletReduction(op, fixed, g)
     order = linalg._band_order(nel, k.shape[0]) if g.dim == 2 else np.arange(k.shape[0])
     assert np.array_equal(reduction.free, order[np.isin(order, fixed, invert=True)])
-    _, system = reduction.solve(k, np.ones(k.shape[0]), coef, "test system")
+    _, system = reduction.solve(_operator(reduction, op, coef), np.ones(k.shape[0]), coef,
+                                "test system")
     ref = k.tocsc()[reduction.free][:, reduction.free]
-    assert abs(system.a - ref).max() == 0.0
+    if reduction.element_product is None:  # gathered: bit for bit
+        assert abs(system.a - ref).max() == 0.0
+    else:  # the 7x5x4 block has coarse levels, and multiplies element by element
+        assert _relative_gap(system.a, ref) <= 1e-14
 
 
 def test_reduction_rejects_another_pattern():

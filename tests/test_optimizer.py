@@ -347,6 +347,7 @@ def test_odd_gripper3d_runs_on_multigrid(tmp_path):
     k = sparse.csr_matrix(state.k_struct + state.k_out * model.spring_unit)[free][:, free]
     band = linalg.BandMap(k.indptr, k.indices).band(k.data)
     u_lu = linalg.FactorizedSystem(
-        k, context="test system", inverse=lambda s: linalg.BandedCholesky(band, s.context)
+        k, context="test system", inverse=lambda s: linalg.BandedCholesky(band, s.context),
+        norm=linalg._norm1(k),
     ).solve(state.force[free])
     assert model.l_out[free] @ u_lu == pytest.approx(state.metrics.u_out, rel=1e-8, abs=0)
