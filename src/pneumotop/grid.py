@@ -69,14 +69,18 @@ class GridSpec:
         log_half_h = math.log(self.h) - math.log(2.0)
         if max(-2.0 * log_half_h, self.dim * log_half_h) >= np.log(np.finfo(float).max):
             raise ConfigError(f"element size h = {self.h} m overflows the element matrices")
-        # The stiffness's scatter (StencilOperator) has one int32-indexed
-        # column per element and entry of the (dim 2^dim)^2 element matrix.
-        # It bounds the DOF indices too: dim * nnodes <= dim 2^dim nelem.
-        entries = (self.dim * 2**self.dim) ** 2 * math.prod(self.nel)
+        # The largest int32 index space a model builds is a StencilOperator
+        # scatter's, one entry per element and template entry: in 2-D the
+        # stiffness's (dim 2^dim)^2 = 64, and in 3-D, where the stiffness is
+        # multiplied element by element and checks its own scatter where it
+        # is built (StencilOperator._build), the coupling T's dim 4^dim =
+        # 192 (the flow operator's two templates hold 2 4^dim). It bounds
+        # the DOF indices too: dim * nnodes <= dim 2^dim nelem.
+        entries = (64 if self.dim == 2 else 192) * math.prod(self.nel)
         if entries > MAX_DOFS:
             raise ConfigError(
-                f"grid {self.nel} would need {entries} stiffness scatter "
-                f"entries, exceeding the {MAX_DOFS} index space"
+                f"grid {self.nel} would need {entries} scatter entries, "
+                f"exceeding the {MAX_DOFS} index space"
             )
 
 
@@ -387,6 +391,14 @@ class StencilOperator:
 
     def _build(self):
         grid, templates, nelem = self.grid, self.templates, self.grid.nelem
+        # The scatter's rows and pointers and the pattern's are int32, and
+        # the pattern holds at most one entry per element and template entry.
+        entries = templates.size * nelem
+        if entries > MAX_DOFS:
+            raise ConfigError(
+                f"{nelem} elements would need {entries} scatter entries, "
+                f"exceeding the {MAX_DOFS} index space"
+            )
         indptr, indices, slot = element_pattern(grid, *self.comps)
         kept = [np.flatnonzero(t) for t in templates]
         col_ptr = np.zeros(len(kept) * nelem + 1, dtype=np.int32)

@@ -40,8 +40,11 @@ and solves through one of three inverse operators:
   than COARSEST_DOFS DOFs): conjugate gradients preconditioned with a
   geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG
   for efficient topology optimization", SMO 49:815) that smooths by one
-  damped-Jacobi sweep on each side of every coarse correction. Each coarse
-  level (``GalerkinLevel``) holds its kept DOFs, its transfers and its
+  damped-Jacobi sweep on each side of every coarse correction. CG and the
+  V-cycle update their vectors in place, so an iteration costs three
+  products with the finest block (CG's and the two smoothing residuals'),
+  the coarse levels and a few passes over the vectors. Each coarse level
+  (``GalerkinLevel``) holds its kept DOFs, its transfers and its
   Galerkin product ``Pᵀ A P`` as a linear map of the element coefficients,
   built once, so no sparse product is formed. The flow block is gathered
   and multiplied by its CSR (which stores 1.6x the entries an element
@@ -50,9 +53,10 @@ and solves through one of three inverse operators:
   Comput. Vis. Sci. 14:249; Aage et al. 2017, Nature 550:84): CG, the
   finest level's residuals and the contract's residuals multiply by it
   element by element (``ElementProduct``: a gather, one GEMM with the
-  templates and a scatter whose values are the element coefficients, plus
-  the springs as a rank-r term; 78,960 entries read on gripper3d against
-  the 806,050 the assembled block would store), its Jacobi diagonal is one
+  templates and a scatter whose values are the element coefficients; 78,960
+  entries read on gripper3d against the 806,050 the assembled block would
+  store), plus the springs' rank-r term ``c D_f D_fᵀ``, added on D's free
+  rows alone (``ElementOperator``). Its Jacobi diagonal is one
   ``bincount`` of the templates' diagonals, bit for bit an assembly's, and
   its norm is the lower bound ``_norm1_estimate``: Hager's estimate (4 to 6
   products on gripper3d designs) or the largest diagonal entry, whichever
@@ -319,13 +323,16 @@ class VCycle:
     coefficients ``coef``.
     The coarsest level is factored by banded Cholesky; every other level is
     smoothed by one damped-Jacobi sweep before and one after its coarse
-    correction, which keeps the V-cycle symmetric."""
+    correction, which keeps the V-cycle symmetric. Each smoothed level forms
+    its residuals in its own ``scratch`` vector; a call returns a new array
+    and leaves ``r`` alone."""
 
     def __init__(self, a, diagonal, levels, coef, context: str):
         self.levels = levels
         self.matrices = [a] + [level.matrix(coef) for level in levels]
         self.jacobi = [JACOBI_OMEGA / d for d in [diagonal] + [
             a_l.data[level.diagonal] for a_l, level in zip(self.matrices[1:-1], levels)]]
+        self.scratch = [np.empty(w.size) for w in self.jacobi]
         band = levels[-1].band_map.band(self.matrices[-1].data)
         self.coarse = BandedCholesky(band, f"{context} (coarsest level)")
 
@@ -333,17 +340,22 @@ class VCycle:
         if level == len(self.levels):
             return self.coarse.solve(r)
         a, w, coarser = self.matrices[level], self.jacobi[level], self.levels[level]
+        s = self.scratch[level]
         x = w * r  # pre-smoothing: one Jacobi sweep from x = 0
-        coarse_r = coarser.restriction @ (r - a @ x)
-        x += coarser.prolongation @ self(coarse_r, level + 1)
-        x += w * (r - a @ x)  # post-smoothing
+        np.subtract(r, a @ x, out=s)
+        x += coarser.prolongation @ self(coarser.restriction @ s, level + 1)
+        np.subtract(r, a @ x, out=s)  # post-smoothing
+        s *= w
+        x += s
         return x
 
 
 class MultigridCG:
     """CG over the block of ``system``, multiplied by its ``a`` (``product``:
     a CSR or an ``ElementOperator``) and held with its norm, not the system,
-    preconditioned by ``v_cycle``, which may be another block's."""
+    preconditioned by ``v_cycle``, which may be another block's. A solve
+    updates its iterate, residual and direction in place through one
+    scratch vector, and returns a new array."""
 
     def __init__(self, system, v_cycle: VCycle):
         self.product, self.norm, self.v_cycle = system.a, system.norm, v_cycle
@@ -354,19 +366,20 @@ class MultigridCG:
         reaches CG_TOL, or CG_MAX_ITERS; the system checks the true residual
         afterwards."""
         b_norm = np.linalg.norm(b)
-        x, r = np.zeros_like(b), b.copy()
-        z = self.v_cycle(r)
-        p, rz = z.copy(), r @ z
+        x, r, s = np.zeros_like(b), b.copy(), np.empty_like(b)
+        p = self.v_cycle(r)  # the first direction is z
+        rz = r @ p
         for _ in range(CG_MAX_ITERS):
             q = self.product @ p
             alpha = rz / (p @ q)
-            x += alpha * p
-            r -= alpha * q
+            x += np.multiply(alpha, p, out=s)
+            r -= np.multiply(alpha, q, out=s)
             if np.linalg.norm(r) <= CG_TOL * (self.norm * np.linalg.norm(x) + b_norm):
                 break
             z = self.v_cycle(r)
             rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
+            p *= rz / rz_old
+            p += z
         return x
 
     def update(self, system, c: float, u) -> "MultigridCG":
@@ -428,7 +441,11 @@ class ElementProduct:
 class ElementOperator:
     """``q = A p`` (``@``) for one design's free block through the
     ``ElementProduct`` ``block``, whose buffers it shares: the element sum by
-    ``scatter``, then each rank term ``c U (Uᵀ p)`` of ``terms`` (c, U, Uᵀ)."""
+    ``scatter``, then each rank term ``c D (Dᵀ p)`` of ``terms``, ``(c,
+    (rows, cols), vals)`` for D's entries ``vals`` at ``(rows, cols)``, at
+    most one per row. ``Dᵀ p`` is one ``bincount`` over D's columns, which
+    sums each column's entries in row order as a sparse product does, and
+    the term is added to D's rows alone."""
 
     def __init__(self, block: ElementProduct, scatter, terms=()):
         self.block, self.scatter, self.terms = block, scatter, terms
@@ -440,13 +457,15 @@ class ElementOperator:
         np.take(e.padded, e.edof, out=e.gathered, mode="clip")
         np.matmul(e.gathered, e.templates, out=e.products)
         q = self.scatter @ e.products.ravel()
-        for c, u, ut in self.terms:
-            q += c * (u @ (ut @ p))
+        for c, (rows, cols), vals in self.terms:
+            dtp = np.bincount(cols, weights=vals * p[rows])  # Dᵀ p
+            q[rows] += c * (vals * dtp[cols])
         return q
 
-    def plus(self, c: float, u) -> "ElementOperator":
-        """This block plus ``c U Uᵀ``."""
-        return ElementOperator(self.block, self.scatter, self.terms + ((c, u, u.T.tocsr()),))
+    def plus(self, c: float, entries) -> "ElementOperator":
+        """This block plus ``c D Dᵀ``, for D given by its ``entries``
+        ``((rows, cols), vals)``, at most one per row."""
+        return ElementOperator(self.block, self.scatter, self.terms + ((c,) + entries,))
 
 
 def _band_order(nel, n_dofs: int) -> np.ndarray:
@@ -463,17 +482,18 @@ class DirichletReduction:
     """The free block of every operator of the ``StencilOperator`` ``op`` on
     ``grid``, for the Dirichlet set of the DOFs ``fixed`` and the ``values``
     they hold (one per DOF, or one for all), and of the ``springs`` ``(D,
-    S)`` (D: n x r, sparse; S = (1/r) D Dᵀ, sparse) a solve may add. Built
-    once: the free DOFs in solver order (ascending in 3-D, band order in
-    2-D) and, given springs, D's free rows ``springs``. A 3-D block of more
-    than COARSEST_DOFS DOFs gets multigrid ``levels``, halving until one
-    keeps at most that many.
+    S)`` (D: n x r, sparse, at most one entry per row; S = (1/r) D Dᵀ,
+    sparse) a solve may add. Built once: the free DOFs in solver order
+    (ascending in 3-D, band order in 2-D) and, given springs, D's free rows
+    ``springs``. A 3-D block of more than COARSEST_DOFS DOFs gets multigrid
+    ``levels``, halving until one keeps at most that many.
 
     Where it has levels and ``op`` is matrix-free, the block is never
     assembled: its ``element_product`` multiplies it, its diagonal comes
     from the same product's ``diagonal`` plus S's free diagonal
-    ``spring_diagonal``, and its norm is ``_norm1_estimate``. Every other
-    block (``element_product`` None) is gathered from the assembled
+    ``spring_diagonal``, its springs are a rank term of the entries of D's
+    free rows (``spring_term``), and its norm is ``_norm1_estimate``. Every
+    other block (``element_product`` None) is gathered from the assembled
     operator, its norm is ``_norm1``, and the reduction holds the place in
     the operator's data of every free x free entry (``gather``), the block's
     CSR pattern (columns unsorted in 2-D; read-only and shared by every
@@ -513,6 +533,8 @@ class DirichletReduction:
             self.springs = d[self.free]
             if self.element_product is not None:
                 self.spring_diagonal = unit.diagonal()[self.free]
+                d_f = self.springs.tocoo()  # row by row, as the CSR stores it
+                self.spring_term = ((d_f.row.astype(np.intp), d_f.col.astype(np.intp)), d_f.data)
             else:
                 unit = unit.tocoo()
                 rows, cols = np.take(to_free, unit.row), np.take(to_free, unit.col)
@@ -528,14 +550,14 @@ class DirichletReduction:
         ``ElementSum``. For ``k`` != 0 the springs ``k S`` are added to the
         gathered free block (their entries on fixed DOFs, which must hold
         zero, are left out), and to an element product as the rank-r term
-        ``(k / r) D_f D_fᵀ``; they stay off the coarse levels. An assembled
-        ``a`` may hold its springs itself, with ``k`` 0. Given ``base =
-        (system, k_base)`` of an earlier solve of this ``a``, the block is
-        that system's plus ``(k - k_base) S`` (a copy of its data plus those
-        entries, or its product plus that rank term), solved through the
-        base's operator updated by ``((k - k_base) / r) D_f D_fᵀ``: a spring
-        sweep's point. Returns ``(x, system)``; ``system`` solves the block
-        again, for adjoints."""
+        ``(k / r) D_f D_fᵀ`` of ``spring_term``; they stay off the coarse
+        levels. An assembled ``a`` may hold its springs itself, with ``k``
+        0. Given ``base = (system, k_base)`` of an earlier solve of this
+        ``a``, the block is that system's plus ``(k - k_base) S`` (a copy of
+        its data plus those entries, or its product plus that rank term),
+        solved through the base's operator updated by ``((k - k_base) / r)
+        D_f D_fᵀ``: a spring sweep's point. Returns ``(x, system)``;
+        ``system`` solves the block again, for adjoints."""
         x = np.zeros(a.shape[0])
         x[self.fixed] = self.values
         b = np.asarray(f, dtype=float)[self.free]
@@ -560,7 +582,7 @@ class DirichletReduction:
                                  "pass the operator's element sum")
             block = self.element_product.bind(coef) if base is None else base[0].a
             if springs != 0.0:  # NaN too, which the norm reports
-                block = block.plus(springs / self.springs.shape[1], self.springs)
+                block = block.plus(springs / self.springs.shape[1], self.spring_term)
             diagonal = self.element_product.diagonal(coef)
             if k != 0.0:
                 diagonal += k * self.spring_diagonal

@@ -1,6 +1,7 @@
 """Grid construction, region selection, density filter and stencil
 operator tests."""
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import ConfigError
 from pneumotop.grid import (
     BoundaryRegion,
+    ElementSum,
     Grid,
     GridSpec,
+    StencilOperator,
     filter_matrix,
     pattern_slots,
     select_region,
@@ -46,17 +49,42 @@ def test_dof_index_overflow_rejected():
 
 
 def test_scatter_index_overflow_rejected():
-    # 4.1 M elements times the 576 entries of a hexahedral stiffness pass
-    # 2**31, while the 12.5 M displacement DOFs do not
+    # 11.2 M elements times the 192 entries of the hexahedral coupling T
+    # pass 2**31, while the 34 M displacement DOFs do not
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="2359296000 stiffness scatter entries"):
-            GridSpec(3, (160, 160, 160), 1e-3)
+        with pytest.raises(ConfigError, match="2157969408 scatter entries"):
+            GridSpec(3, (224, 224, 224), 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # rejected before anything grid-sized is allocated
-    GridSpec(3, (155, 155, 155), 1e-3)  # 3.72 M elements still fit
+    GridSpec(3, (223, 223, 223), 1e-3)  # 11.1 M elements still fit
+    # the elastic scatter is built in 3-D only where a solve assembles
+    GridSpec(3, (160, 160, 150), 1e-3)
+    # a 2-D grid is bounded by its stiffness's 64 entries per element
+    with pytest.raises(ConfigError, match="2147766336 scatter entries"):
+        GridSpec(2, (5793, 5793), 1e-3)
+    GridSpec(2, (5792, 5792), 1e-3)
+
+
+def test_stiffness_scatter_overflow_rejected_where_built():
+    # The 576 entries per element of the 3-D stiffness's scatter are checked
+    # when a matrix-free operator builds it, as State.k_struct does through
+    # ElementSum.assemble. The stand-in grid holds only the counts of the
+    # 156^3 grid, which GridSpec accepts.
+    spec = GridSpec(3, (156, 156, 156), 1e-3)
+    grid = SimpleNamespace(nen=8, nnodes=157**3, nelem=156**3)
+    op = StencilOperator(grid, shapefn.stiffness_matrix(3, spec.h, 0.3), 3, 3,
+                         matrix_free=True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="2186735616 scatter entries"):
+            ElementSum(op, np.ones(1)).assemble()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_invalid_spec_rejected():

@@ -713,6 +713,59 @@ def test_updated_sweep_system_multiplies_element_by_element():
         assert _relative_gap(updated.a, _spring_loaded_block(model, state, k)) <= 1e-14
 
 
+@pytest.mark.parametrize("case", ["gripper3d", "oblique"])
+def test_spring_terms_are_the_sparse_rank_products_bit_for_bit(case):
+    # each rank term adds c D_f (D_fᵀ p), as scipy's sparse products give
+    # it, to the element sum: one term on a forward solve, two on a sweep
+    # point. gripper3d's output direction is an axis, so each column of D_f
+    # holds one nonzero; one with three nonzero components makes the order
+    # of D_fᵀ p's sums show.
+    if case == "gripper3d":
+        model, rho = _gripper3d_design()
+        state = model.forward(rho)
+        reduction, a, f, coef = model.elastic_reduction, state.stiffness, state.force, state.e_field
+        k, k_point = 10.0, 1e3
+    else:
+        g, op, coef, fixed, f = _elastic_3d()
+        tip = np.flatnonzero(g.coords[:, 0] == g.coords[:, 0].max())
+        d = sparse.csr_matrix((np.tile([0.48, 0.6, 0.64], tip.size),
+                               (3 * np.repeat(tip, 3) + np.tile(np.arange(3), tip.size),
+                                np.repeat(np.arange(tip.size), 3))),
+                              shape=(op.shape[0], tip.size))
+        reduction = linalg.DirichletReduction(op, fixed, g, springs=(d, (d @ d.T / tip.size).tocsr()))
+        a = ElementSum(op, coef)
+        k, k_point = 1e5, 1e7  # springs as stiff as the block, so their rounding shows
+    _, forward = reduction.solve(a, f, coef, "test system", k)
+    _, point = reduction.solve(a, f, coef, "test system", k_point, base=(forward, k))
+    d_f = reduction.springs
+    p = np.random.default_rng(5).standard_normal(reduction.free.size)
+    for system, n_terms in [(forward, 1), (point, 2)]:
+        assert len(system.a.terms) == n_terms
+        q = reduction.element_product.bind(coef) @ p
+        for c, _, _ in system.a.terms:
+            q += c * (d_f @ (d_f.T @ p))
+        assert np.array_equal(system.a @ p, q)
+
+
+def test_cg_and_v_cycle_results_alias_nothing():
+    model, rho = _gripper3d_design()
+    state = model.forward(rho)
+    for system in (state.disp.system, state.pressure.system):
+        cg, v_cycle = system.lu, system.lu.v_cycle
+        b = np.random.default_rng(6).standard_normal(system.a.shape[0])
+        b_copy = b.copy()
+        for apply in (cg.solve, v_cycle):
+            first = apply(b)
+            first_copy = first.copy()
+            second = apply(b)
+            assert np.array_equal(b, b_copy)  # the input is left alone
+            assert np.array_equal(first, first_copy)  # and so is the first result
+            assert np.array_equal(first, second) and not np.shares_memory(first, second)
+            for scratch in v_cycle.scratch:
+                assert not np.shares_memory(first, scratch)
+                assert not np.shares_memory(second, scratch)
+
+
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_sweep_point_block_is_the_forward_block(name, tiny_spec):
     # 2-D: a copy of the base block's data plus (k - k_base) S at the
