@@ -11,7 +11,9 @@ gradient form F = -T p, which is what makes the load follow the design.
 The flow matrix's CSR pattern (each node coupled to its 3^d stencil) and
 the scatter matrix S from the element coefficients ``[k; d]`` to its data,
 against the templates ``[ke | lumped me]``, are built once per grid, so
-assembly is ``A.data = S @ [k; d]``; T is built through the same helper.
+assembly is ``A.data = S @ [k; d]``. T is the same helper's operator of the
+element coupling matrix: assembled in 2-D, and in 3-D an element sum whose
+``T @ p`` and ``T.T @ y`` multiply element by element, with no pattern.
 The inlet nodes (held at P_in) and the drain nodes (at p_atm) make one
 Dirichlet set, which ``pressure_reduction`` derives once per model together
 with its values; ``solve_pressure`` solves through that reduction.
@@ -25,7 +27,7 @@ from scipy import sparse
 
 from . import shapefn
 from .errors import ConfigError
-from .grid import Grid, StencilOperator
+from .grid import ElementSum, Grid, StencilOperator
 from .linalg import DirichletReduction, FactorizedSystem
 from .materials import FlowParams, drainage_coefficient, flow_coefficient
 
@@ -104,10 +106,14 @@ def solve_pressure(system: FlowSystem, reduction: DirichletReduction) -> Pressur
     return PressureField(p, solver)
 
 
-def coupling_matrix(grid: Grid) -> sparse.csr_matrix:
-    """Global pressure-to-force map T (geometry only): F = -T p."""
+def coupling_matrix(grid: Grid):
+    """Global pressure-to-force map T (geometry only): F = -T p. Assembled
+    in 2-D; an ``ElementSum`` on a ``grid.matrix_free`` grid, whose ``@``
+    and ``T @`` multiply element by element."""
     te = shapefn.coupling_matrix(grid.dim, grid.h)
-    return StencilOperator(grid, te, row_comps=grid.dim).assemble(np.ones(grid.nelem))
+    op = StencilOperator(grid, te, row_comps=grid.dim, matrix_free=grid.matrix_free)
+    t = ElementSum(op, np.ones(grid.nelem))
+    return t if op.matrix_free else t.assemble()
 
 
 def energy_loss(system: FlowSystem, p: np.ndarray, inlet_nodes: np.ndarray) -> float:

@@ -57,7 +57,7 @@ class ElasticAssembler:
         self.grid = grid
         self.nu = nu
         self.ke = shapefn.stiffness_matrix(grid.dim, grid.h, nu)
-        self.op = StencilOperator(grid, self.ke, grid.dim, grid.dim, matrix_free=grid.dim == 3)
+        self.op = StencilOperator(grid, self.ke, grid.dim, grid.dim, matrix_free=grid.matrix_free)
 
     def _moduli(self, e_field: np.ndarray) -> np.ndarray:
         e_field = np.asarray(e_field, dtype=float)

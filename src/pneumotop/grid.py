@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -71,12 +72,12 @@ class GridSpec:
             raise ConfigError(f"element size h = {self.h} m overflows the element matrices")
         # The largest int32 index space a model builds is a StencilOperator
         # scatter's, one entry per element and template entry: in 2-D the
-        # stiffness's (dim 2^dim)^2 = 64, and in 3-D, where the stiffness is
-        # multiplied element by element and checks its own scatter where it
-        # is built (StencilOperator._build), the coupling T's dim 4^dim =
-        # 192 (the flow operator's two templates hold 2 4^dim). It bounds
-        # the DOF indices too: dim * nnodes <= dim 2^dim nelem.
-        entries = (64 if self.dim == 2 else 192) * math.prod(self.nel)
+        # stiffness's (dim 2^dim)^2 = 64, and in 3-D, where the stiffness and
+        # T are multiplied element by element and an assembly of either
+        # checks its own scatter where it is built (StencilOperator._build),
+        # the flow operator's, whose two templates hold 2 4^dim = 128. It
+        # bounds the DOF indices too: dim * nnodes <= dim 2^dim nelem.
+        entries = (64 if self.dim == 2 else 128) * math.prod(self.nel)
         if entries > MAX_DOFS:
             raise ConfigError(
                 f"grid {self.nel} would need {entries} scatter entries, "
@@ -173,16 +174,29 @@ class Grid:
         self.conn = lattice_neighbours(self.elem_ijk, self.nnod_axis, offsets)[1]
 
         self.edof_u = node_dofs(self.conn, self.dim).reshape(self.nelem, -1)
+        # The stiffness and T are multiplied element by element in 3-D, where
+        # every solve of a large block is a multigrid solve, and assembled
+        # in 2-D, where every solve is a band solve.
+        self.matrix_free = self.dim == 3
 
-        # Local corner ids per (axis, side) element face.
-        self._face_corners = {
-            (ax, side): np.nonzero(offsets[:, ax] == side)[0]
-            for ax in range(self.dim)
-            for side in (0, 1)
-        }
         # the stencil and node patterns the model's operators share; None
         # once released
         self._patterns = {}
+
+    @cached_property
+    def boundary_faces(self):
+        """The domain faces, one ``(axis, side, elements, face_nodes)`` per
+        face of the box, axis by axis and low side first: the elements of
+        its layer, ascending, and the nodes of their faces on it. Scanned
+        once per grid; every region selects from them."""
+        corners = CORNER_OFFSETS[self.dim]
+        faces = []
+        for ax in range(self.dim):
+            for side in (0, 1):
+                elems = np.nonzero(self.elem_ijk[:, ax] == side * (self.nel_axis[ax] - 1))[0]
+                on_face = np.nonzero(corners[:, ax] == side)[0]
+                faces.append((ax, side, elems, self.conn[elems][:, on_face]))
+        return tuple(faces)
 
     def _shared(self, key, build):
         """``build()``, kept under ``key`` until ``release_patterns``; built
@@ -308,13 +322,9 @@ def select_region(grid: Grid, region: BoundaryRegion) -> RegionSelection:
         raise ConfigError(f"region '{region.label}': selects no nodes")
 
     faces = []
-    for ax in range(grid.dim):
-        for side in (0, 1):
-            layer = side * (grid.nel_axis[ax] - 1)
-            elems = np.nonzero(grid.elem_ijk[:, ax] == layer)[0]
-            face_nodes = grid.conn[elems][:, grid._face_corners[(ax, side)]]
-            ok = inside[face_nodes].all(axis=1)
-            faces.extend((int(e), ax, side) for e in elems[ok])
+    for ax, side, elems, face_nodes in grid.boundary_faces:
+        ok = inside[face_nodes].all(axis=1)
+        faces.extend((int(e), ax, side) for e in elems[ok])
 
     normal_axis = None
     if region.role == "symmetry":
@@ -376,9 +386,11 @@ class StencilOperator:
     template-major, to the CSR data; exact zeros of the templates are left
     out of it. Every assembled matrix shares the pattern arrays (not to be
     modified). The three are built with the operator or, for a
-    ``matrix_free`` one, at their first use: a multigrid solve multiplies
-    such an operator element by element (see ``linalg.DirichletReduction``),
-    so only a band solve or an assembly builds them.
+    ``matrix_free`` one (``grid.matrix_free``: the 3-D stiffness and T), at
+    their first use: a multigrid solve multiplies such an operator element
+    by element (see ``linalg.DirichletReduction``), and so does the model
+    with T and Tᵀ (``product``, through an ``ElementSum``), so only a band
+    solve or an assembly builds them.
     """
 
     def __init__(self, grid: Grid, templates, row_comps: int = 1, col_comps: int = 1,
@@ -388,6 +400,7 @@ class StencilOperator:
             -1, grid.nen * row_comps, grid.nen * col_comps)
         self.shape = (row_comps * grid.nnodes, col_comps * grid.nnodes)
         self._pattern = None if matrix_free else self._build()
+        self._buffers = None  # product's, built at its first call
 
     def _build(self):
         grid, templates, nelem = self.grid, self.templates, self.grid.nelem
@@ -423,11 +436,15 @@ class StencilOperator:
     indices = property(lambda self: self.pattern[1])
     scatter = property(lambda self: self.pattern[2])
 
+    def _dofs(self, comps: int) -> np.ndarray:
+        return self.grid.conn if comps == 1 else self.grid.edof_u
+
     @property
     def edof(self) -> np.ndarray:
-        """Each element's DOFs, in the templates' local order, for a square
-        operator of one or ``dim`` DOFs per node."""
-        return self.grid.conn if self.comps[1] == 1 else self.grid.edof_u
+        """Each element's column DOFs, in the templates' local order:
+        ``grid.conn`` for one DOF per node, ``edof_u`` for ``dim``; a square
+        operator's row DOFs too."""
+        return self._dofs(self.comps[1])
 
     def assemble(self, coef: np.ndarray) -> sparse.csr_matrix:
         """The operator of ``coef``, assembled on the pattern."""
@@ -435,31 +452,53 @@ class StencilOperator:
             (self.scatter @ coef, self.indices, self.indptr), shape=self.shape
         )
 
-    def product(self, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``A x`` for the (square) operator A of ``coef``, element by
-        element, with no pattern: every element's entries of ``x``, one
-        product with each template, and one weighted ``bincount`` onto the
-        rows."""
-        edof = self.edof
-        xe = np.take(x, edof)
-        coef = np.reshape(coef, (len(self.templates), -1))
-        terms = sum(c[:, None] * (xe @ k.T) for c, k in zip(coef, self.templates))
-        return np.bincount(edof.ravel(), weights=terms.ravel(), minlength=self.shape[0])
+    def product(self, coef: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``A x``, or ``Aᵀ x`` if ``transpose``, for the operator A of
+        ``coef``, element by element, with no pattern: every element's
+        entries of ``x`` at its column DOFs (its row DOFs for ``Aᵀ``), one
+        product with each template, and one weighted ``bincount`` onto its
+        row DOFs (column DOFs). The gathered entries and the products are
+        written to two buffers the operator keeps, one shaped as the
+        elements' row DOFs and one as their column DOFs, which the two
+        directions swap, so a one-template product allocates no
+        element-sized temporary."""
+        rows, cols = (self._dofs(c) for c in self.comps)
+        if self._buffers is None:
+            self._buffers = np.empty(rows.shape), np.empty(cols.shape)
+        at_rows, at_cols = self._buffers
+        templates = np.swapaxes(self.templates, 1, 2)  # x_e @ K_tᵀ = (K_t x_e)ᵀ
+        if transpose:
+            rows, cols, at_rows, at_cols, templates = cols, rows, at_cols, at_rows, self.templates
+        np.take(x, cols, out=at_cols, mode="clip")  # "raise" would copy through a buffer
+        coef = np.reshape(coef, (len(templates), -1))
+        np.matmul(at_cols, templates[0], out=at_rows)
+        at_rows *= coef[0][:, None]
+        for c, k in zip(coef[1:], templates[1:]):
+            at_rows += c[:, None] * (at_cols @ k)
+        return np.bincount(rows.ravel(), weights=at_rows.ravel(),
+                           minlength=self.shape[1 if transpose else 0])
 
 
 class ElementSum:
-    """The operator of ``op`` (a square ``StencilOperator``) for the
-    coefficients ``coef``, not assembled: ``@`` multiplies element by
-    element, and ``assemble`` forms the CSR."""
+    """The operator of ``op`` (a ``StencilOperator``) for the coefficients
+    ``coef``, or its transpose if ``transpose``, not assembled: ``@``
+    multiplies element by element, ``T`` is the transposed element sum, and
+    ``assemble`` forms the CSR."""
 
-    def __init__(self, op: StencilOperator, coef: np.ndarray):
-        self.op, self.coef, self.shape = op, coef, op.shape
+    def __init__(self, op: StencilOperator, coef: np.ndarray, transpose: bool = False):
+        self.op, self.coef, self.transpose = op, coef, transpose
+        self.shape = op.shape[::-1] if transpose else op.shape
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.op.product(self.coef, x)
+        return self.op.product(self.coef, x, self.transpose)
+
+    @property
+    def T(self) -> "ElementSum":
+        return ElementSum(self.op, self.coef, not self.transpose)
 
     def assemble(self) -> sparse.csr_matrix:
-        return self.op.assemble(self.coef)
+        a = self.op.assemble(self.coef)
+        return a.T.tocsr() if self.transpose else a
 
 
 def filter_matrix(grid: Grid, r_min: float) -> sparse.csr_matrix:

@@ -630,6 +630,7 @@ class GalerkinLevel:
         q *= ((keys[:, None] >> np.arange(n_dofs)) & 1)[:, :, None]
         self.templates = (np.swapaxes(q, 1, 2) @ (templates[:, None] @ q)).reshape(-1, n_dofs**2)
         self.shape_w = (coarse.nelem, len(self.templates))
+        self.entries = np.empty((coarse.nelem, n_dofs**2))  # matrix's, reused
         index = elem * len(self.templates) + which + len(keys) * np.arange(len(templates))[:, None]
         self.index = index.astype(np.int32).ravel()
 
@@ -657,8 +658,8 @@ class GalerkinLevel:
         operator's): one sum per coarse element and template, one product
         with the templates and one scatter."""
         w = np.bincount(self.index, weights=coef, minlength=np.prod(self.shape_w))
-        entries = w.reshape(self.shape_w) @ self.templates
-        data = np.bincount(self.slots, weights=entries.ravel(), minlength=self.nnz + 1)
+        np.matmul(w.reshape(self.shape_w), self.templates, out=self.entries)
+        data = np.bincount(self.slots, weights=self.entries.ravel(), minlength=self.nnz + 1)
         n = self.keep.size
         return sparse.csr_matrix((data[:-1], self.indices, self.indptr), shape=(n, n))
 

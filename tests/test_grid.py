@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from pneumotop import shapefn
+from pneumotop import problem, shapefn
 from pneumotop.darcy import FlowAssembler, coupling_matrix
 from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import ConfigError
 from pneumotop.grid import (
+    CORNER_OFFSETS,
     BoundaryRegion,
     ElementSum,
     Grid,
     GridSpec,
     StencilOperator,
     filter_matrix,
+    in_box,
     pattern_slots,
     select_region,
 )
@@ -49,19 +51,19 @@ def test_dof_index_overflow_rejected():
 
 
 def test_scatter_index_overflow_rejected():
-    # 11.2 M elements times the 192 entries of the hexahedral coupling T
-    # pass 2**31, while the 34 M displacement DOFs do not
+    # 16.8 M elements times the 128 entries of the hexahedral flow
+    # operator's scatter pass 2**31, while the 51 M displacement DOFs do not
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="2157969408 scatter entries"):
-            GridSpec(3, (224, 224, 224), 1e-3)
+        with pytest.raises(ConfigError, match="2147483648 scatter entries"):
+            GridSpec(3, (256, 256, 256), 1e-3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # rejected before anything grid-sized is allocated
-    GridSpec(3, (223, 223, 223), 1e-3)  # 11.1 M elements still fit
-    # the elastic scatter is built in 3-D only where a solve assembles
-    GridSpec(3, (160, 160, 150), 1e-3)
+    # one layer less still fits: the elastic and T scatters are built in
+    # 3-D only where a solve or a test assembles
+    GridSpec(3, (256, 256, 255), 1e-3)
     # a 2-D grid is bounded by its stiffness's 64 entries per element
     with pytest.raises(ConfigError, match="2147766336 scatter entries"):
         GridSpec(2, (5793, 5793), 1e-3)
@@ -129,6 +131,30 @@ def test_select_x0_plane_of_2x2x2():
     assert sel.nodes.size == 9
     assert all(ax == 0 and side == 0 for _, ax, side in sel.faces)
     assert len(sel.faces) == 4
+
+
+def _faces_one_by_one(g, region):
+    """The domain faces in ``region``'s box, element by element: every face
+    of a boundary element on the box's face whose corners all lie in it, by
+    axis, side and element."""
+    inside = in_box(g.coords, region.box, g.h)
+    faces = []
+    for ax in range(g.dim):
+        for side in (0, 1):
+            corners = [c for c in CORNER_OFFSETS[g.dim] if c[ax] == side]
+            for e, ijk in enumerate(g.elem_ijk):
+                if ijk[ax] == side * (g.nel_axis[ax] - 1) and all(
+                        inside[node_index(g, ijk + c)] for c in corners):
+                    faces.append((e, ax, side))
+    return tuple(faces)
+
+
+@pytest.mark.parametrize("name", ["finger2d", "gripper2d", "gripper3d", "pneunet2d"])
+def test_region_faces_are_the_boundary_faces_in_order(name):
+    spec = problem.load_problem(name)
+    g = Grid(spec.grid)
+    for region in spec.regions:
+        assert select_region(g, region).faces == _faces_one_by_one(g, region)
 
 
 def test_select_full_domain():
@@ -282,9 +308,29 @@ def test_assemblers_equal_triplet_assembly(nel):
                           g.conn, g.conn),
     )
     te = shapefn.coupling_matrix(g.dim, g.h)
+    t = coupling_matrix(g)  # an element sum in 3-D, assembled here
     _assert_same_operator(
-        coupling_matrix(g), _triplet_assembly(g, [te], [np.ones(g.nelem)], g.edof_u, g.conn)
+        t.assemble() if g.matrix_free else t,
+        _triplet_assembly(g, [te], [np.ones(g.nelem)], g.edof_u, g.conn),
     )
+
+
+@pytest.mark.parametrize("nel", [(2, 2, 2), (5, 3, 3), (7, 5, 4)])
+def test_3d_coupling_products_equal_the_assembled_t(nel):
+    # T and Tᵀ, multiplied element by element, as T assembled gives them
+    g = Grid(GridSpec(3, nel, 0.5))
+    t = coupling_matrix(g)
+    assert isinstance(t, ElementSum) and t.T.shape == (g.nnodes, g.n_disp_dofs)
+    ref = t.assemble()
+    rng = np.random.default_rng(g.nelem)
+    p, y = rng.normal(size=g.nnodes), rng.normal(size=g.n_disp_dofs)
+    for product, expected in ((t @ p, ref @ p), (t.T @ y, ref.T @ y)):
+        assert np.abs(product - expected).max() <= 1e-15 * np.abs(expected).max()
+    first = t @ p
+    t.T @ y  # swaps the buffers T keeps, which ``first`` does not share
+    assert np.array_equal(first, t @ p)
+    # the two are each other's adjoint, to rounding
+    assert y @ (t @ p) == pytest.approx((t.T @ y) @ p, rel=1e-13)
 
 
 def test_stencil_slots_locate_entries():

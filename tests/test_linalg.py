@@ -1,6 +1,8 @@
 """Backward-error contract of the banded-Cholesky and multigrid solves and
 of a spring sweep's updates of them, the 2-D band order and band map, the
 1-norm, and the grid's choice between them."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -597,23 +599,27 @@ def test_3d_systems_form_no_sparse_product(monkeypatch):
 
 
 def test_3d_elastic_solves_assemble_no_stiffness(monkeypatch):
-    # a forward solve, its gradient and a sweep multiply the gripper3d
-    # stiffness element by element: neither assembled nor given a pattern
-    # and scatter, which are built only when ``k_struct`` is read
-    model, rho = _gripper3d_design()
+    # the gripper3d model, a forward solve, its gradient and a sweep
+    # multiply the stiffness and T element by element: neither is assembled
+    # nor given a pattern and scatter, which only the flow operator builds,
+    # and the stiffness's only when ``k_struct`` is read
     calls = []
 
     def spy(owner, attr):
         real = getattr(owner, attr)
 
         def counted(*args, **kwargs):
-            calls.append(attr)
+            calls.append((attr, args[0]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
 
     spy(ElasticAssembler, "assemble")
     spy(StencilOperator, "_build")  # the pattern and scatter of any operator
+    model = Model(problem.load_problem("gripper3d"))
+    assert calls == [("_build", model.flow.op)]
+    assert isinstance(model.t_matrix, ElementSum)
+    calls.clear()
     x = np.random.default_rng(7).uniform(0.0, 1.0, (3, model.grid.nelem))
     _, rho, dproj = model.physical_fields(x, 8.0)
     state = model.forward(rho)
@@ -622,13 +628,27 @@ def test_3d_elastic_solves_assemble_no_stiffness(monkeypatch):
     assert calls == []
     assert isinstance(state.stiffness, ElementSum)
     k_struct = state.k_struct
-    assert calls == ["_build"]  # the stiffness's own, on demand
+    assert calls == [("_build", model.elastic.op)]  # the stiffness's own, on demand
     reference = model.elastic.assemble(state.e_field)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(k_struct, name), getattr(reference, name))
     # K u on every DOF, element by element, as the assembled K gives it
     ku = k_struct @ state.disp.u
     assert np.linalg.norm(state.ku - ku) <= 1e-14 * np.linalg.norm(ku)
+
+
+def test_3d_model_allocates_no_grid_sized_operator():
+    # with the stiffness and T element sums, the largest thing a gripper3d
+    # Model() builds is the flow operator's pattern and scatter: its
+    # tracemalloc peak read 23.6e6 bytes while T was assembled, 9.3e6 since
+    spec = problem.load_problem("gripper3d")
+    tracemalloc.start()
+    try:
+        Model(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("design", ["initial", "beta16", "rough"])
