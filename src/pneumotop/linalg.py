@@ -33,9 +33,15 @@ and solves through one of three inverse operators:
   ``(A + c U Uᵀ)⁻¹ = L⁻ᵀ (I - c W (I + c Wᵀ W)⁻¹ Wᵀ) L⁻¹``. ``W`` is zero
   above the first row U touches, and the 2-D output DOFs come last in band
   order, so it costs a half-solve on the last rows only (70 of 10,080 on
-  pneunet2d) once per factor, and each point costs what one band solve does.
-  ``A + c U Uᵀ`` is ``L (I + c W Wᵀ) Lᵀ``, so it is SPD exactly when the
-  r x r capacitance ``I + c Wᵀ W`` is, and that is factored by Cholesky too.
+  pneunet2d) once per factor, as does the load's forward half-solve, which
+  every point shares. Each point then costs one backward half-solve, an
+  r x r solve and one residual product with its block, which is the base
+  block plus ``c U Uᵀ`` as a rank term (``RankSum``), in 2-D as in 3-D, so
+  no point copies the base's data. Its 1-norm is still exact: the base's
+  own pass keeps its largest row sum off the rows the springs touch, and a
+  point sums only those rows. ``A + c U Uᵀ`` is ``L (I + c W Wᵀ) Lᵀ``, so
+  it is SPD exactly when the r x r capacitance ``I + c Wᵀ W`` is, and that
+  is factored by Cholesky too.
 - ``MultigridCG`` wherever it has coarse levels (a 3-D free block of more
   than COARSEST_DOFS DOFs): conjugate gradients preconditioned with a
   geometric-multigrid V-cycle (Amir, Aage & Lazarov 2014, "On multigrid-CG
@@ -55,12 +61,13 @@ and solves through one of three inverse operators:
   element by element (``ElementProduct``: a gather, one GEMM with the
   templates and a scatter whose values are the element coefficients; 78,960
   entries read on gripper3d against the 806,050 the assembled block would
-  store), plus the springs' rank-r term ``c D_f D_fᵀ``, added on D's free
-  rows alone (``ElementOperator``). Its Jacobi diagonal is one
-  ``bincount`` of the templates' diagonals, bit for bit an assembly's, and
-  its norm is the lower bound ``_norm1_estimate``: Hager's estimate (4 to 6
-  products on gripper3d designs) or the largest diagonal entry, whichever
-  is larger, 0.77 to 0.95 of the 1-norm there.
+  store; ``ElementOperator``), plus the springs' rank-r term
+  ``c D_f D_fᵀ``, added on D's free rows alone (``RankSum``). Its Jacobi
+  diagonal is one ``bincount`` of the templates' diagonals, bit for bit an
+  assembly's, and its norm is the lower bound ``_norm1_estimate``: Hager's
+  estimate (4 to 6 products on gripper3d designs) or the largest diagonal
+  entry, whichever is larger, 0.77 to 0.95 of the 1-norm there. A sweep
+  point reuses its base's element diagonal.
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
@@ -106,9 +113,8 @@ COARSEST_DOFS = 500
 NORM_STEPS = 5
 # Places taken at once by ``_take``.
 TAKE_CHUNK = 1 << 16
-# Rows ``_norm1`` sums at once. A |data| temporary of the whole block, taken
-# afresh at each point of a spring sweep, made the pneunet2d sweep's eight
-# points take 21-25 ms, against 11-16 ms by rows (medians of 300 sweeps).
+# Rows ``_norm1`` sums at once, which bounds its |data| temporary to those
+# rows' entries instead of the whole block's (177,160 on pneunet2d).
 NORM_ROWS = 1024
 # A pivot this small against the largest marks a numerically singular matrix.
 # It lies 970x above a rigid rotation left free (finger2d pinned at one node
@@ -117,19 +123,22 @@ NORM_ROWS = 1024
 PIVOT_RATIO_TOL = 1e-10
 
 
-def _norm1(a) -> float:
+def _norm1(a, rows=None) -> float:
     """The 1-norm of ``a`` (CSR), taken as its largest absolute row sum,
     which equals the largest column sum because every matrix solved here is
-    symmetric; NaN or inf when an entry is, or the sum overflows. It sums
-    NORM_ROWS rows at a time by ``reduceat``, which is right only because no
-    row is empty (an SPD matrix stores its diagonal)."""
+    symmetric; NaN or inf when an entry is, or the sum overflows. Given the
+    boolean mask ``rows``, the largest sum over those rows only (0.0 over
+    none). It sums NORM_ROWS rows at a time by ``reduceat``, which is right
+    only because no row is empty (an SPD matrix stores its diagonal)."""
     norm, ptr = 0.0, a.indptr
     with np.errstate(over="ignore"):  # an overflowed sum is caught as non-finite
         for lo in range(0, len(ptr) - 1, NORM_ROWS):
-            rows = ptr[lo:lo + NORM_ROWS + 1]
-            sums = np.add.reduceat(np.abs(a.data[rows[0]:rows[-1]]), rows[:-1] - rows[0])
-            norm = np.maximum(norm, sums.max())  # NaN stays NaN
+            starts = ptr[lo:lo + NORM_ROWS + 1]
+            sums = np.add.reduceat(np.abs(a.data[starts[0]:starts[-1]]), starts[:-1] - starts[0])
+            where = True if rows is None else rows[lo:lo + NORM_ROWS]
+            norm = np.maximum(norm, sums.max(initial=0.0, where=where))  # NaN stays NaN
     return float(norm)
+
 
 
 def _norm1_estimate(a, diagonal: np.ndarray) -> float:
@@ -159,15 +168,17 @@ def _norm1_estimate(a, diagonal: np.ndarray) -> float:
 
 
 class FactorizedSystem:
-    """An SPD system ``a`` (``@`` and ``shape``: its CSR, or an
-    ``ElementOperator``), solved to the backward-error contract with ``norm``
-    for its 1-norm (``_norm1``, or a lower bound of it) through the inverse
-    operator ``lu = inverse(self)``, built once ``a``, ``context`` and
-    ``norm`` are set. An operator that held the system would make a cycle,
-    which outlives its last use until the garbage collector runs."""
+    """An SPD system ``a`` (``@`` and ``shape``: its CSR, an
+    ``ElementOperator`` or a ``RankSum``), solved to the backward-error
+    contract with ``norm`` for its 1-norm (``_norm1``, or a lower bound of
+    it) through the inverse operator ``lu = inverse(self)``, built once
+    ``a``, ``context`` and ``norm`` are set. ``basis`` is what a sweep point
+    on this system reuses of its norm (see ``DirichletReduction.solve``). An
+    operator that held the system would make a cycle, which outlives its
+    last use until the garbage collector runs."""
 
-    def __init__(self, a, *, context: str, inverse, norm: float):
-        self.a, self.context, self.norm = a, context, float(norm)
+    def __init__(self, a, *, context: str, inverse, norm: float, basis=None):
+        self.a, self.context, self.norm, self.basis = a, context, float(norm), basis
         if not np.isfinite(self.norm):
             raise SolveError(f"{context}: matrix has a non-finite 1-norm ({self.norm})")
         self.lu = inverse(self)
@@ -318,9 +329,9 @@ class WoodburyUpdate:
 
 class VCycle:
     """The geometric-multigrid V-cycle under the free block ``a`` (level 0:
-    its CSR or its ``ElementOperator``), whose diagonal is ``diagonal``, over
-    the coarse ``levels`` (``GalerkinLevel``, finest first) built from the
-    coefficients ``coef``.
+    its CSR, its ``ElementOperator`` or a ``RankSum`` of one), whose
+    diagonal is ``diagonal``, over the coarse ``levels`` (``GalerkinLevel``,
+    finest first) built from the coefficients ``coef``.
     The coarsest level is factored by banded Cholesky; every other level is
     smoothed by one damped-Jacobi sweep before and one after its coarse
     correction, which keeps the V-cycle symmetric. Each smoothed level forms
@@ -352,10 +363,10 @@ class VCycle:
 
 class MultigridCG:
     """CG over the block of ``system``, multiplied by its ``a`` (``product``:
-    a CSR or an ``ElementOperator``) and held with its norm, not the system,
-    preconditioned by ``v_cycle``, which may be another block's. A solve
-    updates its iterate, residual and direction in place through one
-    scratch vector, and returns a new array."""
+    a CSR, an ``ElementOperator`` or a ``RankSum`` of one) and held with its
+    norm, not the system, preconditioned by ``v_cycle``, which may be
+    another block's. A solve updates its iterate, residual and direction in
+    place through one scratch vector, and returns a new array."""
 
     def __init__(self, system, v_cycle: VCycle):
         self.product, self.norm, self.v_cycle = system.a, system.norm, v_cycle
@@ -441,14 +452,10 @@ class ElementProduct:
 class ElementOperator:
     """``q = A p`` (``@``) for one design's free block through the
     ``ElementProduct`` ``block``, whose buffers it shares: the element sum by
-    ``scatter``, then each rank term ``c D (Dᵀ p)`` of ``terms``, ``(c,
-    (rows, cols), vals)`` for D's entries ``vals`` at ``(rows, cols)``, at
-    most one per row. ``Dᵀ p`` is one ``bincount`` over D's columns, which
-    sums each column's entries in row order as a sparse product does, and
-    the term is added to D's rows alone."""
+    ``scatter``. Springs are added to it by ``RankSum``."""
 
-    def __init__(self, block: ElementProduct, scatter, terms=()):
-        self.block, self.scatter, self.terms = block, scatter, terms
+    def __init__(self, block: ElementProduct, scatter):
+        self.block, self.scatter = block, scatter
         self.shape = (block.n, block.n)
 
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
@@ -456,16 +463,36 @@ class ElementOperator:
         e.padded[:-1] = p
         np.take(e.padded, e.edof, out=e.gathered, mode="clip")
         np.matmul(e.gathered, e.templates, out=e.products)
-        q = self.scatter @ e.products.ravel()
+        return self.scatter @ e.products.ravel()
+
+
+class RankSum:
+    """``q = A p`` (``@``) for ``A = base + Σ c D Dᵀ``, ``base`` anything
+    with ``@`` and ``shape`` (a gathered CSR or an ``ElementOperator``), held
+    and not copied: ``base @ p``, then each rank term ``c D (Dᵀ p)`` of
+    ``terms``, ``(c, (rows, cols), vals)`` for D's entries ``vals`` at
+    ``(rows, cols)``, at most one per row. ``Dᵀ p`` is one ``bincount`` over
+    D's columns, which sums each column's entries in row order as a sparse
+    product does, and the term is added to D's rows alone."""
+
+    def __init__(self, base, terms):
+        self.base, self.terms, self.shape = base, terms, base.shape
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        q = self.base @ p
         for c, (rows, cols), vals in self.terms:
             dtp = np.bincount(cols, weights=vals * p[rows])  # Dᵀ p
             q[rows] += c * (vals * dtp[cols])
         return q
 
-    def plus(self, c: float, entries) -> "ElementOperator":
-        """This block plus ``c D Dᵀ``, for D given by its ``entries``
-        ``((rows, cols), vals)``, at most one per row."""
-        return ElementOperator(self.block, self.scatter, self.terms + ((c,) + entries,))
+    @staticmethod
+    def plus(a, c: float, entries) -> "RankSum":
+        """``a`` plus ``c D Dᵀ``, for D given by its ``entries`` ``((rows,
+        cols), vals)``, at most one per row: a ``RankSum`` whose terms follow
+        ``a``'s own, if ``a`` is one."""
+        if isinstance(a, RankSum):
+            return RankSum(a.base, a.terms + ((c,) + entries,))
+        return RankSum(a, ((c,) + entries,))
 
 
 def _band_order(nel, n_dofs: int) -> np.ndarray:
@@ -492,14 +519,18 @@ class DirichletReduction:
     assembled: its ``element_product`` multiplies it, its diagonal comes
     from the same product's ``diagonal`` plus S's free diagonal
     ``spring_diagonal``, its springs are a rank term of the entries of D's
-    free rows (``spring_term``), and its norm is ``_norm1_estimate``. Every
-    other block (``element_product`` None) is gathered from the assembled
-    operator, its norm is ``_norm1``, and the reduction holds the place in
-    the operator's data of every free x free entry (``gather``), the block's
-    CSR pattern (columns unsorted in 2-D; read-only and shared by every
-    block, so nothing sorts them in place), the place in the block and
-    value of each free x free entry of S (``spring_entries``), and either
-    its diagonal's places (``diagonal``, with levels) or a ``band_map``."""
+    free rows (``spring_term``, which a sweep point adds in every
+    dimension), and its norm is ``_norm1_estimate``. Every other block
+    (``element_product`` None) is gathered from the assembled operator, its
+    norm is ``_norm1``, and the reduction holds the place in the operator's
+    data of every free x free entry (``gather``), the block's CSR pattern
+    (columns unsorted in 2-D; read-only and shared by every block, so
+    nothing sorts them in place), the place in the block and value of each
+    free x free entry of S (``spring_entries``), the rows those places lie
+    in (``spring_rows``: the places of their entries in the data, where
+    each row starts among them, and where each of S's places lies among
+    them; ``off_springs`` masks the other rows), and either its diagonal's
+    places (``diagonal``, with levels) or a ``band_map``."""
 
     def __init__(self, op, fixed, grid, values=0.0, springs=None):
         n = op.shape[0]
@@ -528,19 +559,27 @@ class DirichletReduction:
                 self.diagonal = _diagonal(self.indptr, self.indices)
             else:
                 self.band_map = BandMap(self.indptr, self.indices)
+        self.springs = self.off_springs = None
         if springs is not None:
             d, unit = springs
             self.springs = d[self.free]
+            d_f = self.springs.tocoo()  # row by row, as the CSR stores it
+            self.spring_term = ((d_f.row.astype(np.intp), d_f.col.astype(np.intp)), d_f.data)
             if self.element_product is not None:
                 self.spring_diagonal = unit.diagonal()[self.free]
-                d_f = self.springs.tocoo()  # row by row, as the CSR stores it
-                self.spring_term = ((d_f.row.astype(np.intp), d_f.col.astype(np.intp)), d_f.data)
             else:
                 unit = unit.tocoo()
                 rows, cols = np.take(to_free, unit.row), np.take(to_free, unit.col)
                 kept = np.flatnonzero((rows < self.free.size) & (cols < self.free.size))
                 places = pattern_slots(self.indptr, self.indices, rows[kept], cols[kept])
                 self.spring_entries = (places, unit.data[kept])
+                touched = np.unique(rows[kept])
+                self.off_springs = np.ones(self.free.size, dtype=bool)
+                self.off_springs[touched] = False
+                lengths = np.diff(self.indptr)[touched]
+                starts = np.cumsum(lengths) - lengths
+                entries = np.arange(lengths.sum()) + np.repeat(self.indptr[touched] - starts, lengths)
+                self.spring_rows = (entries, starts, np.searchsorted(entries, places))
 
     def solve(self, a, f, coef, context: str, k: float = 0.0, base=None):
         """Solve ``(A + k S) x = f`` with ``x[fixed] = values``, for ``a`` the
@@ -552,53 +591,78 @@ class DirichletReduction:
         zero, are left out), and to an element product as the rank-r term
         ``(k / r) D_f D_fᵀ`` of ``spring_term``; they stay off the coarse
         levels. An assembled ``a`` may hold its springs itself, with ``k``
-        0. Given ``base = (system, k_base)`` of an earlier solve of this
-        ``a``, the block is that system's plus ``(k - k_base) S`` (a copy of
-        its data plus those entries, or its product plus that rank term),
-        solved through the base's operator updated by ``((k - k_base) / r)
-        D_f D_fᵀ``: a spring sweep's point. Returns ``(x, system)``;
-        ``system`` solves the block again, for adjoints."""
+        0. Returns ``(x, system)``; ``system`` solves the block again, for
+        adjoints.
+
+        Given ``base = (system, k_base)`` of an earlier solve of this ``a``,
+        this is a spring sweep's point, in every dimension the base system's
+        block plus the rank term ``((k - k_base) / r) D_f D_fᵀ`` (a
+        ``RankSum``, which copies nothing), solved through the base's
+        operator updated by that term and checked against it. Its norm comes
+        from what the base's norm pass kept, the system's ``basis``: for a
+        gathered block, the largest row sum off the rows the springs touch,
+        which the point compares with the sums of those rows, its springs
+        added, so the norm is bit for bit ``_norm1`` of the point's block
+        formed; for an element product, the element diagonal, to which the
+        point adds ``k`` times ``spring_diagonal``."""
         x = np.zeros(a.shape[0])
         x[self.fixed] = self.values
         b = np.asarray(f, dtype=float)[self.free]
         if np.any(x):
             b -= (a @ x)[self.free]
-        springs = k if base is None else k - base[1]
-        if self.element_product is None:
-            if not (sparse.issparse(a) and _same_array(a.indptr, self.op.indptr)
-                    and _same_array(a.indices, self.op.indices)):
-                raise ValueError(f"{context}: matrix pattern differs from the reduction's")
-            # the base's index arrays are ours
-            data = _take(a.data, self.gather) if base is None else base[0].a.data.copy()
-            if springs != 0.0:  # NaN too, which the 1-norm reports
+        gathered = self.element_product is None
+        if gathered and not (sparse.issparse(a) and _same_array(a.indptr, self.op.indptr)
+                             and _same_array(a.indices, self.op.indices)):
+            raise ValueError(f"{context}: matrix pattern differs from the reduction's")
+        if not gathered and sparse.issparse(a):
+            raise ValueError(f"{context}: the reduction multiplies element by element; "
+                             "pass the operator's element sum")
+        rank = k if base is None else k - base[1]  # the springs a rank term adds
+        if base is not None:
+            block, basis = base[0].a, base[0].basis
+        elif gathered:
+            data = _take(a.data, self.gather)
+            if rank != 0.0:  # NaN too, which the 1-norm reports
                 places, unit = self.spring_entries
-                data[places] += springs * unit
+                data[places] += rank * unit
+                rank = 0.0  # in the data
             block = sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.free.size,) * 2)
-            norm = _norm1(block)
-            diagonal = _take(data, self.diagonal) if self.levels and base is None else None
+            basis = _norm1(block, self.off_springs)
         else:
-            if sparse.issparse(a):
-                raise ValueError(f"{context}: the reduction multiplies element by element; "
-                                 "pass the operator's element sum")
-            block = self.element_product.bind(coef) if base is None else base[0].a
-            if springs != 0.0:  # NaN too, which the norm reports
-                block = block.plus(springs / self.springs.shape[1], self.spring_term)
-            diagonal = self.element_product.diagonal(coef)
-            if k != 0.0:
-                diagonal += k * self.spring_diagonal
+            block, basis = self.element_product.bind(coef), self.element_product.diagonal(coef)
+        if gathered:
+            norm = basis
+            if self.springs is not None:  # the base's data, and the point's springs
+                norm = np.maximum(basis, self._spring_rows_norm(block.data, rank))
+            diagonal = _take(block.data, self.diagonal) if self.levels and base is None else None
+        if rank != 0.0:  # NaN too, which the norm reports
+            block = RankSum.plus(block, rank / self.springs.shape[1], self.spring_term)
+        if not gathered:
+            diagonal = basis + k * self.spring_diagonal if k != 0.0 else basis
             norm = _norm1_estimate(block, diagonal)
         if base is not None:
             def inverse(system, u=self.springs):
-                return base[0].lu.update(system, c=springs / u.shape[1], u=u)
+                return base[0].lu.update(system, c=rank / u.shape[1], u=u)
         elif self.levels:
             def inverse(system):
                 return MultigridCG(system, VCycle(block, diagonal, self.levels, coef, context))
         else:
             def inverse(system):  # the band filled from the block
                 return BandedCholesky(self.band_map.band(block.data), context)
-        system = FactorizedSystem(block, context=context, inverse=inverse, norm=norm)
+        system = FactorizedSystem(block, context=context, inverse=inverse, norm=norm, basis=basis)
         x[self.free] = system.solve(b)
         return x, system
+
+    def _spring_rows_norm(self, data, rank: float):
+        """The largest absolute row sum, over the rows the springs touch, of
+        the gathered block of ``data`` plus ``rank`` S: those rows' entries,
+        taken apart, summed by ``reduceat`` as ``_norm1`` sums each row."""
+        entries, starts, places = self.spring_rows
+        rows = np.take(data, entries)
+        if rank != 0.0:
+            rows[places] += rank * self.spring_entries[1]
+        with np.errstate(over="ignore"):  # an overflowed sum is caught as non-finite
+            return np.add.reduceat(np.abs(rows), starts).max(initial=0.0)  # NaN stays NaN
 
 
 class GalerkinLevel:

@@ -212,8 +212,9 @@ def run(model: Model, sink) -> RunResult:
 
         change = float(np.max(np.abs(x_new - x))) if x.size else 0.0
         sink(rec := record_of(change))
-        log.info("iter %d: f=%.5g g=%s change=%.4f gray=%.3f beta=%g",
-                 it, f, np.array2string(g, precision=3), change, rec.grayness, beta)
+        if log.isEnabledFor(logging.INFO):  # formatting g costs more than a record
+            log.info("iter %d: f=%.5g g=%s change=%.4f gray=%.3f beta=%g",
+                     it, f, np.array2string(g, precision=3), change, rec.grayness, beta)
         design = packer.unpack(x_new, design)
 
         # The continuation rule: a zero design change below beta_p_max doubles

@@ -370,8 +370,8 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
         assert np.shares_memory(mat.indptr, op.indptr)
         assert np.shares_memory(mat.indices, op.indices)
     for system, reduction in zip([state.disp.system, state.pressure.system], reductions):
-        if reduction.element_product is not None:
-            assert system.a.block is reduction.element_product
+        if reduction.element_product is not None:  # under the springs' rank term
+            assert system.a.base.block is reduction.element_product
             continue
         for mine, ours in [(system.a.indices, reduction.indices),
                            (system.a.indptr, reduction.indptr)]:
@@ -393,8 +393,8 @@ def test_second_forward_builds_no_pattern(name, tiny_spec, monkeypatch):
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_sweep_holds_one_updated_system_at_a_time(name, tiny_spec, monkeypatch):
-    """Each sweep point's system owns its block, so the sweep drops it
-    before the next one is built."""
+    """Each sweep point's system holds the base system's block under a rank
+    term of its own, and the sweep drops it before the next one is built."""
     spec = tiny_spec if name == "tiny" else problem.load_problem("gripper3d")
     model = Model(spec)
     rho = _designs(model, 2)[0]
@@ -483,7 +483,9 @@ def test_springs_reach_the_block_as_from_the_spring_loaded_matrix(name, tiny_spe
         assert np.linalg.norm(system.a @ p - block @ p) <= 1e-14 * np.linalg.norm(block @ p)
         jacobi = linalg.JACOBI_OMEGA / full.diagonal()[reduction.free]
         assert np.array_equal(system.lu.v_cycle.jacobi[0], jacobi)
-        (c, _, _), = system.lu.product.terms
+        assert isinstance(system.a, linalg.RankSum) and system.lu.product is system.a
+        assert system.a.base.block is reduction.element_product
+        (c, _, _), = system.a.terms
         assert c == state.k_out / model.output_op.shape[1]
 
 
@@ -524,5 +526,5 @@ def test_zero_spring_stiffness_solves_without_springs(name, tiny_spec):
     data = [s.a.data if name == "tiny" else s.a.scatter.data for s in (system, state.disp.system)]
     assert np.array_equal(*data)
     assert state.metrics.W == 0.0 and state.metrics.SE > 0.0
-    if name == "gripper3d":
-        assert state.disp.system.lu.product.terms == ()
+    if name == "gripper3d":  # the element sum alone, with no rank term
+        assert isinstance(state.disp.system.lu.product, linalg.ElementOperator)

@@ -8,7 +8,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from pneumotop import adjoint, darcy, elasticity, linalg, optimizer, problem, shapefn
+from pneumotop import adjoint, darcy, elasticity, linalg, optimizer, problem, runner, shapefn
+from pneumotop import fixtures as fixture_lib
 from pneumotop.adjoint import ObjectiveSpec
 from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import SingularSystemError, SolveError
@@ -157,10 +158,16 @@ def test_rank_updates_match_a_dense_solve(where):
     for k in [1e2, 1e5, 1e7]:
         _, system = point(k)
         a_k, b = dense(k)
-        # the base's block plus (k - K0) S, against K + k S
-        assert np.abs(system.a.toarray() - a_k).max() <= 1e-15 * np.abs(a_k).max()
+        # the base's block plus (k - K0) S as a rank term, column by column,
+        # against K + k S
+        assert np.abs(_columns(system.a) - a_k).max() <= 1e-15 * np.abs(a_k).max()
         x = system.solve(b)
         assert np.allclose(x, np.linalg.solve(a_k, b), rtol=1e-10, atol=0)
+
+
+def _columns(a):
+    """``a @ I`` of the operator ``a``, column by column."""
+    return np.column_stack([a @ e for e in np.eye(a.shape[0])])
 
 
 def test_rank_update_outside_the_pattern_raises():
@@ -258,10 +265,10 @@ def test_band_map_fills_the_band_in_place(nel, dofs_per_node, dirichlet, monkeyp
 
 def test_norm1_is_the_largest_column_sum():
     _, _, system_2d = _solve_dirichlet(*_gray_2d((12, 4), 2))
-    _, updated = _spring_sweep(_node_columns("last-rows"))[1](1e5)
+    updated = sparse.csr_matrix(_spring_sweep(_node_columns("last-rows"))[2](1e5)[0])
     g, op, coef, fixed, f = _elastic_3d()
     block_3d = _reduced(op.assemble(coef), fixed, f)[0]  # the 3-D block, assembled here
-    for a in (system_2d.a, block_3d, updated.a):
+    for a in (system_2d.a, block_3d, updated):  # the updated block formed here
         # abs() of a CSR with unsorted columns sorts them in place, and a
         # block's index arrays are read-only: take a copy
         column_sum = abs(a.copy()).sum(axis=0).max()
@@ -475,9 +482,9 @@ def test_multigrid_rank_updates_solve_updated_matrix():
         assert isinstance(system, linalg.FactorizedSystem)
         assert isinstance(system.lu, linalg.MultigridCG)
         assert system.lu.v_cycle is base.lu.v_cycle  # the base V-cycle, not a new hierarchy
-        # the base's element product plus a rank term of its own is the block
+        # the base's element sum plus a rank term of its own is the block
         assert system.a is system.lu.product
-        assert system.lu.product.scatter is base.lu.product.scatter
+        assert system.lu.product.base is base.lu.product.base
         terms = system.lu.product.terms
         assert [c for c, _, _ in terms] == [1.0 / tip.size, (k_point - 1.0) / tip.size]
         a_k = (k + k_point * s).tocsr()[free][:, free]  # the block, assembled here
@@ -708,14 +715,14 @@ def test_element_product_matches_the_free_block(case):
         state = model.forward(rho)
         system, block = state.disp.system, _spring_loaded_block(model, state, state.k_out)
         assert model.output_sel.region.k_out > 0 and len(system.lu.product.terms) == 1
+        assert isinstance(system.a.base, linalg.ElementOperator)
     else:
         g, op, coef, fixed, f = _elastic_3d((8, 4, 4) if case == "symmetry-plane" else (9, 5, 4))
         if case == "symmetry-plane":  # the plane z = 0 fixes u_z alone
             fixed = np.union1d(fixed, 3 * np.flatnonzero(g.coords[:, 2] == 0.0) + 2)
         _, _, system = _solve_dirichlet(g, op, coef, fixed, f)
         block = _reduced(op.assemble(coef), fixed, f)[0]
-        assert system.lu.product.terms == ()
-    assert isinstance(system.lu.product, linalg.ElementOperator)
+        assert isinstance(system.a, linalg.ElementOperator)  # no springs, no rank term
     assert system.lu.v_cycle.matrices[0] is system.lu.product is system.a
     assert _relative_gap(system.a, block) <= 1e-14
 
@@ -760,7 +767,8 @@ def test_spring_terms_are_the_sparse_rank_products_bit_for_bit(case):
     d_f = reduction.springs
     p = np.random.default_rng(5).standard_normal(reduction.free.size)
     for system, n_terms in [(forward, 1), (point, 2)]:
-        assert len(system.a.terms) == n_terms
+        assert isinstance(system.a, linalg.RankSum) and len(system.a.terms) == n_terms
+        assert isinstance(system.a.base, linalg.ElementOperator)
         q = reduction.element_product.bind(coef) @ p
         for c, _, _ in system.a.terms:
             q += c * (d_f @ (d_f.T @ p))
@@ -788,10 +796,10 @@ def test_cg_and_v_cycle_results_alias_nothing():
 
 @pytest.mark.parametrize("name", ["tiny", "gripper3d"])
 def test_sweep_point_block_is_the_forward_block(name, tiny_spec):
-    # 2-D: a copy of the base block's data plus (k - k_base) S at the
-    # reduction's spring places, on the reduction's own index arrays; 3-D:
-    # the base block's element sum plus (k - k_base) S as a rank term, which
-    # multiplies as the spring-loaded block assembled here does
+    # in either dimension the base system's block itself, not a copy, plus
+    # (k - k_base) S as a rank term: 2-D, its columns are those of the forward
+    # solve's block at k; 3-D, it multiplies as the spring-loaded block
+    # assembled here does
     model = Model(tiny_spec if name == "tiny" else problem.load_problem("gripper3d"))
     x = np.random.default_rng(7).uniform(0.0, 1.0, (3, model.grid.nelem))
     rho = model.physical_fields(x, 8.0)[1]
@@ -801,14 +809,108 @@ def test_sweep_point_block_is_the_forward_block(name, tiny_spec):
         _, point = reduction.solve(state.stiffness, state.force, state.e_field, "test system", k,
                                    base=(state.disp.system, 0.1))
         if name == "tiny":
-            block = model.forward(rho, k_out=k).disp.system.a
-            assert np.abs(point.a.data - block.data).max() <= 1e-15 * np.abs(block.data).max()
-            for mine, ours in [(point.a.indices, reduction.indices),
-                               (point.a.indptr, reduction.indptr)]:
-                assert np.shares_memory(mine, ours)
+            assert point.a.base is state.disp.system.a
+            block = model.forward(rho, k_out=k).disp.system.a.toarray()
+            assert np.abs(_columns(point.a) - block).max() <= 1e-15 * np.abs(block).max()
         else:
-            assert point.a.scatter is state.disp.system.a.scatter
+            assert point.a.base is state.disp.system.a.base
             assert _relative_gap(point.a, _spring_loaded_block(model, state, k)) <= 1e-14
+
+
+def _sweep_base(name, tiny_spec, k_base=0.1):
+    """The model of the fixture ``name`` (the tiny problem for "tiny"), a
+    design of it (the packaged pneunet design for pneunet2d, else a random
+    gray one) and its forward solve at ``k_base``: ``(model, state)``."""
+    if name == "tiny":
+        model = Model(tiny_spec)
+    else:
+        model = Model(problem.load_problem(name))
+    if name == "pneunet2d":
+        rho = fixture_lib.make_pneunet2d_design()[1]
+    else:
+        x = np.random.default_rng(7).uniform(0.0, 1.0, (3, model.grid.nelem))
+        rho = model.physical_fields(x, 8.0)[1]
+    return model, model.forward(rho, k_out=k_base)
+
+
+def _sweep_point(model, state, k, k_base=0.1):
+    """The system of the elastic reduction's sweep point at ``k`` on
+    ``state``'s solve at ``k_base``."""
+    return model.elastic_reduction.solve(state.stiffness, state.force, state.e_field,
+                                         "test system", k, base=(state.disp.system, k_base))[1]
+
+
+@pytest.mark.parametrize("name", ["tiny", "finger2d", "gripper2d", "pneunet2d"])
+def test_2d_sweep_point_norm_is_the_formed_blocks_bit_for_bit(name, tiny_spec):
+    # the point's 1-norm, from the base's largest row sum off the springs'
+    # rows and the sums of those rows, equals _norm1 of the point's block
+    # formed here: the base's data plus (k - k_base) S at the spring places
+    model, state = _sweep_base(name, tiny_spec)
+    reduction, base = model.elastic_reduction, state.disp.system
+    places, unit = reduction.spring_entries
+    for k in (1.0, 1e3, 1e7):
+        point = _sweep_point(model, state, k)
+        data = base.a.data.copy()
+        data[places] += (k - 0.1) * unit
+        formed = sparse.csr_matrix((data, reduction.indices, reduction.indptr), shape=base.a.shape)
+        assert point.norm == linalg._norm1(formed)
+
+
+def test_2d_sweep_points_copy_no_block():
+    # a point holds the base system's CSR itself under its rank term, and
+    # the eight further points of a pneunet sweep allocate nothing as large
+    # as that block's data (177,160 entries), which each point copied before
+    k_base, *sweep = runner.DEFAULT_SWEEP
+    model, state = _sweep_base("pneunet2d", None, k_base)
+    base = state.disp.system
+    assert base.a.data.size == 177_160
+    assert _sweep_point(model, state, sweep[0], k_base).a.base is base.a
+    tracemalloc.start()
+    try:
+        for k in sweep:  # as Model.sweep solves each point
+            u = model.elastic_reduction.solve(state.stiffness, state.force, state.e_field,
+                                              "test system", k, base=(base, k_base))[0]
+            elasticity.metrics(u, state.stiffness @ u, model.l_out, k, state.metrics.E_t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < base.a.data.nbytes
+
+
+def test_perturbed_sweep_point_fails_its_backward_error_check(monkeypatch):
+    # the point's solution is checked against its own block, the base CSR
+    # plus the rank term: a Woodbury solve off by 1e-6 relative, as an offset
+    # refinement cannot take out, fails the contract
+    _, point, _ = _spring_sweep(_node_columns("last-rows"))
+    point(1e3)  # as solved, the point meets it
+    real, offsets = linalg.WoodburyUpdate.solve, []
+
+    def perturbed(self, b):
+        x = real(self, b)
+        if not offsets:
+            v = np.random.default_rng(9).standard_normal(x.size)
+            offsets.append(1e-6 * np.linalg.norm(x) / np.linalg.norm(v) * v)
+        return x + offsets[0]
+
+    monkeypatch.setattr(linalg.WoodburyUpdate, "solve", perturbed)
+    with pytest.raises(SolveError, match="test system: backward error") as err:
+        point(1e3)
+    assert not isinstance(err.value, SingularSystemError)
+
+
+def test_3d_sweep_takes_the_element_diagonal_once(monkeypatch):
+    # every point's norm estimate reads the base's element diagonal plus k
+    # times the springs' diagonal: only the base solve takes it
+    model, rho = _gripper3d_design()
+    calls, real = [], linalg.ElementProduct.diagonal
+
+    def counting(self, coef):
+        calls.append(1)
+        return real(self, coef)
+
+    monkeypatch.setattr(linalg.ElementProduct, "diagonal", counting)
+    assert len(model.sweep(rho, [0.1, 1.0, 10.0, 100.0])) == 4
+    assert len(calls) == 1
 
 
 def test_cg_multiplies_the_elastic_block_element_by_element_only(monkeypatch):

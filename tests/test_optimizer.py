@@ -1,6 +1,7 @@
 """Outer-loop behavior on small problems: initialization, constraints, runs."""
 import csv
 import json
+import logging
 import weakref
 from dataclasses import replace
 
@@ -351,3 +352,30 @@ def test_odd_gripper3d_runs_on_multigrid(tmp_path):
         norm=linalg._norm1(k),
     ).solve(state.force[free])
     assert model.l_out[free] @ u_lu == pytest.approx(state.metrics.u_out, rel=1e-8, abs=0)
+
+
+def test_iteration_log_formats_g_only_when_info_is_on(tiny_spec, monkeypatch, caplog):
+    # an iteration's INFO line formats g by array2string, which cost as much
+    # as the rest of a record: at the WARNING level nothing is formatted, and
+    # at INFO each line reads as the records it reports
+    spec = replace(tiny_spec, optimizer=replace(tiny_spec.optimizer, max_iters=3))
+    calls, real = [], np.array2string
+
+    def counting(a, *args, **kwargs):
+        calls.append(1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array2string", counting)
+    caplog.set_level(logging.WARNING, logger="pneumotop.optimizer")
+    _run(Model(spec))
+    assert calls == []
+    caplog.set_level(logging.INFO, logger="pneumotop.optimizer")
+    _, records = _run(Model(spec))
+    lines = [r.getMessage() for r in caplog.records if " f=" in r.getMessage()]
+    assert len(records) == 3 and len(calls) == 3
+    assert lines == [
+        "iter %d: f=%.5g g=%s change=%.4f gray=%.3f beta=%g" % (
+            rec.iteration, rec.f, real(np.array(rec.g), precision=3), rec.change,
+            rec.grayness, rec.beta)
+        for rec in records
+    ]
