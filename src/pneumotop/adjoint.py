@@ -108,11 +108,15 @@ def gradient_wrt_physical(model, state, spec: ObjectiveSpec, s: float):
     lam_u, lam_p = solve_adjoints(model, state, df_du, df_dp)
 
     grid = model.grid
-    ue = state.disp.u[grid.edof_u]
-    le = lam_u[grid.edof_u]
-    k0 = model.elastic.ke
-    quad_ku = np.einsum("ei,ei->e", le @ k0, ue)
-    quad_uu = np.einsum("ei,ei->e", ue @ k0, ue)
+    edof, k0 = grid.edof_u, model.elastic.ke
+    # each element's entries of lam_u, then of u, and their products with
+    # K0, in two arrays; "clip" lets take write straight into them, and the
+    # element DOFs are all in range
+    gathered, products = np.empty(edof.shape), np.empty(edof.shape)
+    np.matmul(np.take(lam_u, edof, out=gathered, mode="clip"), k0, out=products)
+    ue = np.take(state.disp.u, edof, out=gathered, mode="clip")
+    quad_ku = np.einsum("ei,ei->e", products, ue)  # (le @ k0) . ue
+    quad_uu = np.einsum("ei,ei->e", np.matmul(ue, k0, out=products), ue)
     elastic_weight = quad_ku + 0.5 * c_se * quad_uu
 
     grad = np.zeros((3, grid.nelem))
@@ -131,5 +135,5 @@ def gradient_wrt_physical(model, state, spec: ObjectiveSpec, s: float):
 def total_gradient(model, state, spec: ObjectiveSpec, s: float, dproj: np.ndarray):
     """Objective value and its design-space gradient (chained through filtering)."""
     f, grad_bar = gradient_wrt_physical(model, state, spec, s)
-    df_drho = chain_sensitivities(grad_bar, dproj, model.kernel)
+    df_drho = chain_sensitivities(grad_bar, dproj, model.kernel_t)
     return f, df_drho

@@ -49,15 +49,16 @@ def invert_projection(target, params: ProjectionParams):
 
 
 def chain_sensitivities(
-    df_drho_bar: np.ndarray, dproj: np.ndarray, kernel: sparse.csr_matrix
+    df_drho_bar: np.ndarray, dproj: np.ndarray, kernel_t: sparse.csc_matrix
 ) -> np.ndarray:
     """Pull a gradient w.r.t. physical densities back to design variables.
 
-    Applies the projection derivative elementwise, then the transpose of the
-    row-normalized filter; accepts (nel,) or (nch, nel) arrays.
+    Applies the projection derivative elementwise, then ``kernel_t``, the
+    transpose of the row-normalized filter (``kernel.T``, which a model
+    holds as ``kernel_t``); accepts (nel,) or (nch, nel) arrays.
     """
     scaled = np.asarray(df_drho_bar, dtype=float) * dproj
-    return (kernel.T @ scaled.T).T
+    return (kernel_t @ scaled.T).T
 
 
 def grayness(rho_bar1: np.ndarray) -> float:

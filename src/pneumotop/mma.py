@@ -6,7 +6,10 @@ and relax under steady progress. Elastic constraint variables y keep the
 subproblem feasible. It is solved through its dual (Svanberg 1987, IJNME
 24:359): for multipliers lam >= 0 of the m constraints, each x_j and y_i
 has a closed form, so the dual is a concave function of m variables, which
-projected Newton steps maximize at O(n m) cost per step.
+projected Newton steps maximize at O(n m) cost per step. The dual works in
+reused buffers: each evaluation writes its n- and (m, n)-sized terms into
+work arrays allocated once per subproblem solve, so it allocates only what
+it returns, and the Newton matrix is formed only for a step that uses it.
 
 A step that turns out to raise the true objective can be re-solved more
 conservatively with ``MMA.conservative_step``: the objective approximation's
@@ -57,24 +60,41 @@ class _Subproblem:
     scale: float
     raa0: float
 
-    def objective_terms(self):
-        return _convex_terms(self.df0dx, self.raa0, self)
+    def squares(self):
+        """``(upp - x)^2`` and ``(x - low)^2``, the weights of every p and q term."""
+        return np.square(self.upp - self.x), np.square(self.x - self.low)
+
+    def terms(self):
+        """MMA's p and q terms of the objective, then of the constraints,
+        formed from one ``squares()``."""
+        squares = self.squares()
+        return (_convex_terms(self.df0dx, self.raa0, squares),
+                _convex_terms(self.dgdx, RAA0, squares))
 
     def objective_change(self, xt):
         """The approximation of f(xt) - f(x), in the caller's units."""
-        p0, q0 = self.objective_terms()
+        p0, q0 = _convex_terms(self.df0dx, self.raa0, self.squares())
         return self.scale * float(
             np.sum(p0 / (self.upp - xt) + q0 / (xt - self.low))
             - np.sum(p0 / (self.upp - self.x) + q0 / (self.x - self.low))
         )
 
 
-def _convex_terms(grad, rho, sub: _Subproblem):
-    """MMA's p and q coefficients for gradient(s) ``grad`` with curvature ``rho``."""
+def _convex_terms(grad, rho, squares):
+    """MMA's p and q coefficients for gradient(s) ``grad`` with curvature
+    ``rho``: ``(p + pq) (upp - x)^2`` and ``(q + pq) (x - low)^2``, the two
+    ``squares``, with ``p = max(grad, 0)``, ``q = max(-grad, 0)`` and ``pq =
+    0.001 (p + q) + rho``, formed in the two arrays returned and one
+    temporary."""
+    ux2, xl2 = squares
     p = np.maximum(grad, 0.0)
-    q = np.maximum(-grad, 0.0)
-    pq = 0.001 * (p + q) + rho
-    return (p + pq) * (sub.upp - sub.x) ** 2, (q + pq) * (sub.x - sub.low) ** 2
+    q = np.negative(grad)
+    np.maximum(q, 0.0, out=q)
+    pq = np.add(p, q)
+    np.add(np.multiply(0.001, pq, out=pq), rho, out=pq)
+    np.multiply(np.add(p, pq, out=p), ux2, out=p)
+    np.multiply(np.add(q, pq, out=q), xl2, out=q)
+    return p, q
 
 
 class MMA:
@@ -118,16 +138,17 @@ class MMA:
         # normalizing makes the step independent of the objective's units.
         scale = max(np.abs(df0dx).max(), 1.0)
 
+        x = x.copy()  # the subproblem's point and the next update's xold1
         self.low, self.upp = self._asymptotes(x)
         sub = _Subproblem(
-            x=x.copy(), df0dx=df0dx / scale, g=g, dgdx=dgdx, low=self.low,
+            x=x, df0dx=df0dx / scale, g=g, dgdx=dgdx, low=self.low,
             upp=self.upp, move=move, scale=scale,
             raa0=max(0.1 * self._sub.raa0, RAA0) if self._sub else RAA0,
         )
         xnew = self._solve(sub)
         self._sub = sub
         self.xold2 = self.xold1
-        self.xold1 = x.copy()
+        self.xold1 = x
         return xnew
 
     def conservative_step(self, x_trial: np.ndarray, f_increase: float) -> np.ndarray:
@@ -177,10 +198,62 @@ class MMA:
         x, low, upp = sub.x, sub.low, sub.upp
         alfa = np.maximum(np.maximum(low + ALBEFA * (x - low), x - sub.move), 0.0)
         beta = np.minimum(np.minimum(upp - ALBEFA * (upp - x), x + sub.move), 1.0)
-        p0, q0 = sub.objective_terms()
-        pp, qq = _convex_terms(sub.dgdx, RAA0, sub)
+        (p0, q0), (pp, qq) = sub.terms()
         b = pp @ (1.0 / (upp - x)) + qq @ (1.0 / (x - low)) - sub.g
         return _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b)
+
+
+def _dual(low, upp, alfa, beta, p0, q0, pp, qq, b):
+    """The dual of ``_subsolve``'s subproblem, as two functions.
+
+    ``at(lam)`` returns x(lam) and the dual gradient at the multipliers lam;
+    ``newton(lam, x)`` the negated dual Hessian there, from the terms the
+    last ``at(lam)`` call left, so it is called after that call and before
+    the next one. Only a Newton step needs the matrix: a trial point that is
+    rejected, or that ends the solve, never forms it. Both write their n-
+    and (m, n)-sized terms into work arrays allocated here, and return fresh
+    arrays, so a trial's result outlives the next call.
+    """
+    m, n = pp.shape
+    # Separate arrays, not one block: a block of (8 + 2m) n doubles, freed
+    # at the top of the heap, made malloc trim and refault about 4 MB per
+    # finger2d iteration.
+    plam, qlam, x_free, ux, xl, t1, t2, t3 = (np.empty(n) for _ in range(8))
+    dgdx, scaled = np.empty((m, n)), np.empty((m, n))
+    free = np.empty(n, dtype=bool)
+
+    def at(lam):
+        np.add(p0, np.matmul(lam, pp, out=plam), out=plam)
+        np.add(q0, np.matmul(lam, qq, out=qlam), out=qlam)
+        sp, sq = np.sqrt(plam, out=t1), np.sqrt(qlam, out=t2)
+        np.add(sp, sq, out=t3)
+        np.add(np.multiply(sp, low, out=sp), np.multiply(sq, upp, out=sq), out=t1)
+        np.divide(t1, t3, out=x_free)  # (sp low + sq upp) / (sp + sq)
+        x = np.clip(x_free, alfa, beta)
+        np.subtract(upp, x, out=ux)
+        np.subtract(x, low, out=xl)
+        y = np.maximum(lam - C_PENALTY, 0.0)
+        grad = pp @ np.divide(1.0, ux, out=t1) + qq @ np.divide(1.0, xl, out=t1) - y - b
+        return x, grad
+
+    def newton(lam, x):
+        # dx/dlam = -dgdx / curvature for a free variable and 0 for one at a
+        # bound; bound variables keep a small share of theirs so that the
+        # matrix stays regular when every variable is at a bound.
+        np.divide(pp, np.square(ux, out=t1), out=dgdx)
+        np.subtract(dgdx, np.divide(qq, np.square(xl, out=t1), out=scaled), out=dgdx)
+        np.divide(plam, np.power(ux, 3, out=t1), out=t1)
+        np.add(t1, np.divide(qlam, np.power(xl, 3, out=t2), out=t2), out=t1)
+        curvature = np.multiply(2.0, t1, out=t1)
+        weight = t2
+        weight.fill(BOUND_CURVATURE)
+        np.copyto(weight, 1.0, where=np.equal(x, x_free, out=free))
+        np.divide(weight, curvature, out=weight)
+        matrix = np.multiply(dgdx, weight, out=scaled) @ dgdx.T
+        matrix += np.diag((lam > C_PENALTY).astype(float))
+        return matrix
+
+    return at, newton
 
 
 def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b):
@@ -195,35 +268,18 @@ def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b):
     raises SolveError if that takes more than ``DUAL_MAX_ITERS`` steps or a
     step cannot be made.
     """
-    def at(lam):
-        """x(lam), the dual gradient and the negated dual Hessian at lam."""
-        plam = p0 + lam @ pp
-        qlam = q0 + lam @ qq
-        sp, sq = np.sqrt(plam), np.sqrt(qlam)
-        x_free = (sp * low + sq * upp) / (sp + sq)
-        x = np.clip(x_free, alfa, beta)
-        ux, xl = upp - x, x - low
-        y = np.maximum(lam - C_PENALTY, 0.0)
-        grad = pp @ (1.0 / ux) + qq @ (1.0 / xl) - y - b
-        # dx/dlam = -dgdx / curvature for a free variable and 0 for one at a
-        # bound; bound variables keep a small share of theirs so that the
-        # matrix stays regular when every variable is at a bound.
-        dgdx = pp / ux**2 - qq / xl**2
-        curvature = 2.0 * (plam / ux**3 + qlam / xl**3)
-        weight = np.where(x == x_free, 1.0, BOUND_CURVATURE) / curvature
-        newton = (dgdx * weight) @ dgdx.T + np.diag((lam > C_PENALTY).astype(float))
-        return x, grad, newton
-
+    at, newton = _dual(low, upp, alfa, beta, p0, q0, pp, qq, b)
     lam = np.zeros(b.size)
-    x, grad, newton = at(lam)
+    x, grad = at(lam)
     for _ in range(DUAL_MAX_ITERS):
         # Components held at lam = 0 by a negative gradient are optimal.
         open_ = (lam > 0.0) | (grad > 0.0)
         if np.all(np.abs(grad[open_]) <= DUAL_TOL * (1.0 + lam[open_])):
             return x
         step = np.zeros_like(lam)
+        hessian = newton(lam, x)  # at lam, the point of the last ``at`` call
         try:
-            step[open_] = np.linalg.solve(newton[np.ix_(open_, open_)], grad[open_])
+            step[open_] = np.linalg.solve(hessian[np.ix_(open_, open_)], grad[open_])
         except np.linalg.LinAlgError as exc:
             raise SolveError(f"MMA dual Newton matrix is singular ({exc})") from exc
         t = 1.0
@@ -238,7 +294,7 @@ def _subsolve(low, upp, alfa, beta, p0, q0, pp, qq, b):
         else:
             raise SolveError("MMA dual solve stalled in its step search")
         lam = lam_t
-        x, grad, newton = trial
+        x, grad = trial
     raise SolveError(
         f"MMA dual solve did not converge in {DUAL_MAX_ITERS} Newton steps "
         f"(dual gradient {np.abs(grad).max():.3g})"

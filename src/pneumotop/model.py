@@ -79,6 +79,7 @@ class Model:
         self.mats = spec.materials
         self.flow_params = spec.flow
         self.kernel = filter_matrix(self.grid, spec.filter.r_min_elems * self.grid.h)
+        self.kernel_t = self.kernel.T  # a CSC view of its data, for the chain rule
         self.proj_eta = spec.filter.eta_p
 
         self.selections = [select_region(self.grid, r) for r in spec.regions]

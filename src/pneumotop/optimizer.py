@@ -105,7 +105,7 @@ def constraint_gradients(model: Model, dproj: np.ndarray) -> np.ndarray:
     dg_bar = np.zeros((3, model.grid.nelem))
     for ch, bound in enumerate(model.volume_bounds):
         dg_bar[ch] = model.volumes / (bound * total)
-    chained = filtering.chain_sensitivities(dg_bar, dproj, model.kernel)
+    chained = filtering.chain_sensitivities(dg_bar, dproj, model.kernel_t)
     dg = np.zeros((n_con, 3, model.grid.nelem))
     dg[np.arange(n_con), np.arange(n_con)] = chained[:n_con]
     return dg
@@ -119,7 +119,11 @@ class _DesignPacker:
         self.n_ch = model.mats.n_channels
 
     def pack(self, design: np.ndarray) -> np.ndarray:
-        return design[: self.n_ch, self.free].ravel()
+        """The free variables of a (3, nelem) design, or one row of them for
+        each of a stack of designs (k, 3, nelem), in one gather whose result
+        is already in row order."""
+        free = np.take(design[..., : self.n_ch, :], self.free, axis=-1)
+        return free.reshape(*design.shape[:-2], -1)
 
     def unpack(self, x: np.ndarray, template: np.ndarray) -> np.ndarray:
         design = template.copy()
@@ -195,7 +199,7 @@ def run(model: Model, sink) -> RunResult:
                 raise SolveError(f"iteration {it}, adjoint solve: {exc}") from exc
 
             df_x = packer.pack(df_drho)
-            dg_x = np.stack([packer.pack(dg) for dg in constraint_gradients(model, dproj)])
+            dg_x = packer.pack(constraint_gradients(model, dproj))
 
             # Shrink steps as the projection sharpens: full moves across the
             # steep transition band alias into 2-cycles that never settle.

@@ -212,6 +212,14 @@ class ProblemSpec:
 
     The rules that span sections are checked here, so a spec changed by
     ``dataclasses.replace`` is checked again; messages name the file keys.
+
+    Pressures are bounded: ``|P_in|`` and ``|p_atm|`` at most 1e150 Pa and
+    the gauge ``P_in - p_atm`` at least 1e-100 Pa. The energies and the
+    solvers' norms and inner products are quadratic in the pressure, so
+    they overflow past about 1e154 Pa and underflow below about 1e-145 Pa
+    on the packaged fixtures (to a silent ``u_out`` of 0 in 2-D); the
+    lower bound keeps the wider margin, since the moduli and ``h`` scale
+    those squares down.
     """
 
     name: str
@@ -239,6 +247,16 @@ class ProblemSpec:
             raise ConfigError(f"$.volume_fractions: each must be > 0, got {vf}")
         if not sum(vf) <= 1.0 + 1e-12:
             raise ConfigError(f"$.volume_fractions: sum {sum(vf):.4g} exceeds 1")
+
+        flow = self.flow
+        for key, value in (("P_in_pa", flow.P_in), ("p_atm_pa", flow.p_atm)):
+            if not abs(value) <= 1e150:
+                raise ConfigError(f"$.flow.{key}: |{value:g}| Pa exceeds 1e150 Pa")
+        if not flow.P_in - flow.p_atm >= 1e-100:
+            raise ConfigError(
+                f"$.flow.P_in_pa: gauge P_in - p_atm = {flow.P_in - flow.p_atm:g} Pa "
+                f"is below 1e-100 Pa"
+            )
 
         for i, r in enumerate(self.regions):
             if any(len(b) != dim for b in r.box):

@@ -13,7 +13,7 @@ from pneumotop.elasticity import PerformanceMetrics
 from pneumotop.errors import SolveError
 from pneumotop.model import Model
 
-from tinyproblem import block_problem_dict
+from tinyproblem import block_problem_dict, tiny_problem_dict
 
 FD_STEP = 1e-5
 N_SAMPLES = 20
@@ -200,4 +200,24 @@ def test_constraint_gradients_chain_each_channel_alone():
     for k, bound in enumerate(model.volume_bounds):
         physical = np.zeros((3, model.grid.nelem))
         physical[k] = model.volumes / (bound * model.volumes.sum())
-        assert np.array_equal(dg[k], filtering.chain_sensitivities(physical, dproj, model.kernel))
+        assert np.array_equal(dg[k], filtering.chain_sensitivities(physical, dproj, model.kernel_t))
+
+
+def test_filter_transpose_is_built_once_and_chains_bit_for_bit(monkeypatch):
+    # the model holds the filter's transpose, a view of its data; chaining
+    # through it is the product with kernel.T bit for bit, and a run takes
+    # no transpose of the filter after the model is built
+    model = Model(problem.parse_problem(tiny_problem_dict(optimizer={"max_iters": 3})))
+    assert np.shares_memory(model.kernel_t.data, model.kernel.data)
+    rng = np.random.default_rng(8)
+    _, _, dproj = model.physical_fields(_random_design(model, rng), 2.0)
+    grad = rng.normal(size=(3, model.grid.nelem))
+    assert np.array_equal(filtering.chain_sensitivities(grad, dproj, model.kernel_t),
+                          (model.kernel.T @ (grad * dproj).T).T)
+
+    transposed = []
+    transpose = type(model.kernel).transpose
+    monkeypatch.setattr(type(model.kernel), "transpose",
+                        lambda self, *a, **k: transposed.append(self) or transpose(self, *a, **k))
+    optimizer.run(model, sink=lambda record: None)
+    assert not any(k is model.kernel for k in transposed)

@@ -49,3 +49,18 @@ def test_compare_sizes_each_differing_column(artifacts, tmp_path, capsys):
     (b / "case" / "history.csv").write_text("iter,f,u_out\n1,10.0,2.0\n")
     assert artifacts.differences(a / "case" / "history.csv", b / "case" / "history.csv") == [
         "iter: differs", "f: differs", "u_out: differs"]
+
+
+def test_compare_names_the_first_differing_row(artifacts, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write_run(a, {}, "iter,f,u_out\n1,10.0,2.0\n2,8.0,4.0\n3,6.0,5.0\n")
+    _write_run(b, {}, "iter,f,u_out\n1,10.0,2.0\n2,8.0,3.0\n3,4.0,5.0\n")
+    assert artifacts.main(["compare", str(a), str(b)]) == 1
+    # the gap first appears in row 2, and is largest later, in row 3
+    assert "first differing row: 2 (iter=2): 2.5e-01\n" in capsys.readouterr().out
+    history = (a / "case" / "history.csv", b / "case" / "history.csv")
+    (b / "case" / "history.csv").write_text("iter,f,u_out\n1,10.0,2.0\n2,8.0,4.0\n")
+    assert artifacts.first_difference(*history) == "3 (iter=3): differs"
+    (b / "case" / "history.csv").write_text("iter,f,u_out\n1,10.0,2.0\n2,8.0,nan?\n3,6.0,5.0\n")
+    assert artifacts.first_difference(*history) == "2 (iter=2): differs"
+    assert artifacts.first_difference(history[0], history[0]) is None

@@ -85,7 +85,7 @@ def test_chain_is_exact_adjoint(grid6):
         a = rng.normal(size=grid6.nelem)
         b = rng.normal(size=grid6.nelem)
         jb = dproj * filter_densities(b, kernel)
-        jta = chain_sensitivities(a, dproj, kernel)
+        jta = chain_sensitivities(a, dproj, kernel.T)
         assert abs(a @ jb - jta @ b) <= 1e-10 * max(1.0, abs(a @ jb))
 
 
@@ -101,7 +101,7 @@ def test_chain_matches_finite_difference(grid6):
         return w @ v
 
     _, dproj = project(filter_densities(rho, kernel), params)
-    grad = chain_sensitivities(w, dproj, kernel)
+    grad = chain_sensitivities(w, dproj, kernel.T)
     step = 1e-6
     idx = rng.choice(grid6.nelem, size=12, replace=False)
     for j in idx:
@@ -116,7 +116,7 @@ def test_chain_matches_finite_difference(grid6):
 def test_chain_zero_gradient(grid6):
     kernel = filter_matrix(grid6, 1.5)
     out = chain_sensitivities(
-        np.zeros(grid6.nelem), np.ones(grid6.nelem), kernel
+        np.zeros(grid6.nelem), np.ones(grid6.nelem), kernel.T
     )
     assert np.all(out == 0.0)
 
@@ -126,7 +126,7 @@ def test_near_identity_composition(grid6):
     kernel = filter_matrix(grid6, 0.5)
     rng = np.random.default_rng(3)
     g = rng.normal(size=grid6.nelem)
-    out = chain_sensitivities(g, np.ones(grid6.nelem), kernel)
+    out = chain_sensitivities(g, np.ones(grid6.nelem), kernel.T)
     assert np.allclose(out, g, atol=1e-12)
 
 

@@ -1,10 +1,12 @@
 """MMA update behavior on small analytic programs."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pneumotop import mma as mma_module
 from pneumotop.errors import SolveError
-from pneumotop.mma import ALBEFA, C_PENALTY, MMA, RAA0, _convex_terms, _Subproblem, _subsolve
+from pneumotop.mma import ALBEFA, C_PENALTY, MMA, RAA0, _dual, _Subproblem, _subsolve
 
 
 def test_active_constraint_toy():
@@ -161,8 +163,7 @@ def _flat_subproblem(n=3000, seed=0):
     )
     alfa = np.maximum(np.maximum(sub.low + ALBEFA * (x - sub.low), x - sub.move), 0.0)
     beta = np.minimum(np.minimum(sub.upp - ALBEFA * (sub.upp - x), x + sub.move), 1.0)
-    p0, q0 = sub.objective_terms()
-    pp, qq = _convex_terms(dgdx, RAA0, sub)
+    (p0, q0), (pp, qq) = sub.terms()
     b = pp @ (1.0 / (sub.upp - x)) + qq @ (1.0 / (x - sub.low)) - sub.g
     return sub.low, sub.upp, alfa, beta, p0, q0, pp, qq, b
 
@@ -213,3 +214,141 @@ def test_update_takes_its_move_limit_from_the_caller():
         assert np.allclose(x_new - x, move, rtol=1e-12)
         assert np.allclose(mma.upp - mma.low, 2 * mma_module.ASYINIT * width, rtol=1e-12)
         x = x_new
+
+
+def _reference_convex_terms(grad, rho, sub):
+    """``_convex_terms`` as it was written before it worked in place."""
+    p = np.maximum(grad, 0.0)
+    q = np.maximum(-grad, 0.0)
+    pq = 0.001 * (p + q) + rho
+    return (p + pq) * (sub.upp - sub.x) ** 2, (q + pq) * (sub.x - sub.low) ** 2
+
+
+def _reference_dual(low, upp, alfa, beta, p0, q0, pp, qq, b):
+    """``_dual`` as it was written before it worked in place: the formulas
+    its buffers must reproduce bit for bit."""
+    def at(lam):
+        plam = p0 + lam @ pp
+        qlam = q0 + lam @ qq
+        sp, sq = np.sqrt(plam), np.sqrt(qlam)
+        x_free = (sp * low + sq * upp) / (sp + sq)
+        x = np.clip(x_free, alfa, beta)
+        ux, xl = upp - x, x - low
+        y = np.maximum(lam - C_PENALTY, 0.0)
+        grad = pp @ (1.0 / ux) + qq @ (1.0 / xl) - y - b
+        dgdx = pp / ux**2 - qq / xl**2
+        curvature = 2.0 * (plam / ux**3 + qlam / xl**3)
+        weight = np.where(x == x_free, 1.0, mma_module.BOUND_CURVATURE) / curvature
+        newton = (dgdx * weight) @ dgdx.T + np.diag((lam > C_PENALTY).astype(float))
+        return x, grad, newton
+
+    return at
+
+
+def _reference_subsolve(*args):
+    """``_subsolve`` on ``_reference_dual``."""
+    b = args[-1]
+    at = _reference_dual(*args)
+    lam = np.zeros(b.size)
+    x, grad, newton = at(lam)
+    for _ in range(mma_module.DUAL_MAX_ITERS):
+        open_ = (lam > 0.0) | (grad > 0.0)
+        if np.all(np.abs(grad[open_]) <= mma_module.DUAL_TOL * (1.0 + lam[open_])):
+            return x
+        step = np.zeros_like(lam)
+        try:
+            step[open_] = np.linalg.solve(newton[np.ix_(open_, open_)], grad[open_])
+        except np.linalg.LinAlgError as exc:
+            raise SolveError("MMA dual Newton matrix is singular") from exc
+        t = 1.0
+        for _ in range(mma_module.DUAL_MAX_HALVINGS):
+            lam_t = np.maximum(lam + t * step, 0.0)
+            trial = at(lam_t)
+            if trial[1] @ (lam_t - lam) >= 0.0:
+                break
+            t *= 0.5
+        else:
+            raise SolveError("MMA dual solve stalled in its step search")
+        lam = lam_t
+        x, grad, newton = trial
+    raise SolveError("MMA dual solve did not converge")
+
+
+@st.composite
+def _subproblems(draw):
+    """A subproblem as ``MMA.update`` builds one: m of 1 to 4 constraints,
+    variables on the box bounds and off them, asymptotes from 0.01 to 10
+    away, and gradients from 1e-12 to 1e9 in size, some of them zero."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 24))
+    unit = st.floats(0.0, 1.0)
+    x = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), unit),
+                               min_size=n, max_size=n)))
+    gaps = st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)
+    low, upp = x - np.array(draw(gaps)), x + np.array(draw(gaps))
+    magnitude = st.one_of(st.just(0.0), st.floats(-12.0, 9.0).map(lambda e: 10.0**e))
+    signed = st.tuples(magnitude, st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+    df0dx = np.array(draw(st.lists(signed, min_size=n, max_size=n)))
+    dgdx = np.array(draw(st.lists(signed, min_size=m * n, max_size=m * n))).reshape(m, n)
+    g = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    scale = max(np.abs(df0dx).max(), 1.0)
+    return _Subproblem(x=x, df0dx=df0dx / scale, g=g, dgdx=dgdx, low=low, upp=upp,
+                       move=draw(st.floats(0.01, 0.5)), scale=scale, raa0=RAA0)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except SolveError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_subproblems(), st.lists(st.one_of(st.just(C_PENALTY), st.floats(0.0, 3.0 * C_PENALTY)),
+                               min_size=4, max_size=4))
+def test_in_place_dual_is_bit_for_bit_the_allocating_one(sub, lams):
+    x, low, upp = sub.x, sub.low, sub.upp
+    alfa = np.maximum(np.maximum(low + ALBEFA * (x - low), x - sub.move), 0.0)
+    beta = np.minimum(np.minimum(upp - ALBEFA * (upp - x), x + sub.move), 1.0)
+    terms = sub.terms()
+    reference = (_reference_convex_terms(sub.df0dx, sub.raa0, sub),
+                 _reference_convex_terms(sub.dgdx, RAA0, sub))
+    for got, want in zip(terms, reference):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    (p0, q0), (pp, qq) = terms
+    b = pp @ (1.0 / (upp - x)) + qq @ (1.0 / (x - low)) - sub.g
+    args = (low, upp, alfa, beta, p0, q0, pp, qq, b)
+
+    # the dual at lam = 0, at C_PENALTY and on both sides of it, one
+    # evaluation after another in the same buffers: each result equals the
+    # reference's and is left as it was by the evaluations after it
+    (at, newton), reference_at = _dual(*args), _reference_dual(*args)
+    m = b.size
+    points = [np.zeros(m)] + [np.resize(lams[i:], m) for i in range(len(lams))]
+    results = [(x, grad, newton(lam, x)) for lam in points for x, grad in [at(lam)]]
+    for lam, got in zip(points, results):
+        assert all(np.array_equal(a, w) for a, w in zip(got, reference_at(lam)))
+
+    got, want = _outcome(_subsolve, *args), _outcome(_reference_subsolve, *args)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    else:
+        assert got is want
+
+
+def test_returned_designs_outlive_later_updates():
+    # the update works in buffers of its own: no x it returned, and no x it
+    # was given, is written by a later update or re-solve
+    rng = np.random.default_rng(4)
+    mma = MMA()
+    x0 = rng.uniform(0.2, 0.8, 50)
+    given_ = x0.copy()
+    x1 = mma.update(x0, rng.normal(size=50), np.array([-0.5, 0.2]),
+                    rng.normal(size=(2, 50)), move=0.2)
+    first = x1.copy()
+    x2 = mma.update(x1, rng.normal(size=50), np.array([-0.3, 0.1]),
+                    rng.normal(size=(2, 50)), move=0.2)
+    second = x2.copy()
+    x3 = mma.conservative_step(x2, 1.0)
+    assert np.array_equal(x0, given_) and np.array_equal(x1, first)
+    assert np.array_equal(x2, second)
+    assert not np.shares_memory(x3, x2) and not np.shares_memory(mma.xold1, x1)

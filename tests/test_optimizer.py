@@ -75,6 +75,21 @@ def test_constraint_values_all_zero(tiny_model):
     assert np.allclose(g, -1.0)
 
 
+def test_packer_gathers_a_stack_of_designs_in_row_order(tiny_spec):
+    # a passive box leaves some elements out of the free variables
+    spec = replace(tiny_spec, passive=problem.parse_problem(tiny_problem_dict(
+        passive=[{"tag": "void", "box_m": [[0.004, 0.0], [0.006, 0.002]]}])).passive)
+    model = Model(spec)
+    packer = optimizer._DesignPacker(model)
+    assert 0 < packer.free.size < model.grid.nelem
+    stack = np.random.default_rng(2).uniform(size=(3, 3, model.grid.nelem))
+    packed = packer.pack(stack)
+    assert packed.flags.c_contiguous
+    assert np.array_equal(packed, [design[:3, packer.free].ravel() for design in stack])
+    assert np.array_equal(packer.unpack(packer.pack(stack[1]), stack[0])[:, packer.free],
+                          stack[1][:, packer.free])
+
+
 def test_model_volume_bounds_validation(tiny_spec):
     with pytest.raises(ConfigError, match="sum"):
         Model(replace(tiny_spec, volume_fractions=(0.5, 0.3, 0.3)))

@@ -553,6 +553,37 @@ def test_element_size_that_overflows_the_templates_exit_3(tmp_path, h, capsys):
     assert "overflows the element matrices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p_in", [1e200, 1e-300])
+def test_inlet_pressure_outside_its_range_exit_3(tmp_path, p_in, capsys):
+    # 1e200 Pa once overflowed the pressure solve's norms (exit 4, "backward
+    # error nan"), and 1e-300 Pa underflowed to a silent u_out of 0
+    raw = tiny_problem_dict(flow={"P_in_pa": p_in})
+    with pytest.raises(ConfigError, match=r"\$\.flow\.P_in_pa"):
+        problem.parse_problem(raw)
+    prob = tmp_path / "pressure.json"
+    prob.write_text(json.dumps(raw))
+    assert cli.main(["optimize", str(prob), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "$.flow.P_in_pa" in capsys.readouterr().err
+
+
+def test_atmospheric_pressure_outside_its_range_is_a_config_error():
+    raw = tiny_problem_dict(flow={"P_in_pa": 5e4, "p_atm_pa": -1e200})
+    with pytest.raises(ConfigError, match=r"\$\.flow\.p_atm_pa"):
+        problem.parse_problem(raw)
+
+
+def test_inlet_pressure_at_the_range_ends_solves():
+    # the tiny problem is linear in the pressure up to roundoff at both ends
+    metrics = {}
+    for p_in in (1e-100, 5e4, 1e150):
+        model = Model(problem.parse_problem(tiny_problem_dict(flow={"P_in_pa": p_in})))
+        metrics[p_in] = model.forward(np.full((3, model.grid.nelem), 0.5)).metrics
+    ref = metrics.pop(5e4)
+    for p_in, m in metrics.items():
+        assert m.u_out / p_in == pytest.approx(ref.u_out / 5e4, rel=1e-9)
+        assert m.SE / p_in**2 == pytest.approx(ref.SE / 5e4**2, rel=1e-9)
+
+
 def test_cli_optimize_bad_problem_exit_3(tmp_path):
     prob = tmp_path / "bad.json"
     raw = tiny_problem_dict()

@@ -11,9 +11,11 @@ second checkout writes its own set. ``compare`` reads ``summary.json`` as
 JSON and leaves out its wall time and output paths; every other file is
 compared byte for byte. It exits 1 when a file differs or is missing on
 one side. For a differing CSV it prints the largest relative difference
-``|a - b| / max(|a|, |b|)`` of each column that differs, and for a
-differing ``summary.json`` that of each numeric field, so a change that
-moves the numerics by roundoff shows how far.
+``|a - b| / max(|a|, |b|)`` of each column that differs, and the first
+row where the two differ, with its first field (a history's iteration)
+and the largest relative difference there; for a differing
+``summary.json`` it prints that of each numeric field. A change that
+moves the numerics by roundoff so shows how far, and from where.
 
 The optimize cases cover a short and a converged finger2d run, a short
 gripper3d run, and runs whose projection is sharpened only by stalls (a
@@ -30,6 +32,7 @@ import csv
 import json
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,13 +110,19 @@ def _leaves(value, key=""):
     return {k: v for i, item in items for k, v in _leaves(item, f"{key}.{i}".lstrip(".")).items()}
 
 
+def _rows(path: Path):
+    """The header and the data rows of a CSV."""
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
 def _columns(path: Path):
     """``{column: values}`` of a CSV with a header row, or of ``summary.json``
     (each numeric leaf a column of one value)."""
     if path.suffix == ".json":
         return {k: [v] for k, v in _leaves(_content(path)).items()}
-    with path.open(newline="") as fh:
-        header, *rows = list(csv.reader(fh))
+    header, rows = _rows(path)
     return {name: [row[i] if i < len(row) else None for row in rows]
             for i, name in enumerate(header)}
 
@@ -140,6 +149,23 @@ def differences(pa: Path, pb: Path) -> list[str]:
     return out
 
 
+def first_difference(pa: Path, pb: Path) -> str | None:
+    """``row (name=value): gap`` of the first data row in which two CSVs
+    differ: its number from 1, its first field and the largest relative
+    difference of its fields, or ``differs`` where a field is not a number
+    on both sides or the row is in one file only; None if none differs."""
+    (header, ra), (_, rb) = _rows(pa), _rows(pb)
+    for row, (xs, ys) in enumerate(zip_longest(ra, rb), start=1):
+        if xs == ys:
+            continue
+        label = f"{row} ({header[0]}={(xs or ys or [''])[0]})"
+        pairs = [(_number(x), _number(y)) for x, y in zip_longest(xs or [], ys or [])]
+        if xs is None or ys is None or any(None in p for p in pairs):
+            return f"{label}: differs"
+        return f"{label}: {max(_relative(x, y) for x, y in pairs):.1e}"
+    return None
+
+
 def compare(a: Path, b: Path) -> int:
     """Print every file that differs or exists on one side only; the count."""
     files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
@@ -152,6 +178,8 @@ def compare(a: Path, b: Path) -> int:
             print(f"differs: {rel}")
             if pa.suffix == ".csv" or pa.name == "summary.json":
                 print("  largest relative difference: " + ", ".join(differences(pa, pb)))
+            if pa.suffix == ".csv" and (first := first_difference(pa, pb)):
+                print(f"  first differing row: {first}")
         else:
             continue
         bad += 1
