@@ -58,10 +58,12 @@ and solves through one of three inverse operators:
   never assembled (Schmidt & Schulz 2011, "A matrix-free multigrid CG",
   Comput. Vis. Sci. 14:249; Aage et al. 2017, Nature 550:84): CG, the
   finest level's residuals and the contract's residuals multiply by it
-  element by element (``ElementProduct``: a gather, one GEMM with the
-  templates and a scatter whose values are the element coefficients; 78,960
-  entries read on gripper3d against the 806,050 the assembled block would
-  store; ``ElementOperator``), plus the springs' rank-r term
+  element by element (``ElementProduct``: chunk by chunk of ELEMENT_CHUNK
+  elements, a gather of their DOFs, DOF-major, and one GEMM with the
+  stacked templates on the left, so a chunk's operands stay in cache; then
+  one scatter whose values are the element coefficients; 78,960 entries
+  read on gripper3d against the 806,050 the assembled block would store;
+  ``ElementOperator``), plus the springs' rank-r term
   ``c D_f D_fᵀ``, added on D's free rows alone (``RankSum``). Its Jacobi
   diagonal is one ``bincount`` of the templates' diagonals, bit for bit an
   assembly's, and its norm is the lower bound ``_norm1_estimate``: Hager's
@@ -113,6 +115,11 @@ COARSEST_DOFS = 500
 NORM_STEPS = 5
 # Places taken at once by ``_take``.
 TAKE_CHUNK = 1 << 16
+# Elements an ``ElementProduct`` gathers and multiplies at once, a multiple
+# of 8, so that a chunk's gather, GEMM operands and products stay in cache:
+# 576 to 1728 took about equal time on gripper3d's elastic block, and the
+# whole grid in one chunk longer.
+ELEMENT_CHUNK = 1152
 # Rows ``_norm1`` sums at once, which bounds its |data| temporary to those
 # rows' entries instead of the whole block's (177,160 on pneunet2d).
 NORM_ROWS = 1024
@@ -406,29 +413,48 @@ class ElementProduct:
     (``templates`` K_k, t x m x m) element by element (Schmidt & Schulz 2011,
     "A matrix-free multigrid CG", Comput. Vis. Sci. 14:249), built once per
     reduction from ``edof``: each element's free DOFs, ``n`` for a fixed one,
-    which reads zero. A product is one ``np.take`` of every element's entries
-    into a preallocated (nelem x m) buffer, one GEMM with ``[K_1ᵀ .. K_tᵀ]``,
-    and one sparse scatter of the (nelem x t·m) results onto the n free DOFs
-    whose values are the coefficients, so it reads the entries it gathers,
-    not the ones an assembled block would store. The scatter's pattern and
-    the place in c of each of its values (``coef_index``) are built here, its
-    values by ``bind``; the templates' diagonals, for ``diagonal``, too."""
+    which reads zero. A product runs over chunks of ELEMENT_CHUNK elements:
+    each chunk's DOFs, held as a C-contiguous intp (m x k) ``blocks`` entry,
+    are gathered DOF-major into one reused (m x k) buffer and multiplied as
+    ``[K_1; ..; K_t] G`` (t·m x m times m x k) into the chunk's slice of
+    ``products``; one sparse scatter onto the n free DOFs, whose values are
+    the coefficients, then sums every chunk's results. So it reads the
+    entries it gathers, not the ones an assembled block would store. The last
+    chunk is padded to a multiple of 8 columns with DOF ``n``: OpenBLAS
+    rounds a GEMM of k ≡ 1-4 (mod 8) columns differently, and the padded
+    columns are never scattered. The scatter's pattern, its rows in element
+    order as an assembly sums them, and the place in c of each of its values
+    (``coef_index``) are built here, its values by ``bind``; the templates'
+    diagonals, for ``diagonal``, too."""
 
     def __init__(self, templates, edof, n: int):
         t, m, _ = templates.shape
         nelem = edof.shape[0]
-        self.edof, self.n = edof.astype(np.intp), n  # np.take casts int32 places per call
-        self.templates = np.concatenate(np.swapaxes(templates, 1, 2), axis=1)
+        self.edof, self.n = edof, n
+        self.templates = np.ascontiguousarray(templates.reshape(t * m, m))
         self.diagonals = np.diagonal(templates, axis1=1, axis2=2)
         rows = np.broadcast_to(edof[:, None, :], (nelem, t, m)).ravel()
         kept = np.flatnonzero(rows < n)
         order = kept[np.argsort(rows[kept], kind="stable")]  # by row, columns ascending
-        self.indices = order.astype(np.int32)
+        elem, place = order // (t * m), order % (t * m)
+        # columns padded to a multiple of 8 in the last chunk, ELEMENT_CHUNK before it
+        starts = np.arange(0, nelem, ELEMENT_CHUNK)
+        widths = np.minimum(ELEMENT_CHUNK, -(-(nelem - starts) // 8) * 8)
+        first = elem - elem % ELEMENT_CHUNK  # each entry's chunk's first element
+        width = np.take(widths, elem // ELEMENT_CHUNK)
+        self.indices = (first * (t * m) + place * width + elem - first).astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows[kept], minlength=n), out=self.indptr[1:])
-        self.coef_index = ((order // m % t) * nelem + order // (t * m)).astype(np.int32)
+        self.coef_index = ((place // m) * nelem + elem).astype(np.int32)
         self.padded = np.zeros(n + 1)
-        self.gathered, self.products = np.empty((nelem, m)), np.empty((nelem, t * m))
+        self.gathered = np.empty(m * widths[0])
+        self.products = np.empty(t * m * (starts[-1] + widths[-1]))
+        self.blocks = []  # (DOFs, gather buffer, products), chunk by chunk
+        for start, k in zip(starts, widths):
+            dofs = np.full((k, m), n, dtype=np.intp)
+            dofs[:min(k, nelem - start)] = edof[start:start + k]
+            self.blocks.append((np.ascontiguousarray(dofs.T), self.gathered[:m * k].reshape(m, k),
+                                self.products[start * t * m:(start + k) * t * m].reshape(t * m, k)))
 
     def bind(self, coef) -> "ElementOperator":
         """The block of the coefficients ``coef`` (template-major, as the
@@ -451,8 +477,9 @@ class ElementProduct:
 
 class ElementOperator:
     """``q = A p`` (``@``) for one design's free block through the
-    ``ElementProduct`` ``block``, whose buffers it shares: the element sum by
-    ``scatter``. Springs are added to it by ``RankSum``."""
+    ``ElementProduct`` ``block``, whose buffers it shares: chunk by chunk, a
+    gather and a GEMM, then the element sum by ``scatter``. Springs are
+    added to it by ``RankSum``."""
 
     def __init__(self, block: ElementProduct, scatter):
         self.block, self.scatter = block, scatter
@@ -461,9 +488,10 @@ class ElementOperator:
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
         e = self.block
         e.padded[:-1] = p
-        np.take(e.padded, e.edof, out=e.gathered, mode="clip")
-        np.matmul(e.gathered, e.templates, out=e.products)
-        return self.scatter @ e.products.ravel()
+        for dofs, gathered, products in e.blocks:
+            np.take(e.padded, dofs, out=gathered, mode="clip")
+            np.matmul(e.templates, gathered, out=products)
+        return self.scatter @ e.products
 
 
 class RankSum:

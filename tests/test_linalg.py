@@ -727,6 +727,48 @@ def test_element_product_matches_the_free_block(case):
     assert _relative_gap(system.a, block) <= 1e-14
 
 
+def _element_major_product(block, templates, coef, p):
+    """``A p`` for the ``ElementProduct`` ``block`` in one piece: one (nelem x
+    m) gather of every element's free DOFs, one GEMM with the templates
+    stacked as ``[K_1ᵀ .. K_tᵀ]`` and one CSR scatter whose columns are the
+    products' places, element by element."""
+    t, m, _ = templates.shape
+    edof, n = block.edof.astype(np.intp), block.n
+    nelem = edof.shape[0]
+    products = np.take(np.append(p, 0.0), edof) @ np.concatenate(np.swapaxes(templates, 1, 2), axis=1)
+    rows = np.broadcast_to(edof[:, None, :], (nelem, t, m)).ravel()
+    kept = np.flatnonzero(rows < n)
+    order = kept[np.argsort(rows[kept], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=n))])
+    values = np.reshape(coef, (t, nelem))[order // m % t, order // (t * m)]
+    return sparse.csr_matrix((values, order, indptr), shape=(n, products.size)) @ products.ravel()
+
+
+@pytest.mark.parametrize("chunk", [16, 256])
+@pytest.mark.parametrize("n_templates", [1, 2])
+def test_chunked_element_product_is_the_element_major_product_bit_for_bit(
+        monkeypatch, chunk, n_templates):
+    # 9x5x4 has 180 elements: chunks of 16 leave a last chunk of 4, and 256
+    # takes them in one chunk of 180, both k = 4 (mod 8), which the padding
+    # to 8 columns keeps bit for bit with the GEMM over every element
+    monkeypatch.setattr(linalg, "ELEMENT_CHUNK", chunk)
+    g, op, coef, fixed, _ = _elastic_3d((9, 5, 4))
+    reduction = linalg.DirichletReduction(op, fixed, g)
+    assert reduction.levels  # the block is multiplied element by element
+    rng = np.random.default_rng(11)
+    templates = op.templates * rng.uniform(0.5, 2.0, n_templates)[:, None, None]
+    coef = rng.uniform(1e2, 1e6, n_templates * g.nelem)
+    block = linalg.ElementProduct(templates, reduction.element_product.edof, reduction.free.size)
+    widths = {16: [16] * 11 + [8], 256: [184]}[chunk]  # the last chunk padded to 8
+    assert [dofs.shape for dofs, _, _ in block.blocks] == [(24, k) for k in widths]
+    for dofs, gathered, _ in block.blocks:
+        assert dofs.dtype == np.intp and dofs.flags.c_contiguous and gathered.shape == dofs.shape
+    assert block.gathered.size == 24 * widths[0]  # one chunk, padded
+    operator = block.bind(coef)
+    for p in rng.standard_normal((3, reduction.free.size)):
+        assert np.array_equal(operator @ p, _element_major_product(block, templates, coef, p))
+
+
 def test_updated_sweep_system_multiplies_element_by_element():
     model, rho = _gripper3d_design()
     state = model.forward(rho, k_out=10.0)
