@@ -1,5 +1,6 @@
 """Structured quad/hex grids: DOF numbering, region selection, the density
-filter, and the fixed-pattern stencil operators assembly uses.
+filter, the fixed-pattern stencil operators assembly uses, and
+``ElementProduct``, the one element-by-element product of them all.
 
 Elements are uniform squares (2-D) or cubes (3-D), numbered lexicographically
 with x fastest. Each node carries one pressure DOF (equal to the node index)
@@ -31,6 +32,13 @@ TAG_PASSIVE_VOID = -1
 # Passive solid of material m carries tag m (1..3).
 
 MAX_DOFS = 2**31 - 1
+# Elements an ``ElementProduct`` gathers and multiplies at once, a multiple
+# of 8, so that a chunk's gather, GEMM operands and products stay in cache:
+# 576 to 1728 took about equal time on gripper3d's elastic block, and the
+# whole grid in one chunk longer.
+ELEMENT_CHUNK = 1152
+# Places taken at once by ``chunked_take``.
+TAKE_CHUNK = 1 << 16
 
 BOX_TOL_FACTOR = 1e-6
 
@@ -182,6 +190,7 @@ class Grid:
         # the stencil and node patterns the model's operators share; None
         # once released
         self._patterns = {}
+        self._element_maps = {}  # by DOFs per node, kept
 
     @cached_property
     def boundary_faces(self):
@@ -250,6 +259,14 @@ class Grid:
         row_start = np.take(indptr, node_dofs(self.conn, row_comps))
         slot = row_start[:, :, :, None] + corner_rank[:, :, None, :]
         return indptr, indices, slot
+
+    def element_map(self, comps: int) -> "ElementMap":
+        """The ``ElementMap`` of ``conn`` (``comps`` 1) or ``edof_u`` that every
+        operator's element product shares; built at its first use."""
+        if comps not in self._element_maps:
+            dofs = self.conn if comps == 1 else self.edof_u
+            self._element_maps[comps] = ElementMap(dofs, comps * self.nnodes)
+        return self._element_maps[comps]
 
     def release_patterns(self):
         """Drop the stencil and node patterns once the model's operators are
@@ -344,7 +361,7 @@ def pattern_slots(indptr, indices, rows, cols) -> np.ndarray:
     in any order) of the entries ``(rows, cols)``; ``ValueError`` if one is
     not in the pattern."""
     start, length = indptr[rows], np.diff(indptr)[rows]
-    offsets = np.arange(length.max(initial=0))
+    offsets = np.arange(length.max(initial=1))  # one, for no entries at all
     window = np.minimum(start[:, None] + offsets, indices.size - 1)
     hit = (indices[window] == np.asarray(cols)[:, None]) & (offsets < length[:, None])
     missing = np.count_nonzero(~hit.any(axis=1))
@@ -388,9 +405,9 @@ class StencilOperator:
     modified). The three are built with the operator or, for a
     ``matrix_free`` one (``grid.matrix_free``: the 3-D stiffness and T), at
     their first use: a multigrid solve multiplies such an operator element
-    by element (see ``linalg.DirichletReduction``), and so does the model
-    with T and Tᵀ (``product``, through an ``ElementSum``), so only a band
-    solve or an assembly builds them.
+    by element (see ``linalg.DirichletReduction``), and so does an
+    ``ElementSum`` (K u, T p and Tᵀ y) through the operator's ``kernel``,
+    so only a band solve or an assembly builds them.
     """
 
     def __init__(self, grid: Grid, templates, row_comps: int = 1, col_comps: int = 1,
@@ -400,7 +417,7 @@ class StencilOperator:
             -1, grid.nen * row_comps, grid.nen * col_comps)
         self.shape = (row_comps * grid.nnodes, col_comps * grid.nnodes)
         self._pattern = None if matrix_free else self._build()
-        self._buffers = None  # product's, built at its first call
+        self._kernels = {}  # by transpose, built at their first use
 
     def _build(self):
         grid, templates, nelem = self.grid, self.templates, self.grid.nelem
@@ -436,15 +453,12 @@ class StencilOperator:
     indices = property(lambda self: self.pattern[1])
     scatter = property(lambda self: self.pattern[2])
 
-    def _dofs(self, comps: int) -> np.ndarray:
-        return self.grid.conn if comps == 1 else self.grid.edof_u
-
     @property
     def edof(self) -> np.ndarray:
         """Each element's column DOFs, in the templates' local order:
         ``grid.conn`` for one DOF per node, ``edof_u`` for ``dim``; a square
         operator's row DOFs too."""
-        return self._dofs(self.comps[1])
+        return self.grid.conn if self.comps[1] == 1 else self.grid.edof_u
 
     def assemble(self, coef: np.ndarray) -> sparse.csr_matrix:
         """The operator of ``coef``, assembled on the pattern."""
@@ -452,45 +466,29 @@ class StencilOperator:
             (self.scatter @ coef, self.indices, self.indptr), shape=self.shape
         )
 
-    def product(self, coef: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``A x``, or ``Aᵀ x`` if ``transpose``, for the operator A of
-        ``coef``, element by element, with no pattern: every element's
-        entries of ``x`` at its column DOFs (its row DOFs for ``Aᵀ``), one
-        product with each template, and one weighted ``bincount`` onto its
-        row DOFs (column DOFs). The gathered entries and the products are
-        written to two buffers the operator keeps, one shaped as the
-        elements' row DOFs and one as their column DOFs, which the two
-        directions swap, so a one-template product allocates no
-        element-sized temporary."""
-        rows, cols = (self._dofs(c) for c in self.comps)
-        if self._buffers is None:
-            self._buffers = np.empty(rows.shape), np.empty(cols.shape)
-        at_rows, at_cols = self._buffers
-        templates = np.swapaxes(self.templates, 1, 2)  # x_e @ K_tᵀ = (K_t x_e)ᵀ
-        if transpose:
-            rows, cols, at_rows, at_cols, templates = cols, rows, at_cols, at_rows, self.templates
-        np.take(x, cols, out=at_cols, mode="clip")  # "raise" would copy through a buffer
-        coef = np.reshape(coef, (len(templates), -1))
-        np.matmul(at_cols, templates[0], out=at_rows)
-        at_rows *= coef[0][:, None]
-        for c, k in zip(coef[1:], templates[1:]):
-            at_rows += c[:, None] * (at_cols @ k)
-        return np.bincount(rows.ravel(), weights=at_rows.ravel(),
-                           minlength=self.shape[1 if transpose else 0])
+    def kernel(self, transpose: bool = False) -> "ElementProduct":
+        """The ``ElementProduct`` of the operator, or of its transpose (the
+        templates transposed, the maps swapped), on the grid's shared
+        ``element_map``s; built at its first use."""
+        if transpose not in self._kernels:
+            rows, cols = (self.grid.element_map(c) for c in self.comps[::-1 if transpose else 1])
+            templates = np.swapaxes(self.templates, 1, 2) if transpose else self.templates
+            self._kernels[transpose] = ElementProduct(templates, rows, cols)
+        return self._kernels[transpose]
 
 
 class ElementSum:
     """The operator of ``op`` (a ``StencilOperator``) for the coefficients
     ``coef``, or its transpose if ``transpose``, not assembled: ``@``
-    multiplies element by element, ``T`` is the transposed element sum, and
-    ``assemble`` forms the CSR."""
+    multiplies element by element through ``op``'s kernel, ``T`` is the
+    transposed element sum, and ``assemble`` forms the CSR."""
 
     def __init__(self, op: StencilOperator, coef: np.ndarray, transpose: bool = False):
         self.op, self.coef, self.transpose = op, coef, transpose
         self.shape = op.shape[::-1] if transpose else op.shape
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.op.product(self.coef, x, self.transpose)
+        return self.op.kernel(self.transpose).bind(self.coef) @ x
 
     @property
     def T(self) -> "ElementSum":
@@ -499,6 +497,112 @@ class ElementSum:
     def assemble(self) -> sparse.csr_matrix:
         a = self.op.assemble(self.coef)
         return a.T.tocsr() if self.transpose else a
+
+
+class ElementMap:
+    """Every element's DOFs ``dofs`` (nelem x m, the templates' local order)
+    among ``n``, which ``ElementProduct``s of ``t`` templates gather from and
+    scatter onto; DOF ``n`` stands for a fixed one, which reads zero and
+    takes no sum. Held, without ``dofs``: each chunk of ELEMENT_CHUNK
+    elements as a C-contiguous intp (m x k) ``blocks`` entry, the last padded
+    to a multiple of 8 columns with ``n``; the scatter's CSR pattern, each
+    DOF's places in the chunk-major ``products`` (t·m x k a chunk), by
+    element, then template, as an assembly sums them; and the buffers every
+    product through it shares (``padded`` with a zero at ``n``, ``gathered``
+    and ``products``)."""
+
+    def __init__(self, dofs: np.ndarray, n: int, t: int = 1):
+        nelem, m = dofs.shape
+        self.n, self.nelem, self.blocks = n, nelem, []
+        slots = np.empty((nelem, t * m), dtype=np.int32)  # each entry's place in the products
+        for start in range(0, nelem, ELEMENT_CHUNK):
+            j = min(ELEMENT_CHUNK, nelem - start)
+            k = min(ELEMENT_CHUNK, -(-j // 8) * 8)
+            self.blocks.append(np.full((m, k), n, dtype=np.intp))
+            self.blocks[-1][:, :j] = dofs[start:start + j].T
+            slots[start:start + j] = start * t * m + k * np.arange(t * m) + np.arange(j)[:, None]
+        self.padded, self.gathered = np.zeros(n + 1), np.empty(m * self.blocks[0].shape[1])
+        self.products = np.empty(t * m * (start + k))
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(t * np.bincount(dofs.ravel(), minlength=n + 1)[:n], out=self.indptr[1:])
+        # by DOF, then element and template; the fixed DOF n sorts last
+        order = np.argsort(np.repeat(dofs, t, axis=0), axis=None, kind="stable")
+        self.indices = np.take(slots, order[:self.indptr[-1]])
+
+
+class ElementProduct:
+    """The product with ``Σ_k Σ_e c[k, e] R_eᵀ K_k C_e`` (``templates`` K_k,
+    t x m x m') element by element (Schmidt & Schulz 2011, "A matrix-free
+    multigrid CG", Comput. Vis. Sci. 14:249), from the ``ElementMap``
+    ``cols`` (C_e) onto the ``ElementMap`` ``rows`` (R_e, built for t
+    templates): the package's one element-by-element product. Chunk by
+    chunk, the column DOFs are gathered DOF-major and multiplied as ``[K_1;
+    ..; K_t] G`` (t·m x m' times m' x k) into the chunk's ``products``, so
+    its operands stay in cache; one CSR scatter, whose values are the
+    coefficients (``bind``), then sums them onto the rows' DOFs. The last
+    chunk is padded because OpenBLAS rounds a GEMM of k ≡ 1-4 (mod 8)
+    columns differently; its padding is never scattered."""
+
+    def __init__(self, templates, rows: ElementMap, cols: ElementMap):
+        t, m, m_cols = templates.shape
+        self.rows, self.cols, self.products = rows, cols, rows.products
+        self.templates = np.ascontiguousarray(np.reshape(templates, (t * m, m_cols)))
+        self.diagonals = np.diagonal(templates, axis1=1, axis2=2).ravel()
+        ends = np.cumsum([t * m * dofs.shape[1] for dofs in cols.blocks])[:-1]
+        self.blocks = [(dofs, cols.gathered[:dofs.size].reshape(dofs.shape), part.reshape(t * m, -1))
+                       for dofs, part in zip(cols.blocks, np.split(self.products, ends))]
+
+    def bind(self, coef) -> "ElementOperator":
+        """The operator of the coefficients ``coef`` (template-major, as the
+        ``StencilOperator``'s): each is written to its products' places and
+        the scatter's values read from there, so no index of them is kept."""
+        coef, start = np.reshape(coef, (-1, self.rows.nelem)), 0
+        for _, _, products in self.blocks:
+            part = coef[:, start:start + products.shape[1]]
+            products.reshape(len(coef), -1, products.shape[1])[:, :, :part.shape[1]] = part[:, None]
+            start += products.shape[1]
+        data = chunked_take(self.products, self.rows.indices)
+        scatter = sparse.csr_matrix((data, self.rows.indices, self.rows.indptr),
+                                    shape=(self.rows.n, self.products.size))
+        return ElementOperator(self, scatter)
+
+    def diagonal(self, coef) -> np.ndarray:
+        """The diagonal of the (square) operator of ``coef``: ``c[k, e]
+        diag(K_k)`` summed by the scatter itself, bit for bit an assembled
+        diagonal for one template."""
+        scatter = self.bind(coef).scatter
+        for _, _, products in self.blocks:
+            products[...] = self.diagonals[:, None]
+        return scatter @ self.products
+
+
+class ElementOperator:
+    """``q = A p`` (``@``) for one coefficient field through the
+    ``ElementProduct`` ``block``, whose buffers it shares: chunk by chunk, a
+    gather and a GEMM, then the element sum by ``scatter``."""
+
+    def __init__(self, block: ElementProduct, scatter):
+        self.block, self.scatter = block, scatter
+        self.shape = (block.rows.n, block.cols.n)
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        e = self.block
+        e.cols.padded[:-1] = p
+        for dofs, gathered, products in e.blocks:
+            np.take(e.cols.padded, dofs, out=gathered, mode="clip")
+            np.matmul(e.templates, gathered, out=products)
+        return self.scatter @ e.products
+
+
+def chunked_take(data: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """``data[places]``, for ``places`` in range, by ``np.take`` in chunks:
+    it casts int32 places to intp first, and a chunk bounds that copy (6.4 MB
+    at once for the gripper3d elastic block)."""
+    out = np.empty(places.size)
+    for start in range(0, places.size, TAKE_CHUNK):
+        part = slice(start, start + TAKE_CHUNK)
+        np.take(data, places[part], out=out[part], mode="clip")
+    return out
 
 
 def filter_matrix(grid: Grid, r_min: float) -> sparse.csr_matrix:

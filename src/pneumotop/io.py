@@ -61,7 +61,7 @@ def save_design(path, grid_spec: GridSpec, rho_bar: np.ndarray, note: str = ""):
         "field": "physical",
         "channels": ["topology", "material2", "material3"],
         "note": note,
-        "data": [list(map(float, row)) for row in rho_bar],
+        "data": rho_bar.tolist(),  # Python floats, as json formats them
     }
     atomic_write_text(Path(path), json.dumps(doc))
 
@@ -161,14 +161,12 @@ def export_vtk(path, grid: Grid, cell_data: dict | None = None,
             if arr.ndim == 1:
                 lines.append(f"SCALARS {name} double")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(repr(float(v)) for v in arr)
+                lines.extend(map(repr, arr.astype(float).tolist()))
             else:
                 vec = np.zeros((arr.shape[0], 3))
                 vec[:, : arr.shape[1]] = arr
                 lines.append(f"VECTORS {name} double")
-                lines.extend(
-                    f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in vec
-                )
+                lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in vec.tolist())
     if cell_data:
         lines.append(f"CELL_DATA {grid.nelem}")
         for name, arr in cell_data.items():
@@ -176,11 +174,11 @@ def export_vtk(path, grid: Grid, cell_data: dict | None = None,
             if np.issubdtype(arr.dtype, np.integer):
                 lines.append(f"SCALARS {name} int")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(str(int(v)) for v in arr)
+                lines.extend(map(str, arr.tolist()))
             else:
                 lines.append(f"SCALARS {name} double")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(repr(float(v)) for v in arr)
+                lines.extend(map(repr, arr.astype(float).tolist()))
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

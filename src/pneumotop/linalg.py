@@ -58,18 +58,16 @@ and solves through one of three inverse operators:
   never assembled (Schmidt & Schulz 2011, "A matrix-free multigrid CG",
   Comput. Vis. Sci. 14:249; Aage et al. 2017, Nature 550:84): CG, the
   finest level's residuals and the contract's residuals multiply by it
-  element by element (``ElementProduct``: chunk by chunk of ELEMENT_CHUNK
-  elements, a gather of their DOFs, DOF-major, and one GEMM with the
-  stacked templates on the left, so a chunk's operands stay in cache; then
-  one scatter whose values are the element coefficients; 78,960 entries
-  read on gripper3d against the 806,050 the assembled block would store;
-  ``ElementOperator``), plus the springs' rank-r term
+  element by element through the package's one element kernel,
+  ``grid.ElementProduct``, on a map of each element's free DOFs (78,960
+  entries read on gripper3d against the 806,050 the assembled block would
+  store; ``ElementOperator``), plus the springs' rank-r term
   ``c D_f D_fᵀ``, added on D's free rows alone (``RankSum``). Its Jacobi
-  diagonal is one ``bincount`` of the templates' diagonals, bit for bit an
-  assembly's, and its norm is the lower bound ``_norm1_estimate``: Hager's
-  estimate (4 to 6 products on gripper3d designs) or the largest diagonal
-  entry, whichever is larger, 0.77 to 0.95 of the 1-norm there. A sweep
-  point reuses its base's element diagonal.
+  diagonal is the templates' diagonals through the same scatter, bit for
+  bit an assembly's, and its norm is the lower bound ``_norm1_estimate``:
+  Hager's estimate (4 to 6 products on gripper3d designs) or the largest
+  diagonal entry, whichever is larger, 0.77 to 0.95 of the 1-norm there. A
+  sweep point reuses its base's element diagonal.
 
 Every system solved here is SPD. On a 2-D grid, listing the nodes with the
 shorter axis varying fastest keeps the half-bandwidth below
@@ -89,7 +87,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import SingularSystemError, SolveError
 from .grid import (
-    CORNER_OFFSETS, Grid, GridSpec, element_pattern, lattice, node_dofs, pattern_slots,
+    CORNER_OFFSETS, ElementMap, ElementProduct, Grid, GridSpec, chunked_take, element_pattern,
+    lattice, node_dofs, pattern_slots,
 )
 
 RESIDUAL_TOL = 1e-9
@@ -113,13 +112,6 @@ COARSEST_DOFS = 500
 # Steps of Hager's estimate of a matrix-free block's 1-norm, at most, as in
 # LAPACK's dlacon.
 NORM_STEPS = 5
-# Places taken at once by ``_take``.
-TAKE_CHUNK = 1 << 16
-# Elements an ``ElementProduct`` gathers and multiplies at once, a multiple
-# of 8, so that a chunk's gather, GEMM operands and products stay in cache:
-# 576 to 1728 took about equal time on gripper3d's elastic block, and the
-# whole grid in one chunk longer.
-ELEMENT_CHUNK = 1152
 # Rows ``_norm1`` sums at once, which bounds its |data| temporary to those
 # rows' entries instead of the whole block's (177,160 on pneunet2d).
 NORM_ROWS = 1024
@@ -145,7 +137,6 @@ def _norm1(a, rows=None) -> float:
             where = True if rows is None else rows[lo:lo + NORM_ROWS]
             norm = np.maximum(norm, sums.max(initial=0.0, where=where))  # NaN stays NaN
     return float(norm)
-
 
 
 def _norm1_estimate(a, diagonal: np.ndarray) -> float:
@@ -245,7 +236,7 @@ class BandMap:
 
     def band(self, data: np.ndarray) -> np.ndarray:
         flat = np.zeros((self.width + 1) * self.n)
-        flat[self.pos] = _take(data, self.src)
+        flat[self.pos] = chunked_take(data, self.src)
         return flat.reshape(self.width + 1, self.n, order="F")
 
 
@@ -408,92 +399,6 @@ class MultigridCG:
         return MultigridCG(system, self.v_cycle)
 
 
-class ElementProduct:
-    """The product with the free block of ``Σ_k Σ_e c[k, e] G_eᵀ K_k G_e``
-    (``templates`` K_k, t x m x m) element by element (Schmidt & Schulz 2011,
-    "A matrix-free multigrid CG", Comput. Vis. Sci. 14:249), built once per
-    reduction from ``edof``: each element's free DOFs, ``n`` for a fixed one,
-    which reads zero. A product runs over chunks of ELEMENT_CHUNK elements:
-    each chunk's DOFs, held as a C-contiguous intp (m x k) ``blocks`` entry,
-    are gathered DOF-major into one reused (m x k) buffer and multiplied as
-    ``[K_1; ..; K_t] G`` (t·m x m times m x k) into the chunk's slice of
-    ``products``; one sparse scatter onto the n free DOFs, whose values are
-    the coefficients, then sums every chunk's results. So it reads the
-    entries it gathers, not the ones an assembled block would store. The last
-    chunk is padded to a multiple of 8 columns with DOF ``n``: OpenBLAS
-    rounds a GEMM of k ≡ 1-4 (mod 8) columns differently, and the padded
-    columns are never scattered. The scatter's pattern, its rows in element
-    order as an assembly sums them, and the place in c of each of its values
-    (``coef_index``) are built here, its values by ``bind``; the templates'
-    diagonals, for ``diagonal``, too."""
-
-    def __init__(self, templates, edof, n: int):
-        t, m, _ = templates.shape
-        nelem = edof.shape[0]
-        self.edof, self.n = edof, n
-        self.templates = np.ascontiguousarray(templates.reshape(t * m, m))
-        self.diagonals = np.diagonal(templates, axis1=1, axis2=2)
-        rows = np.broadcast_to(edof[:, None, :], (nelem, t, m)).ravel()
-        kept = np.flatnonzero(rows < n)
-        order = kept[np.argsort(rows[kept], kind="stable")]  # by row, columns ascending
-        elem, place = order // (t * m), order % (t * m)
-        # columns padded to a multiple of 8 in the last chunk, ELEMENT_CHUNK before it
-        starts = np.arange(0, nelem, ELEMENT_CHUNK)
-        widths = np.minimum(ELEMENT_CHUNK, -(-(nelem - starts) // 8) * 8)
-        first = elem - elem % ELEMENT_CHUNK  # each entry's chunk's first element
-        width = np.take(widths, elem // ELEMENT_CHUNK)
-        self.indices = (first * (t * m) + place * width + elem - first).astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows[kept], minlength=n), out=self.indptr[1:])
-        self.coef_index = ((place // m) * nelem + elem).astype(np.int32)
-        self.padded = np.zeros(n + 1)
-        self.gathered = np.empty(m * widths[0])
-        self.products = np.empty(t * m * (starts[-1] + widths[-1]))
-        self.blocks = []  # (DOFs, gather buffer, products), chunk by chunk
-        for start, k in zip(starts, widths):
-            dofs = np.full((k, m), n, dtype=np.intp)
-            dofs[:min(k, nelem - start)] = edof[start:start + k]
-            self.blocks.append((np.ascontiguousarray(dofs.T), self.gathered[:m * k].reshape(m, k),
-                                self.products[start * t * m:(start + k) * t * m].reshape(t * m, k)))
-
-    def bind(self, coef) -> "ElementOperator":
-        """The block of the coefficients ``coef`` (template-major, as the
-        operator's)."""
-        scatter = sparse.csr_matrix((_take(coef, self.coef_index), self.indices, self.indptr),
-                                    shape=(self.n, self.products.size))
-        return ElementOperator(self, scatter)
-
-    def diagonal(self, coef) -> np.ndarray:
-        """The diagonal of the block of the coefficients ``coef``: one
-        ``bincount`` of ``c[k, e] diag(K_k)`` over every element's free DOFs,
-        template-major and element by element, the order in which an
-        assembly's scatter sums them, so it equals an assembled block's
-        diagonal bit for bit."""
-        t, (nelem, m) = len(self.diagonals), self.edof.shape
-        weights = np.reshape(coef, (t, nelem))[:, :, None] * self.diagonals[:, None, :]
-        rows = np.broadcast_to(self.edof, (t, nelem, m))
-        return np.bincount(rows.ravel(), weights=weights.ravel(), minlength=self.n + 1)[:-1]
-
-
-class ElementOperator:
-    """``q = A p`` (``@``) for one design's free block through the
-    ``ElementProduct`` ``block``, whose buffers it shares: chunk by chunk, a
-    gather and a GEMM, then the element sum by ``scatter``. Springs are
-    added to it by ``RankSum``."""
-
-    def __init__(self, block: ElementProduct, scatter):
-        self.block, self.scatter = block, scatter
-        self.shape = (block.n, block.n)
-
-    def __matmul__(self, p: np.ndarray) -> np.ndarray:
-        e = self.block
-        e.padded[:-1] = p
-        for dofs, gathered, products in e.blocks:
-            np.take(e.padded, dofs, out=gathered, mode="clip")
-            np.matmul(e.templates, gathered, out=products)
-        return self.scatter @ e.products
-
-
 class RankSum:
     """``q = A p`` (``@``) for ``A = base + Σ c D Dᵀ``, ``base`` anything
     with ``@`` and ``shape`` (a gathered CSR or an ``ElementOperator``), held
@@ -578,8 +483,8 @@ class DirichletReduction:
         to_free = np.full(n + 1, self.free.size, dtype=np.int32)  # n: a fixed DOF
         to_free[self.free] = np.arange(self.free.size, dtype=np.int32)
         if self.levels and op.matrix_free:
-            edof_free = np.take(to_free, op.edof)
-            self.element_product = ElementProduct(op.templates, edof_free, self.free.size)
+            free_map = ElementMap(np.take(to_free, op.edof), self.free.size, len(op.templates))
+            self.element_product = ElementProduct(op.templates, free_map, free_map)
         else:
             self.gather, self.indices, self.indptr = _block(op.indptr, op.indices, self.free, n)
             self.indices.flags.writeable = self.indptr.flags.writeable = False
@@ -649,7 +554,7 @@ class DirichletReduction:
         if base is not None:
             block, basis = base[0].a, base[0].basis
         elif gathered:
-            data = _take(a.data, self.gather)
+            data = chunked_take(a.data, self.gather)
             if rank != 0.0:  # NaN too, which the 1-norm reports
                 places, unit = self.spring_entries
                 data[places] += rank * unit
@@ -662,7 +567,7 @@ class DirichletReduction:
             norm = basis
             if self.springs is not None:  # the base's data, and the point's springs
                 norm = np.maximum(basis, self._spring_rows_norm(block.data, rank))
-            diagonal = _take(block.data, self.diagonal) if self.levels and base is None else None
+            diagonal = chunked_take(block.data, self.diagonal) if self.levels and base is None else None
         if rank != 0.0:  # NaN too, which the norm reports
             block = RankSum.plus(block, rank / self.springs.shape[1], self.spring_term)
         if not gathered:
@@ -769,17 +674,6 @@ def _block(indptr, indices, rows, n: int):
     cols = np.take(new, np.take(indices, entries))
     kept = np.flatnonzero(cols >= 0)
     return np.take(entries, kept), np.take(cols, kept), np.searchsorted(kept, ends).astype(np.int32)
-
-
-def _take(data: np.ndarray, places: np.ndarray) -> np.ndarray:
-    """``data[places]``, for ``places`` in range, by ``np.take`` in chunks:
-    it casts int32 places to intp first, and a chunk bounds that copy (6.4 MB
-    at once for the gripper3d elastic block)."""
-    out = np.empty(places.size)
-    for start in range(0, places.size, TAKE_CHUNK):
-        part = slice(start, start + TAKE_CHUNK)
-        np.take(data, places[part], out=out[part], mode="clip")
-    return out
 
 
 def _same_array(x: np.ndarray, ref: np.ndarray) -> bool:

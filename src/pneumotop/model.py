@@ -113,6 +113,9 @@ class Model:
         self.output_op = elasticity.output_operator(self.grid, self.output_sel)
         n_out = self.output_op.shape[1]
         self.l_out = (self.output_op @ np.ones(n_out)) / n_out
+        if np.isin(np.flatnonzero(self.l_out), self.fixed_u_dofs).all():
+            raise ConfigError(f"region '{self.output_sel.region.label}': every output DOF is "
+                              "held by a support, so u_out is zero for every design")
         self.spring_unit = (1.0 / n_out) * (self.output_op @ self.output_op.T)
 
         self.mask = self._build_mask(spec)

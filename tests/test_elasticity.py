@@ -12,12 +12,13 @@ from pneumotop.darcy import coupling_matrix
 from pneumotop.elasticity import ElasticAssembler, metrics, output_operator
 from pneumotop.errors import ConfigError
 from pneumotop.grid import (
-    BoundaryRegion, Grid, GridSpec, pattern_slots, select_region,
+    BoundaryRegion, ElementOperator, Grid, GridSpec, element_pattern, pattern_slots,
+    select_region,
 )
 from pneumotop.model import Model
 
 from solves import elastic_solve
-from tinyproblem import tiny_problem_dict
+from tinyproblem import block_problem_dict, tiny_problem_dict
 
 
 def _cantilever(nx=8, ny=4, h=1.0):
@@ -219,6 +220,31 @@ def test_free_rotation_of_a_fixture_is_config_error(tmp_path):
     prob.write_text(json.dumps(raw))
     argv = ["optimize", str(prob), "--max-iters", "1", "--out-dir", str(tmp_path / "o")]
     assert cli.main(argv) == 3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_output_region_on_the_supports_is_config_error(tmp_path, dim, capsys):
+    # every output DOF clamped: u_out is zero for any design, so Model()
+    # rejects the problem (exit 3) before a solve or the springs' map
+    if dim == 2:
+        raw = tiny_problem_dict()
+        box = [[0, 0.002], [0, 0.004]]
+    else:
+        raw = block_problem_dict((8, 4, 3))
+        box = [[0, 0.001, 0.001], [0, 0.003, 0.003]]
+    (output,) = [r for r in raw["regions"] if r["role"] == "output"]
+    output["box_m"], output["name"] = box, "tip"
+    prob = tmp_path / "clamped_output.json"
+    prob.write_text(json.dumps(raw))
+    argv = ["optimize", str(prob), "--out-dir", str(tmp_path / "o"), "--max-iters", "2"]
+    assert cli.main(argv) == 3
+    assert "region 'tip': every output DOF is held by a support" in capsys.readouterr().err
+
+
+def test_pattern_slots_of_no_entries_is_empty():
+    g = Grid(GridSpec(2, (2, 2), 1.0))
+    indptr, indices, _ = element_pattern(g)
+    assert pattern_slots(indptr, indices, [], []).size == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -527,4 +553,4 @@ def test_zero_spring_stiffness_solves_without_springs(name, tiny_spec):
     assert np.array_equal(*data)
     assert state.metrics.W == 0.0 and state.metrics.SE > 0.0
     if name == "gripper3d":  # the element sum alone, with no rank term
-        assert isinstance(state.disp.system.lu.product, linalg.ElementOperator)
+        assert isinstance(state.disp.system.lu.product, ElementOperator)

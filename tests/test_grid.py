@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from pneumotop import grid as grid_mod
 from pneumotop import problem, shapefn
 from pneumotop.darcy import FlowAssembler, coupling_matrix
 from pneumotop.elasticity import ElasticAssembler
@@ -14,6 +15,8 @@ from pneumotop.errors import ConfigError
 from pneumotop.grid import (
     CORNER_OFFSETS,
     BoundaryRegion,
+    ElementMap,
+    ElementProduct,
     ElementSum,
     Grid,
     GridSpec,
@@ -341,3 +344,77 @@ def test_stencil_slots_locate_entries():
     pick = np.random.default_rng(0).choice(coo.nnz, 50, replace=False)
     slots = pattern_slots(op.indptr, op.indices, coo.row[pick], coo.col[pick])
     assert np.array_equal(k.data[slots], coo.data[pick])
+
+
+def _bincount_product(op, coef, x, transpose=False):
+    """``A x``, or ``Aᵀ x``, for the ``StencilOperator`` ``op`` of one
+    template and the coefficients ``coef``, in one piece, element-major:
+    every element's entries of ``x`` at its column DOFs (row DOFs for
+    ``Aᵀ``), one GEMM with the template, and one weighted ``bincount``
+    onto its row DOFs (column DOFs)."""
+    rows, cols = (op.grid.conn if c == 1 else op.grid.edof_u for c in op.comps)
+    template = op.templates[0].T  # x_e @ Kᵀ = (K x_e)ᵀ
+    if transpose:
+        rows, cols, template = cols, rows, op.templates[0]
+    products = np.take(x, cols) @ template
+    products *= coef[:, None]
+    return np.bincount(rows.ravel(), weights=products.ravel(),
+                       minlength=op.shape[1 if transpose else 0])
+
+
+def _bincount_diagonal(op, coef, edof, n):
+    """The diagonal of the operator of ``coef`` on the DOFs ``edof`` (``n``
+    for a fixed one): one ``bincount`` of ``c_e diag(K)``."""
+    weights = coef[:, None] * np.diagonal(op.templates[0])
+    return np.bincount(edof.ravel(), weights=weights.ravel(), minlength=n + 1)[:-1]
+
+
+# (grid, ELEMENT_CHUNK): 81, 18, 99 and 180 elements leave a last chunk of
+# k = 1, 2, 3 and 4 (mod 8) columns, padded; 72 fill one chunk
+@pytest.mark.parametrize("nel, chunk", [((9, 3, 3), 16), ((3, 3, 2), 8), ((11, 3, 3), 16),
+                                        ((9, 5, 4), 16), ((6, 4, 3), None)])
+def test_element_products_are_the_bincount_products_bit_for_bit(monkeypatch, nel, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(grid_mod, "ELEMENT_CHUNK", chunk)
+    g = Grid(GridSpec(3, nel, 1e-3))
+    rng = np.random.default_rng(g.nelem)
+    k = StencilOperator(g, shapefn.stiffness_matrix(3, g.h, 0.3), 3, 3, matrix_free=True)
+    t = coupling_matrix(g)
+    e, u = rng.uniform(1e2, 1e8, g.nelem), rng.standard_normal(g.n_disp_dofs)
+    p, y = rng.standard_normal(g.nnodes), rng.standard_normal(g.n_disp_dofs)
+    assert np.array_equal(ElementSum(k, e) @ u, _bincount_product(k, e, u))
+    assert np.array_equal(t @ p, _bincount_product(t.op, t.coef, p))
+    assert np.array_equal(t.T @ y, _bincount_product(t.op, t.coef, y, transpose=True))
+    diagonal = _bincount_diagonal(k, e, g.edof_u, g.n_disp_dofs)
+    assert np.array_equal(k.kernel().diagonal(e), diagonal)
+    # a map of the free DOFs, x = 0 clamped: the fixed ones read zero
+    free = np.flatnonzero(np.repeat(g.coords[:, 0] > 0.0, 3))
+    to_free = np.full(g.n_disp_dofs + 1, free.size)
+    to_free[free] = np.arange(free.size)
+    edof = to_free[g.edof_u]
+    free_map = ElementMap(edof, free.size)
+    block = ElementProduct(k.templates, free_map, free_map)
+    assert np.array_equal(block.diagonal(e), diagonal[free])
+    x = np.zeros(g.n_disp_dofs)
+    x[free] = u[free]
+    assert np.array_equal(block.bind(e) @ u[free], _bincount_product(k, e, x)[free])
+    # K u and T p share the rows' products, K u and Tᵀ y the gather map
+    assert k.kernel().products is t.op.kernel().products
+    assert k.kernel().cols is t.op.kernel(transpose=True).cols
+    widths = [min(chunk or g.nelem, g.nelem - s) for s in range(0, g.nelem, chunk or g.nelem)]
+    widths[-1] = -(-widths[-1] // 8) * 8
+    assert [dofs.shape[1] for dofs in g.element_map(1).blocks] == widths
+
+
+def test_stencil_operators_hold_no_product_buffers():
+    # T and Tᵀ multiply through kernels whose buffers the grid's shared
+    # element maps hold, built at their first use
+    g = Grid(GridSpec(3, (4, 3, 3), 1e-3))
+    t = coupling_matrix(g)
+    assert t.op._kernels == {}
+    t @ np.ones(g.nnodes), t.T @ np.ones(g.n_disp_dofs)
+    held = [name for name, value in vars(t.op).items() if isinstance(value, np.ndarray)]
+    assert held == ["templates"] and not hasattr(t.op, "product")
+    forward, transpose = t.op.kernel(), t.op.kernel(transpose=True)
+    assert forward.products is g.element_map(3).products
+    assert transpose.products is g.element_map(1).products

@@ -8,12 +8,12 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from pneumotop import adjoint, darcy, elasticity, linalg, optimizer, problem, runner, shapefn
+from pneumotop import adjoint, darcy, elasticity, grid, linalg, optimizer, problem, runner, shapefn
 from pneumotop import fixtures as fixture_lib
 from pneumotop.adjoint import ObjectiveSpec
 from pneumotop.elasticity import ElasticAssembler
 from pneumotop.errors import SingularSystemError, SolveError
-from pneumotop.grid import ElementSum, Grid, GridSpec, StencilOperator
+from pneumotop.grid import ElementOperator, ElementProduct, ElementSum, Grid, GridSpec, StencilOperator
 from pneumotop.materials import interpolate_modulus
 from pneumotop.model import Model
 
@@ -715,25 +715,32 @@ def test_element_product_matches_the_free_block(case):
         state = model.forward(rho)
         system, block = state.disp.system, _spring_loaded_block(model, state, state.k_out)
         assert model.output_sel.region.k_out > 0 and len(system.lu.product.terms) == 1
-        assert isinstance(system.a.base, linalg.ElementOperator)
+        assert isinstance(system.a.base, ElementOperator)
     else:
         g, op, coef, fixed, f = _elastic_3d((8, 4, 4) if case == "symmetry-plane" else (9, 5, 4))
         if case == "symmetry-plane":  # the plane z = 0 fixes u_z alone
             fixed = np.union1d(fixed, 3 * np.flatnonzero(g.coords[:, 2] == 0.0) + 2)
         _, _, system = _solve_dirichlet(g, op, coef, fixed, f)
         block = _reduced(op.assemble(coef), fixed, f)[0]
-        assert isinstance(system.a, linalg.ElementOperator)  # no springs, no rank term
+        assert isinstance(system.a, ElementOperator)  # no springs, no rank term
     assert system.lu.v_cycle.matrices[0] is system.lu.product is system.a
     assert _relative_gap(system.a, block) <= 1e-14
 
 
-def _element_major_product(block, templates, coef, p):
-    """``A p`` for the ``ElementProduct`` ``block`` in one piece: one (nelem x
-    m) gather of every element's free DOFs, one GEMM with the templates
-    stacked as ``[K_1ᵀ .. K_tᵀ]`` and one CSR scatter whose columns are the
-    products' places, element by element."""
+def _free_edof(op, reduction):
+    """Each element's free DOFs in ``reduction``, the number of free DOFs
+    for a fixed one."""
+    to_free = np.full(op.shape[0] + 1, reduction.free.size)
+    to_free[reduction.free] = np.arange(reduction.free.size)
+    return to_free[op.edof]
+
+
+def _element_major_product(edof, n, templates, coef, p):
+    """``A p`` for the free DOFs ``edof`` (``n`` for a fixed one) in one
+    piece: one (nelem x m) gather of every element's free DOFs, one GEMM
+    with the templates stacked as ``[K_1ᵀ .. K_tᵀ]`` and one CSR scatter
+    whose columns are the products' places, element by element."""
     t, m, _ = templates.shape
-    edof, n = block.edof.astype(np.intp), block.n
     nelem = edof.shape[0]
     products = np.take(np.append(p, 0.0), edof) @ np.concatenate(np.swapaxes(templates, 1, 2), axis=1)
     rows = np.broadcast_to(edof[:, None, :], (nelem, t, m)).ravel()
@@ -751,22 +758,25 @@ def test_chunked_element_product_is_the_element_major_product_bit_for_bit(
     # 9x5x4 has 180 elements: chunks of 16 leave a last chunk of 4, and 256
     # takes them in one chunk of 180, both k = 4 (mod 8), which the padding
     # to 8 columns keeps bit for bit with the GEMM over every element
-    monkeypatch.setattr(linalg, "ELEMENT_CHUNK", chunk)
+    monkeypatch.setattr(grid, "ELEMENT_CHUNK", chunk)
     g, op, coef, fixed, _ = _elastic_3d((9, 5, 4))
     reduction = linalg.DirichletReduction(op, fixed, g)
     assert reduction.levels  # the block is multiplied element by element
     rng = np.random.default_rng(11)
     templates = op.templates * rng.uniform(0.5, 2.0, n_templates)[:, None, None]
     coef = rng.uniform(1e2, 1e6, n_templates * g.nelem)
-    block = linalg.ElementProduct(templates, reduction.element_product.edof, reduction.free.size)
+    edof = _free_edof(op, reduction)
+    free_map = grid.ElementMap(edof, reduction.free.size, n_templates)
+    block = ElementProduct(templates, free_map, free_map)
     widths = {16: [16] * 11 + [8], 256: [184]}[chunk]  # the last chunk padded to 8
     assert [dofs.shape for dofs, _, _ in block.blocks] == [(24, k) for k in widths]
     for dofs, gathered, _ in block.blocks:
         assert dofs.dtype == np.intp and dofs.flags.c_contiguous and gathered.shape == dofs.shape
-    assert block.gathered.size == 24 * widths[0]  # one chunk, padded
+    assert free_map.gathered.size == 24 * widths[0]  # one chunk, padded
     operator = block.bind(coef)
     for p in rng.standard_normal((3, reduction.free.size)):
-        assert np.array_equal(operator @ p, _element_major_product(block, templates, coef, p))
+        assert np.array_equal(operator @ p, _element_major_product(edof, reduction.free.size,
+                                                                   templates, coef, p))
 
 
 def test_updated_sweep_system_multiplies_element_by_element():
@@ -810,7 +820,7 @@ def test_spring_terms_are_the_sparse_rank_products_bit_for_bit(case):
     p = np.random.default_rng(5).standard_normal(reduction.free.size)
     for system, n_terms in [(forward, 1), (point, 2)]:
         assert isinstance(system.a, linalg.RankSum) and len(system.a.terms) == n_terms
-        assert isinstance(system.a.base, linalg.ElementOperator)
+        assert isinstance(system.a.base, ElementOperator)
         q = reduction.element_product.bind(coef) @ p
         for c, _, _ in system.a.terms:
             q += c * (d_f @ (d_f.T @ p))
@@ -944,13 +954,13 @@ def test_3d_sweep_takes_the_element_diagonal_once(monkeypatch):
     # every point's norm estimate reads the base's element diagonal plus k
     # times the springs' diagonal: only the base solve takes it
     model, rho = _gripper3d_design()
-    calls, real = [], linalg.ElementProduct.diagonal
+    calls, real = [], ElementProduct.diagonal
 
     def counting(self, coef):
         calls.append(1)
         return real(self, coef)
 
-    monkeypatch.setattr(linalg.ElementProduct, "diagonal", counting)
+    monkeypatch.setattr(ElementProduct, "diagonal", counting)
     assert len(model.sweep(rho, [0.1, 1.0, 10.0, 100.0])) == 4
     assert len(calls) == 1
 

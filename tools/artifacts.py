@@ -18,8 +18,9 @@ and the largest relative difference there; for a differing
 moves the numerics by roundoff so shows how far, and from where.
 
 The optimize cases cover a short and a converged finger2d run, a short
-gripper3d run, and runs whose projection is sharpened only by stalls (a
-loose ``change_tol`` and no scheduled doubling in reach). The sweep cases
+gripper3d run, one on an odd 26x13x13 grid, and runs whose projection is
+sharpened only by stalls (a loose ``change_tol`` and no scheduled doubling
+in reach). The sweep cases
 are the default spring sweeps of the packaged pneunet design, of the
 ``gripper3d-5`` design on the gripper3d fixture (multigrid CG on updated
 systems) and of the sealed ``finger2d-converged`` design on the finger2d
@@ -47,6 +48,10 @@ CASES = {
     "finger2d-20": ("finger2d", {"optimizer": {"max_iters": 20},
                                  "closure": {"mode": "heuristic"}}),
     "gripper3d-5": ("gripper3d", {"optimizer": {"max_iters": 5}}),
+    # odd counts: x halves 26 -> 13 -> 7 -> 4 over the coarse levels, and
+    # the last chunk of 4,394 elements is padded
+    "gripper3d-odd": ("gripper3d", {"grid": {"nel": [26, 13, 13], "h_m": 0.001 * 24 / 26},
+                                    "optimizer": {"max_iters": 5}}),
     "finger2d-converged": ("finger2d", {"closure": {"mode": "heuristic"}}),
     "finger2d-stalls-heuristic": ("finger2d", {
         **STALLS, "optimizer": {"change_tol": 0.15, "max_iters": 150},
